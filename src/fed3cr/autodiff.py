@@ -2,11 +2,21 @@
 
 Covers exactly the operations the training objective needs: dense
 matrix/vector arithmetic, row gathering from embedding tables, stable
-softmax/sigmoid, and the clamped logs used by the losses. Gradients are
-accumulated by walking the recorded graph in reverse topological order,
-so parameters that feed several paths (an embedding table that enters
-both a prototype mean and a scoring head, say) receive the sum of all
-path contributions.
+softmax/sigmoid, and the clamped logs used by the losses, plus `fused`
+for multi-input ops whose backward is written in closed form. Gradients
+are accumulated by walking the recorded graph in reverse topological
+order, so parameters that feed several paths (an embedding table that
+enters both a prototype mean and a scoring head, say) receive the sum of
+all path contributions.
+
+Only parents that need a gradient are recorded as edges, so constants
+cost nothing in `backward`. Gradient ownership: a node's first
+contribution becomes its `.grad` as is, and that array may be shared with
+another node (`add` hands the same gradient to both operands) or be a
+read-only `broadcast_to` view. `backward` writes in place only into a
+buffer it allocated itself, on the second contribution to a node, in the
+node's own dtype. So a `.grad` is to be read, never written, and the
+arrays it was built from are never changed.
 """
 
 from __future__ import annotations
@@ -46,8 +56,8 @@ class Tensor:
     ):
         self.data = data.data if isinstance(data, Tensor) else np.asarray(data)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p, _ in _edges)
-        self._edges = _edges if self.requires_grad else ()
+        self._edges = [edge for edge in _edges if edge[0].requires_grad]
+        self.requires_grad = requires_grad or bool(self._edges)
 
     # -- basic introspection -------------------------------------------------
 
@@ -85,17 +95,24 @@ class Tensor:
                 stack.append((parent, False))
 
         self.grad = np.ones_like(self.data)
+        owned: set[int] = set()  # ids of nodes whose .grad this call allocated
         for node in reversed(topo):
             out_grad = node.grad
             if out_grad is None:
                 continue
             for parent, grad_fn in node._edges:
-                if not parent.requires_grad:
-                    continue
                 contribution = grad_fn(out_grad)
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad = parent.grad + contribution
+                    if contribution.dtype == parent.data.dtype:
+                        parent.grad = contribution
+                    else:
+                        parent.grad = np.asarray(contribution, dtype=parent.data.dtype)
+                        owned.add(id(parent))
+                elif id(parent) in owned:
+                    parent.grad += contribution
+                else:
+                    parent.grad = np.add(parent.grad, contribution, out=np.empty_like(parent.data))
+                    owned.add(id(parent))
 
     # -- operator sugar --------------------------------------------------------
 
@@ -153,6 +170,25 @@ def _pair(a: ArrayLike, b: ArrayLike) -> tuple[Tensor, Tensor]:
 def parameter(x: np.ndarray) -> Tensor:
     """Wrap an array as a trainable leaf."""
     return Tensor(np.asarray(x), requires_grad=True)
+
+
+def fused(value: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable[[np.ndarray], tuple]) -> Tensor:
+    """One tape node for a multi-input op with a closed-form backward.
+
+    `vjp(g)` returns one gradient per parent; it runs once per backward
+    pass, however many of the parents need a gradient.
+    """
+    memo: dict = {}
+
+    def make_grad(i: int) -> GradFn:
+        def grad(g: np.ndarray) -> np.ndarray:
+            if memo.get("g") is not g:
+                memo["g"], memo["grads"] = g, vjp(g)
+            return memo["grads"][i]
+
+        return grad
+
+    return Tensor(value, _edges=tuple((p, make_grad(i)) for i, p in enumerate(parents)))
 
 
 # -- arithmetic ----------------------------------------------------------------
@@ -271,12 +307,33 @@ def gather_rows(a: ArrayLike, indices: np.ndarray) -> Tensor:
     a = as_tensor(a)
     idx = np.asarray(indices)
 
-    def grad_a(g: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
-        return out
+    return Tensor(a.data[idx], _edges=((a, lambda g: _scatter_rows(g, idx, a.data)),))
 
-    return Tensor(a.data[idx], _edges=((a, grad_a),))
+
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Add row i of `g` into row idx[i] of a zero array shaped like `like`.
+
+    A repeated row sums its contributions in order of occurrence, as
+    `np.add.at` would, but one fancy-indexed add per multiplicity level
+    replaces the per-element loop.
+    """
+    out = np.zeros_like(like)
+    if idx.size == 0:
+        return out
+    order = np.argsort(idx, kind="stable")
+    sorted_idx = idx[order]
+    first = np.empty(idx.size, dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=first[1:])
+    if first.all():
+        out[idx] = g
+        return out
+    starts = np.flatnonzero(first)
+    rank = np.arange(idx.size) - np.repeat(starts, np.diff(np.append(starts, idx.size)))
+    for k in range(int(rank.max()) + 1):
+        level = order[rank == k]  # the k-th occurrence of each repeated row
+        out[idx[level]] += g[level]
+    return out
 
 
 # -- reductions ------------------------------------------------------------------
@@ -287,8 +344,8 @@ def tsum(a: ArrayLike, axis: int | None = None) -> Tensor:
 
     def grad_a(g: np.ndarray) -> np.ndarray:
         if axis is None:
-            return np.broadcast_to(g, a.data.shape).copy()
-        return np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy()
+            return np.broadcast_to(g, a.data.shape)
+        return np.broadcast_to(np.expand_dims(g, axis), a.data.shape)
 
     return Tensor(a.data.sum(axis=axis), _edges=((a, grad_a),))
 
