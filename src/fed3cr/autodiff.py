@@ -35,6 +35,8 @@ GradFn = Callable[[np.ndarray], np.ndarray]
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, dim in enumerate(shape):
@@ -158,6 +160,8 @@ def as_tensor(x: ArrayLike) -> Tensor:
 def _pair(a: ArrayLike, b: ArrayLike) -> tuple[Tensor, Tensor]:
     """Wrap both operands; python scalars adopt the other operand's dtype so
     float32 graphs are not silently promoted."""
+    if isinstance(a, Tensor) and isinstance(b, Tensor):
+        return a, b
     if isinstance(b, (int, float)) and not isinstance(a, (int, float)):
         a = as_tensor(a)
         return a, Tensor(np.asarray(b, dtype=a.data.dtype))
@@ -262,7 +266,7 @@ def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
         if a.data.ndim == 1 and b.data.ndim == 1:
             return g * b.data
         if b.data.ndim == 1:
-            return np.outer(g, b.data)
+            return g[:, None] * b.data
         if a.data.ndim == 1:
             return g @ b.data.T
         return g @ b.data.T
@@ -273,7 +277,7 @@ def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
         if b.data.ndim == 1:
             return a.data.T @ g
         if a.data.ndim == 1:
-            return np.outer(a.data, g)
+            return a.data[:, None] * g
         return a.data.T @ g
 
     return Tensor(a.data @ b.data, _edges=((a, grad_a), (b, grad_b)))

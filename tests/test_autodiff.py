@@ -157,3 +157,108 @@ def test_dtype_preserved():
     t = ad.parameter(np.ones(3, dtype=np.float32))
     out = ad.mul(ad.add(t, 1.0), 2.0)
     assert out.data.dtype == np.float32
+
+
+# -- fan-out shapes that in-place gradient accumulation could get wrong --------------
+
+
+def check_all_inputs(build, *arrays):
+    """grad_check every input of `build` (tensors in, scalar tensor out) in float64."""
+    params = [ad.parameter(a.copy()) for a in arrays]
+    build(*params).backward()
+    for i, a in enumerate(arrays):
+
+        def f(p, i=i):
+            args = [ad.as_tensor(x) for x in arrays]
+            args[i] = ad.as_tensor(p)
+            return build(*args).item()
+
+        report = grad_check(f, a, params[i].grad)
+        assert report.passed, (i, report)
+    return params
+
+
+def test_self_add_fan_out():
+    # add hands the same gradient array to both of its (identical) parents
+    x = RNG.normal(size=(3, 4))
+    proj = np.random.default_rng(5).normal(size=(3, 4))
+    (t,) = check_all_inputs(lambda a: ad.tsum(ad.mul(ad.add(a, a), proj)), x)
+    assert np.allclose(t.grad, 2 * proj)
+
+
+def test_subexpression_feeding_add_and_mul():
+    x, y = RNG.normal(size=5), RNG.normal(size=5)
+    proj = np.random.default_rng(6).normal(size=5)
+
+    def build(a, b):
+        s = ad.mul(a, b)
+        return ad.add(ad.tsum(ad.mul(ad.add(s, a), proj)), ad.tsum(ad.mul(s, s)))
+
+    check_all_inputs(build, x, y)
+
+
+def test_tsum_broadcast_grad_reaching_two_consumers():
+    # tsum's read-only broadcast view reaches both operands of the add as is;
+    # x then gets two more contributions and must not write into that view.
+    x, y = RNG.normal(size=(4, 3)), RNG.normal(size=(4, 3))
+    proj = np.random.default_rng(7).normal(size=3)
+
+    def build(a, b):
+        col = ad.tsum(ad.add(a, b), axis=0)
+        return ad.add(ad.tsum(ad.mul(col, proj)), ad.tsum(ad.mul(a, a)))
+
+    _, ty = check_all_inputs(build, x, y)
+    assert np.array_equal(ty.grad, np.broadcast_to(proj, (4, 3)))
+
+
+def test_leaf_with_three_contributions():
+    x = RNG.normal(size=(2, 3))
+    proj = np.random.default_rng(8).normal(size=(2, 3))
+
+    def build(a):
+        return ad.add(
+            ad.add(ad.tsum(ad.mul(a, proj)), ad.tsum(ad.exp(a))), ad.tsum(ad.sigmoid(a))
+        )
+
+    check_all_inputs(build, x)
+
+
+def _fan_out_graph(dtype):
+    x = ad.parameter(RNG.normal(size=(4, 3)).astype(dtype))
+    w = ad.parameter(RNG.normal(size=(3, 2)).astype(dtype))
+    h = ad.matmul(x, w)
+    col = ad.tsum(ad.add(h, h), axis=0)
+    rows = ad.gather_rows(x, np.array([0, 2, 2, 3]))
+    loss = ad.add(
+        ad.add(ad.tsum(ad.mul(col, col)), ad.tsum(ad.sigmoid(rows))),
+        ad.tmean(ad.mul(ad.add(x, 1.0), x)),
+    )
+    return loss
+
+
+def _reachable(root):
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(parent for parent, _ in node._edges)
+    return nodes
+
+
+def test_backward_never_changes_data():
+    loss = _fan_out_graph(np.float64)
+    nodes = _reachable(loss)
+    before = [node.data.copy() for node in nodes]
+    loss.backward()
+    for node, data in zip(nodes, before):
+        assert np.array_equal(node.data, data)
+
+
+def test_float32_graph_keeps_float32_grads():
+    loss = _fan_out_graph(np.float32)
+    loss.backward()
+    for node in _reachable(loss):
+        assert node.grad.dtype == np.float32
