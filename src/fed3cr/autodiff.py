@@ -1,9 +1,9 @@
 """Minimal reverse-mode tape over numpy arrays.
 
-Covers exactly the operations the training objective needs: dense
-matrix/vector arithmetic, row gathering from embedding tables, stable
-softmax/sigmoid, and the clamped logs used by the losses, plus `fused`
-for multi-input ops whose backward is written in closed form. Gradients
+Covers dense matrix/vector arithmetic, row gathering from embedding
+tables, elementwise nonlinearities and reductions, plus `fused` for ops
+whose backward is written in closed form (the losses' BCE and
+consistency term are one `fused` node each). Gradients
 are accumulated by walking the recorded graph in reverse topological
 order, so parameters that feed several paths (an embedding table that
 enters both a prototype mean and a scoring head, say) receive the sum of

@@ -3,7 +3,9 @@ the two item-table views, and the orthogonality penalty on their correlation,
 combined as l_rec + beta_a * l_a + beta_o * l_o.
 
 Every term has a pure-numpy entry point for direct evaluation plus a tape
-counterpart (same math) used inside the differentiable training step.
+counterpart (same math) used inside the differentiable training step. The
+BCE and the consistency term are one tape node each, with a closed-form
+backward; their numpy entry points share that node's forward.
 """
 
 from __future__ import annotations
@@ -42,43 +44,91 @@ class LossBreakdown:
 
 
 def _rec_loss_t(predictions: Tensor, labels: np.ndarray) -> Tensor:
-    """Summed binary cross-entropy with predictions clamped away from {0, 1}."""
-    p = ad.clip(predictions, PRED_CLAMP, 1.0 - PRED_CLAMP)
-    labels = np.asarray(labels, dtype=p.data.dtype)
-    pos = ad.mul(ad.log(p), labels)
-    neg = ad.mul(ad.log(ad.sub(1.0, p)), 1.0 - labels)
-    return ad.mul(ad.tsum(ad.add(pos, neg)), -1.0)
+    """Summed binary cross-entropy with predictions clamped away from {0, 1}.
+
+    One tape node; a prediction outside the clamp gets zero gradient.
+    """
+    x = predictions.data
+    labels = np.asarray(labels, dtype=x.dtype)
+    p = np.clip(x, PRED_CLAMP, 1.0 - PRED_CLAMP)
+    loss = -np.sum(np.log(p) * labels + np.log(1.0 - p) * (1.0 - labels))
+
+    def vjp(g: np.ndarray) -> tuple[np.ndarray]:
+        inside = (x >= PRED_CLAMP) & (x <= 1.0 - PRED_CLAMP)
+        return (g * inside * ((1.0 - labels) / (1.0 - p) - labels / p),)
+
+    return ad.fused(loss, (predictions,), vjp)
 
 
-def _row_cosines_t(prototype: Tensor, table: Tensor) -> Tensor:
-    """Cosine similarity of a prototype against every table row."""
-    row_dots = ad.matmul(table, prototype)
-    row_norms = ad.sqrt(ad.add(ad.tsum(ad.mul(table, table), axis=1), NORM_GUARD))
-    p_norm = ad.sqrt(ad.add(ad.tsum(ad.mul(prototype, prototype)), NORM_GUARD))
-    return ad.div(row_dots, ad.mul(row_norms, p_norm))
-
-
-def _top_one_t(prototype: Tensor, table: Tensor, mode: str = "softmax") -> Tensor:
-    """Distribution over items from prototype-to-row cosine similarities.
+def _top_one(prototype: np.ndarray, table: np.ndarray, mode: str) -> tuple[np.ndarray, tuple]:
+    """Distribution over table rows from prototype-to-row cosine similarities.
 
     'softmax' (default) exponentiates the similarities; 'literal-ratio'
-    clamps them to [1e-6, 1] and normalizes by their sum.
+    clamps them to [1e-6, 1] and normalizes by their sum. Also returns what
+    `_top_one_vjp` needs.
     """
     if mode not in EQ12_MODES:
         raise ValueError(f"unknown top-one mode {mode!r}")
-    cos = _row_cosines_t(prototype, table)
+    dots = table @ prototype
+    row_norms = np.sqrt(np.einsum("ij,ij->i", table, table) + NORM_GUARD)
+    p_norm = np.sqrt(np.dot(prototype, prototype) + NORM_GUARD)
+    cos = dots / (row_norms * p_norm)
     if mode == "softmax":
-        return ad.softmax(cos)
-    clamped = ad.clip(cos, COS_CLAMP, 1.0)
-    return ad.div(clamped, ad.tsum(clamped))
+        e = np.exp(cos - cos.max())
+        return e / e.sum(), (cos, row_norms, p_norm, None)
+    clamped = np.clip(cos, COS_CLAMP, 1.0)
+    total = clamped.sum()
+    return clamped / total, (cos, row_norms, p_norm, total)
 
 
-def _consistency_t(p_personal: Tensor, p_global: Tensor) -> Tensor:
-    """Symmetric cross-entropy between two item distributions."""
-    log_g = ad.log(ad.clip(p_global, LOG_FLOOR, None))
-    log_p = ad.log(ad.clip(p_personal, LOG_FLOOR, None))
-    cross = ad.add(ad.tsum(ad.mul(p_personal, log_g)), ad.tsum(ad.mul(p_global, log_p)))
-    return ad.mul(cross, -0.5)
+def _top_one_vjp(
+    d_dist: np.ndarray, dist: np.ndarray, cache: tuple, prototype: np.ndarray, table: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of `_top_one` w.r.t. (prototype, table) given d(loss)/d(dist)."""
+    cos, row_norms, p_norm, total = cache
+    centred = d_dist - np.dot(d_dist, dist)
+    if total is None:
+        d_cos = dist * centred
+    else:
+        d_cos = centred / total * ((cos >= COS_CLAMP) & (cos <= 1.0))
+    # cos_j = dots_j / (row_norms_j * p_norm); a_j is d(loss)/d(dots_j).
+    a = d_cos / (row_norms * p_norm)
+    ac = a * cos
+    d_table = a[:, None] * prototype - (ac * (p_norm / row_norms))[:, None] * table
+    d_proto = table.T @ a - (np.dot(ac, row_norms) / p_norm) * prototype
+    return d_proto, d_table
+
+
+def _consistency(p_personal: np.ndarray, p_global: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Symmetric cross-entropy between two item distributions, plus the logs."""
+    log_g = np.log(np.maximum(p_global, LOG_FLOOR))
+    log_p = np.log(np.maximum(p_personal, LOG_FLOOR))
+    cross = np.sum(p_personal * log_g) + np.sum(p_global * log_p)
+    return cross * -0.5, (log_g, log_p)
+
+
+def _consistency_t(
+    p_personal: Tensor, v_view: Tensor, p_global: Tensor, g_view: Tensor, mode: str = "softmax"
+) -> Tensor:
+    """The whole consistency term as one tape node: the top-one distribution
+    of each view (prototype against table rows) and their symmetric
+    cross-entropy, with a closed-form backward."""
+    pp, v = p_personal.data, v_view.data
+    pg, c = p_global.data, g_view.data
+    dist_p, cache_p = _top_one(pp, v, mode)
+    dist_g, cache_g = _top_one(pg, c, mode)
+    loss, (log_g, log_p) = _consistency(dist_p, dist_g)
+
+    def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        # The clamp at LOG_FLOOR passes gradient only where the value is kept.
+        half = -0.5 * g
+        d_dist_p = half * (log_g + (dist_p >= LOG_FLOOR) * dist_g / np.maximum(dist_p, LOG_FLOOR))
+        d_dist_g = half * (log_p + (dist_g >= LOG_FLOOR) * dist_p / np.maximum(dist_g, LOG_FLOOR))
+        d_pp, d_v = _top_one_vjp(d_dist_p, dist_p, cache_p, pp, v)
+        d_pg, d_c = _top_one_vjp(d_dist_g, dist_g, cache_g, pg, c)
+        return d_pp, d_v, d_pg, d_c
+
+    return ad.fused(loss, (p_personal, v_view, p_global, g_view), vjp)
 
 
 def _orthogonality_t(c_e: Tensor, v: Tensor) -> Tensor:
@@ -111,14 +161,14 @@ def top_one_distribution(prototype: np.ndarray, table: np.ndarray, mode: str = "
         raise ShapeError(f"prototype {prototype.shape} vs table {table.shape}")
     if not table.any(axis=1).all():
         warnings.warn("table contains all-zero rows; their similarity is treated as 0", DegenerateInputWarning)
-    return _top_one_t(ad.as_tensor(prototype), ad.as_tensor(table), mode).data
+    return _top_one(prototype, table, mode)[0]
 
 
 def consistency_loss(p_personal: np.ndarray, p_global: np.ndarray) -> float:
     p_personal, p_global = np.asarray(p_personal), np.asarray(p_global)
     if p_personal.shape != p_global.shape:
         raise ShapeError(f"distribution shapes differ: {p_personal.shape} vs {p_global.shape}")
-    return _consistency_t(ad.as_tensor(p_personal), ad.as_tensor(p_global)).item()
+    return float(_consistency(p_personal, p_global)[0])
 
 
 def orthogonality_loss(c_e: np.ndarray, v: np.ndarray) -> float:
@@ -182,9 +232,7 @@ def total_loss_t(
             idx = np.asarray(consistency_items)
             v_view = ad.gather_rows(v_view, idx)
             g_view = ad.gather_rows(g_view, idx)
-        p_personal = _top_one_t(trace.p_P, v_view, eq12_mode)
-        p_global = _top_one_t(trace.p_E, g_view, eq12_mode)
-        l_a = _consistency_t(p_personal, p_global)
+        l_a = _consistency_t(trace.p_P, v_view, trace.p_E, g_view, eq12_mode)
 
     l_o = zero
     if orthogonality_enabled and beta_o != 0.0:

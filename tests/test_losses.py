@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
+from fed3cr import autodiff as ad
 from fed3cr.errors import DegenerateInputWarning, ShapeError
 from fed3cr.losses import (
+    LOG_FLOOR,
+    PRED_CLAMP,
     LossBreakdown,
+    _consistency_t,
+    _rec_loss_t,
     consistency_loss,
     orthogonality_loss,
     rec_loss,
@@ -271,3 +276,112 @@ def test_consistency_sample_restricts_to_batch_items():
     )
     oracle = -0.5 * float(p_p @ np.log(p_g)) - 0.5 * float(p_g @ np.log(p_p))
     assert restricted.l_a == pytest.approx(oracle, abs=1e-9)
+
+
+# -- fused tape ops -------------------------------------------------------------------
+
+
+def check_consistency_op(blocks, mode, check=(0, 1, 2, 3)):
+    """grad_check the fused consistency node w.r.t. each input in `check`
+    (order: personal prototype, personal table, global prototype, global table)."""
+    params = [ad.parameter(b.copy()) for b in blocks]
+    _consistency_t(*params, mode=mode).backward()
+    for i in check:
+
+        def f(p, i=i):
+            args = [ad.as_tensor(b) for b in blocks]
+            args[i] = ad.as_tensor(p)
+            return _consistency_t(*args, mode=mode).item()
+
+        report = grad_check(f, blocks[i], params[i].grad)
+        assert report.passed, (mode, i, report)
+
+
+@pytest.mark.parametrize("eq12_mode", ["softmax", "literal-ratio"])
+def test_fused_consistency_op_grad_check(eq12_mode):
+    rng = np.random.default_rng(10)
+    blocks = (rng.normal(size=4), rng.normal(size=(7, 4)), rng.normal(size=4), rng.normal(size=(7, 4)))
+    check_consistency_op(blocks, eq12_mode)
+
+
+@pytest.mark.parametrize("eq12_mode", ["softmax", "literal-ratio"])
+def test_consistency_items_subset_gradients_pass_grad_check(eq12_mode):
+    state, positives, _ = make_trace(m=9)
+    items, labels = np.array([0, 3, 3, 5, 8]), np.array([1, 0, 0, 1, 0])
+
+    def build(s):
+        trace = forward_pass(s, positives, enhancement="ace")
+        total, _ = total_loss_t(
+            trace, items, labels, beta_a=1.0, beta_o=0.0, eq12_mode=eq12_mode,
+            consistency_items=np.unique(items),
+        )
+        return total, trace
+
+    total, trace = build(state)
+    total.backward()
+    for name in ("u", "C", "V", "w0"):
+        def f(p, name=name):
+            s2 = state.copy()
+            if name == "u":
+                s2.user_embedding = p
+            elif name == "C":
+                s2.global_table = p
+            elif name == "V":
+                s2.personal_table = p
+            else:
+                s2.transfer_net.weights[0] = p
+            return build(s2)[0].item()
+
+        report = grad_check(f, trace.params[name].data, trace.params[name].grad)
+        assert report.passed, (name, report)
+    # rows outside the subset get no consistency gradient through V
+    outside = np.setdiff1d(np.arange(9), np.concatenate([np.unique(items), positives]))
+    assert np.all(trace.params["V"].grad[outside] == 0.0)
+
+
+def test_fused_consistency_op_at_log_floor():
+    # Softmax of cosines never drops below exp(-2)/M, so only literal-ratio on
+    # more than 1e6 rows puts entries under LOG_FLOOR: rows clamped at 1e-6
+    # weigh 1e-6 / (sum of clamped cosines). The gradient must then skip those
+    # entries' 1/p term, as the clamp does.
+    rng = np.random.default_rng(11)
+    m, floored = 1_200_000, 100_000
+    v = np.array([1.0, 0.25]) + rng.normal(0.0, 0.01, size=(m, 2))
+    v[:floored] *= -1.0  # negative cosine: clamped, then floored
+    c = np.array([0.8, -0.1]) + rng.normal(0.0, 0.01, size=(m, 2))
+    blocks = (np.array([1.0, 0.3]), v, np.array([0.8, -0.2]), c)
+    dist = top_one_distribution(blocks[0], v, mode="literal-ratio")
+    assert dist[:floored].max() < LOG_FLOOR
+    check_consistency_op(blocks, "literal-ratio", check=(0, 2))
+
+
+def test_tape_size_of_a_fed3cr_step():
+    state = init_client(seed=0, d=16, M=96)
+    positives = np.arange(0, 96, 12)
+    items = np.arange(40)
+    labels = (items % 5 == 0).astype(int)
+    trace = forward_pass(state, positives, enhancement="ace")
+    total, _ = total_loss_t(trace, items, labels, beta_a=0.5, beta_o=0.5)
+    seen, stack = set(), [total]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(parent for parent, _ in node._edges)
+    assert len(seen) <= 50
+
+
+def test_fused_bce_zero_gradient_when_clamped():
+    x = np.array([0.0, 1e-9, 0.3, 0.6, 1.0 - 1e-9, 1.0])
+    labels = np.array([1, 0, 1, 0, 1, 0])
+    t = ad.parameter(x)
+    _rec_loss_t(t, labels).backward()
+    clamped = (x < PRED_CLAMP) | (x > 1.0 - PRED_CLAMP)
+    assert np.all(t.grad[clamped] == 0.0)
+    assert np.all(t.grad[~clamped] != 0.0)
+
+    inner = x[~clamped]
+    t_inner = ad.parameter(inner)
+    _rec_loss_t(t_inner, labels[~clamped]).backward()
+    report = grad_check(lambda p: rec_loss(p, labels[~clamped]), inner, t_inner.grad)
+    assert report.passed, report
