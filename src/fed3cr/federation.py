@@ -10,6 +10,7 @@ through an UploadChannel so that surface is auditable.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -332,17 +333,6 @@ def init_server(ds: InteractionDataset, hp: HyperParams, variant: VariantConfig)
     return ServerState(consensus=consensus, theta=theta, round=0)
 
 
-def _eval_state(client: ClientState, server: ServerState, hp: HyperParams, variant: VariantConfig) -> ClientState:
-    """Client as it would score after downloading the freshest shared blocks."""
-    return ClientState(
-        client_id=client.client_id,
-        user_embedding=client.user_embedding,
-        global_table=np.array(server.consensus, dtype=hp.np_dtype),
-        personal_table=client.personal_table,
-        transfer_net=server.theta.copy() if variant.has_net and server.theta is not None else None,
-    )
-
-
 def evaluate_round(
     clients: list[ClientState],
     server: ServerState,
@@ -354,12 +344,16 @@ def evaluate_round(
     loss_means: LossBreakdown,
     compute_rbo: bool = True,
 ) -> RoundMetrics:
+    # Each client scores as it would after downloading the freshest shared
+    # blocks. Scoring only reads them, so all clients share one copy.
+    consensus = np.array(server.consensus, dtype=hp.np_dtype)
+    theta = server.theta.copy() if variant.has_net and server.theta is not None else None
     hrs, ndcgs, rbos = [], [], []
     for client in clients:
         positives = ds.client_items[client.client_id]
         if len(positives) == 0:
             continue
-        snap = _eval_state(client, server, hp, variant)
+        snap = dataclasses.replace(client, global_table=consensus, transfer_net=theta)
         trace = forward_pass(snap, positives, enhancement=variant.enhancement_kind, ace_scale=hp.ace_scale)
         ranked = rank_candidates(snap.user_embedding, trace.V_F.data, candidates[client.client_id])
         hr, ndcg = hr_ndcg_at_k(ranked, ds.test_items[client.client_id], hp.top_k)
