@@ -63,8 +63,8 @@ def _rec_loss_t(predictions: Tensor, labels: np.ndarray) -> Tensor:
 def _top_one(prototype: np.ndarray, table: np.ndarray, mode: str) -> tuple[np.ndarray, tuple]:
     """Distribution over table rows from prototype-to-row cosine similarities.
 
-    'softmax' (default) exponentiates the similarities; 'literal-ratio'
-    clamps them to [1e-6, 1] and normalizes by their sum. Also returns what
+    'softmax' exponentiates the similarities; 'literal-ratio' clamps them
+    to [1e-6, 1] and normalizes by their sum. Also returns what
     `_top_one_vjp` needs.
     """
     if mode not in EQ12_MODES:
@@ -99,16 +99,18 @@ def _top_one_vjp(
     return d_proto, d_table
 
 
-def _consistency(p_personal: np.ndarray, p_global: np.ndarray) -> tuple[np.ndarray, tuple]:
+def _consistency(
+    p_personal: np.ndarray, p_global: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symmetric cross-entropy between two item distributions, plus the logs."""
     log_g = np.log(np.maximum(p_global, LOG_FLOOR))
     log_p = np.log(np.maximum(p_personal, LOG_FLOOR))
     cross = np.sum(p_personal * log_g) + np.sum(p_global * log_p)
-    return cross * -0.5, (log_g, log_p)
+    return cross * -0.5, log_g, log_p
 
 
 def _consistency_t(
-    p_personal: Tensor, v_view: Tensor, p_global: Tensor, g_view: Tensor, mode: str = "softmax"
+    p_personal: Tensor, v_view: Tensor, p_global: Tensor, g_view: Tensor, mode: str
 ) -> Tensor:
     """The whole consistency term as one tape node: the top-one distribution
     of each view (prototype against table rows) and their symmetric
@@ -117,7 +119,7 @@ def _consistency_t(
     pg, c = p_global.data, g_view.data
     dist_p, cache_p = _top_one(pp, v, mode)
     dist_g, cache_g = _top_one(pg, c, mode)
-    loss, (log_g, log_p) = _consistency(dist_p, dist_g)
+    loss, log_g, log_p = _consistency(dist_p, dist_g)
 
     def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
         # The clamp at LOG_FLOOR passes gradient only where the value is kept.

@@ -214,10 +214,11 @@ def test_tsum_broadcast_grad_reaching_two_consumers():
 def test_leaf_with_three_contributions():
     x = RNG.normal(size=(2, 3))
     proj = np.random.default_rng(8).normal(size=(2, 3))
+    w = np.random.default_rng(9).normal(size=3)
 
     def build(a):
         return ad.add(
-            ad.add(ad.tsum(ad.mul(a, proj)), ad.tsum(ad.exp(a))), ad.tsum(ad.sigmoid(a))
+            ad.add(ad.tsum(ad.mul(a, proj)), ad.tsum(ad.matmul(a, w))), ad.tsum(ad.sigmoid(a))
         )
 
     check_all_inputs(build, x)
@@ -262,3 +263,7 @@ def test_float32_graph_keeps_float32_grads():
     loss.backward()
     for node in _reachable(loss):
         assert node.grad.dtype == np.float32
+    # a float64 constant promotes the product, but not its float32 leaf's grad
+    t = ad.parameter(np.ones(3, dtype=np.float32))
+    ad.tsum(ad.mul(t, np.full(3, 0.5))).backward()
+    assert t.grad.dtype == np.float32

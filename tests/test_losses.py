@@ -234,6 +234,12 @@ def test_total_gradients_pass_grad_check(eq12_mode, complementarity):
             complementarity_kind=complementarity,
         )[0], trace
 
+    check_every_block(state, build)
+
+
+def check_every_block(state, build):
+    """grad_check the total from `build(state) -> (total, trace)` against
+    every trainable block of the client; returns the trace."""
     total, trace = build(state)
     total.backward()
     for name, tensor in trace.params.items():
@@ -253,6 +259,7 @@ def test_total_gradients_pass_grad_check(eq12_mode, complementarity):
 
         report = grad_check(f, tensor.data, tensor.grad)
         assert report.passed, (name, report)
+    return trace
 
 
 def test_consistency_sample_restricts_to_batch_items():
@@ -317,23 +324,7 @@ def test_consistency_items_subset_gradients_pass_grad_check(eq12_mode):
         )
         return total, trace
 
-    total, trace = build(state)
-    total.backward()
-    for name in ("u", "C", "V", "w0"):
-        def f(p, name=name):
-            s2 = state.copy()
-            if name == "u":
-                s2.user_embedding = p
-            elif name == "C":
-                s2.global_table = p
-            elif name == "V":
-                s2.personal_table = p
-            else:
-                s2.transfer_net.weights[0] = p
-            return build(s2)[0].item()
-
-        report = grad_check(f, trace.params[name].data, trace.params[name].grad)
-        assert report.passed, (name, report)
+    trace = check_every_block(state, build)
     # rows outside the subset get no consistency gradient through V
     outside = np.setdiff1d(np.arange(9), np.concatenate([np.unique(items), positives]))
     assert np.all(trace.params["V"].grad[outside] == 0.0)
