@@ -317,27 +317,17 @@ def gather_rows(a: ArrayLike, indices: np.ndarray) -> Tensor:
 def _scatter_rows(g: np.ndarray, idx: np.ndarray, like: np.ndarray) -> np.ndarray:
     """Add row i of `g` into row idx[i] of a zero array shaped like `like`.
 
-    Unique indices (batch items, positives) take one fancy assignment. A
-    repeated row sums its contributions in order of occurrence, as
-    `np.add.at` would, but one fancy-indexed add per multiplicity level
-    replaces the per-element loop.
+    Unique indices (batch items, positives) take one fancy assignment;
+    repeated ones, including two indices that name the same row such as
+    -1 and M-1, fall back to `np.add.at`.
     """
     out = np.zeros_like(like)
     hit = np.zeros(like.shape[0], dtype=bool)
     hit[idx] = True
     if np.count_nonzero(hit) == idx.size:
         out[idx] = g
-        return out
-    order = np.argsort(idx, kind="stable")
-    sorted_idx = idx[order]
-    first = np.empty(idx.size, dtype=bool)
-    first[0] = True
-    np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    rank = np.arange(idx.size) - np.repeat(starts, np.diff(np.append(starts, idx.size)))
-    for k in range(int(rank.max()) + 1):
-        level = order[rank == k]  # the k-th occurrence of each repeated row
-        out[idx[level]] += g[level]
+    else:
+        np.add.at(out, idx, g)
     return out
 
 

@@ -83,6 +83,18 @@ def test_gather_rows_scatter_adds():
     assert grad_check(f, x, t.grad).passed
 
 
+def test_gather_rows_two_names_for_one_row():
+    x = RNG.normal(size=(5, 3))
+    idx = np.array([-1, 4, 1])  # -1 and 4 are the same row: both contributions count
+    g = RNG.normal(size=(3, 3))
+    t = ad.parameter(x)
+    ad.tsum(ad.mul(ad.gather_rows(t, idx), g)).backward()
+    expected = np.zeros_like(x)
+    np.add.at(expected, idx, g)
+    assert np.array_equal(t.grad, expected)
+    assert np.array_equal(t.grad[4], g[0] + g[1])
+
+
 def test_reductions_and_shapes():
     x = RNG.normal(size=(4, 3))
     for op, kwargs in [
