@@ -2,17 +2,18 @@
 
 The C0..C6 labels toggle the enhancement step and the two auxiliary losses;
 Fed3CR enables everything. The second half bolts the enhancement mechanism
-onto a plain federated matrix-factorization baseline, where the downloaded
-table is treated as the consensus to enhance.
+onto a plain federated matrix-factorization baseline (label FedMF), where
+the downloaded table is treated as the consensus to enhance (FedMF+ACE).
+All of them run through the same training loop, `run_training`.
 
 Run: python demos/05_ablations_and_plugin.py  (about a minute)
 """
 
 import dataclasses
 
-from fed3cr import HyperParams, VariantConfig, fedmf_baseline, run_training
+from fed3cr import HyperParams, VariantConfig, run_training
 from fed3cr.datasets import leave_one_out_split
-from fed3cr.federation import ABLATION_LABELS, enhancement_baseline
+from fed3cr.federation import ABLATION_LABELS
 from fed3cr.toy import generate_toy_dataset
 
 ds = leave_one_out_split(generate_toy_dataset(seed=0), seed=0)
@@ -42,13 +43,14 @@ for label in ("C0", "C1"):
 
 print("\nalternative enhancement heads (auxiliary losses off, like C1):")
 for kind in ("consensus-transfer", "unified-transfer"):
-    final = enhancement_baseline(ds, hp, kind).metrics[-1]
+    variant = VariantConfig(kind, consistency_enabled=False, orthogonality_enabled=False)
+    final = run_training(ds, hp, variant).metrics[-1]
     print(f"  {kind:20s} HR@10 {final.hr_at_k:.3f}  NDCG@10 {final.ndcg_at_k:.3f}")
 
 print("\nfederated MF baseline, with and without the enhancement plug-in:")
-plain = fedmf_baseline(ds, hp, ace_plugin=False).metrics[-1]
-plugin = fedmf_baseline(ds, hp, ace_plugin=True).metrics[-1]
+plain = run_training(ds, hp, VariantConfig.from_label("FedMF")).metrics[-1]
+plugin = run_training(ds, hp, VariantConfig.from_label("FedMF+ACE")).metrics[-1]
 print(f"  plain  : HR@10 {plain.hr_at_k:.3f}  NDCG@10 {plain.ndcg_at_k:.3f}")
 print(f"  plug-in: HR@10 {plugin.hr_at_k:.3f}  NDCG@10 {plugin.ndcg_at_k:.3f}")
-print("(the plug-in starts as an exact no-op: a zero transfer matrix leaves")
-print(" the baseline's scores untouched until training grows it)")
+print("(the plug-in starts near a no-op: the net's last layer starts near zero,")
+print(" and a zero transfer matrix leaves the baseline's scores exactly as they are)")

@@ -18,7 +18,6 @@ from .datasets import (
     build_eval_candidates,
     leave_one_out_split,
     load_dataset,
-    sample_training_batch,
 )
 from .degradation import (
     DegradationReport,
@@ -46,8 +45,6 @@ from .federation import (
     VariantConfig,
     aggregate_consensus,
     aggregate_theta,
-    enhancement_baseline,
-    fedmf_baseline,
     local_update,
     run_training,
     select_clients,
@@ -73,7 +70,7 @@ from .model import (
     init_client,
     predict,
 )
-from .numerics import GradCheckReport, cosine_similarity, grad_check, matmul, softmax
+from .numerics import GradCheckReport, grad_check
 from .toy import generate_toy_dataset, write_toy_dataset_csv
 
 __version__ = "0.1.0"
@@ -103,12 +100,9 @@ __all__ = [
     "build_eval_candidates",
     "compute_prototypes",
     "consistency_loss",
-    "cosine_similarity",
     "empirical_heterogeneity_probe",
     "enhance_consensus",
-    "enhancement_baseline",
     "export_correlation_matrix",
-    "fedmf_baseline",
     "forward_pass",
     "fuse",
     "generate_toy_dataset",
@@ -121,7 +115,6 @@ __all__ = [
     "load_config",
     "load_dataset",
     "local_update",
-    "matmul",
     "metrics_csv_lines",
     "orthogonality_loss",
     "predict",
@@ -130,11 +123,9 @@ __all__ = [
     "rec_loss",
     "resolve_config",
     "run_training",
-    "sample_training_batch",
     "save_client_state",
     "select_clients",
     "similarity_consistency_diagnostic",
-    "softmax",
     "top_one_distribution",
     "total_loss",
     "toy_example_report",

@@ -145,9 +145,6 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         return mul(self, -1.0)
 
-    def __pow__(self, exponent: float) -> "Tensor":
-        return power(self, exponent)
-
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         return matmul(self, other)
 
@@ -240,18 +237,6 @@ def div(a: ArrayLike, b: ArrayLike) -> Tensor:
             (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)),
         ),
     )
-
-
-def power(a: ArrayLike, exponent: float) -> Tensor:
-    a = as_tensor(a)
-    return Tensor(
-        a.data**exponent,
-        _edges=((a, lambda g: g * exponent * a.data ** (exponent - 1.0)),),
-    )
-
-
-def sqrt(a: ArrayLike) -> Tensor:
-    return power(a, 0.5)
 
 
 def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
@@ -351,11 +336,6 @@ def tmean(a: ArrayLike, axis: int | None = None) -> Tensor:
     return mul(tsum(a, axis=axis), 1.0 / count)
 
 
-def dot(a: ArrayLike, b: ArrayLike) -> Tensor:
-    """Inner product of two 1-D tensors."""
-    return tsum(mul(a, b))
-
-
 # -- nonlinearities ---------------------------------------------------------------
 
 
@@ -373,38 +353,3 @@ def sigmoid(a: ArrayLike) -> Tensor:
     out = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
     return Tensor(out, _edges=((a, lambda g: g * out * (1.0 - out)),))
 
-
-def exp(a: ArrayLike) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return Tensor(out, _edges=((a, lambda g: g * out),))
-
-
-def log(a: ArrayLike) -> Tensor:
-    a = as_tensor(a)
-    return Tensor(np.log(a.data), _edges=((a, lambda g: g / a.data),))
-
-
-def clip(a: ArrayLike, lo: float | None, hi: float | None) -> Tensor:
-    """Clamp values; gradient passes through the un-clamped region only."""
-    a = as_tensor(a)
-    out = np.clip(a.data, lo, hi)
-    inside = np.ones_like(a.data, dtype=bool)
-    if lo is not None:
-        inside &= a.data >= lo
-    if hi is not None:
-        inside &= a.data <= hi
-    return Tensor(out, _edges=((a, lambda g: g * inside),))
-
-
-def softmax(a: ArrayLike) -> Tensor:
-    """Stable softmax over a 1-D tensor."""
-    a = as_tensor(a)
-    shifted = a.data - a.data.max()
-    e = np.exp(shifted)
-    out = e / e.sum()
-
-    def grad_a(g: np.ndarray) -> np.ndarray:
-        return out * (g - np.dot(g, out))
-
-    return Tensor(out, _edges=((a, grad_a),))

@@ -2,7 +2,9 @@
 
 Layout: an 8-byte little-endian header length, a UTF-8 JSON header listing
 the blocks (name, shape) plus dtype/seed/round metadata, then the raw
-little-endian array bytes concatenated in header order. Reload is bit-exact.
+little-endian array bytes concatenated in header order. A block the client
+lacks (the personal table of a federated-MF client) is left out of the
+list. Reload is bit-exact.
 """
 
 from __future__ import annotations
@@ -19,11 +21,9 @@ FORMAT_VERSION = 1
 
 
 def _blocks(state: ClientState) -> list[tuple[str, np.ndarray]]:
-    blocks = [
-        ("user_embedding", state.user_embedding),
-        ("global_table", state.global_table),
-        ("personal_table", state.personal_table),
-    ]
+    blocks = [("user_embedding", state.user_embedding), ("global_table", state.global_table)]
+    if state.personal_table is not None:
+        blocks.append(("personal_table", state.personal_table))
     if state.transfer_net is not None:
         for l, (w, b) in enumerate(zip(state.transfer_net.weights, state.transfer_net.biases)):
             blocks.append((f"net_w{l}", w))
@@ -83,7 +83,7 @@ def load_client_state(path: str) -> tuple[ClientState, dict]:
         client_id=header["client_id"],
         user_embedding=arrays["user_embedding"],
         global_table=arrays["global_table"],
-        personal_table=arrays["personal_table"],
+        personal_table=arrays.get("personal_table"),
         transfer_net=net,
     )
     return state, header

@@ -124,16 +124,12 @@ def run_ablation(
 ) -> list[tuple[str, float, float]]:
     """One run per variant label under the shared seed and data split;
     returns (label, final hr, final ndcg) rows."""
-    for label in labels:
-        if label not in ABLATION_LABELS:
-            raise ConfigurationError(f"unknown variant label {label!r}")
+    variants = [VariantConfig.from_label(label) for label in labels]
     if outdir is not None:
         _prepare_outdir(outdir, force)
     rows = []
-    for label in labels:
-        variant_config = dataclasses.replace(
-            config, variant=VariantConfig.from_label(label), variant_label=label
-        )
+    for label, variant in zip(labels, variants):
+        variant_config = dataclasses.replace(config, variant=variant, variant_label=label)
         sub = os.path.join(outdir, label) if outdir is not None else None
         record = run_experiment(variant_config, sub, workers=workers, force=force, save_checkpoints=False)
         final = record.metrics[-1]

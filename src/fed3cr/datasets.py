@@ -312,12 +312,6 @@ class NegativeSampler:
         return items[:batch_size], labels[:batch_size]
 
 
-def sample_training_batch(
-    sampler: NegativeSampler, client: int, batch_size: int = 2048
-) -> tuple[np.ndarray, np.ndarray]:
-    return sampler.sample_batch(client, batch_size)
-
-
 def build_eval_candidates(
     ds: InteractionDataset, client: int, num_negatives: int, seed: int
 ) -> list[int]:

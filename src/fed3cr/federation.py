@@ -1,7 +1,7 @@
 """Federated orchestration: client sampling, local SGD updates, server-side
 averaging of the shared item table and transfer-net weights, round-wise
-evaluation, ablation variants, and a federated-MF baseline with an optional
-consensus-enhancement plug-in.
+evaluation, and the variants one training loop runs: the ablation grid and
+federated MF with and without the consensus-enhancement plug-in.
 
 Only the shared table and the transfer-net weights ever leave a client;
 user embeddings and personal tables stay local. Every upload is routed
@@ -17,22 +17,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from . import seeding
 from .datasets import InteractionDataset, NegativeSampler, build_eval_candidates
 from .errors import AggregationError, ConfigurationError, ShapeError
 from .evaluation import RoundMetrics, hr_ndcg_at_k, rank_candidates, view_consistency_rbo
-from .losses import LossBreakdown, _rec_loss_t, total_loss_t
-from .model import (
-    ClientState,
-    TransferNet,
-    forward_pass,
-    generate_transfer_matrix,
-    init_client,
-    init_client_net,
-    net_forward,
-)
+from .losses import LossBreakdown, total_loss_t
+from .model import ClientState, TransferNet, forward_pass, init_client, init_client_net
 
+# label -> (enhancement kind, l_a on, l_o on, personal table). C0 is bare
+# additive fusion, C1 adds the enhancement, C2/C3/C4 add only the auxiliary
+# losses, C5/C6 combine the enhancement with one loss each, Fed3CR enables
+# everything. FedMF trains one shared table, and FedMF+ACE plugs the
+# enhancement into it.
+VARIANT_LABELS = {
+    "C0": ("none", False, False, True),
+    "C1": ("ace", False, False, True),
+    "C2": ("none", True, False, True),
+    "C3": ("none", False, True, True),
+    "C4": ("none", True, True, True),
+    "C5": ("ace", True, False, True),
+    "C6": ("ace", False, True, True),
+    "Fed3CR": ("ace", True, True, True),
+    "FedMF": ("none", False, False, False),
+    "FedMF+ACE": ("ace", False, False, False),
+}
+
+# The default grid of `fed3cr ablate`.
 ABLATION_LABELS = ("C0", "C1", "C2", "C3", "C4", "C5", "C6", "Fed3CR")
 
 
@@ -44,6 +54,7 @@ class VariantConfig:
     consistency_enabled: bool = True
     orthogonality_enabled: bool = True
     complementarity_kind: str = "orthogonal"  # orthogonal | l2-distance
+    personal_table: bool = True  # False: one trained shared table (federated MF)
 
     @property
     def ace_enabled(self) -> bool:
@@ -58,26 +69,30 @@ class VariantConfig:
             raise ConfigurationError(f"unknown enhancement kind {self.enhancement_kind!r}")
         if self.complementarity_kind not in ("orthogonal", "l2-distance"):
             raise ConfigurationError(f"unknown complementarity kind {self.complementarity_kind!r}")
+        if not self.personal_table and (
+            self.consistency_enabled
+            or self.orthogonality_enabled
+            or self.enhancement_kind not in ("ace", "none")
+        ):
+            # l_a, l_o and the row maps compare or map two item views.
+            raise ConfigurationError(
+                "a variant without a personal table has one item view; it cannot turn on "
+                "consistency, orthogonality or a row-map enhancement"
+            )
 
     @classmethod
     def from_label(cls, label: str) -> "VariantConfig":
-        """Ablation grid: C0 bare additive fusion, C1 adds the enhancement,
-        C2/C3/C4 add only the auxiliary losses, C5/C6 combine the enhancement
-        with one loss each, Fed3CR enables everything."""
-        table = {
-            "C0": ("none", False, False),
-            "C1": ("ace", False, False),
-            "C2": ("none", True, False),
-            "C3": ("none", False, True),
-            "C4": ("none", True, True),
-            "C5": ("ace", True, False),
-            "C6": ("ace", False, True),
-            "Fed3CR": ("ace", True, True),
-        }
-        if label not in table:
-            raise ConfigurationError(f"unknown variant label {label!r} (expected one of {ABLATION_LABELS})")
-        kind, la, lo = table[label]
-        return cls(enhancement_kind=kind, consistency_enabled=la, orthogonality_enabled=lo)
+        if label not in VARIANT_LABELS:
+            raise ConfigurationError(
+                f"unknown variant label {label!r} (expected one of {tuple(VARIANT_LABELS)})"
+            )
+        kind, la, lo, personal = VARIANT_LABELS[label]
+        return cls(
+            enhancement_kind=kind,
+            consistency_enabled=la,
+            orthogonality_enabled=lo,
+            personal_table=personal,
+        )
 
 
 @dataclass
@@ -254,7 +269,8 @@ def local_update(
         warnings.warn(f"round {round}: client {state.client_id} has no positives; skipped")
         return None
 
-    state.global_table = np.array(consensus, dtype=hp.np_dtype)
+    download = np.asarray(consensus, dtype=hp.np_dtype)
+    state.global_table = download.copy()
     if variant.has_net:
         if theta is None:
             raise ConfigurationError("variant requires transfer-net weights to download")
@@ -264,7 +280,11 @@ def local_update(
     for e in range(hp.local_iters):
         items, labels = sampler.sample_batch(state.client_id, hp.batch_size)
         trace = forward_pass(
-            state, positives, enhancement=variant.enhancement_kind, ace_scale=hp.ace_scale
+            state,
+            positives,
+            enhancement=variant.enhancement_kind,
+            ace_scale=hp.ace_scale,
+            consensus=download,
         )
         total, breakdown = total_loss_t(
             trace,
@@ -359,7 +379,7 @@ def evaluate_round(
         hr, ndcg = hr_ndcg_at_k(ranked, ds.test_items[client.client_id], hp.top_k)
         hrs.append(hr)
         ndcgs.append(ndcg)
-        if compute_rbo:
+        if compute_rbo and variant.personal_table:
             k = min(hp.rbo_k, ds.num_items)
             rbos.append(view_consistency_rbo(snap, trace, k, hp.rbo_p))
     return RoundMetrics(
@@ -391,8 +411,9 @@ def run_training(
     if not ds.is_split:
         raise ConfigurationError("dataset must be split before training")
 
-    clients = [
-        init_client(
+    clients = []
+    for c in range(ds.num_clients):
+        client = init_client(
             hp.seed,
             hp.dim,
             ds.num_items,
@@ -402,8 +423,9 @@ def run_training(
             ace_init=hp.ace_init,
             enhancement=variant.enhancement_kind,
         )
-        for c in range(ds.num_clients)
-    ]
+        if not variant.personal_table:
+            client.personal_table = None  # freed one client at a time, never all at once
+        clients.append(client)
     server = init_server(ds, hp, variant)
     sampler = NegativeSampler(ds, hp.seed, hp.negatives_per_positive)
     candidates = [
@@ -459,164 +481,3 @@ def run_training(
             on_round(round)
     return TrainingResult(server=server, metrics=metrics, clients=clients)
 
-
-def enhancement_baseline(
-    ds: InteractionDataset,
-    hp: HyperParams,
-    kind: str,
-    workers: int = 1,
-    channel: UploadChannel | None = None,
-) -> TrainingResult:
-    """Run the alternative row-enhancement baselines under the C1-style
-    setting (auxiliary losses off) so they are directly comparable."""
-    if kind not in ("consensus-transfer", "unified-transfer"):
-        raise ConfigurationError(f"unknown enhancement baseline {kind!r}")
-    variant = VariantConfig(enhancement_kind=kind, consistency_enabled=False, orthogonality_enabled=False)
-    return run_training(ds, hp, variant, workers=workers, channel=channel)
-
-
-# -- federated matrix factorization baseline ----------------------------------------------
-
-
-@dataclass
-class FedMFClient:
-    client_id: int
-    user_embedding: np.ndarray
-
-
-def fedmf_baseline(
-    ds: InteractionDataset,
-    hp: HyperParams,
-    ace_plugin: bool = False,
-    channel: UploadChannel | None = None,
-) -> TrainingResult:
-    """Single shared item table trained federatedly with the BCE objective.
-
-    With `ace_plugin` the downloaded table doubles as a frozen consensus:
-    each scored row becomes q_j + W c_j where W comes from the net applied
-    to the [consensus, local] prototype pair, so a zero-initialized net
-    reproduces the plain baseline exactly.
-    """
-    hp.validate()
-    if not ds.is_split:
-        raise ConfigurationError("dataset must be split before training")
-
-    dtype = hp.np_dtype
-    clients = [
-        FedMFClient(c, seeding.rng(hp.seed, seeding.CLIENT_INIT, c).normal(0.0, 0.01, hp.dim).astype(dtype))
-        for c in range(ds.num_clients)
-    ]
-    rng = seeding.rng(hp.seed, seeding.SERVER_INIT, 0)
-    table = rng.normal(0.0, 0.01, size=(ds.num_items, hp.dim)).astype(dtype)
-    theta = (
-        init_client_net(
-            seeding.rng(hp.seed, seeding.SERVER_INIT, 1),
-            hp.dim,
-            hp.transfer_schedule,
-            ace_init=hp.ace_init,
-            enhancement="ace",
-            dtype=dtype,
-        )
-        if ace_plugin
-        else None
-    )
-    sampler = NegativeSampler(ds, hp.seed, hp.negatives_per_positive)
-    candidates = [
-        build_eval_candidates(ds, c, hp.eval_negatives, hp.seed) for c in range(ds.num_clients)
-    ]
-
-    def plugin_scoring_table(q: np.ndarray, consensus: np.ndarray, net: TransferNet, positives) -> np.ndarray:
-        p_g = consensus[positives].mean(axis=0)
-        p_p = q[positives].mean(axis=0)
-        w = generate_transfer_matrix(net, p_g, p_p, hp.ace_scale)
-        return q + consensus @ w.T
-
-    metrics: list[RoundMetrics] = []
-    for round in range(hp.rounds):
-        selected = select_clients(ds.num_clients, hp.client_fraction, round, hp.seed)
-        uploads: list[Upload] = []
-        losses: list[LossBreakdown] = []
-        for cid in selected:
-            client = clients[cid]
-            positives = ds.client_items[cid]
-            if len(positives) == 0:
-                continue
-            q = np.array(table, dtype=dtype)
-            net = theta.copy() if ace_plugin else None
-            consensus = table  # frozen view of the downloaded table
-            breakdowns = []
-            for e in range(hp.local_iters):
-                items, labels = sampler.sample_batch(cid, hp.batch_size)
-                u_t = ad.parameter(client.user_embedding)
-                q_t = ad.parameter(q)
-                params = [u_t, q_t]
-                if ace_plugin:
-                    theta_t = []
-                    for w, b in zip(net.weights, net.biases):
-                        w_t, b_t = ad.parameter(w), ad.parameter(b)
-                        theta_t.append((w_t, b_t))
-                        params.extend([w_t, b_t])
-                    p_g = ad.as_tensor(consensus[positives].mean(axis=0))
-                    p_p = ad.tmean(ad.gather_rows(q_t, positives), axis=0)
-                    w_mat = ad.reshape(net_forward(theta_t, ad.concat([p_g, p_p])), (hp.dim, hp.dim))
-                    if hp.ace_scale != 1.0:
-                        w_mat = ad.mul(w_mat, hp.ace_scale)
-                    v_f = ad.add(q_t, ad.matmul(ad.as_tensor(consensus), ad.transpose(w_mat)))
-                else:
-                    v_f = q_t
-                scores = ad.matmul(ad.gather_rows(v_f, items), u_t)
-                loss = _rec_loss_t(ad.sigmoid(scores), labels)
-                if not np.isfinite(loss.item()):
-                    warnings.warn(f"round {round}: fedmf client {cid} non-finite loss; excluded")
-                    breakdowns = []
-                    break
-                loss.backward()
-                lr = hp.lr * hp.lr_gamma ** (round * hp.local_iters + e)
-                for t in params:
-                    if t.grad is not None:
-                        t.data -= (lr * t.grad).astype(t.data.dtype, copy=False)
-                breakdowns.append(LossBreakdown(loss.item(), 0.0, 0.0, loss.item(), 0.0, 0.0))
-            if not breakdowns:
-                continue
-            upload = Upload(cid, q.copy(), net.copy() if ace_plugin else None)
-            if channel is not None:
-                channel.send(round, upload)
-            uploads.append(upload)
-            losses.append(_mean_breakdown(breakdowns))
-
-        if not uploads:
-            raise AggregationError(f"round {round}: every selected fedmf client failed")
-        uploads.sort(key=lambda u: u.client_id)
-        table = aggregate_consensus([u.consensus for u in uploads]).astype(dtype)
-        if ace_plugin:
-            theta = aggregate_theta([u.transfer_net for u in uploads])
-
-        if (round + 1) % hp.eval_interval == 0 or round == hp.rounds - 1:
-            hrs, ndcgs = [], []
-            for client in clients:
-                positives = ds.client_items[client.client_id]
-                if len(positives) == 0:
-                    continue
-                scoring = (
-                    plugin_scoring_table(table, table, theta, positives) if ace_plugin else table
-                )
-                ranked = rank_candidates(client.user_embedding, scoring, candidates[client.client_id])
-                hr, ndcg = hr_ndcg_at_k(ranked, ds.test_items[client.client_id], hp.top_k)
-                hrs.append(hr)
-                ndcgs.append(ndcg)
-            mean_losses = _mean_breakdown(losses)
-            metrics.append(
-                RoundMetrics(
-                    round=round,
-                    hr_at_k=float(np.mean(hrs)),
-                    ndcg_at_k=float(np.mean(ndcgs)),
-                    rbo=None,
-                    loss_rec=mean_losses.l_rec,
-                    loss_a=0.0,
-                    loss_o=0.0,
-                    clients_evaluated=len(hrs),
-                )
-            )
-
-    server = ServerState(consensus=table, theta=theta, round=hp.rounds)
-    return TrainingResult(server=server, metrics=metrics, clients=[])

@@ -4,7 +4,9 @@ A client holds four trainable blocks: its user embedding, a local copy of
 the shared (global) item table, a private personal item table, and the
 weights of a small fully connected net that turns the client's two
 preference prototypes into a d x d transfer matrix. Scoring fuses the
-transformed global table with the personal one additively.
+transformed global table with the personal one additively. A federated-MF
+client has no personal table: its trained shared table takes the personal
+role, and the table as downloaded takes the global one.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ class ClientState:
     client_id: int
     user_embedding: np.ndarray
     global_table: np.ndarray
-    personal_table: np.ndarray
+    personal_table: np.ndarray | None
     transfer_net: TransferNet | None
 
     @property
@@ -140,7 +142,7 @@ class ClientState:
             self.client_id,
             self.user_embedding.copy(),
             self.global_table.copy(),
-            self.personal_table.copy(),
+            self.personal_table.copy() if self.personal_table is not None else None,
             self.transfer_net.copy() if self.transfer_net is not None else None,
         )
 
@@ -294,12 +296,18 @@ def forward_pass(
     positives: np.ndarray,
     enhancement: str = "ace",
     ace_scale: float = 1.0,
+    consensus: np.ndarray | None = None,
 ) -> ForwardTrace:
     """Build the differentiable graph from the client's parameter blocks.
 
     The returned trace's `params` dict holds the trainable leaf tensors
     ("u", "C", "V" and per-layer "w{l}"/"b{l}"); after a backward pass their
     `.grad` fields drive the SGD update.
+
+    A client without a personal table trains "u", "C" and the net only. Its
+    trained table "C" takes the personal role (V_F = C with no enhancement),
+    and `consensus`, the frozen download (default: the current shared
+    table), takes the global role: V_F = C + consensus W^T.
     """
     if enhancement not in ENHANCEMENT_KINDS:
         raise ValueError(f"unknown enhancement kind {enhancement!r}")
@@ -310,8 +318,13 @@ def forward_pass(
     d = state.dim
     u_t = ad.parameter(state.user_embedding)
     c_t = ad.parameter(state.global_table)
-    v_t = ad.parameter(state.personal_table)
-    params: dict = {"u": u_t, "C": c_t, "V": v_t}
+    params: dict = {"u": u_t, "C": c_t}
+    single = state.personal_table is None
+    if single:
+        v_t = c_t
+        c_t = ad.as_tensor(state.global_table if consensus is None else consensus)
+    else:
+        v_t = params["V"] = ad.parameter(state.personal_table)
 
     theta: list[tuple[Tensor, Tensor]] = []
     if state.transfer_net is not None and enhancement != "none":
@@ -342,9 +355,9 @@ def forward_pass(
         v_mapped = net_forward_rows(theta, v_t)
         p_e = ad.tmean(ad.gather_rows(c_e, positives), axis=0)
         v_f = ad.add(c_e, v_mapped)
-    else:  # none: fusion of the raw consensus with the personal table
+    else:  # none: the raw consensus fused with the personal table, or a single table alone
         c_e = c_t
         p_e = p_g
-        v_f = ad.add(c_t, v_t)
+        v_f = v_t if single else ad.add(c_t, v_t)
 
     return ForwardTrace(p_G=p_g, p_P=p_p, W=w_mat, C_E=c_e, p_E=p_e, V_F=v_f, params=params)

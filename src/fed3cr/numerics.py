@@ -1,53 +1,17 @@
-"""Dense matrix/vector primitives and the finite-difference gradient contract.
+"""The finite-difference gradient contract.
 
-Arrays are plain numpy ndarrays: matrices are row-major 2-D, vectors 1-D.
 Training runs in float32 by default; anything gradient-checked must be
 evaluated in float64.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateInputWarning, EvaluationError, ShapeError
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Standard matrix product of two 2-D arrays."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors, in [-1, 1].
-
-    Zero-norm inputs return 0.0 and emit a DegenerateInputWarning instead of
-    raising, so a transiently collapsed embedding row cannot kill a run.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ShapeError(f"cosine_similarity expects equal-length vectors, got {a.shape} and {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        warnings.warn("cosine_similarity of a zero-norm vector; returning 0", DegenerateInputWarning)
-        return 0.0
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
-def softmax(scores: np.ndarray) -> np.ndarray:
-    """Softmax of a score vector, computed with max-subtraction."""
-    scores = np.asarray(scores)
-    shifted = scores - scores.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+from .errors import EvaluationError, ShapeError
 
 
 @dataclass

@@ -23,7 +23,6 @@ from fed3cr.federation import (
     HyperParams,
     UploadChannel,
     VariantConfig,
-    fedmf_baseline,
     run_training,
 )
 from fed3cr.losses import (
@@ -261,11 +260,8 @@ def test_criterion_7_complementarity_direction():
 
 
 def test_criterion_8_ace_plugin_direction():
-    if "mf_plain" not in _cache:
-        _cache["mf_plain"] = fedmf_baseline(toy_split(), ACCEPT_HP, ace_plugin=False)
-        _cache["mf_plugin"] = fedmf_baseline(toy_split(), ACCEPT_HP, ace_plugin=True)
-    plain = _cache["mf_plain"].metrics[-1].hr_at_k
-    plugin = _cache["mf_plugin"].metrics[-1].hr_at_k
+    plain = trained("mf_plain", VariantConfig.from_label("FedMF")).metrics[-1].hr_at_k
+    plugin = trained("mf_plugin", VariantConfig.from_label("FedMF+ACE")).metrics[-1].hr_at_k
     report(8, plugin >= plain, f"federated-MF HR@10: plugin={plugin:.3f} >= plain={plain:.3f}")
 
 

@@ -99,24 +99,8 @@ def test_reductions_and_shapes():
 
 def test_nonlinearities():
     x = RNG.normal(size=(3, 4)) + 0.05  # keep clear of the relu kink
-    for op in (ad.relu, ad.sigmoid, ad.exp):
+    for op in (ad.relu, ad.sigmoid):
         check_unary(op, x)
-    check_unary(ad.log, np.abs(x) + 0.5)
-    check_unary(ad.sqrt, np.abs(x) + 0.5)
-    check_unary(ad.power, np.abs(x) + 0.5, exponent=3.0)
-
-
-def test_clip_gradient_masks_outside():
-    x = np.array([-2.0, -0.5, 0.3, 1.7])
-    t = ad.parameter(x)
-    loss = ad.tsum(ad.clip(t, -1.0, 1.0))
-    loss.backward()
-    assert np.array_equal(t.grad, np.array([0.0, 1.0, 1.0, 0.0]))
-
-
-def test_softmax_gradient():
-    x = RNG.normal(size=6)
-    check_unary(ad.softmax, x)
 
 
 def test_concat_gradient_splits():

@@ -100,15 +100,19 @@ def test_run_writes_outputs_and_is_reproducible(cfg_path, tmp_path):
 
 
 def test_manifest_round_trips_to_identical_run(cfg_path, tmp_path):
-    out1 = str(tmp_path / "orig")
-    run_experiment(load_config(cfg_path), out1)
-    manifest = os.path.join(out1, "manifest.json")
-    out2 = str(tmp_path / "replay")
-    run_experiment(load_config(manifest), out2)
-    assert (
-        open(os.path.join(out1, "metrics.csv"), "rb").read()
-        == open(os.path.join(out2, "metrics.csv"), "rb").read()
-    )
+    # FedMF+ACE is reachable only through its label, which the manifest keeps
+    for label in ("Fed3CR", "FedMF+ACE"):
+        out1 = str(tmp_path / f"orig-{label}")
+        run_experiment(load_config(cfg_path, {"variant.label": label}), out1)
+        manifest = os.path.join(out1, "manifest.json")
+        out2 = str(tmp_path / f"replay-{label}")
+        replayed = load_config(manifest)
+        assert replayed.variant_label == label
+        run_experiment(replayed, out2)
+        assert (
+            open(os.path.join(out1, "metrics.csv"), "rb").read()
+            == open(os.path.join(out2, "metrics.csv"), "rb").read()
+        )
 
 
 def test_rerun_refuses_without_force(cfg_path, tmp_path):
@@ -169,6 +173,11 @@ def test_cli_run_and_exit_codes(cfg_path, tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 3
     capsys.readouterr()
 
+    # a variant with one item view cannot turn on a term that compares two
+    argv = ["run", "--config", cfg_path, "--variant.label", "FedMF", "--variant.consistency", "true"]
+    assert main(argv) == 2
+    assert "personal table" in capsys.readouterr().err
+
 
 def test_cli_override_flags(cfg_path, capsys):
     assert main(["run", "--config", cfg_path, "--training.rounds", "1"]) == 0
@@ -194,10 +203,34 @@ def test_cli_dataset_stats(tmp_path, capsys):
     }
 
 
-def test_cli_ablate(cfg_path, capsys):
+def test_cli_ablate(cfg_path, tmp_path, capsys):
     assert main(["ablate", "--config", cfg_path, "--variants", "C0,C1"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("variant,hr10,ndcg10")
+
+    # labels outside the default grid are valid too
+    out = str(tmp_path / "ab")
+    assert main(["ablate", "--config", cfg_path, "--variants", "FedMF,FedMF+ACE", "--out", out]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split(",")[0] for line in lines] == ["variant", "FedMF", "FedMF+ACE"]
+    manifest = json.load(open(os.path.join(out, "FedMF+ACE", "manifest.json")))
+    assert manifest["variant"]["label"] == "FedMF+ACE"
+
+
+def test_cli_runs_fedmf_labels_with_checkpoints(cfg_path, tmp_path, capsys):
+    from fed3cr.checkpoint import load_client_state
+
+    for label in ("FedMF", "FedMF+ACE"):
+        out = str(tmp_path / label)
+        assert main(["run", "--config", cfg_path, "--variant.label", label, "--out", out]) == 0
+        rows = open(os.path.join(out, "metrics.csv")).read().strip().splitlines()[1:]
+        assert all(row.split(",")[3] == "" for row in rows)  # no RBO with one item view
+        ckpts = sorted(os.listdir(os.path.join(out, "checkpoints")))
+        state, header = load_client_state(os.path.join(out, "checkpoints", ckpts[0]))
+        assert state.personal_table is None
+        assert "personal_table" not in [b["name"] for b in header["blocks"]]
+        assert (state.transfer_net is not None) == (label == "FedMF+ACE")
+    capsys.readouterr()
 
 
 def test_cli_degradation(tmp_path, capsys):

@@ -14,7 +14,6 @@ from fed3cr.federation import (
     VariantConfig,
     aggregate_consensus,
     aggregate_theta,
-    fedmf_baseline,
     local_update,
     run_training,
     select_clients,
@@ -39,20 +38,36 @@ FAST = HyperParams(
 
 def test_variant_labels_map_to_flags():
     grid = {
-        "C0": ("none", False, False),
-        "C1": ("ace", False, False),
-        "C2": ("none", True, False),
-        "C3": ("none", False, True),
-        "C4": ("none", True, True),
-        "C5": ("ace", True, False),
-        "C6": ("ace", False, True),
-        "Fed3CR": ("ace", True, True),
+        "C0": ("none", False, False, True),
+        "C1": ("ace", False, False, True),
+        "C2": ("none", True, False, True),
+        "C3": ("none", False, True, True),
+        "C4": ("none", True, True, True),
+        "C5": ("ace", True, False, True),
+        "C6": ("ace", False, True, True),
+        "Fed3CR": ("ace", True, True, True),
+        "FedMF": ("none", False, False, False),
+        "FedMF+ACE": ("ace", False, False, False),
     }
-    for label, (kind, la, lo) in grid.items():
+    for label, (kind, la, lo, personal) in grid.items():
         v = VariantConfig.from_label(label)
+        v.validate()
         assert v.enhancement_kind == kind
         assert v.consistency_enabled is la
         assert v.orthogonality_enabled is lo
+        assert v.personal_table is personal
+
+
+def test_variant_without_personal_table_rejects_two_view_terms():
+    fedmf = VariantConfig.from_label("FedMF")
+    for change in (
+        {"consistency_enabled": True},
+        {"orthogonality_enabled": True},
+        {"enhancement_kind": "consensus-transfer"},
+        {"enhancement_kind": "unified-transfer"},
+    ):
+        with pytest.raises(ConfigurationError, match="personal table"):
+            dataclasses.replace(fedmf, **change).validate()
 
 
 def test_aggregate_consensus_cases():
@@ -273,35 +288,68 @@ def test_identity_rigged_row_net_reduces_to_additive_fusion():
 
 def test_fedmf_plain_and_plugin_shapes():
     hp = dataclasses.replace(FAST, rounds=2)
-    plain = fedmf_baseline(TOY, hp, ace_plugin=False)
-    plugin = fedmf_baseline(TOY, hp, ace_plugin=True)
+    plain = run_training(TOY, hp, VariantConfig.from_label("FedMF"))
+    plugin = run_training(TOY, hp, VariantConfig.from_label("FedMF+ACE"))
     assert plain.server.theta is None
     assert plugin.server.theta is not None
     assert len(plain.metrics) == 2
     assert all(0.0 <= m.hr_at_k <= 1.0 for m in plain.metrics + plugin.metrics)
+    # one item view: no personal table, so no RBO between two views
+    assert all(m.rbo is None for m in plain.metrics + plugin.metrics)
+    assert all(c.personal_table is None for c in plain.clients + plugin.clients)
 
 
 def test_fedmf_zero_net_scores_match_plain_exactly():
-    # with the generated transfer matrix forced to exactly zero, the plugin's
-    # scoring table equals the plain shared table
-    from fed3cr.model import generate_transfer_matrix, init_client_net
-    import fed3cr.seeding as seeding
+    # FedMF+ACE with the net's last layer zeroed scores with the trained
+    # shared table alone, exactly as plain FedMF does
+    from fed3cr.model import forward_pass
 
-    d = 8
-    net = init_client_net(seeding.rng(0, 50), d, (2, 4), ace_init="zero", enhancement="ace")
-    net.weights[-1][:] = 0.0
-    table = np.random.default_rng(3).normal(size=(20, d))
+    d, m = 8, 20
+    state = init_client(0, d, m, dtype=np.float64)
+    state.personal_table = None
+    state.transfer_net.weights[-1][:] = 0.0
+    download = np.random.default_rng(3).normal(size=(m, d))
     pos = np.array([1, 5])
-    w = generate_transfer_matrix(net, table[pos].mean(axis=0), table[pos].mean(axis=0))
-    assert np.array_equal(w, np.zeros((d, d)))
-    assert np.array_equal(table + table @ w.T, table)
+    plugin = forward_pass(state, pos, enhancement="ace", consensus=download)
+    plain = forward_pass(state, pos, enhancement="none", consensus=download)
+    assert np.array_equal(plugin.W.data, np.zeros((d, d)))
+    assert np.array_equal(plugin.V_F.data, state.global_table)
+    assert np.array_equal(plain.V_F.data, state.global_table)
+    # the frozen download is the consensus view, the trained table the local one
+    assert np.allclose(plugin.p_G.data, download[pos].mean(axis=0), atol=1e-15)
+    assert np.allclose(plugin.p_P.data, state.global_table[pos].mean(axis=0), atol=1e-15)
+    assert sorted(plugin.params) == ["C", "b0", "b1", "u", "w0", "w1"]
+
+
+def test_fedmf_plugin_consensus_stays_the_download_across_local_iters(monkeypatch):
+    import fed3cr.federation as federation
+    from fed3cr.model import forward_pass
+
+    traces = []
+
+    def recording_forward_pass(*args, **kwargs):
+        traces.append(forward_pass(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(federation, "forward_pass", recording_forward_pass)
+    hp = dataclasses.replace(FAST, local_iters=3)
+    state = init_client(0, hp.dim, TOY.num_items, client_id=0)
+    state.personal_table = None
+    download = np.random.default_rng(6).normal(0, 0.1, (TOY.num_items, hp.dim)).astype(np.float32)
+    theta = init_client(1, hp.dim, TOY.num_items, client_id=0).transfer_net
+    sampler = NegativeSampler(TOY, seed=0)
+    upload, _ = local_update(state, download, theta, sampler, hp, VariantConfig.from_label("FedMF+ACE"))
+    assert len(traces) == 3
+    assert all(np.array_equal(t.C_E.data, download @ t.W.data.T) for t in traces)
+    assert not np.array_equal(traces[-1].p_P.data, traces[0].p_P.data)  # the trained table moved
+    assert np.array_equal(upload.consensus, state.global_table)
 
 
 def test_fedmf_channel_carries_table_and_optional_net():
     hp = dataclasses.replace(FAST, rounds=1)
     ch_plain, ch_plug = UploadChannel(), UploadChannel()
-    fedmf_baseline(TOY, hp, ace_plugin=False, channel=ch_plain)
-    fedmf_baseline(TOY, hp, ace_plugin=True, channel=ch_plug)
+    run_training(TOY, hp, VariantConfig.from_label("FedMF"), channel=ch_plain)
+    run_training(TOY, hp, VariantConfig.from_label("FedMF+ACE"), channel=ch_plug)
     assert all([b[0] for b in r["blocks"]] == ["consensus"] for r in ch_plain.records)
     assert all(any(b[0].startswith("transfer_net") for b in r["blocks"]) for r in ch_plug.records)
 
@@ -327,12 +375,16 @@ def test_all_clients_failing_aborts_run():
 
 
 def test_ace_not_worse_than_row_enhancement_baselines():
-    from fed3cr.federation import enhancement_baseline
-
     hp = dataclasses.replace(FAST, rounds=15, local_iters=5, dim=16, eval_negatives=59, rbo_k=20)
-    hr_ace = run_training(TOY, hp, VariantConfig.from_label("C1")).metrics[-1].hr_at_k
-    hr_ct = enhancement_baseline(TOY, hp, "consensus-transfer").metrics[-1].hr_at_k
-    hr_ut = enhancement_baseline(TOY, hp, "unified-transfer").metrics[-1].hr_at_k
+
+    def final_hr(kind):
+        # C1-style: auxiliary losses off, so only the enhancement differs
+        variant = VariantConfig(kind, consistency_enabled=False, orthogonality_enabled=False)
+        return run_training(TOY, hp, variant).metrics[-1].hr_at_k
+
+    hr_ace = final_hr("ace")
+    hr_ct = final_hr("consensus-transfer")
+    hr_ut = final_hr("unified-transfer")
     assert hr_ace >= hr_ct
     assert hr_ace >= hr_ut
 

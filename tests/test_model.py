@@ -247,3 +247,17 @@ def test_checkpoint_without_net(tmp_path):
     save_client_state(path, state, seed=1, round=0)
     loaded, _ = load_client_state(path)
     assert loaded.transfer_net is None
+
+
+def test_checkpoint_without_personal_table_reloads_bit_exact(tmp_path):
+    state = init_client(seed=4, d=3, M=5, client_id=2)
+    state.personal_table = None
+    path = str(tmp_path / "mf.bin")
+    save_client_state(path, state, seed=4, round=1)
+    loaded, header = load_client_state(path)
+    assert loaded.personal_table is None
+    names = [b["name"] for b in header["blocks"]]
+    assert names == ["user_embedding", "global_table", "net_w0", "net_b0", "net_w1", "net_b1"]
+    assert np.array_equal(loaded.user_embedding, state.user_embedding)
+    assert np.array_equal(loaded.global_table, state.global_table)
+    assert np.array_equal(loaded.transfer_net.flatten(), state.transfer_net.flatten())
