@@ -9,7 +9,7 @@ feature-orthogonal. A diagnostics module measures how far the averaged
 table drifts from any single client's optimum.
 """
 
-from .checkpoint import load_client_state, save_client_state
+from .checkpoint import load_client_state, load_server_state, save_client_state, save_server_state
 from .config import ExperimentConfig, load_config, resolve_config
 from .datasets import (
     InteractionDataset,
@@ -114,6 +114,7 @@ __all__ = [
     "load_client_state",
     "load_config",
     "load_dataset",
+    "load_server_state",
     "local_update",
     "metrics_csv_lines",
     "orthogonality_loss",
@@ -124,6 +125,7 @@ __all__ = [
     "resolve_config",
     "run_training",
     "save_client_state",
+    "save_server_state",
     "select_clients",
     "similarity_consistency_diagnostic",
     "top_one_distribution",

@@ -1,10 +1,14 @@
-"""Binary checkpoint format for client parameter blocks.
+"""Binary checkpoint format for client and server parameter blocks.
 
 Layout: an 8-byte little-endian header length, a UTF-8 JSON header listing
 the blocks (name, shape) plus dtype/seed/round metadata, then the raw
-little-endian array bytes concatenated in header order. A block the client
-lacks (the personal table of a federated-MF client) is left out of the
-list. Reload is bit-exact.
+little-endian array bytes concatenated in header order. Reload is bit-exact.
+
+A client file holds only what the client owns: its user embedding and, when
+it has one, its personal table. The shared table and the transfer-net
+weights belong to the server, whose one file holds them with the round they
+were aggregated in. The server file plus the client files are the model the
+last evaluation scored.
 """
 
 from __future__ import annotations
@@ -15,33 +19,19 @@ import struct
 import numpy as np
 
 from .errors import ParseError
+from .federation import ServerState
 from .model import ClientState, TransferNet
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
-def _blocks(state: ClientState) -> list[tuple[str, np.ndarray]]:
-    blocks = [("user_embedding", state.user_embedding), ("global_table", state.global_table)]
-    if state.personal_table is not None:
-        blocks.append(("personal_table", state.personal_table))
-    if state.transfer_net is not None:
-        for l, (w, b) in enumerate(zip(state.transfer_net.weights, state.transfer_net.biases)):
-            blocks.append((f"net_w{l}", w))
-            blocks.append((f"net_b{l}", b))
-    return blocks
-
-
-def save_client_state(path: str, state: ClientState, seed: int, round: int) -> None:
-    blocks = _blocks(state)
-    dtype = np.dtype(state.user_embedding.dtype).newbyteorder("<")
+def _write(path: str, meta: dict, blocks: list[tuple[str, np.ndarray]]) -> None:
+    dtype = np.dtype(blocks[0][1].dtype).newbyteorder("<")
     header = {
+        **meta,
         "version": FORMAT_VERSION,
-        "client_id": state.client_id,
-        "seed": seed,
-        "round": round,
         "dtype": dtype.str,
         "blocks": [{"name": name, "shape": list(arr.shape)} for name, arr in blocks],
-        "has_net": state.transfer_net is not None,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -51,8 +41,7 @@ def save_client_state(path: str, state: ClientState, seed: int, round: int) -> N
             fh.write(np.ascontiguousarray(arr).astype(dtype).tobytes())
 
 
-def load_client_state(path: str) -> tuple[ClientState, dict]:
-    """Read a checkpoint; returns (state, header metadata)."""
+def _read(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
         raw_len = fh.read(8)
         if len(raw_len) != 8:
@@ -70,20 +59,47 @@ def load_client_state(path: str) -> tuple[ClientState, dict]:
             if len(buf) != count * dtype.itemsize:
                 raise ParseError(f"truncated payload for block {block['name']}")
             arrays[block["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+    return header, arrays
 
-    net = None
-    if header["has_net"]:
-        weights, biases, l = [], [], 0
-        while f"net_w{l}" in arrays:
-            weights.append(arrays[f"net_w{l}"])
-            biases.append(arrays[f"net_b{l}"])
-            l += 1
-        net = TransferNet(weights, biases)
+
+def save_client_state(path: str, state: ClientState, seed: int, round: int) -> None:
+    """Write the client's private blocks; any shared blocks it holds are left out."""
+    blocks = [("user_embedding", state.user_embedding)]
+    if state.personal_table is not None:
+        blocks.append(("personal_table", state.personal_table))
+    _write(path, {"client_id": state.client_id, "seed": seed, "round": round}, blocks)
+
+
+def load_client_state(path: str) -> tuple[ClientState, dict]:
+    """Read a client checkpoint; returns (state with no shared blocks, header)."""
+    header, arrays = _read(path)
     state = ClientState(
         client_id=header["client_id"],
         user_embedding=arrays["user_embedding"],
-        global_table=arrays["global_table"],
+        global_table=None,
         personal_table=arrays.get("personal_table"),
-        transfer_net=net,
+        transfer_net=None,
     )
     return state, header
+
+
+def save_server_state(path: str, server: ServerState, seed: int) -> None:
+    """Write the server's consensus table, its net weights (if any) and round."""
+    blocks = [("consensus", server.consensus)]
+    if server.theta is not None:
+        for l, (w, b) in enumerate(zip(server.theta.weights, server.theta.biases)):
+            blocks.append((f"net_w{l}", w))
+            blocks.append((f"net_b{l}", b))
+    _write(path, {"seed": seed, "round": server.round}, blocks)
+
+
+def load_server_state(path: str) -> tuple[ServerState, dict]:
+    """Read a server checkpoint; returns (server state, header)."""
+    header, arrays = _read(path)
+    weights, biases, l = [], [], 0
+    while f"net_w{l}" in arrays:
+        weights.append(arrays[f"net_w{l}"])
+        biases.append(arrays[f"net_b{l}"])
+        l += 1
+    theta = TransferNet(weights, biases) if weights else None
+    return ServerState(consensus=arrays["consensus"], theta=theta, round=header["round"]), header

@@ -26,7 +26,7 @@ from .degradation import QuadraticClient, bound_sweep, verify_bound
 from .errors import ConfigurationError, DataError, ParseError
 from .evaluation import RoundMetrics, metrics_csv_lines
 from .federation import ABLATION_LABELS, VariantConfig, run_training
-from .checkpoint import save_client_state
+from .checkpoint import save_client_state, save_server_state
 from .toy import generate_toy_dataset
 
 
@@ -69,7 +69,9 @@ def run_experiment(
     save_checkpoints: bool = True,
 ) -> ExperimentRecord:
     """Ingest, split, train, evaluate; write manifest, metrics CSV and final
-    checkpoints under `outdir` when given."""
+    checkpoints under `outdir` when given: `server.bin` holds the shared
+    blocks the last evaluation scored, `checkpoints/` one file of private
+    blocks per client."""
     if outdir is not None:
         _prepare_outdir(outdir, force)
         with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
@@ -103,6 +105,7 @@ def run_experiment(
             json.dump(record.summary(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         if save_checkpoints:
+            save_server_state(os.path.join(outdir, "server.bin"), result.server, seed=config.hp.seed)
             ckpt_dir = os.path.join(outdir, "checkpoints")
             os.makedirs(ckpt_dir, exist_ok=True)
             for client in result.clients:

@@ -5,7 +5,9 @@ federated MF with and without the consensus-enhancement plug-in.
 
 Only the shared table and the transfer-net weights ever leave a client;
 user embeddings and personal tables stay local. Every upload is routed
-through an UploadChannel so that surface is auditable.
+through an UploadChannel so that surface is auditable. Between rounds a
+client holds only those private blocks: the shared table and the net live
+once, on the server, plus one working copy per running local update.
 """
 
 from __future__ import annotations
@@ -55,10 +57,6 @@ class VariantConfig:
     orthogonality_enabled: bool = True
     complementarity_kind: str = "orthogonal"  # orthogonal | l2-distance
     personal_table: bool = True  # False: one trained shared table (federated MF)
-
-    @property
-    def ace_enabled(self) -> bool:
-        return self.enhancement_kind == "ace"
 
     @property
     def has_net(self) -> bool:
@@ -269,18 +267,23 @@ def local_update(
         warnings.warn(f"round {round}: client {state.client_id} has no positives; skipped")
         return None
 
+    if variant.has_net and theta is None:
+        raise ConfigurationError("variant requires transfer-net weights to download")
+    # Train on a working view: the client's own u and V, plus fresh copies of
+    # the shared blocks that become the upload. The copies never alias the
+    # server's arrays, and the frozen download stays as it came.
     download = np.asarray(consensus, dtype=hp.np_dtype)
-    state.global_table = download.copy()
-    if variant.has_net:
-        if theta is None:
-            raise ConfigurationError("variant requires transfer-net weights to download")
-        state.transfer_net = theta.copy()
+    work = dataclasses.replace(
+        state,
+        global_table=download.copy(),
+        transfer_net=theta.copy() if variant.has_net else None,
+    )
 
     breakdowns = []
     for e in range(hp.local_iters):
         items, labels = sampler.sample_batch(state.client_id, hp.batch_size)
         trace = forward_pass(
-            state,
+            work,
             positives,
             enhancement=variant.enhancement_kind,
             ace_scale=hp.ace_scale,
@@ -308,7 +311,7 @@ def local_update(
         lr = hp.lr * hp.lr_gamma ** (round * hp.local_iters + e)
         # Row-map nets see gradient sums over all M item rows; use the mean
         # so the shared learning rate stays stable for the baseline kinds.
-        net_scale = 1.0 / state.num_items if variant.enhancement_kind in (
+        net_scale = 1.0 / download.shape[0] if variant.enhancement_kind in (
             "consensus-transfer",
             "unified-transfer",
         ) else 1.0
@@ -319,11 +322,7 @@ def local_update(
             tensor.data -= (lr * scale * tensor.grad).astype(tensor.data.dtype, copy=False)
         breakdowns.append(breakdown)
 
-    upload = Upload(
-        client_id=state.client_id,
-        consensus=state.global_table.copy(),
-        transfer_net=state.transfer_net.copy() if variant.has_net and state.transfer_net else None,
-    )
+    upload = Upload(client_id=state.client_id, consensus=work.global_table, transfer_net=work.transfer_net)
     return upload, _mean_breakdown(breakdowns)
 
 
@@ -423,8 +422,13 @@ def run_training(
             ace_init=hp.ace_init,
             enhancement=variant.enhancement_kind,
         )
+        # The server owns the shared table and the net; a client keeps only
+        # its private blocks. Dropping the rest here, one client at a time,
+        # leaves init_client's draws (and so V's RNG stream) as they were.
+        client.global_table = None
+        client.transfer_net = None
         if not variant.personal_table:
-            client.personal_table = None  # freed one client at a time, never all at once
+            client.personal_table = None
         clients.append(client)
     server = init_server(ds, hp, variant)
     sampler = NegativeSampler(ds, hp.seed, hp.negatives_per_positive)

@@ -1,12 +1,14 @@
 """Client-side parameters and the consensus-enhancement forward pass.
 
-A client holds four trainable blocks: its user embedding, a local copy of
-the shared (global) item table, a private personal item table, and the
-weights of a small fully connected net that turns the client's two
-preference prototypes into a d x d transfer matrix. Scoring fuses the
-transformed global table with the personal one additively. A federated-MF
-client has no personal table: its trained shared table takes the personal
-role, and the table as downloaded takes the global one.
+A client trains four blocks: its user embedding, a working copy of the
+shared (global) item table, a private personal item table, and the weights
+of a small fully connected net that turns the client's two preference
+prototypes into a d x d transfer matrix. The shared table and the net belong
+to the server; a client holds copies of them only while it trains or
+scores. Scoring fuses the transformed global table with the personal one
+additively. A federated-MF client has no personal table: its trained shared
+table takes the personal role, and the table as downloaded takes the global
+one.
 """
 
 from __future__ import annotations
@@ -47,10 +49,6 @@ class TransferNet:
     @property
     def layer_shapes(self) -> tuple[tuple[int, int], ...]:
         return tuple(w.shape for w in self.weights)
-
-    @property
-    def num_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
     def copy(self) -> "TransferNet":
         return TransferNet([w.copy() for w in self.weights], [b.copy() for b in self.biases])
@@ -121,11 +119,17 @@ def net_forward_rows(params: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
 
 @dataclass
 class ClientState:
-    """All parameter blocks owned by one client."""
+    """The parameter blocks one client trains with.
+
+    Between rounds of a federated run a client keeps only its private blocks
+    (`user_embedding` and `personal_table`); the shared table and the net are
+    None there and are filled with working copies of the download for the
+    length of one local update or one evaluation.
+    """
 
     client_id: int
     user_embedding: np.ndarray
-    global_table: np.ndarray
+    global_table: np.ndarray | None
     personal_table: np.ndarray | None
     transfer_net: TransferNet | None
 
@@ -133,15 +137,11 @@ class ClientState:
     def dim(self) -> int:
         return self.user_embedding.shape[0]
 
-    @property
-    def num_items(self) -> int:
-        return self.global_table.shape[0]
-
     def copy(self) -> "ClientState":
         return ClientState(
             self.client_id,
             self.user_embedding.copy(),
-            self.global_table.copy(),
+            self.global_table.copy() if self.global_table is not None else None,
             self.personal_table.copy() if self.personal_table is not None else None,
             self.transfer_net.copy() if self.transfer_net is not None else None,
         )

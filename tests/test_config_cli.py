@@ -41,7 +41,7 @@ def test_config_defaults_applied(cfg_path):
     assert config.hp.rounds == 2
     assert config.hp.batch_size == 2048  # default recorded
     assert config.hp.eval_negatives == 20
-    assert config.variant.ace_enabled
+    assert config.variant.enhancement_kind == "ace"
     snapshot = config.resolved()
     assert snapshot["training"]["batch_size"] == 2048
     assert snapshot["dataset"]["toy_items"] == 48
@@ -113,6 +113,33 @@ def test_manifest_round_trips_to_identical_run(cfg_path, tmp_path):
             open(os.path.join(out1, "metrics.csv"), "rb").read()
             == open(os.path.join(out2, "metrics.csv"), "rb").read()
         )
+
+
+def test_checkpoints_reload_to_the_last_evaluated_metrics(cfg_path, tmp_path):
+    # server.bin plus the private client files are the model the last
+    # evaluation scored: evaluating them again gives the last metrics row
+    from fed3cr.checkpoint import load_client_state, load_server_state
+    from fed3cr.datasets import build_eval_candidates
+    from fed3cr.evaluation import metrics_csv_lines
+    from fed3cr.federation import evaluate_round
+    from fed3cr.losses import LossBreakdown
+
+    for label in ("Fed3CR", "FedMF+ACE"):
+        config = load_config(cfg_path, {"variant.label": label})
+        out = str(tmp_path / label)
+        run_experiment(config, out)
+        server, header = load_server_state(os.path.join(out, "server.bin"))
+        assert header["round"] == server.round == config.hp.rounds
+        ckpt_dir = os.path.join(out, "checkpoints")
+        clients = [load_client_state(os.path.join(ckpt_dir, f))[0] for f in sorted(os.listdir(ckpt_dir))]
+        ds = config.build_dataset()
+        hp = config.hp
+        candidates = [build_eval_candidates(ds, c, hp.eval_negatives, hp.seed) for c in range(ds.num_clients)]
+        no_loss = LossBreakdown(0.0, 0.0, 0.0, 0.0, hp.beta_a, hp.beta_o)
+        again = evaluate_round(clients, server, ds, hp, config.variant, candidates, hp.rounds - 1, no_loss)
+        last = open(os.path.join(out, "metrics.csv")).read().strip().splitlines()[-1]
+        # round, HR@10, NDCG@10 and RBO, compared as their exact float reprs
+        assert metrics_csv_lines([again])[1].split(",")[:4] == last.split(",")[:4]
 
 
 def test_rerun_refuses_without_force(cfg_path, tmp_path):
@@ -218,7 +245,7 @@ def test_cli_ablate(cfg_path, tmp_path, capsys):
 
 
 def test_cli_runs_fedmf_labels_with_checkpoints(cfg_path, tmp_path, capsys):
-    from fed3cr.checkpoint import load_client_state
+    from fed3cr.checkpoint import load_client_state, load_server_state
 
     for label in ("FedMF", "FedMF+ACE"):
         out = str(tmp_path / label)
@@ -228,8 +255,9 @@ def test_cli_runs_fedmf_labels_with_checkpoints(cfg_path, tmp_path, capsys):
         ckpts = sorted(os.listdir(os.path.join(out, "checkpoints")))
         state, header = load_client_state(os.path.join(out, "checkpoints", ckpts[0]))
         assert state.personal_table is None
-        assert "personal_table" not in [b["name"] for b in header["blocks"]]
-        assert (state.transfer_net is not None) == (label == "FedMF+ACE")
+        assert [b["name"] for b in header["blocks"]] == ["user_embedding"]
+        server, _ = load_server_state(os.path.join(out, "server.bin"))
+        assert (server.theta is not None) == (label == "FedMF+ACE")
     capsys.readouterr()
 
 

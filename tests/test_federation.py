@@ -23,6 +23,23 @@ from fed3cr.toy import generate_toy_dataset
 
 TOY = leave_one_out_split(generate_toy_dataset(seed=0), seed=0)
 
+
+class KeepingChannel(UploadChannel):
+    """An upload channel that also keeps each Upload it carries."""
+
+    def __init__(self):
+        super().__init__()
+        self.uploads: list[Upload] = []
+
+    def send(self, round, upload):
+        self.uploads.append(upload)
+        return super().send(round, upload)
+
+
+def net_arrays(net):
+    return [] if net is None else net.weights + net.biases
+
+
 FAST = HyperParams(
     rounds=3,
     local_iters=2,
@@ -197,10 +214,47 @@ def test_run_training_single_client_consensus_is_upload():
         generate_toy_dataset(num_clients=1, num_items=24, num_blocks=1, seed=1), seed=1
     )
     hp = dataclasses.replace(FAST, rounds=1, eval_negatives=10)
-    channel = UploadChannel()
+    channel = KeepingChannel()
     result = run_training(ds, hp, VariantConfig.from_label("Fed3CR"), channel=channel)
-    assert len(channel.records) == 1
-    assert np.allclose(result.server.consensus, result.clients[0].global_table, atol=1e-7)
+    assert len(channel.uploads) == 1
+    upload = channel.uploads[0]
+    assert np.allclose(result.server.consensus, upload.consensus, atol=1e-7)
+    assert np.allclose(result.server.theta.flatten(), upload.transfer_net.flatten(), atol=1e-7)
+
+
+@pytest.mark.parametrize("label", ["Fed3CR", "C0", "FedMF", "FedMF+ACE"])
+def test_clients_keep_only_private_blocks_after_run_training(label):
+    variant = VariantConfig.from_label(label)
+    result = run_training(TOY, dataclasses.replace(FAST, rounds=1), variant)
+    for client in result.clients:
+        assert client.global_table is None
+        assert client.transfer_net is None
+        assert client.user_embedding is not None
+        assert (client.personal_table is not None) == variant.personal_table
+
+
+@pytest.mark.parametrize("label", ["Fed3CR", "FedMF+ACE"])
+def test_uploads_never_share_memory_with_the_servers_blocks(label, monkeypatch):
+    # SGD runs on working copies; none may alias the download it came from
+    # or the server state that aggregation produces
+    import fed3cr.federation as federation
+
+    calls = []
+
+    def recording_local_update(state, consensus, theta, *args, **kwargs):
+        result = local_update(state, consensus, theta, *args, **kwargs)
+        calls.append((consensus, theta, result[0]))
+        return result
+
+    monkeypatch.setattr(federation, "local_update", recording_local_update)
+    result = run_training(TOY, dataclasses.replace(FAST, rounds=2), VariantConfig.from_label(label))
+    assert len(calls) == 2 * TOY.num_clients
+    final = [result.server.consensus] + net_arrays(result.server.theta)
+    for consensus, theta, upload in calls:
+        sent = [upload.consensus] + net_arrays(upload.transfer_net)
+        assert len(sent) == 5
+        for server_array in [consensus] + net_arrays(theta) + final:
+            assert not any(np.shares_memory(a, server_array) for a in sent)
 
 
 def test_run_training_deterministic_and_worker_independent():
@@ -338,11 +392,15 @@ def test_fedmf_plugin_consensus_stays_the_download_across_local_iters(monkeypatc
     download = np.random.default_rng(6).normal(0, 0.1, (TOY.num_items, hp.dim)).astype(np.float32)
     theta = init_client(1, hp.dim, TOY.num_items, client_id=0).transfer_net
     sampler = NegativeSampler(TOY, seed=0)
+    held = state.global_table.copy()
     upload, _ = local_update(state, download, theta, sampler, hp, VariantConfig.from_label("FedMF+ACE"))
     assert len(traces) == 3
     assert all(np.array_equal(t.C_E.data, download @ t.W.data.T) for t in traces)
     assert not np.array_equal(traces[-1].p_P.data, traces[0].p_P.data)  # the trained table moved
-    assert np.array_equal(upload.consensus, state.global_table)
+    # the upload is the working table the last step trained, not a second copy,
+    # and the client's own shared block is left as it was
+    assert upload.consensus is traces[-1].params["C"].data
+    assert np.array_equal(state.global_table, held)
 
 
 def test_fedmf_channel_carries_table_and_optional_net():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fed3cr.checkpoint import load_client_state, save_client_state
-from fed3cr.errors import DataError, ShapeError
+from fed3cr.checkpoint import load_client_state, load_server_state, save_client_state, save_server_state
+from fed3cr.errors import DataError, ParseError, ShapeError
+from fed3cr.federation import ServerState
 from fed3cr.model import (
     TransferNet,
     compute_prototypes,
@@ -224,29 +225,31 @@ def test_forward_p_e_is_mapped_global_prototype():
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
+    # a client file holds the private blocks only; the shared ones are the server's
     state = init_client(seed=21, d=5, M=7, client_id=9)
     path = str(tmp_path / "client.bin")
     save_client_state(path, state, seed=21, round=4)
     loaded, header = load_client_state(path)
     assert header["seed"] == 21
     assert header["round"] == 4
+    assert [b["name"] for b in header["blocks"]] == ["user_embedding", "personal_table"]
     assert loaded.client_id == 9
     assert np.array_equal(loaded.user_embedding, state.user_embedding)
-    assert np.array_equal(loaded.global_table, state.global_table)
     assert np.array_equal(loaded.personal_table, state.personal_table)
-    for w1, w2 in zip(loaded.transfer_net.weights, state.transfer_net.weights):
-        assert np.array_equal(w1, w2)
-    for b1, b2 in zip(loaded.transfer_net.biases, state.transfer_net.biases):
-        assert np.array_equal(b1, b2)
+    assert loaded.global_table is None
+    assert loaded.transfer_net is None
 
 
 def test_checkpoint_without_net(tmp_path):
-    state = init_client(seed=1, d=3, M=4, enhancement="none")
-    assert state.transfer_net is None
-    path = str(tmp_path / "c.bin")
-    save_client_state(path, state, seed=1, round=0)
-    loaded, _ = load_client_state(path)
-    assert loaded.transfer_net is None
+    # the server of a variant without a net writes the consensus table alone
+    consensus = np.random.default_rng(1).normal(size=(4, 3)).astype(np.float32)
+    path = str(tmp_path / "server.bin")
+    save_server_state(path, ServerState(consensus=consensus, theta=None, round=3), seed=1)
+    loaded, header = load_server_state(path)
+    assert [b["name"] for b in header["blocks"]] == ["consensus"]
+    assert loaded.theta is None
+    assert loaded.round == 3
+    assert np.array_equal(loaded.consensus, consensus)
 
 
 def test_checkpoint_without_personal_table_reloads_bit_exact(tmp_path):
@@ -256,8 +259,28 @@ def test_checkpoint_without_personal_table_reloads_bit_exact(tmp_path):
     save_client_state(path, state, seed=4, round=1)
     loaded, header = load_client_state(path)
     assert loaded.personal_table is None
-    names = [b["name"] for b in header["blocks"]]
-    assert names == ["user_embedding", "global_table", "net_w0", "net_b0", "net_w1", "net_b1"]
+    assert [b["name"] for b in header["blocks"]] == ["user_embedding"]
     assert np.array_equal(loaded.user_embedding, state.user_embedding)
-    assert np.array_equal(loaded.global_table, state.global_table)
-    assert np.array_equal(loaded.transfer_net.flatten(), state.transfer_net.flatten())
+
+
+def test_server_checkpoint_round_trip_bit_exact(tmp_path):
+    state = init_client(seed=5, d=4, M=6)
+    server = ServerState(consensus=state.global_table, theta=state.transfer_net, round=7)
+    path = str(tmp_path / "server.bin")
+    save_server_state(path, server, seed=5)
+    loaded, header = load_server_state(path)
+    assert header["seed"] == 5
+    assert [b["name"] for b in header["blocks"]] == ["consensus", "net_w0", "net_b0", "net_w1", "net_b1"]
+    assert loaded.round == 7
+    assert np.array_equal(loaded.consensus, server.consensus)
+    assert loaded.theta.layer_shapes == server.theta.layer_shapes
+    assert np.array_equal(loaded.theta.flatten(), server.theta.flatten())
+
+
+def test_checkpoint_of_another_format_version_is_rejected(tmp_path):
+    path = str(tmp_path / "client.bin")
+    save_client_state(path, init_client(seed=0, d=2, M=3), seed=0, round=0)
+    raw = open(path, "rb").read()
+    open(path, "wb").write(raw.replace(b'"version": 2', b'"version": 1'))
+    with pytest.raises(ParseError, match="version 1"):
+        load_client_state(path)
