@@ -1,23 +1,17 @@
-"""The client-side scoring pipeline, one step at a time.
+"""The client-side scoring pipeline, one forward pass at a time.
 
 A client looks up its interacted rows in both item tables, averages them
 into two preference prototypes, feeds their concatenation through a small
 net to get a d x d transfer matrix W, maps every shared-table row through
 W, adds the personal table, and scores items against the user embedding.
+`forward_pass` records each of these steps in its trace.
 
 Run: python demos/02_enhancement_forward_pass.py
 """
 
 import numpy as np
 
-from fed3cr import (
-    compute_prototypes,
-    enhance_consensus,
-    fuse,
-    generate_transfer_matrix,
-    init_client,
-    predict,
-)
+from fed3cr import forward_pass, init_client
 
 d, num_items = 8, 12
 state = init_client(seed=42, d=d, M=num_items, client_id=0, dtype=np.float64)
@@ -25,23 +19,25 @@ positives = np.array([0, 3, 5, 9])
 
 print(f"client with {num_items} items, dimension {d}, positives {positives.tolist()}\n")
 
-p_global, p_personal = compute_prototypes(state, positives)
-print("prototype from shared table   :", np.round(p_global, 4))
-print("prototype from personal table :", np.round(p_personal, 4))
+trace = forward_pass(state, positives)
+print("prototype from shared table   p_G:", np.round(trace.p_G.data, 4))
+print("prototype from personal table p_P:", np.round(trace.p_P.data, 4))
 
-w = generate_transfer_matrix(state.transfer_net, p_global, p_personal)
+w = trace.W.data
 print(f"\ntransfer matrix W: shape {w.shape}, |W|_F = {np.linalg.norm(w):.5f}")
 print("(fresh nets start with W near zero, so enhancement begins as a no-op)")
 
-enhanced = enhance_consensus(w, state.global_table)
-fused = fuse(enhanced, state.personal_table)
-print(f"\nenhanced shared table: {enhanced.shape}, |C^E|_F = {np.linalg.norm(enhanced):.5f}")
-print(f"fused scoring table  : {fused.shape}")
+print(f"\nenhanced shared table C_E = C W^T: {trace.C_E.data.shape}, |C_E|_F = {np.linalg.norm(trace.C_E.data):.5f}")
+print(f"fused scoring table   V_F = C_E + V: {trace.V_F.data.shape}")
 
-print("\nper-item interaction probabilities:")
+print("\nper-item interaction probabilities sigma(u . V_F[j]):")
+scores = trace.V_F.data @ state.user_embedding
 for j in range(4):
-    print(f"  item {j}: {predict(state.user_embedding, fused[j]):.4f}")
+    print(f"  item {j}: {1.0 / (1.0 + np.exp(-scores[j])):.4f}")
 
-print("\nWith a hand-built W = 2I every enhanced row is exactly twice the original:")
-doubled = enhance_consensus(2 * np.eye(d), state.global_table)
-print("max |C^E - 2C| =", float(np.abs(doubled - 2 * state.global_table).max()))
+print("\nWith the net's output layer started at the identity, W starts near I")
+print("and every enhanced row near its shared-table row:")
+near_identity = init_client(seed=42, d=d, M=num_items, client_id=0, dtype=np.float64, ace_init="identity")
+trace_i = forward_pass(near_identity, positives)
+print(f"|W - I|_F = {np.linalg.norm(trace_i.W.data - np.eye(d)):.5f}")
+print("max |C_E - C| =", float(np.abs(trace_i.C_E.data - near_identity.global_table).max()))

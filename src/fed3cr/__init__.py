@@ -62,13 +62,8 @@ from .model import (
     ClientState,
     ForwardTrace,
     TransferNet,
-    compute_prototypes,
-    enhance_consensus,
     forward_pass,
-    fuse,
-    generate_transfer_matrix,
     init_client,
-    predict,
 )
 from .numerics import GradCheckReport, grad_check
 from .toy import generate_toy_dataset, write_toy_dataset_csv
@@ -98,15 +93,11 @@ __all__ = [
     "aggregate_theta",
     "bound_sweep",
     "build_eval_candidates",
-    "compute_prototypes",
     "consistency_loss",
     "empirical_heterogeneity_probe",
-    "enhance_consensus",
     "export_correlation_matrix",
     "forward_pass",
-    "fuse",
     "generate_toy_dataset",
-    "generate_transfer_matrix",
     "grad_check",
     "hr_ndcg_at_k",
     "init_client",
@@ -118,7 +109,6 @@ __all__ = [
     "local_update",
     "metrics_csv_lines",
     "orthogonality_loss",
-    "predict",
     "rank_candidates",
     "rbo_truncated",
     "rec_loss",

@@ -1,7 +1,7 @@
 """Experiment runner and command-line interface.
 
 Subcommands: `run` (one training run), `ablate` (variant grid under a shared
-seed and split), `sweep` (one hyperparameter over a value list), `dataset
+seed and split), `sweep` (one config key over a value list), `dataset
 stats` (ingestion statistics as JSON), and `degradation` (consensus-drift
 bound verification on synthetic fixtures). Exit codes: 0 ok, 2 configuration
 error, 3 data error, 4 runtime failure. The environment variable FED3CR_SEED
@@ -11,6 +11,7 @@ overrides the configured seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import VERSION, ExperimentConfig, load_config
+from .config import VERSION, ExperimentConfig, load_config, resolve_config
 from .datasets import load_dataset
 from .degradation import QuadraticClient, bound_sweep, verify_bound
 from .errors import ConfigurationError, DataError, ParseError
@@ -138,16 +139,9 @@ def run_ablation(
         final = record.metrics[-1]
         rows.append((label, final.hr_at_k, final.ndcg_at_k))
     if outdir is not None:
-        with open(os.path.join(outdir, "ablation.csv"), "w", encoding="utf-8") as fh:
-            fh.write("variant,hr10,ndcg10\n")
-            for label, hr, ndcg in rows:
-                fh.write(f"{label},{hr!r},{ndcg!r}\n")
+        with open(os.path.join(outdir, "ablation.csv"), "w", encoding="utf-8", newline="") as fh:
+            _write_rows(fh, "variant", rows)
     return rows
-
-
-SWEEP_PARAMS = ("beta_a", "beta_o", "layers")
-
-LAYER_SCHEDULES = {2: (2, 4), 3: (2, 4, 8), 4: (2, 4, 8, 16)}
 
 
 def run_sweep(
@@ -158,35 +152,31 @@ def run_sweep(
     workers: int = 1,
     force: bool = False,
 ) -> list[tuple[str, float, float]]:
-    """One run per value of `param` (beta_a, beta_o, or transfer-net layer
-    count); returns (value, final hr, final ndcg) rows."""
-    if param not in SWEEP_PARAMS:
-        raise ConfigurationError(f"unknown sweep parameter {param!r} (expected one of {SWEEP_PARAMS})")
+    """One run per value of the dotted config key `param`, each value cast
+    and checked as a command-line override of `config`'s manifest would
+    be; returns (value, final hr, final ndcg) rows."""
+    manifest = config.resolved()
+    del manifest["version"]
+    configs = [resolve_config(manifest, {param: value}) for value in values]
     if outdir is not None:
         _prepare_outdir(outdir, force)
     rows = []
-    for value in values:
-        hp = config.hp
-        if param == "beta_a":
-            hp = dataclasses.replace(hp, beta_a=float(value))
-        elif param == "beta_o":
-            hp = dataclasses.replace(hp, beta_o=float(value))
-        else:
-            layers = int(value)
-            if layers not in LAYER_SCHEDULES:
-                raise ConfigurationError(f"layer count must be one of {sorted(LAYER_SCHEDULES)}, got {value}")
-            hp = dataclasses.replace(hp, transfer_schedule=LAYER_SCHEDULES[layers])
-        sub_config = dataclasses.replace(config, hp=hp)
+    for value, sub_config in zip(values, configs):
         sub = os.path.join(outdir, f"{param}_{value}") if outdir is not None else None
         record = run_experiment(sub_config, sub, workers=workers, force=force, save_checkpoints=False)
         final = record.metrics[-1]
         rows.append((str(value), final.hr_at_k, final.ndcg_at_k))
     if outdir is not None:
-        with open(os.path.join(outdir, "sweep.csv"), "w", encoding="utf-8") as fh:
-            fh.write(f"{param},hr10,ndcg10\n")
-            for value, hr, ndcg in rows:
-                fh.write(f"{value},{hr!r},{ndcg!r}\n")
+        with open(os.path.join(outdir, "sweep.csv"), "w", encoding="utf-8", newline="") as fh:
+            _write_rows(fh, param, rows)
     return rows
+
+
+def _write_rows(fh, head: str, rows: list[tuple[str, float, float]]) -> None:
+    """CSV of (head, hr10, ndcg10) rows; a value holding a comma is quoted."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow([head, "hr10", "ndcg10"])
+    writer.writerows((value, repr(hr), repr(ndcg)) for value, hr, ndcg in rows)
 
 
 # -- argument handling -------------------------------------------------------------------
@@ -233,10 +223,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ab_p.add_argument("--workers", type=int, default=1)
     ab_p.add_argument("--force", action="store_true")
 
-    sw_p = sub.add_parser("sweep", help="sweep one hyperparameter")
+    sw_p = sub.add_parser("sweep", help="sweep one config key (section.key) over a value list")
     sw_p.add_argument("--config", required=True)
-    sw_p.add_argument("--param", required=True, choices=SWEEP_PARAMS)
-    sw_p.add_argument("--values", required=True)
+    sw_p.add_argument("--param", required=True)
+    sw_p.add_argument("--values", required=True, nargs="+")
     sw_p.add_argument("--out", default=None)
     sw_p.add_argument("--workers", type=int, default=1)
     sw_p.add_argument("--force", action="store_true")
@@ -269,19 +259,14 @@ def _cmd_ablate(args, overrides) -> int:
     config = load_config(args.config, overrides)
     labels = [v.strip() for v in args.variants.split(",") if v.strip()]
     rows = run_ablation(config, labels, args.out, workers=args.workers, force=args.force)
-    print("variant,hr10,ndcg10")
-    for label, hr, ndcg in rows:
-        print(f"{label},{hr!r},{ndcg!r}")
+    _write_rows(sys.stdout, "variant", rows)
     return 0
 
 
 def _cmd_sweep(args, overrides) -> int:
     config = load_config(args.config, overrides)
-    values = [v.strip() for v in args.values.split(",") if v.strip()]
-    rows = run_sweep(config, args.param, values, args.out, workers=args.workers, force=args.force)
-    print(f"{args.param},hr10,ndcg10")
-    for value, hr, ndcg in rows:
-        print(f"{value},{hr!r},{ndcg!r}")
+    rows = run_sweep(config, args.param, args.values, args.out, workers=args.workers, force=args.force)
+    _write_rows(sys.stdout, args.param, rows)
     return 0
 
 

@@ -7,22 +7,21 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import typing
 from dataclasses import dataclass, field
 
 from .datasets import InteractionDataset, leave_one_out_split, load_dataset
 from .errors import ConfigurationError
-from .federation import HyperParams, VariantConfig
+from .federation import HyperParams, VariantConfig, config_key
 from .toy import generate_toy_dataset
 
 VERSION = "fed3cr-0.1.0"
 
-SECTIONS = ("dataset", "training", "variant", "eval")
-
-
 def _parse_bool(s: str) -> bool:
-    if s.lower() in ("1", "true", "yes", "on"):
+    s = str(s).lower()
+    if s in ("1", "true", "yes", "on"):
         return True
-    if s.lower() in ("0", "false", "no", "off"):
+    if s in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {s!r}")
 
@@ -33,7 +32,8 @@ def _parse_int_tuple(s) -> tuple[int, ...]:
     return tuple(int(x) for x in str(s).split(",") if x.strip())
 
 
-# section -> key -> (caster, default)
+# section -> key -> (caster, default). The [dataset] keys are listed here;
+# the other sections are filled in below from the dataclass fields.
 SCHEMA: dict[str, dict] = {
     "dataset": {
         "path": (str, ""),
@@ -48,41 +48,12 @@ SCHEMA: dict[str, dict] = {
         "toy_own_fraction": (float, 0.75),
         "toy_sharpness": (float, 2.5),
     },
-    "training": {
-        "rounds": (int, 100),
-        "local_iters": (int, 10),
-        "dim": (int, 32),
-        "batch_size": (int, 2048),
-        "negatives_per_positive": (int, 4),
-        "client_fraction": (float, 1.0),
-        "lr": (float, 0.1),
-        "lr_gamma": (float, 0.999),
-        "beta_a": (float, 0.5),
-        "beta_o": (float, 0.5),
-        "ace_init": (str, "zero"),
-        "ace_scale": (float, 1.0),
-        "eq12_mode": (str, "softmax"),
-        "transfer_layers": (_parse_int_tuple, (2, 4)),
-        "consistency_sample": (_parse_bool, False),
-        "dtype": (str, "float32"),
-        "seed": (int, 0),
-    },
-    "variant": {
-        "label": (str, "Fed3CR"),
-        "enhancement": (str, None),
-        "consistency": (_parse_bool, None),
-        "orthogonality": (_parse_bool, None),
-        "complementarity": (str, None),
-    },
-    "eval": {
-        "interval": (int, 1),
-        "top_k": (int, 10),
-        "rbo_k": (int, 50),
-        "rbo_p": (float, 0.99),
-        "rbo_enabled": (_parse_bool, True),
-        "negatives": (int, 99),
-    },
+    "training": {},
+    "variant": {},
+    "eval": {},
 }
+
+_CASTERS = {int: int, float: float, str: str, bool: _parse_bool, tuple[int, ...]: _parse_int_tuple}
 
 
 @dataclass
@@ -92,48 +63,21 @@ class ExperimentConfig:
     dataset: dict = field(default_factory=dict)
     hp: HyperParams = field(default_factory=HyperParams)
     variant: VariantConfig = field(default_factory=VariantConfig)
-    variant_label: str = "Fed3CR"
+    variant_label: str = field(default="Fed3CR", metadata={"config": "variant.label"})
 
     def resolved(self) -> dict:
-        """Snapshot of every knob, defaults included, as plain JSON data."""
-        return {
-            "version": VERSION,
-            "dataset": dict(self.dataset),
-            "training": {
-                "rounds": self.hp.rounds,
-                "local_iters": self.hp.local_iters,
-                "dim": self.hp.dim,
-                "batch_size": self.hp.batch_size,
-                "negatives_per_positive": self.hp.negatives_per_positive,
-                "client_fraction": self.hp.client_fraction,
-                "lr": self.hp.lr,
-                "lr_gamma": self.hp.lr_gamma,
-                "beta_a": self.hp.beta_a,
-                "beta_o": self.hp.beta_o,
-                "ace_init": self.hp.ace_init,
-                "ace_scale": self.hp.ace_scale,
-                "eq12_mode": self.hp.eq12_mode,
-                "transfer_layers": list(self.hp.transfer_schedule),
-                "consistency_sample": self.hp.consistency_sample,
-                "dtype": self.hp.dtype,
-                "seed": self.hp.seed,
-            },
-            "variant": {
-                "label": self.variant_label,
-                "enhancement": self.variant.enhancement_kind,
-                "consistency": self.variant.consistency_enabled,
-                "orthogonality": self.variant.orthogonality_enabled,
-                "complementarity": self.variant.complementarity_kind,
-            },
-            "eval": {
-                "interval": self.hp.eval_interval,
-                "top_k": self.hp.top_k,
-                "rbo_k": self.hp.rbo_k,
-                "rbo_p": self.hp.rbo_p,
-                "rbo_enabled": self.hp.rbo_enabled,
-                "negatives": self.hp.eval_negatives,
-            },
-        }
+        """Snapshot of every knob, defaults included, as plain JSON data. A
+        variant flag equal to its label's preset is written as None, so the
+        snapshot loaded with another label takes that label's flags."""
+        preset = VariantConfig.from_label(self.variant_label)
+        out = {"version": VERSION, **{section: {} for section in SCHEMA}}
+        out["dataset"] = dict(self.dataset)
+        for (section, key), (holder, name) in _FIELDS.items():
+            value = getattr(getattr(self, holder) if holder else self, name)
+            if holder == "variant" and value == getattr(preset, name):
+                value = None
+            out[section][key] = list(value) if isinstance(value, tuple) else value
+        return out
 
     def build_dataset(self) -> InteractionDataset:
         """Materialize and split the configured dataset."""
@@ -154,6 +98,31 @@ class ExperimentConfig:
                 raise ConfigurationError("dataset.path is required for file-backed formats")
             ds = load_dataset(d["path"], d["format"], d["min_interactions"])
         return leave_one_out_split(ds, self.hp.seed, holdout=d["holdout"])
+
+
+def _knob_fields() -> dict[tuple[str, str], tuple[str, str]]:
+    """Add every knob field to SCHEMA: `variant.label` of ExperimentConfig,
+    each field of HyperParams and the flags of VariantConfig, which default
+    to None ("the label's preset"). Returns (section, key) -> (the
+    ExperimentConfig attribute that holds the field, "" for the config
+    itself; the field's name)."""
+    knobs = {}
+    for holder, cls, section in (
+        ("", ExperimentConfig, None),
+        ("hp", HyperParams, "training"),
+        ("variant", VariantConfig, "variant"),
+    ):
+        types = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            dotted = f.metadata.get("config") if section is None else config_key(f, section)
+            if dotted:
+                key = tuple(dotted.split("."))
+                SCHEMA[key[0]][key[1]] = (_CASTERS[types[f.name]], None if holder == "variant" else f.default)
+                knobs[key] = (holder, f.name)
+    return knobs
+
+
+_FIELDS = _knob_fields()
 
 
 def _read_sectioned(path: str) -> dict[str, dict[str, str]]:
@@ -177,8 +146,19 @@ def _read_sectioned(path: str) -> dict[str, dict[str, str]]:
     return raw
 
 
-def _validate_and_cast(raw: dict[str, dict]) -> dict[str, dict]:
-    values: dict[str, dict] = {s: {} for s in SECTIONS}
+def resolve_config(values: dict[str, dict], overrides: dict[str, str] | None = None) -> ExperimentConfig:
+    """Merge the dotted overrides into `values`, cast and check every key,
+    fill in the defaults, and build the typed config. A string is parsed by
+    its key's caster, a list turned into a tuple, and any other value (as a
+    manifest holds) taken as it is."""
+    raw = {section: dict(entries) for section, entries in values.items()}
+    for dotted, value in (overrides or {}).items():
+        section, dot, key = dotted.partition(".")
+        if not dot:
+            raise ConfigurationError(f"override {dotted!r} must be section.key")
+        raw.setdefault(section, {})[key] = value
+
+    full = {section: {key: default for key, (_, default) in keys.items()} for section, keys in SCHEMA.items()}
     for section, entries in raw.items():
         if section not in SCHEMA:
             raise ConfigurationError(f"unknown config section {section!r}")
@@ -187,37 +167,9 @@ def _validate_and_cast(raw: dict[str, dict]) -> dict[str, dict]:
                 raise ConfigurationError(f"unknown key {section}.{key}")
             caster, _ = SCHEMA[section][key]
             try:
-                values[section][key] = value if not isinstance(value, str) else caster(value)
+                full[section][key] = caster(value) if isinstance(value, (str, list, tuple)) else value
             except (ValueError, TypeError) as exc:
                 raise ConfigurationError(f"bad value for {section}.{key}: {exc}") from exc
-    return values
-
-
-def _apply_defaults(values: dict[str, dict]) -> dict[str, dict]:
-    out: dict[str, dict] = {}
-    for section, keys in SCHEMA.items():
-        out[section] = {}
-        for key, (_, default) in keys.items():
-            out[section][key] = values.get(section, {}).get(key, default)
-    return out
-
-
-def resolve_config(values: dict[str, dict], overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Cast, apply overrides and defaults, and build the typed config."""
-    values = _validate_and_cast(values)
-    if overrides:
-        for dotted, value in overrides.items():
-            if "." not in dotted:
-                raise ConfigurationError(f"override {dotted!r} must be section.key")
-            section, key = dotted.split(".", 1)
-            if section not in SCHEMA or key not in SCHEMA[section]:
-                raise ConfigurationError(f"unknown key {dotted}")
-            caster, _ = SCHEMA[section][key]
-            try:
-                values.setdefault(section, {})[key] = caster(value)
-            except (ValueError, TypeError) as exc:
-                raise ConfigurationError(f"bad value for {dotted}: {exc}") from exc
-    full = _apply_defaults(values)
 
     env_seed = os.environ.get("FED3CR_SEED")
     if env_seed is not None:
@@ -226,49 +178,15 @@ def resolve_config(values: dict[str, dict], overrides: dict[str, str] | None = N
         except ValueError as exc:
             raise ConfigurationError(f"FED3CR_SEED must be an integer, got {env_seed!r}") from exc
 
-    t, e = full["training"], full["eval"]
-    hp = HyperParams(
-        rounds=t["rounds"],
-        local_iters=t["local_iters"],
-        dim=t["dim"],
-        batch_size=t["batch_size"],
-        negatives_per_positive=t["negatives_per_positive"],
-        client_fraction=t["client_fraction"],
-        lr=t["lr"],
-        lr_gamma=t["lr_gamma"],
-        beta_a=t["beta_a"],
-        beta_o=t["beta_o"],
-        ace_init=t["ace_init"],
-        ace_scale=t["ace_scale"],
-        eq12_mode=t["eq12_mode"],
-        transfer_schedule=tuple(t["transfer_layers"]),
-        consistency_sample=t["consistency_sample"],
-        dtype=t["dtype"],
-        seed=t["seed"],
-        eval_interval=e["interval"],
-        top_k=e["top_k"],
-        rbo_k=e["rbo_k"],
-        rbo_p=e["rbo_p"],
-        rbo_enabled=e["rbo_enabled"],
-        eval_negatives=e["negatives"],
-    )
+    kwargs: dict[str, dict] = {"": {}, "hp": {}, "variant": {}}
+    for (section, key), (holder, name) in _FIELDS.items():
+        kwargs[holder][name] = full[section][key]
+    hp = HyperParams(**kwargs["hp"])
     hp.validate()
-
-    v = full["variant"]
-    variant = VariantConfig.from_label(v["label"])
-    if v["enhancement"] is not None:
-        variant = dataclasses.replace(variant, enhancement_kind=v["enhancement"])
-    if v["consistency"] is not None:
-        variant = dataclasses.replace(variant, consistency_enabled=v["consistency"])
-    if v["orthogonality"] is not None:
-        variant = dataclasses.replace(variant, orthogonality_enabled=v["orthogonality"])
-    if v["complementarity"] is not None:
-        variant = dataclasses.replace(variant, complementarity_kind=v["complementarity"])
+    flags = {name: value for name, value in kwargs["variant"].items() if value is not None}
+    variant = dataclasses.replace(VariantConfig.from_label(kwargs[""]["variant_label"]), **flags)
     variant.validate()
-
-    return ExperimentConfig(
-        dataset=full["dataset"], hp=hp, variant=variant, variant_label=v["label"]
-    )
+    return ExperimentConfig(dataset=full["dataset"], hp=hp, variant=variant, **kwargs[""])
 
 
 def load_config(path: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:

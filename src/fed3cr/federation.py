@@ -23,8 +23,8 @@ from . import seeding
 from .datasets import InteractionDataset, NegativeSampler, build_eval_candidates
 from .errors import AggregationError, ConfigurationError, ShapeError
 from .evaluation import RoundMetrics, hr_ndcg_at_k, rank_candidates, view_consistency_rbo
-from .losses import LossBreakdown, total_loss_t
-from .model import ClientState, TransferNet, forward_pass, init_client, init_client_net
+from .losses import COMPLEMENTARITY_KINDS, EQ12_MODES, LossBreakdown, total_loss_t
+from .model import ENHANCEMENT_KINDS, ClientState, TransferNet, forward_pass, init_client, init_client_net
 
 # label -> (enhancement kind, l_a on, l_o on, personal table). C0 is bare
 # additive fusion, C1 adds the enhancement, C2/C3/C4 add only the auxiliary
@@ -48,24 +48,33 @@ VARIANT_LABELS = {
 ABLATION_LABELS = ("C0", "C1", "C2", "C3", "C4", "C5", "C6", "Fed3CR")
 
 
+def config_key(f: dataclasses.Field, section: str) -> str | None:
+    """The dotted config key of a HyperParams or VariantConfig field:
+    `section.<field name>`, unless the field's metadata "config" names
+    another key, or None for a field that is no config key."""
+    return f.metadata.get("config", f"{section}.{f.name}")
+
+
 @dataclass(frozen=True)
 class VariantConfig:
-    """Which enhancement path and which auxiliary losses a run uses."""
+    """Which enhancement path and which auxiliary losses a run uses. The
+    defaults are Fed3CR's flags; `from_label` gives any label's."""
 
-    enhancement_kind: str = "ace"  # ace | consensus-transfer | unified-transfer | none
-    consistency_enabled: bool = True
-    orthogonality_enabled: bool = True
-    complementarity_kind: str = "orthogonal"  # orthogonal | l2-distance
-    personal_table: bool = True  # False: one trained shared table (federated MF)
+    enhancement_kind: str = field(default="ace", metadata={"config": "variant.enhancement"})
+    consistency_enabled: bool = field(default=True, metadata={"config": "variant.consistency"})
+    orthogonality_enabled: bool = field(default=True, metadata={"config": "variant.orthogonality"})
+    complementarity_kind: str = field(default="orthogonal", metadata={"config": "variant.complementarity"})
+    # False: one trained shared table (federated MF); set by the label only
+    personal_table: bool = field(default=True, metadata={"config": None})
 
     @property
     def has_net(self) -> bool:
         return self.enhancement_kind != "none"
 
     def validate(self) -> None:
-        if self.enhancement_kind not in ("ace", "consensus-transfer", "unified-transfer", "none"):
+        if self.enhancement_kind not in ENHANCEMENT_KINDS:
             raise ConfigurationError(f"unknown enhancement kind {self.enhancement_kind!r}")
-        if self.complementarity_kind not in ("orthogonal", "l2-distance"):
+        if self.complementarity_kind not in COMPLEMENTARITY_KINDS:
             raise ConfigurationError(f"unknown complementarity kind {self.complementarity_kind!r}")
         if not self.personal_table and (
             self.consistency_enabled
@@ -95,7 +104,9 @@ class VariantConfig:
 
 @dataclass
 class HyperParams:
-    """All training, loss and evaluation knobs with their defaults."""
+    """All training, loss and evaluation knobs with their defaults. Each field
+    is the config key `training.<field name>` unless its metadata says
+    otherwise (see `config_key`)."""
 
     rounds: int = 100
     local_iters: int = 10
@@ -110,32 +121,44 @@ class HyperParams:
     ace_init: str = "zero"
     ace_scale: float = 1.0
     eq12_mode: str = "softmax"
-    eval_negatives: int = 99
+    eval_negatives: int = field(default=99, metadata={"config": "eval.negatives"})
     seed: int = 0
-    transfer_schedule: tuple[int, ...] = (2, 4)
+    # transfer-net layer widths in multiples of d, from the input width 2*d
+    transfer_schedule: tuple[int, ...] = field(default=(2, 4), metadata={"config": "training.transfer_layers"})
     consistency_sample: bool = False
     dtype: str = "float32"
-    eval_interval: int = 1
-    top_k: int = 10
-    rbo_k: int = 50
-    rbo_p: float = 0.99
-    rbo_enabled: bool = True
+    eval_interval: int = field(default=1, metadata={"config": "eval.interval"})
+    top_k: int = field(default=10, metadata={"config": "eval.top_k"})
+    rbo_k: int = field(default=50, metadata={"config": "eval.rbo_k"})
+    rbo_p: float = field(default=0.99, metadata={"config": "eval.rbo_p"})
+    rbo_enabled: bool = field(default=True, metadata={"config": "eval.rbo_enabled"})
 
     def validate(self) -> None:
-        if self.rounds < 1 or self.local_iters < 1:
-            raise ConfigurationError("rounds and local_iters must be >= 1")
-        if not 0.0 < self.client_fraction <= 1.0:
-            raise ConfigurationError("client_fraction must lie in (0, 1]")
-        if self.lr <= 0.0:
-            raise ConfigurationError("lr must be positive")
-        if self.eq12_mode not in ("softmax", "literal-ratio"):
-            raise ConfigurationError(f"unknown eq12_mode {self.eq12_mode!r}")
-        if self.ace_init not in ("zero", "identity"):
-            raise ConfigurationError(f"unknown ace_init {self.ace_init!r}")
-        if self.dtype not in ("float32", "float64"):
-            raise ConfigurationError(f"dtype must be float32 or float64, got {self.dtype!r}")
-        if self.eval_negatives < 1 and self.eval_negatives != -1:
-            raise ConfigurationError("eval_negatives must be positive (or -1 for full ranking)")
+        """Reject an out-of-range knob, naming it by its config key."""
+
+        def require(ok: bool, name: str, rule: str) -> None:
+            if not ok:
+                key = config_key(self.__dataclass_fields__[name], "training")
+                raise ConfigurationError(f"{key} {rule}, got {getattr(self, name)!r}")
+
+        for name in ("rounds", "local_iters", "dim", "eval_interval", "top_k"):
+            require(getattr(self, name) >= 1, name, "must be >= 1")
+        require(0.0 < self.client_fraction <= 1.0, "client_fraction", "must lie in (0, 1]")
+        require(self.lr > 0.0, "lr", "must be positive")
+        require(self.eq12_mode in EQ12_MODES, "eq12_mode", f"must be one of {EQ12_MODES}")
+        require(self.ace_init in ("zero", "identity"), "ace_init", "must be zero or identity")
+        require(self.dtype in ("float32", "float64"), "dtype", "must be float32 or float64")
+        require(
+            self.eval_negatives >= 1 or self.eval_negatives == -1,
+            "eval_negatives",
+            "must be positive (or -1 for full ranking)",
+        )
+        schedule = self.transfer_schedule
+        require(
+            len(schedule) >= 1 and schedule[0] == 2 and min(schedule) >= 1,
+            "transfer_schedule",
+            "must list positive widths in multiples of d, starting at 2",
+        )
 
     @property
     def np_dtype(self):

@@ -26,6 +26,7 @@ COS_CLAMP = 1e-6
 NORM_GUARD = 1e-24  # added under the square root of every norm
 
 EQ12_MODES = ("softmax", "literal-ratio")
+COMPLEMENTARITY_KINDS = ("orthogonal", "l2-distance")
 
 
 @dataclass

@@ -229,65 +229,6 @@ def init_row_net(rng: np.random.Generator, d: int, hidden: int, dtype=np.float32
     return TransferNet([w0.astype(dtype), w1.astype(dtype)], [b0.astype(dtype), b1.astype(dtype)])
 
 
-# -- single-step operations (numpy in, numpy out) ------------------------------------
-
-
-def compute_prototypes(state: ClientState, positives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean global-table row and mean personal-table row over the interacted items."""
-    positives = np.asarray(positives)
-    if positives.size == 0:
-        raise DataError(f"client {state.client_id} has no positives to build prototypes from")
-    p_g = state.global_table[positives].mean(axis=0)
-    p_p = state.personal_table[positives].mean(axis=0)
-    return p_g, p_p
-
-
-def generate_transfer_matrix(
-    net: TransferNet, p_g: np.ndarray, p_p: np.ndarray, ace_scale: float = 1.0
-) -> np.ndarray:
-    """Map the concatenated [global, personal] prototypes to a d x d matrix."""
-    d = p_g.shape[0]
-    if p_p.shape != p_g.shape:
-        raise ShapeError(f"prototype shapes differ: {p_g.shape} vs {p_p.shape}")
-    if net.in_dim != 2 * d or net.out_dim != d * d:
-        raise ShapeError(
-            f"net maps {net.in_dim} -> {net.out_dim}, expected {2 * d} -> {d * d}"
-        )
-    params = [(ad.as_tensor(w), ad.as_tensor(b)) for w, b in zip(net.weights, net.biases)]
-    out = net_forward(params, ad.as_tensor(np.concatenate([p_g, p_p])))
-    return out.data.reshape(d, d) * ace_scale
-
-
-def enhance_consensus(w: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Apply the transfer matrix to every item row: row j becomes W @ c_j."""
-    w, c = np.asarray(w), np.asarray(c)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ShapeError(f"transfer matrix must be square, got {w.shape}")
-    if c.ndim != 2 or c.shape[1] != w.shape[0]:
-        raise ShapeError(f"table {c.shape} incompatible with transfer matrix {w.shape}")
-    return c @ w.T
-
-
-def fuse(c_e: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Elementwise sum of the enhanced global table and the personal table."""
-    c_e, v = np.asarray(c_e), np.asarray(v)
-    if c_e.shape != v.shape:
-        raise ShapeError(f"cannot fuse tables of shapes {c_e.shape} and {v.shape}")
-    return c_e + v
-
-
-def predict(u: np.ndarray, v: np.ndarray) -> float:
-    """Interaction probability sigma(u . v), overflow-safe."""
-    u, v = np.asarray(u), np.asarray(v)
-    if u.shape != v.shape:
-        raise ShapeError(f"embedding shapes differ: {u.shape} vs {v.shape}")
-    x = float(np.dot(u, v))
-    if x >= 0:
-        return 1.0 / (1.0 + np.exp(-x))
-    e = np.exp(x)
-    return e / (1.0 + e)
-
-
 # -- differentiable forward pass ----------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,6 +7,7 @@ import pytest
 from fed3cr.cli import main, run_ablation, run_experiment, run_sweep
 from fed3cr.config import load_config
 from fed3cr.errors import ConfigurationError
+from fed3cr.federation import VARIANT_LABELS, HyperParams, VariantConfig, config_key
 
 TOY_CFG = """
 [dataset]
@@ -164,24 +166,52 @@ def test_ablation_rejects_unknown_label(cfg_path):
 
 def test_sweep_beta_a_standard_grid(cfg_path, tmp_path):
     values = ["0.1", "0.3", "0.5", "0.7", "1"]
-    rows = run_sweep(load_config(cfg_path), "beta_a", values, str(tmp_path / "sw"))
+    rows = run_sweep(load_config(cfg_path), "training.beta_a", values, str(tmp_path / "sw"))
     assert [r[0] for r in rows] == values
-    assert len(open(os.path.join(tmp_path, "sw", "sweep.csv")).read().strip().splitlines()) == 6
+    lines = open(os.path.join(tmp_path, "sw", "sweep.csv")).read().strip().splitlines()
+    assert len(lines) == 6
+    assert lines[0] == "training.beta_a,hr10,ndcg10"
 
 
-def test_sweep_layer_counts(cfg_path):
-    rows = run_sweep(load_config(cfg_path), "layers", ["2", "3", "4"])
-    assert len(rows) == 3
-    with pytest.raises(ConfigurationError):
-        run_sweep(load_config(cfg_path), "layers", ["5"])
+def test_sweep_layer_counts(cfg_path, tmp_path):
+    schedules = ["2,4", "2,4,8", "2,4,8,16"]
+    rows = run_sweep(load_config(cfg_path), "training.transfer_layers", schedules)
+    assert [r[0] for r in rows] == schedules
+    # a bad value fails before any run, through the checks an override gets
+    for param, values in (
+        ("training.transfer_layers", ["2,4", "3,4"]),
+        ("training.nope", ["1"]),
+        ("beta_a", ["0.5"]),
+    ):
+        out = tmp_path / param
+        with pytest.raises(ConfigurationError, match=param):
+            run_sweep(load_config(cfg_path), param, values, str(out))
+        assert not out.exists()
 
 
 def test_single_value_sweep_equals_run(cfg_path):
     config = load_config(cfg_path)
-    rows = run_sweep(config, "beta_a", ["0.5"])
-    record = run_experiment(load_config(cfg_path))
-    assert rows[0][1] == record.metrics[-1].hr_at_k
-    assert rows[0][2] == record.metrics[-1].ndcg_at_k
+    for param, value in (("training.beta_a", "0.5"), ("variant.label", "C0"), ("eval.top_k", "5")):
+        rows = run_sweep(config, param, [value])
+        record = run_experiment(load_config(cfg_path, {param: value}))
+        assert rows[0][1] == record.metrics[-1].hr_at_k
+        assert rows[0][2] == record.metrics[-1].ndcg_at_k
+
+
+def test_cli_sweep_takes_a_dotted_key_and_one_value_per_token(cfg_path, tmp_path, capsys):
+    out = str(tmp_path / "sw")
+    argv = ["sweep", "--config", cfg_path, "--param", "training.transfer_layers", "--values", "2,4", "2,4,8"]
+    assert main(argv + ["--out", out, "--training.rounds", "1"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "training.transfer_layers,hr10,ndcg10"
+    assert [line.split('",')[0] for line in lines[1:]] == ['"2,4', '"2,4,8']
+    assert open(os.path.join(out, "sweep.csv")).read().strip().splitlines() == lines
+    manifest = json.load(open(os.path.join(out, "training.transfer_layers_2,4,8", "manifest.json")))
+    assert manifest["training"]["transfer_layers"] == [2, 4, 8]
+    assert manifest["training"]["rounds"] == 1
+
+    assert main(["sweep", "--config", cfg_path, "--param", "training.nope", "--values", "1"]) == 2
+    assert "training.nope" in capsys.readouterr().err
 
 
 def test_cli_run_and_exit_codes(cfg_path, tmp_path, capsys):
@@ -204,6 +234,16 @@ def test_cli_run_and_exit_codes(cfg_path, tmp_path, capsys):
     argv = ["run", "--config", cfg_path, "--variant.label", "FedMF", "--variant.consistency", "true"]
     assert main(argv) == 2
     assert "personal table" in capsys.readouterr().err
+
+    # an out-of-range knob is a configuration error that names its key
+    for key, value in (
+        ("training.dim", "0"),
+        ("eval.interval", "0"),
+        ("training.transfer_layers", "3,4"),
+        ("eval.top_k", "0"),
+    ):
+        assert main(["run", "--config", cfg_path, f"--{key}", value]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_cli_override_flags(cfg_path, capsys):
@@ -285,3 +325,74 @@ def test_manifest_json_loadable_as_config(cfg_path, tmp_path):
     manifest.write_text(json.dumps(config.resolved()))
     reloaded = load_config(str(manifest))
     assert reloaded.resolved() == config.resolved()
+
+
+def test_manifest_override_of_the_label_matches_the_cfg_override(tmp_path):
+    # the manifest writes a variant flag only where it leaves its label's
+    # preset, so a new label gets that label's flags, as on the .cfg
+    bundled = os.path.join(os.path.dirname(__file__), "..", "configs", "toy.cfg")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(load_config(bundled).resolved()))
+    for label in VARIANT_LABELS:
+        assert load_config(str(manifest), {"variant.label": label}) == load_config(
+            bundled, {"variant.label": label}
+        )
+    # a manifest that spells out every flag still loads to the same config
+    for label in ("C0", "FedMF+ACE"):
+        config = load_config(bundled, {"variant.label": label, "variant.complementarity": "l2-distance"})
+        snapshot = config.resolved()
+        assert snapshot["variant"]["consistency"] is None
+        assert snapshot["variant"]["complementarity"] == "l2-distance"
+        v = config.variant
+        snapshot["variant"].update(
+            enhancement=v.enhancement_kind,
+            consistency=v.consistency_enabled,
+            orthogonality=v.orthogonality_enabled,
+            complementarity=v.complementarity_kind,
+        )
+        manifest.write_text(json.dumps(snapshot))
+        assert load_config(str(manifest)) == config
+
+
+# valid non-default values for the str knobs; the other types derive theirs
+STR_KNOB_VALUES = {
+    "ace_init": "identity",
+    "eq12_mode": "literal-ratio",
+    "dtype": "float64",
+    "enhancement_kind": "consensus-transfer",
+    "complementarity_kind": "l2-distance",
+}
+
+
+def _non_default(f):
+    if f.name in STR_KNOB_VALUES:
+        return STR_KNOB_VALUES[f.name]
+    if isinstance(f.default, bool):
+        return str(not f.default).lower()
+    if isinstance(f.default, tuple):
+        return ",".join(map(str, f.default + (2 * f.default[-1],)))
+    if isinstance(f.default, float):
+        return repr(f.default / 2)
+    return str(f.default + 1)
+
+
+def test_every_knob_round_trips_through_the_manifest(cfg_path, tmp_path):
+    # a field of HyperParams or VariantConfig that missed the schema, the
+    # manifest or resolve_config would fail here
+    owners = [("hp", f, "training") for f in dataclasses.fields(HyperParams)]
+    owners += [("variant", f, "variant") for f in dataclasses.fields(VariantConfig)]
+    base = load_config(cfg_path)
+    checked = 0
+    for holder, f, section in owners:
+        key = config_key(f, section)
+        if key is None:
+            continue
+        config = load_config(cfg_path, {key: _non_default(f)})
+        value = getattr(getattr(config, holder), f.name)
+        assert value != getattr(getattr(base, holder), f.name), key
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(config.resolved(), indent=2, sort_keys=True))
+        assert load_config(str(manifest)) == config, key
+        checked += 1
+    # every HyperParams field, and every VariantConfig field but personal_table
+    assert checked == len(dataclasses.fields(HyperParams)) + 4

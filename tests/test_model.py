@@ -2,78 +2,76 @@ import numpy as np
 import pytest
 
 from fed3cr.checkpoint import load_client_state, load_server_state, save_client_state, save_server_state
-from fed3cr.errors import DataError, ParseError, ShapeError
+from fed3cr.errors import DataError, ParseError
 from fed3cr.federation import ServerState
-from fed3cr.model import (
-    TransferNet,
-    compute_prototypes,
-    enhance_consensus,
-    forward_pass,
-    fuse,
-    generate_transfer_matrix,
-    init_client,
-    predict,
-)
+from fed3cr.model import TransferNet, forward_pass, init_client
 from fed3cr.numerics import grad_check
 
 
-def rigged_identity_net(d):
-    """Net whose output is the flattened identity regardless of input."""
+def rigged_net(matrix):
+    """Net whose output is the flattened `matrix` regardless of input."""
+    d = matrix.shape[0]
     w0 = np.zeros((4 * d, 2 * d))
     b0 = np.zeros(4 * d)
     w1 = np.zeros((d * d, 4 * d))
-    b1 = np.eye(d).reshape(-1)
-    return TransferNet([w0, w1], [b0, b1])
+    return TransferNet([w0, w1], [b0, matrix.reshape(-1).astype(np.float64)])
+
+
+def rigged_identity_net(d):
+    return rigged_net(np.eye(d))
 
 
 def test_prototypes_singleton():
     state = init_client(seed=0, d=3, M=5, dtype=np.float64)
-    p_g, p_p = compute_prototypes(state, np.array([2]))
-    assert np.array_equal(p_g, state.global_table[2])
-    assert np.array_equal(p_p, state.personal_table[2])
+    trace = forward_pass(state, np.array([2]))
+    assert np.array_equal(trace.p_G.data, state.global_table[2])
+    assert np.array_equal(trace.p_P.data, state.personal_table[2])
 
 
 def test_prototypes_mean_of_two_rows():
     state = init_client(seed=0, d=2, M=2, dtype=np.float64)
     state.global_table = np.array([[1.0, 0.0], [0.0, 1.0]])
-    p_g, _ = compute_prototypes(state, np.array([0, 1]))
-    assert np.allclose(p_g, [0.5, 0.5])
+    trace = forward_pass(state, np.array([0, 1]))
+    assert np.allclose(trace.p_G.data, [0.5, 0.5])
 
 
 def test_prototypes_match_accumulate_divide_oracle():
-    state = init_client(seed=3, d=8, M=80, dtype=np.float64)
     positives = np.random.default_rng(1).choice(80, size=50, replace=False)
-    p_g, p_p = compute_prototypes(state, positives)
-    acc_g = np.zeros(8)
-    acc_p = np.zeros(8)
-    for j in positives:
-        acc_g += state.global_table[j]
-        acc_p += state.personal_table[j]
-    assert np.allclose(p_g, acc_g / 50, atol=1e-12)
-    assert np.allclose(p_p, acc_p / 50, atol=1e-12)
+    for enhancement in ("ace", "consensus-transfer", "none"):
+        state = init_client(seed=3, d=8, M=80, dtype=np.float64, enhancement=enhancement)
+        acc_g = np.zeros(8)
+        acc_p = np.zeros(8)
+        for j in positives:
+            acc_g += state.global_table[j]
+            acc_p += state.personal_table[j]
+        trace = forward_pass(state, positives, enhancement=enhancement)
+        assert np.allclose(trace.p_G.data, acc_g / 50, atol=1e-12)
+        assert np.allclose(trace.p_P.data, acc_p / 50, atol=1e-12)
 
 
 def test_prototypes_empty_positives():
     state = init_client(seed=0, d=2, M=3, dtype=np.float64)
     with pytest.raises(DataError):
-        compute_prototypes(state, np.array([], dtype=np.int64))
+        forward_pass(state, np.array([], dtype=np.int64))
 
 
 def test_transfer_matrix_zero_final_layer():
     d = 3
-    net = TransferNet(
-        [np.zeros((4 * d, 2 * d)), np.zeros((d * d, 4 * d))],
-        [np.zeros(4 * d), np.zeros(d * d)],
-    )
-    w = generate_transfer_matrix(net, np.ones(d), np.ones(d))
-    assert np.array_equal(w, np.zeros((d, d)))
+    state = init_client(seed=0, d=d, M=4, dtype=np.float64)
+    state.transfer_net = rigged_net(np.zeros((d, d)))
+    trace = forward_pass(state, np.array([0, 1]))
+    assert np.array_equal(trace.W.data, np.zeros((d, d)))
+    assert np.array_equal(trace.C_E.data, np.zeros((4, d)))
 
 
 def test_transfer_matrix_rigged_identity():
     d = 3
-    net = rigged_identity_net(d)
-    w = generate_transfer_matrix(net, np.ones(d), -np.ones(d))
-    assert np.array_equal(w, np.eye(d))
+    state = init_client(seed=0, d=d, M=4, dtype=np.float64)
+    state.global_table = np.ones((4, d))
+    state.personal_table = -np.ones((4, d))
+    state.transfer_net = rigged_identity_net(d)
+    trace = forward_pass(state, np.array([0, 3]))
+    assert np.array_equal(trace.W.data, np.eye(d))
 
 
 def test_transfer_matrix_gradient_wrt_theta():
@@ -108,61 +106,41 @@ def test_transfer_matrix_gradient_wrt_theta():
 
 
 def test_enhance_identity_and_scaling():
-    c = np.random.default_rng(0).normal(size=(4, 3))
-    assert np.allclose(enhance_consensus(np.eye(3), c), c)
-    assert np.allclose(enhance_consensus(2 * np.eye(3), c), 2 * c)
+    state = init_client(seed=0, d=3, M=4, dtype=np.float64)
+    state.transfer_net = rigged_identity_net(3)
+    c = state.global_table
+    assert np.allclose(forward_pass(state, np.array([1])).C_E.data, c)
+    assert np.allclose(forward_pass(state, np.array([1]), ace_scale=2.0).C_E.data, 2 * c)
 
 
 def test_enhance_matches_per_row_matvec_oracle():
     rng = np.random.default_rng(1)
-    w = rng.normal(size=(2, 2))
-    c = rng.normal(size=(3, 2))
-    out = enhance_consensus(w, c)
-    for j in range(3):
-        assert np.allclose(out[j], w @ c[j])
-
-
-def test_enhance_linearity():
-    rng = np.random.default_rng(2)
-    w = rng.normal(size=(3, 3))
-    a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-    assert np.allclose(
-        enhance_consensus(w, a + b),
-        enhance_consensus(w, a) + enhance_consensus(w, b),
-        atol=1e-6,
-    )
-
-
-def test_enhance_shape_error():
-    with pytest.raises(ShapeError):
-        enhance_consensus(np.eye(3), np.ones((4, 2)))
+    state = init_client(seed=4, d=2, M=3, dtype=np.float64)
+    for net in (rigged_net(rng.normal(size=(2, 2))), state.transfer_net):
+        state.transfer_net = net
+        trace = forward_pass(state, np.array([0, 2]))
+        for j in range(3):
+            assert np.allclose(trace.C_E.data[j], trace.W.data @ state.global_table[j], atol=1e-12)
 
 
 def test_fuse_cases():
-    c_e = np.random.default_rng(3).normal(size=(3, 2))
-    assert np.array_equal(fuse(c_e, np.zeros_like(c_e)), c_e)
-    assert np.array_equal(fuse(c_e, -c_e), np.zeros_like(c_e))
-    v = np.random.default_rng(4).normal(size=(3, 2))
-    assert np.array_equal(fuse(c_e, v), fuse(v, c_e))
-    with pytest.raises(ShapeError):
-        fuse(c_e, np.ones((2, 2)))
-
-
-def test_predict_cases():
-    assert predict(np.zeros(2), np.ones(2)) == pytest.approx(0.5)
-    assert predict(np.array([1.0, 2.0]), np.array([0.5, -0.25])) == pytest.approx(0.5)
-    assert predict(np.array([40.0]), np.array([1.0])) == pytest.approx(1.0, abs=1e-12)
-    assert np.isfinite(predict(np.array([1000.0]), np.array([1.0])))
-
-
-def test_predict_monotone_in_dot():
-    rng = np.random.default_rng(5)
-    u = rng.normal(size=4)
-    vs = [rng.normal(size=4) for _ in range(20)]
-    dots = [float(u @ v) for v in vs]
-    preds = [predict(u, v) for v in vs]
-    order = np.argsort(dots)
-    assert all(preds[order[i]] <= preds[order[i + 1]] for i in range(len(order) - 1))
+    # V_F is the enhanced shared table plus the personal table, for every
+    # kind that keeps V as it is; a client without V scores its own table
+    state = init_client(seed=3, d=4, M=6, dtype=np.float64)
+    state.transfer_net.weights[-1] = np.random.default_rng(2).normal(0, 0.4, (16, 16))
+    pos = np.array([1, 4])
+    trace = forward_pass(state, pos, enhancement="ace")
+    assert np.array_equal(trace.V_F.data, trace.C_E.data + state.personal_table)
+    trace = forward_pass(state, pos, enhancement="none")
+    assert np.array_equal(trace.C_E.data, state.global_table)
+    assert np.array_equal(trace.V_F.data, state.global_table + state.personal_table)
+    row_state = init_client(seed=3, d=4, M=6, dtype=np.float64, enhancement="consensus-transfer")
+    trace = forward_pass(row_state, pos, enhancement="consensus-transfer")
+    assert np.array_equal(trace.V_F.data, trace.C_E.data + row_state.personal_table)
+    single = init_client(seed=3, d=4, M=6, dtype=np.float64, enhancement="none")
+    single.personal_table = None
+    trace = forward_pass(single, pos, enhancement="none")
+    assert np.array_equal(trace.V_F.data, single.global_table)
 
 
 def test_init_client_deterministic():
@@ -186,16 +164,12 @@ def test_init_client_shapes():
 
 def test_initial_transfer_matrix_is_small():
     state = init_client(seed=13, d=32, M=10, dtype=np.float64)
-    p_g, p_p = compute_prototypes(state, np.arange(5))
-    w = generate_transfer_matrix(state.transfer_net, p_g, p_p)
-    assert np.linalg.norm(w) < 0.1
+    assert np.linalg.norm(forward_pass(state, np.arange(5)).W.data) < 0.1
 
 
 def test_identity_init_starts_near_identity():
     state = init_client(seed=13, d=8, M=10, dtype=np.float64, ace_init="identity")
-    p_g, p_p = compute_prototypes(state, np.arange(4))
-    w = generate_transfer_matrix(state.transfer_net, p_g, p_p)
-    assert np.linalg.norm(w - np.eye(8)) < 0.1
+    assert np.linalg.norm(forward_pass(state, np.arange(4)).W.data - np.eye(8)) < 0.1
 
 
 def test_identity_rigged_net_reduces_to_additive_fusion():
