@@ -141,10 +141,13 @@ class HyperParams:
                 key = config_key(self.__dataclass_fields__[name], "training")
                 raise ConfigurationError(f"{key} {rule}, got {getattr(self, name)!r}")
 
-        for name in ("rounds", "local_iters", "dim", "eval_interval", "top_k"):
+        for name in ("rounds", "local_iters", "dim", "batch_size", "eval_interval", "top_k", "rbo_k"):
             require(getattr(self, name) >= 1, name, "must be >= 1")
+        require(self.negatives_per_positive >= 0, "negatives_per_positive", "must be >= 0")
         require(0.0 < self.client_fraction <= 1.0, "client_fraction", "must lie in (0, 1]")
+        require(0.0 < self.rbo_p < 1.0, "rbo_p", "must lie in (0, 1)")
         require(self.lr > 0.0, "lr", "must be positive")
+        require(self.lr_gamma > 0.0, "lr_gamma", "must be positive")
         require(self.eq12_mode in EQ12_MODES, "eq12_mode", f"must be one of {EQ12_MODES}")
         require(self.ace_init in ("zero", "identity"), "ace_init", "must be zero or identity")
         require(self.dtype in ("float32", "float64"), "dtype", "must be float32 or float64")

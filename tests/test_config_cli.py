@@ -241,6 +241,11 @@ def test_cli_run_and_exit_codes(cfg_path, tmp_path, capsys):
         ("eval.interval", "0"),
         ("training.transfer_layers", "3,4"),
         ("eval.top_k", "0"),
+        ("training.batch_size", "0"),
+        ("training.negatives_per_positive", "-1"),
+        ("training.lr_gamma", "-1"),
+        ("eval.rbo_k", "0"),
+        ("eval.rbo_p", "1.5"),
     ):
         assert main(["run", "--config", cfg_path, f"--{key}", value]) == 2
         assert key in capsys.readouterr().err
