@@ -12,14 +12,19 @@ Run: python demos/02_enhancement_forward_pass.py
 import numpy as np
 
 from fed3cr import forward_pass, init_client
+from fed3cr.model import init_client_net
 
 d, num_items = 8, 12
 state = init_client(seed=42, d=d, M=num_items, client_id=0, dtype=np.float64)
+# the server's blocks: the shared table and the transfer net
+rng = np.random.default_rng(42)
+table = rng.normal(0.0, 0.01, size=(num_items, d))
+net = init_client_net(rng, d, (2, 4), dtype=np.float64)
 positives = np.array([0, 3, 5, 9])
 
 print(f"client with {num_items} items, dimension {d}, positives {positives.tolist()}\n")
 
-trace = forward_pass(state, positives)
+trace = forward_pass(state, table, net, positives)
 print("prototype from shared table   p_G:", np.round(trace.p_G.data, 4))
 print("prototype from personal table p_P:", np.round(trace.p_P.data, 4))
 
@@ -37,7 +42,7 @@ for j in range(4):
 
 print("\nWith the net's output layer started at the identity, W starts near I")
 print("and every enhanced row near its shared-table row:")
-near_identity = init_client(seed=42, d=d, M=num_items, client_id=0, dtype=np.float64, ace_init="identity")
-trace_i = forward_pass(near_identity, positives)
+near_identity = init_client_net(rng, d, (2, 4), ace_init="identity", dtype=np.float64)
+trace_i = forward_pass(state, table, near_identity, positives)
 print(f"|W - I|_F = {np.linalg.norm(trace_i.W.data - np.eye(d)):.5f}")
-print("max |C_E - C| =", float(np.abs(trace_i.C_E.data - near_identity.global_table).max()))
+print("max |C_E - C| =", float(np.abs(trace_i.C_E.data - table).max()))

@@ -10,6 +10,8 @@ Run: python demos/03_losses_and_gradients.py
 import numpy as np
 
 from fed3cr import (
+    ClientState,
+    TransferNet,
     consistency_loss,
     forward_pass,
     grad_check,
@@ -20,6 +22,7 @@ from fed3cr import (
     total_loss,
 )
 from fed3cr.losses import total_loss_t
+from fed3cr.model import init_client_net
 
 print("=== Recommendation BCE ===")
 print("coin-flip prediction on a positive:", round(rec_loss(np.array([0.5]), np.array([1])), 4))
@@ -45,8 +48,11 @@ print("tables with heavy overlap:", round(orthogonality_loss(shared, 0.7 * share
 
 print("\n=== Weighted total on a live forward pass ===")
 state = init_client(seed=5, d=4, M=6, dtype=np.float64)
+rng = np.random.default_rng(5)
+table = rng.normal(0, 0.01, (6, 4))  # the server's shared table and net
+net = init_client_net(rng, 4, (2, 4), dtype=np.float64)
 positives = np.array([0, 2, 4])
-trace = forward_pass(state, positives)
+trace = forward_pass(state, table, net, positives)
 items, labels = np.array([0, 1, 2, 3, 5]), np.array([1, 0, 1, 0, 0])
 parts = total_loss(trace, (items, labels), beta_a=0.5, beta_o=0.5)
 print(f"rec {parts.l_rec:.4f} + 0.5*consistency {parts.l_a:.4f} + 0.5*orthogonality {parts.l_o:.4f}"
@@ -56,31 +62,24 @@ print("\n=== Gradient audit (central differences vs the tape) ===")
 # condition the instance: tiny near-zero blocks make finite differences noisy
 rng = np.random.default_rng(9)
 state.user_embedding = rng.normal(0, 0.5, 4)
-state.global_table = rng.normal(0, 0.5, (6, 4))
+table = rng.normal(0, 0.5, (6, 4))
 state.personal_table = rng.normal(0, 0.5, (6, 4))
-state.transfer_net.weights[-1] = rng.normal(0, 0.3, state.transfer_net.weights[-1].shape)
+net.weights[-1] = rng.normal(0, 0.3, net.weights[-1].shape)
 
 
-def objective(s):
-    t = forward_pass(s, positives)
+blocks = {"u": state.user_embedding, "C": table, "V": state.personal_table}
+blocks.update({f"w{l}": w for l, w in enumerate(net.weights)})
+
+
+def objective(b):
+    client = ClientState(state.client_id, b["u"], b["V"])
+    t = forward_pass(client, b["C"], TransferNet([b["w0"], b["w1"]], net.biases), positives)
     return total_loss_t(t, items, labels, beta_a=0.5, beta_o=0.5)[0], t
 
 
-total_tensor, trace = objective(state)
+total_tensor, trace = objective(blocks)
 total_tensor.backward()
-for name in ("u", "C", "V", "w0", "w1"):
+for name in blocks:
     tensor = trace.params[name]
-
-    def f(p, name=name):
-        s2 = state.copy()
-        if name == "u":
-            s2.user_embedding = p
-        elif name == "C":
-            s2.global_table = p
-        elif name == "V":
-            s2.personal_table = p
-        else:
-            s2.transfer_net.weights[int(name[1:])] = p
-        return objective(s2)[0].item()
-
-    print(f"  block {name:2s}: {grad_check(f, tensor.data, tensor.grad)}")
+    report = grad_check(lambda p: objective({**blocks, name: p})[0].item(), tensor.data, tensor.grad)
+    print(f"  block {name:2s}: {report}")

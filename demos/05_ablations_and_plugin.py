@@ -6,7 +6,7 @@ onto a plain federated matrix-factorization baseline (label FedMF), where
 the downloaded table is treated as the consensus to enhance (FedMF+ACE).
 All of them run through the same training loop, `run_training`.
 
-Run: python demos/05_ablations_and_plugin.py  (about a minute)
+Run: python demos/05_ablations_and_plugin.py  (about half a minute)
 """
 
 import dataclasses

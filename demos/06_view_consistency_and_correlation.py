@@ -8,7 +8,7 @@ Two diagnostics on trained clients:
     entries zeroed: the orthogonality loss should empty it out compared to
     a distance-push alternative.
 
-Run: python demos/06_view_consistency_and_correlation.py  (about a minute)
+Run: python demos/06_view_consistency_and_correlation.py  (about ten seconds)
 """
 
 import dataclasses
@@ -50,10 +50,13 @@ with_l2 = run_training(ds, hp, l2_variant)
 
 def surviving_entries(result, variant, client_id):
     client = result.clients[client_id]
-    snap = dataclasses.replace(client)
-    snap.global_table = result.server.consensus.copy()
-    snap.transfer_net = result.server.theta.copy()
-    trace = forward_pass(snap, ds.client_items[client_id], enhancement=variant.enhancement_kind)
+    trace = forward_pass(
+        client,
+        result.server.consensus,
+        result.server.theta,
+        ds.client_items[client_id],
+        enhancement=variant.enhancement_kind,
+    )
     path = os.path.join(tempfile.mkdtemp(), f"corr_{client_id}.csv")
     matrix = export_correlation_matrix(trace.C_E.data, client.personal_table, path, clip=0.003)
     return int((matrix != 0).sum()), path

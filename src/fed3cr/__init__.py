@@ -54,7 +54,6 @@ from .losses import (
     consistency_loss,
     orthogonality_loss,
     rec_loss,
-    similarity_consistency_diagnostic,
     top_one_distribution,
     total_loss,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "save_client_state",
     "save_server_state",
     "select_clients",
-    "similarity_consistency_diagnostic",
     "top_one_distribution",
     "total_loss",
     "toy_example_report",

@@ -136,12 +136,6 @@ class Tensor:
     def __rmul__(self, other: ArrayLike) -> "Tensor":
         return mul(other, self)
 
-    def __truediv__(self, other: ArrayLike) -> "Tensor":
-        return div(self, other)
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return div(other, self)
-
     def __neg__(self) -> "Tensor":
         return mul(self, -1.0)
 
@@ -224,17 +218,6 @@ def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
         _edges=(
             (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
             (b, lambda g: _unbroadcast(g * a.data, b.data.shape)),
-        ),
-    )
-
-
-def div(a: ArrayLike, b: ArrayLike) -> Tensor:
-    a, b = _pair(a, b)
-    return Tensor(
-        a.data / b.data,
-        _edges=(
-            (a, lambda g: _unbroadcast(g / b.data, a.data.shape)),
-            (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)),
         ),
     )
 

@@ -43,27 +43,35 @@ def _write(path: str, meta: dict, blocks: list[tuple[str, np.ndarray]]) -> None:
 
 def _read(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
-        raw_len = fh.read(8)
-        if len(raw_len) != 8:
-            raise ParseError("truncated checkpoint header")
-        (header_len,) = struct.unpack("<Q", raw_len)
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        if header.get("version") != FORMAT_VERSION:
-            raise ParseError(f"unsupported checkpoint version {header.get('version')}")
-        dtype = np.dtype(header["dtype"])
-        arrays: dict[str, np.ndarray] = {}
-        for block in header["blocks"]:
-            shape = tuple(block["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * dtype.itemsize)
-            if len(buf) != count * dtype.itemsize:
-                raise ParseError(f"truncated payload for block {block['name']}")
-            arrays[block["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+        raw = fh.read()
+    if len(raw) < 8:
+        raise ParseError("truncated checkpoint header")
+    (header_len,) = struct.unpack_from("<Q", raw)
+    offset = 8 + header_len
+    if offset > len(raw):
+        raise ParseError("truncated checkpoint header")
+    try:
+        header = json.loads(raw[8:offset].decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise ParseError(f"unreadable checkpoint header: {exc}") from exc
+    if header.get("version") != FORMAT_VERSION:
+        raise ParseError(f"unsupported checkpoint version {header.get('version')}")
+    dtype = np.dtype(header["dtype"])
+    arrays: dict[str, np.ndarray] = {}
+    for block in header["blocks"]:
+        shape = tuple(block["shape"])
+        count = int(np.prod(shape)) if shape else 1
+        if offset + count * dtype.itemsize > len(raw):
+            raise ParseError(f"truncated payload for block {block['name']}")
+        arrays[block["name"]] = np.frombuffer(raw, dtype, count, offset).reshape(shape).copy()
+        offset += count * dtype.itemsize
+    if offset != len(raw):
+        raise ParseError(f"{len(raw) - offset} trailing bytes after the last block")
     return header, arrays
 
 
 def save_client_state(path: str, state: ClientState, seed: int, round: int) -> None:
-    """Write the client's private blocks; any shared blocks it holds are left out."""
+    """Write the client's private blocks."""
     blocks = [("user_embedding", state.user_embedding)]
     if state.personal_table is not None:
         blocks.append(("personal_table", state.personal_table))
@@ -71,15 +79,9 @@ def save_client_state(path: str, state: ClientState, seed: int, round: int) -> N
 
 
 def load_client_state(path: str) -> tuple[ClientState, dict]:
-    """Read a client checkpoint; returns (state with no shared blocks, header)."""
+    """Read a client checkpoint; returns (state, header)."""
     header, arrays = _read(path)
-    state = ClientState(
-        client_id=header["client_id"],
-        user_embedding=arrays["user_embedding"],
-        global_table=None,
-        personal_table=arrays.get("personal_table"),
-        transfer_net=None,
-    )
+    state = ClientState(header["client_id"], arrays["user_embedding"], arrays.get("personal_table"))
     return state, header
 
 

@@ -5,7 +5,8 @@ seed and split), `sweep` (one config key over a value list), `dataset
 stats` (ingestion statistics as JSON), and `degradation` (consensus-drift
 bound verification on synthetic fixtures). Exit codes: 0 ok, 2 configuration
 error, 3 data error, 4 runtime failure. The environment variable FED3CR_SEED
-overrides the configured seed.
+overrides the seed in the config file; a `--training.seed` override or a
+`sweep` value for `training.seed` overrides FED3CR_SEED.
 """
 
 from __future__ import annotations

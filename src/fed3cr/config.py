@@ -147,11 +147,18 @@ def _read_sectioned(path: str) -> dict[str, dict[str, str]]:
 
 
 def resolve_config(values: dict[str, dict], overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Merge the dotted overrides into `values`, cast and check every key,
-    fill in the defaults, and build the typed config. A string is parsed by
-    its key's caster, a list turned into a tuple, and any other value (as a
-    manifest holds) taken as it is."""
+    """Merge the seed in FED3CR_SEED and then the dotted overrides into
+    `values`, so an explicit override beats the environment, which beats
+    the file. Cast and check every key, fill in the defaults, and build the
+    typed config. A string is parsed by its key's caster, a list turned into
+    a tuple, and any other value (as a manifest holds) taken as it is."""
     raw = {section: dict(entries) for section, entries in values.items()}
+    env_seed = os.environ.get("FED3CR_SEED")
+    if env_seed is not None:
+        try:
+            raw.setdefault("training", {})["seed"] = int(env_seed)
+        except ValueError as exc:
+            raise ConfigurationError(f"FED3CR_SEED must be an integer, got {env_seed!r}") from exc
     for dotted, value in (overrides or {}).items():
         section, dot, key = dotted.partition(".")
         if not dot:
@@ -170,13 +177,6 @@ def resolve_config(values: dict[str, dict], overrides: dict[str, str] | None = N
                 full[section][key] = caster(value) if isinstance(value, (str, list, tuple)) else value
             except (ValueError, TypeError) as exc:
                 raise ConfigurationError(f"bad value for {section}.{key}: {exc}") from exc
-
-    env_seed = os.environ.get("FED3CR_SEED")
-    if env_seed is not None:
-        try:
-            full["training"]["seed"] = int(env_seed)
-        except ValueError as exc:
-            raise ConfigurationError(f"FED3CR_SEED must be an integer, got {env_seed!r}") from exc
 
     kwargs: dict[str, dict] = {"": {}, "hp": {}, "variant": {}}
     for (section, key), (holder, name) in _FIELDS.items():

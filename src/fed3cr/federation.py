@@ -295,21 +295,19 @@ def local_update(
 
     if variant.has_net and theta is None:
         raise ConfigurationError("variant requires transfer-net weights to download")
-    # Train on a working view: the client's own u and V, plus fresh copies of
-    # the shared blocks that become the upload. The copies never alias the
-    # server's arrays, and the frozen download stays as it came.
+    # Train fresh copies of the shared blocks; they become the upload, never
+    # alias the server's arrays, and leave the frozen download as it came.
     download = np.asarray(consensus, dtype=hp.np_dtype)
-    work = dataclasses.replace(
-        state,
-        global_table=download.copy(),
-        transfer_net=theta.copy() if variant.has_net else None,
-    )
+    table = download.copy()
+    net = theta.copy() if variant.has_net else None
 
     breakdowns = []
     for e in range(hp.local_iters):
         items, labels = sampler.sample_batch(state.client_id, hp.batch_size)
         trace = forward_pass(
-            work,
+            state,
+            table,
+            net,
             positives,
             enhancement=variant.enhancement_kind,
             ace_scale=hp.ace_scale,
@@ -348,7 +346,7 @@ def local_update(
             tensor.data -= (lr * scale * tensor.grad).astype(tensor.data.dtype, copy=False)
         breakdowns.append(breakdown)
 
-    upload = Upload(client_id=state.client_id, consensus=work.global_table, transfer_net=work.transfer_net)
+    upload = Upload(client_id=state.client_id, consensus=table, transfer_net=net)
     return upload, _mean_breakdown(breakdowns)
 
 
@@ -390,23 +388,27 @@ def evaluate_round(
     compute_rbo: bool = True,
 ) -> RoundMetrics:
     # Each client scores as it would after downloading the freshest shared
-    # blocks. Scoring only reads them, so all clients share one copy.
-    consensus = np.array(server.consensus, dtype=hp.np_dtype)
-    theta = server.theta.copy() if variant.has_net and server.theta is not None else None
+    # blocks. Scoring only reads them, so every client reads the server's.
     hrs, ndcgs, rbos = [], [], []
     for client in clients:
         positives = ds.client_items[client.client_id]
         if len(positives) == 0:
             continue
-        snap = dataclasses.replace(client, global_table=consensus, transfer_net=theta)
-        trace = forward_pass(snap, positives, enhancement=variant.enhancement_kind, ace_scale=hp.ace_scale)
-        ranked = rank_candidates(snap.user_embedding, trace.V_F.data, candidates[client.client_id])
+        trace = forward_pass(
+            client,
+            server.consensus,
+            server.theta,
+            positives,
+            enhancement=variant.enhancement_kind,
+            ace_scale=hp.ace_scale,
+        )
+        ranked = rank_candidates(client.user_embedding, trace.V_F.data, candidates[client.client_id])
         hr, ndcg = hr_ndcg_at_k(ranked, ds.test_items[client.client_id], hp.top_k)
         hrs.append(hr)
         ndcgs.append(ndcg)
         if compute_rbo and variant.personal_table:
             k = min(hp.rbo_k, ds.num_items)
-            rbos.append(view_consistency_rbo(snap, trace, k, hp.rbo_p))
+            rbos.append(view_consistency_rbo(client, trace, k, hp.rbo_p))
     return RoundMetrics(
         round=round,
         hr_at_k=float(np.mean(hrs)),
@@ -438,21 +440,7 @@ def run_training(
 
     clients = []
     for c in range(ds.num_clients):
-        client = init_client(
-            hp.seed,
-            hp.dim,
-            ds.num_items,
-            schedule=hp.transfer_schedule,
-            client_id=c,
-            dtype=hp.np_dtype,
-            ace_init=hp.ace_init,
-            enhancement=variant.enhancement_kind,
-        )
-        # The server owns the shared table and the net; a client keeps only
-        # its private blocks. Dropping the rest here, one client at a time,
-        # leaves init_client's draws (and so V's RNG stream) as they were.
-        client.global_table = None
-        client.transfer_net = None
+        client = init_client(hp.seed, hp.dim, ds.num_items, client_id=c, dtype=hp.np_dtype)
         if not variant.personal_table:
             client.personal_table = None
         clients.append(client)

@@ -181,27 +181,6 @@ def orthogonality_loss(c_e: np.ndarray, v: np.ndarray) -> float:
     return _orthogonality_t(ad.as_tensor(c_e), ad.as_tensor(v)).item()
 
 
-def similarity_consistency_diagnostic(c_e: np.ndarray, v: np.ndarray) -> float:
-    """Frobenius distance between the row-cosine Gram matrices of the two tables.
-
-    Diagnostic only; the training objective uses the ranking-based
-    consistency term instead.
-    """
-    c_e, v = np.asarray(c_e, dtype=np.float64), np.asarray(v, dtype=np.float64)
-    if c_e.shape != v.shape:
-        raise ShapeError(f"table shapes differ: {c_e.shape} vs {v.shape}")
-
-    def cosine_gram(table: np.ndarray) -> np.ndarray:
-        norms = np.linalg.norm(table, axis=1)
-        if (norms == 0).any():
-            warnings.warn("zero-norm rows in table; treated as zero vectors", DegenerateInputWarning)
-        safe = np.where(norms == 0, 1.0, norms)
-        unit = table / safe[:, None]
-        return unit @ unit.T
-
-    return float(np.linalg.norm(cosine_gram(c_e) - cosine_gram(v), "fro"))
-
-
 # -- combined objective --------------------------------------------------------------
 
 

@@ -1,14 +1,13 @@
 """Client-side parameters and the consensus-enhancement forward pass.
 
-A client trains four blocks: its user embedding, a working copy of the
-shared (global) item table, a private personal item table, and the weights
-of a small fully connected net that turns the client's two preference
-prototypes into a d x d transfer matrix. The shared table and the net belong
-to the server; a client holds copies of them only while it trains or
-scores. Scoring fuses the transformed global table with the personal one
-additively. A federated-MF client has no personal table: its trained shared
-table takes the personal role, and the table as downloaded takes the global
-one.
+A client owns two private blocks: its user embedding and a personal item
+table. The shared (global) item table and the weights of a small fully
+connected net, which turns the client's two preference prototypes into a
+d x d transfer matrix, belong to the server; whoever trains or scores passes
+them to `forward_pass` next to the client. Scoring fuses the transformed
+global table with the personal one additively. A federated-MF client has no
+personal table: the shared table it trains takes the personal role, and the
+table as downloaded takes the global one.
 """
 
 from __future__ import annotations
@@ -39,26 +38,11 @@ class TransferNet:
     biases: list[np.ndarray]
 
     @property
-    def in_dim(self) -> int:
-        return self.weights[0].shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[0]
-
-    @property
     def layer_shapes(self) -> tuple[tuple[int, int], ...]:
         return tuple(w.shape for w in self.weights)
 
     def copy(self) -> "TransferNet":
         return TransferNet([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-    def flatten(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.reshape(-1))
-            parts.append(b)
-        return np.concatenate(parts)
 
 
 def init_transfer_net(
@@ -119,32 +103,12 @@ def net_forward_rows(params: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
 
 @dataclass
 class ClientState:
-    """The parameter blocks one client trains with.
-
-    Between rounds of a federated run a client keeps only its private blocks
-    (`user_embedding` and `personal_table`); the shared table and the net are
-    None there and are filled with working copies of the download for the
-    length of one local update or one evaluation.
-    """
+    """What a client owns: its user embedding and its personal item table
+    (None for a federated-MF client, which trains the shared table only)."""
 
     client_id: int
     user_embedding: np.ndarray
-    global_table: np.ndarray | None
     personal_table: np.ndarray | None
-    transfer_net: TransferNet | None
-
-    @property
-    def dim(self) -> int:
-        return self.user_embedding.shape[0]
-
-    def copy(self) -> "ClientState":
-        return ClientState(
-            self.client_id,
-            self.user_embedding.copy(),
-            self.global_table.copy() if self.global_table is not None else None,
-            self.personal_table.copy() if self.personal_table is not None else None,
-            self.transfer_net.copy() if self.transfer_net is not None else None,
-        )
 
 
 @dataclass
@@ -160,32 +124,16 @@ class ForwardTrace:
     params: dict = field(repr=False, default_factory=dict)
 
 
-def init_client(
-    seed: int,
-    d: int,
-    M: int,
-    schedule: tuple[int, ...] = (2, 4),
-    client_id: int = 0,
-    dtype=np.float32,
-    ace_init: str = "zero",
-    enhancement: str = "ace",
-) -> ClientState:
-    """Seeded client construction; identical (seed, client_id) gives identical state.
-
-    Embeddings draw from Normal(0, 0.01). `schedule` lists layer widths as
-    multiples of d starting at the mandatory input width 2*d; the output
-    layer (d*d units) is appended automatically.
-    """
+def init_client(seed: int, d: int, M: int, client_id: int = 0, dtype=np.float32) -> ClientState:
+    """Seeded client construction; identical (seed, client_id) gives identical
+    state. Both blocks draw from Normal(0, 0.01)."""
     if d < 1 or M < 1:
         raise ValueError("d and M must be positive")
-    if enhancement not in ENHANCEMENT_KINDS:
-        raise ValueError(f"unknown enhancement kind {enhancement!r}")
     rng = seeding.rng(seed, seeding.CLIENT_INIT, client_id)
     u = rng.normal(0.0, 0.01, size=d).astype(dtype)
-    c = rng.normal(0.0, 0.01, size=(M, d)).astype(dtype)
+    rng.normal(0.0, 0.01, size=(M, d))  # discarded, but V's values (so every seeded output) depend on it
     v = rng.normal(0.0, 0.01, size=(M, d)).astype(dtype)
-    net = init_client_net(rng, d, schedule, ace_init=ace_init, enhancement=enhancement, dtype=dtype)
-    return ClientState(client_id, u, c, v, net)
+    return ClientState(client_id, u, v)
 
 
 def init_client_net(
@@ -196,7 +144,11 @@ def init_client_net(
     enhancement: str = "ace",
     dtype=np.float32,
 ) -> TransferNet | None:
-    """Net constructor shared by clients and the server-side initializer."""
+    """The server's transfer net for an enhancement kind (None for "none").
+
+    `schedule` lists layer widths as multiples of d starting at the mandatory
+    input width 2*d; the output layer (d*d units) is appended automatically.
+    """
     if enhancement == "none":
         return None
     if enhancement == "ace":
@@ -233,43 +185,48 @@ def init_row_net(rng: np.random.Generator, d: int, hidden: int, dtype=np.float32
 
 
 def forward_pass(
-    state: ClientState,
+    client: ClientState,
+    table: np.ndarray,
+    net: TransferNet | None,
     positives: np.ndarray,
+    *,
     enhancement: str = "ace",
     ace_scale: float = 1.0,
     consensus: np.ndarray | None = None,
 ) -> ForwardTrace:
-    """Build the differentiable graph from the client's parameter blocks.
+    """Build the differentiable graph from the client's private blocks, the
+    shared table `table` and the net `net` (ignored when `enhancement` is
+    "none").
 
     The returned trace's `params` dict holds the trainable leaf tensors
-    ("u", "C", "V" and per-layer "w{l}"/"b{l}"); after a backward pass their
-    `.grad` fields drive the SGD update.
+    ("u", "C" for `table`, "V" and per-layer "w{l}"/"b{l}"); after a
+    backward pass their `.grad` fields drive the SGD update.
 
     A client without a personal table trains "u", "C" and the net only. Its
     trained table "C" takes the personal role (V_F = C with no enhancement),
-    and `consensus`, the frozen download (default: the current shared
-    table), takes the global role: V_F = C + consensus W^T.
+    and `consensus`, the frozen download (default: `table`), takes the
+    global role: V_F = C + consensus W^T.
     """
     if enhancement not in ENHANCEMENT_KINDS:
         raise ValueError(f"unknown enhancement kind {enhancement!r}")
     positives = np.asarray(positives)
     if positives.size == 0:
-        raise DataError(f"client {state.client_id} has no positives")
+        raise DataError(f"client {client.client_id} has no positives")
 
-    d = state.dim
-    u_t = ad.parameter(state.user_embedding)
-    c_t = ad.parameter(state.global_table)
+    d = table.shape[1]
+    u_t = ad.parameter(client.user_embedding)
+    c_t = ad.parameter(table)
     params: dict = {"u": u_t, "C": c_t}
-    single = state.personal_table is None
+    single = client.personal_table is None
     if single:
         v_t = c_t
-        c_t = ad.as_tensor(state.global_table if consensus is None else consensus)
+        c_t = ad.as_tensor(table if consensus is None else consensus)
     else:
-        v_t = params["V"] = ad.parameter(state.personal_table)
+        v_t = params["V"] = ad.parameter(client.personal_table)
 
     theta: list[tuple[Tensor, Tensor]] = []
-    if state.transfer_net is not None and enhancement != "none":
-        for l, (w, b) in enumerate(zip(state.transfer_net.weights, state.transfer_net.biases)):
+    if net is not None and enhancement != "none":
+        for l, (w, b) in enumerate(zip(net.weights, net.biases)):
             w_t, b_t = ad.parameter(w), ad.parameter(b)
             params[f"w{l}"] = w_t
             params[f"b{l}"] = b_t

@@ -87,11 +87,6 @@ def generate_toy_dataset(
     )
 
 
-def client_block(client: int, num_clients: int, num_blocks: int) -> int:
-    """Block index a client belongs to under the generator's layout."""
-    return client // (num_clients // num_blocks)
-
-
 def write_toy_dataset_csv(path: str, **kwargs) -> InteractionDataset:
     """Materialize the toy dataset as a CSV usable by the standard loader.
 

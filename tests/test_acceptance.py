@@ -32,8 +32,7 @@ from fed3cr.losses import (
     total_loss,
     total_loss_t,
 )
-from fed3cr.model import forward_pass, init_client
-from fed3cr.numerics import grad_check
+from fed3cr.model import forward_pass, init_client, init_client_net
 from fed3cr.toy import generate_toy_dataset
 
 SEED = 0
@@ -108,45 +107,25 @@ def test_criterion_1_movielens_ingestion_fidelity():
     )
 
 
-def test_criterion_2_gradient_correctness():
+def test_criterion_2_gradient_correctness(block_grad_check):
     t0 = time.perf_counter()
     state = init_client(seed=7, d=4, M=6, dtype=np.float64)
     rng = np.random.default_rng(99)
     state.user_embedding = rng.normal(0, 0.5, 4)
-    state.global_table = rng.normal(0, 0.5, (6, 4))
+    table = rng.normal(0, 0.5, (6, 4))
     state.personal_table = rng.normal(0, 0.5, (6, 4))
-    state.transfer_net.weights[-1] = rng.normal(0, 0.3, state.transfer_net.weights[-1].shape)
-    state.transfer_net.biases[-1] = rng.normal(0, 0.3, state.transfer_net.biases[-1].shape)
+    net = init_client_net(rng, 4, (2, 4), dtype=np.float64)
+    net.weights[-1] = rng.normal(0, 0.3, net.weights[-1].shape)
+    net.biases[-1] = rng.normal(0, 0.3, net.biases[-1].shape)
     positives = np.array([0, 2, 4])
     items = np.array([0, 1, 2, 3, 5])
     labels = np.array([1, 0, 1, 0, 0])
 
-    def objective(s):
-        trace = forward_pass(s, positives, enhancement="ace")
+    def objective(client, table, net):
+        trace = forward_pass(client, table, net, positives, enhancement="ace")
         return total_loss_t(trace, items, labels, beta_a=0.7, beta_o=0.4)[0], trace
 
-    total, trace = objective(state)
-    total.backward()
-
-    worst = 0.0
-    for name, tensor in trace.params.items():
-        def f(p, name=name):
-            s2 = state.copy()
-            if name == "u":
-                s2.user_embedding = p
-            elif name == "C":
-                s2.global_table = p
-            elif name == "V":
-                s2.personal_table = p
-            elif name.startswith("w"):
-                s2.transfer_net.weights[int(name[1:])] = p
-            else:
-                s2.transfer_net.biases[int(name[1:])] = p
-            return objective(s2)[0].item()
-
-        result = grad_check(f, tensor.data, tensor.grad, eps=1e-5, rtol=1e-4)
-        worst = max(worst, result.max_rel_error)
-        assert result.passed, (name, result)
+    _, worst = block_grad_check(state, table, net, objective, eps=1e-5, rtol=1e-4)
     elapsed = time.perf_counter() - t0
     report(2, elapsed < 10.0, f"all parameter blocks pass at rtol 1e-4 (worst {worst:.2e}) in {elapsed:.1f}s")
 
@@ -157,7 +136,9 @@ def test_criterion_3_loss_unit_values():
     o = orthogonality_loss(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
 
     state = init_client(seed=3, d=4, M=6, dtype=np.float64)
-    trace = forward_pass(state, np.array([0, 1, 2]), enhancement="ace")
+    rng = np.random.default_rng(3)
+    table = rng.normal(0, 0.01, (6, 4))
+    trace = forward_pass(state, table, init_client_net(rng, 4, (2, 4), dtype=np.float64), np.array([0, 1, 2]))
     b = total_loss(trace, (np.array([0, 3, 4]), np.array([1, 0, 0])), beta_a=1.0, beta_o=1.0)
     composed = abs(b.total - (b.l_rec + b.l_a + b.l_o))
 
@@ -236,11 +217,12 @@ def _large_correlation_entries(result, variant):
     ds = toy_split()
     total = 0
     for client in result.clients:
-        snap = dataclasses.replace(client)
-        snap.global_table = result.server.consensus.copy()
-        snap.transfer_net = result.server.theta.copy() if result.server.theta else None
         trace = forward_pass(
-            snap, ds.client_items[client.client_id], enhancement=variant.enhancement_kind
+            client,
+            result.server.consensus,
+            result.server.theta,
+            ds.client_items[client.client_id],
+            enhancement=variant.enhancement_kind,
         )
         corr = correlation_matrix(trace.C_E.data, client.personal_table, clip=0.003)
         total += int((corr != 0).sum())

@@ -82,6 +82,25 @@ def test_env_seed_override(cfg_path, monkeypatch):
     assert load_config(cfg_path).hp.seed == 3
 
 
+def test_explicit_seed_override_beats_env_seed(cfg_path, tmp_path, monkeypatch, capsys):
+    # file < FED3CR_SEED < --training.seed
+    monkeypatch.setenv("FED3CR_SEED", "5")
+    assert load_config(cfg_path, {"training.seed": "1"}).hp.seed == 1
+    out = str(tmp_path / "run")
+    assert main(["run", "--config", cfg_path, "--out", out, "--training.seed", "1"]) == 0
+    assert json.load(open(os.path.join(out, "manifest.json")))["training"]["seed"] == 1
+
+
+def test_sweep_over_seed_beats_env_seed(cfg_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FED3CR_SEED", "5")
+    out = str(tmp_path / "sw")
+    argv = ["sweep", "--config", cfg_path, "--param", "training.seed", "--values", "1", "2", "--out", out]
+    assert main(argv) == 0
+    for value in (1, 2):
+        manifest = json.load(open(os.path.join(out, f"training.seed_{value}", "manifest.json")))
+        assert manifest["training"]["seed"] == value
+
+
 def test_variant_explicit_flags_override_label(tmp_path):
     path = tmp_path / "v.cfg"
     path.write_text("[variant]\nlabel = Fed3CR\ncomplementarity = l2-distance\n")

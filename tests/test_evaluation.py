@@ -129,32 +129,33 @@ def test_rbo_rejects_duplicates_and_bad_lengths():
         rbo_truncated([1, 2], [1, 2, 3], 0.5)
 
 
-def test_view_rbo_identical_views():
+def test_view_rbo_identical_views(shared_blocks):
     state = init_client(seed=0, d=4, M=10, dtype=np.float64)
-    state.personal_table = state.global_table.copy()
+    table, _ = shared_blocks(0, 4, 10)
+    state.personal_table = table.copy()
     # identity transfer: C_E == C == V so both views score identically
     from tests.test_model import rigged_identity_net
 
-    state.transfer_net = rigged_identity_net(4)
-    trace = forward_pass(state, np.array([0, 1]), enhancement="ace")
+    trace = forward_pass(state, table, rigged_identity_net(4), np.array([0, 1]), enhancement="ace")
     assert view_consistency_rbo(state, trace, k_prime=10, p=0.9) == pytest.approx(1.0)
 
 
 def test_view_rbo_antithetical_views_near_zero():
     m, d = 50, 2
-    state = init_client(seed=1, d=d, M=m, dtype=np.float64, enhancement="none")
+    state = init_client(seed=1, d=d, M=m, dtype=np.float64)
     state.user_embedding = np.array([1.0, 0.0])
     scores = np.linspace(1, 2, m)
     state.personal_table = np.stack([scores, np.zeros(m)], axis=1)
-    state.global_table = np.stack([scores[::-1], np.zeros(m)], axis=1)
-    trace = forward_pass(state, np.array([0, 1]), enhancement="none")
+    table = np.stack([scores[::-1], np.zeros(m)], axis=1)
+    trace = forward_pass(state, table, None, np.array([0, 1]), enhancement="none")
     assert view_consistency_rbo(state, trace, k_prime=m, p=0.5) < 0.01
 
 
-def test_view_rbo_matches_direct_oracle():
+def test_view_rbo_matches_direct_oracle(shared_blocks):
     state = init_client(seed=2, d=4, M=30, dtype=np.float64)
-    state.transfer_net.weights[-1] = np.random.default_rng(5).normal(0, 0.4, (16, 16))
-    trace = forward_pass(state, np.array([0, 3, 7]), enhancement="ace")
+    table, net = shared_blocks(2, 4, 30)
+    net.weights[-1] = np.random.default_rng(5).normal(0, 0.4, (16, 16))
+    trace = forward_pass(state, table, net, np.array([0, 3, 7]), enhancement="ace")
     got = view_consistency_rbo(state, trace, k_prime=10, p=0.9)
     personal = top_k_list(state.user_embedding, state.personal_table, 10)
     global_view = top_k_list(state.user_embedding, trace.C_E.data, 10)

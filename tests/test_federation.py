@@ -18,7 +18,7 @@ from fed3cr.federation import (
     run_training,
     select_clients,
 )
-from fed3cr.model import TransferNet, init_client
+from fed3cr.model import ClientState, TransferNet, forward_pass, init_client, init_client_net
 from fed3cr.toy import generate_toy_dataset
 
 TOY = leave_one_out_split(generate_toy_dataset(seed=0), seed=0)
@@ -38,6 +38,14 @@ class KeepingChannel(UploadChannel):
 
 def net_arrays(net):
     return [] if net is None else net.weights + net.biases
+
+
+def flat(net):
+    return np.concatenate([a.ravel() for a in net_arrays(net)])
+
+
+def make_net(seed, d, schedule=(2, 4), dtype=np.float32):
+    return init_client_net(np.random.default_rng(seed), d, schedule, dtype=dtype)
 
 
 FAST = HyperParams(
@@ -106,7 +114,7 @@ def test_aggregate_consensus_norm_convexity():
 
 
 def test_aggregate_theta_cases():
-    net = init_client(seed=0, d=4, M=3).transfer_net
+    net = make_net(0, 4)
     single = aggregate_theta([net])
     for w1, w2 in zip(single.weights, net.weights):
         assert np.array_equal(w1, w2)
@@ -118,15 +126,15 @@ def test_aggregate_theta_cases():
 
 
 def test_aggregate_theta_matches_flat_mean_oracle():
-    nets = [init_client(seed=s, d=3, M=2).transfer_net for s in range(3)]
+    nets = [make_net(s, 3) for s in range(3)]
     merged = aggregate_theta(nets)
-    oracle = np.mean([n.flatten() for n in nets], axis=0)
-    assert np.allclose(merged.flatten(), oracle, atol=1e-7)
+    oracle = np.mean([flat(n) for n in nets], axis=0)
+    assert np.allclose(flat(merged), oracle, atol=1e-7)
 
 
 def test_aggregate_theta_schedule_mismatch():
-    a = init_client(seed=0, d=4, M=3, schedule=(2, 4)).transfer_net
-    b = init_client(seed=0, d=4, M=3, schedule=(2, 4, 8)).transfer_net
+    a = make_net(0, 4, (2, 4))
+    b = make_net(0, 4, (2, 4, 8))
     with pytest.raises(ConfigurationError):
         aggregate_theta([a, b])
 
@@ -145,7 +153,7 @@ def test_local_update_lr_zero_is_noop():
     state = init_client(0, hp.dim, TOY.num_items, client_id=0)
     sampler = NegativeSampler(TOY, seed=0)
     consensus = np.random.default_rng(2).normal(0, 0.01, (TOY.num_items, hp.dim)).astype(np.float32)
-    theta = init_client(1, hp.dim, TOY.num_items, client_id=0).transfer_net
+    theta = make_net(1, hp.dim)
     upload, _ = local_update(state, consensus, theta, sampler, hp, VariantConfig.from_label("Fed3CR"))
     assert np.allclose(upload.consensus, consensus, atol=1e-12)
     for w1, w2 in zip(upload.transfer_net.weights, theta.weights):
@@ -168,7 +176,7 @@ def test_local_update_single_item_matches_one_step_sgd_oracle():
         item_index={"a": 0, "b": 1},
     )
     hp = HyperParams(rounds=1, local_iters=1, dim=3, lr=0.5, lr_gamma=1.0, seed=0, dtype="float64")
-    state = init_client(0, 3, 2, dtype=np.float64, enhancement="none")
+    state = init_client(0, 3, 2, dtype=np.float64)
     u0 = state.user_embedding.copy()
     v0 = state.personal_table.copy()
     consensus = np.random.default_rng(5).normal(0, 0.01, (2, 3))
@@ -197,7 +205,7 @@ def test_identical_clients_consensus_equals_single_upload():
     hp = FAST
     variant = VariantConfig.from_label("Fed3CR")
     consensus = np.random.default_rng(0).normal(0, 0.01, (TOY.num_items, hp.dim)).astype(np.float32)
-    theta = init_client(1, hp.dim, TOY.num_items, client_id=0).transfer_net
+    theta = make_net(1, hp.dim)
     uploads = []
     for _ in range(3):  # same client id -> same data, same init, same rng stream
         state = init_client(0, hp.dim, TOY.num_items, client_id=0)
@@ -219,16 +227,16 @@ def test_run_training_single_client_consensus_is_upload():
     assert len(channel.uploads) == 1
     upload = channel.uploads[0]
     assert np.allclose(result.server.consensus, upload.consensus, atol=1e-7)
-    assert np.allclose(result.server.theta.flatten(), upload.transfer_net.flatten(), atol=1e-7)
+    assert np.allclose(flat(result.server.theta), flat(upload.transfer_net), atol=1e-7)
 
 
 @pytest.mark.parametrize("label", ["Fed3CR", "C0", "FedMF", "FedMF+ACE"])
 def test_clients_keep_only_private_blocks_after_run_training(label):
+    # the type holds no slot for a shared block
+    assert {f.name for f in dataclasses.fields(ClientState)} == {"client_id", "user_embedding", "personal_table"}
     variant = VariantConfig.from_label(label)
     result = run_training(TOY, dataclasses.replace(FAST, rounds=1), variant)
     for client in result.clients:
-        assert client.global_table is None
-        assert client.transfer_net is None
         assert client.user_embedding is not None
         assert (client.personal_table is not None) == variant.personal_table
 
@@ -320,24 +328,24 @@ def test_enhancement_kinds_preserve_shapes():
         hp = dataclasses.replace(FAST, rounds=1)
         result = run_training(TOY, hp, variant)
         assert result.server.consensus.shape == (TOY.num_items, hp.dim)
-        assert result.server.theta.in_dim == hp.dim
-        assert result.server.theta.out_dim == hp.dim
+        assert result.server.theta.layer_shapes[0][1] == hp.dim
+        assert result.server.theta.layer_shapes[-1][0] == hp.dim
 
 
 def test_identity_rigged_row_net_reduces_to_additive_fusion():
-    from fed3cr.model import forward_pass, init_row_net
+    from fed3cr.model import init_row_net
     import fed3cr.seeding as seeding
 
-    state = init_client(0, 4, 6, dtype=np.float64, enhancement="consensus-transfer")
+    state = init_client(0, 4, 6, dtype=np.float64)
+    table = np.random.default_rng(0).normal(0, 0.01, (6, 4))
     # exact identity: strip the init noise
     net = init_row_net(seeding.rng(0, 99), 4, 8, dtype=np.float64)
     net.weights[0] = np.concatenate([np.eye(4), -np.eye(4)])
     net.weights[1] = np.concatenate([np.eye(4), -np.eye(4)], axis=1)
-    state.transfer_net = net
-    trace = forward_pass(state, np.array([0, 1]), enhancement="consensus-transfer")
-    assert np.allclose(trace.V_F.data, state.global_table + state.personal_table, atol=1e-12)
-    trace_u = forward_pass(state, np.array([0, 1]), enhancement="unified-transfer")
-    assert np.allclose(trace_u.V_F.data, state.global_table + state.personal_table, atol=1e-12)
+    trace = forward_pass(state, table, net, np.array([0, 1]), enhancement="consensus-transfer")
+    assert np.allclose(trace.V_F.data, table + state.personal_table, atol=1e-12)
+    trace_u = forward_pass(state, table, net, np.array([0, 1]), enhancement="unified-transfer")
+    assert np.allclose(trace_u.V_F.data, table + state.personal_table, atol=1e-12)
 
 
 def test_fedmf_plain_and_plugin_shapes():
@@ -356,28 +364,27 @@ def test_fedmf_plain_and_plugin_shapes():
 def test_fedmf_zero_net_scores_match_plain_exactly():
     # FedMF+ACE with the net's last layer zeroed scores with the trained
     # shared table alone, exactly as plain FedMF does
-    from fed3cr.model import forward_pass
-
     d, m = 8, 20
     state = init_client(0, d, m, dtype=np.float64)
     state.personal_table = None
-    state.transfer_net.weights[-1][:] = 0.0
+    table = np.random.default_rng(0).normal(0, 0.01, (m, d))
+    net = make_net(1, d, dtype=np.float64)
+    net.weights[-1][:] = 0.0
     download = np.random.default_rng(3).normal(size=(m, d))
     pos = np.array([1, 5])
-    plugin = forward_pass(state, pos, enhancement="ace", consensus=download)
-    plain = forward_pass(state, pos, enhancement="none", consensus=download)
+    plugin = forward_pass(state, table, net, pos, enhancement="ace", consensus=download)
+    plain = forward_pass(state, table, net, pos, enhancement="none", consensus=download)
     assert np.array_equal(plugin.W.data, np.zeros((d, d)))
-    assert np.array_equal(plugin.V_F.data, state.global_table)
-    assert np.array_equal(plain.V_F.data, state.global_table)
+    assert np.array_equal(plugin.V_F.data, table)
+    assert np.array_equal(plain.V_F.data, table)
     # the frozen download is the consensus view, the trained table the local one
     assert np.allclose(plugin.p_G.data, download[pos].mean(axis=0), atol=1e-15)
-    assert np.allclose(plugin.p_P.data, state.global_table[pos].mean(axis=0), atol=1e-15)
+    assert np.allclose(plugin.p_P.data, table[pos].mean(axis=0), atol=1e-15)
     assert sorted(plugin.params) == ["C", "b0", "b1", "u", "w0", "w1"]
 
 
 def test_fedmf_plugin_consensus_stays_the_download_across_local_iters(monkeypatch):
     import fed3cr.federation as federation
-    from fed3cr.model import forward_pass
 
     traces = []
 
@@ -390,17 +397,17 @@ def test_fedmf_plugin_consensus_stays_the_download_across_local_iters(monkeypatc
     state = init_client(0, hp.dim, TOY.num_items, client_id=0)
     state.personal_table = None
     download = np.random.default_rng(6).normal(0, 0.1, (TOY.num_items, hp.dim)).astype(np.float32)
-    theta = init_client(1, hp.dim, TOY.num_items, client_id=0).transfer_net
+    theta = make_net(1, hp.dim)
     sampler = NegativeSampler(TOY, seed=0)
-    held = state.global_table.copy()
+    held = download.copy()
     upload, _ = local_update(state, download, theta, sampler, hp, VariantConfig.from_label("FedMF+ACE"))
     assert len(traces) == 3
     assert all(np.array_equal(t.C_E.data, download @ t.W.data.T) for t in traces)
     assert not np.array_equal(traces[-1].p_P.data, traces[0].p_P.data)  # the trained table moved
     # the upload is the working table the last step trained, not a second copy,
-    # and the client's own shared block is left as it was
+    # and the download is left as it came
     assert upload.consensus is traces[-1].params["C"].data
-    assert np.array_equal(state.global_table, held)
+    assert np.array_equal(download, held)
 
 
 def test_fedmf_channel_carries_table_and_optional_net():
@@ -418,7 +425,7 @@ def test_nonfinite_loss_aborts_client_with_warning():
     state = init_client(0, hp.dim, TOY.num_items, client_id=0)
     sampler = NegativeSampler(TOY, seed=0)
     consensus = np.random.default_rng(0).normal(0, 0.01, (TOY.num_items, hp.dim)).astype(np.float32)
-    theta = init_client(1, hp.dim, TOY.num_items, client_id=0).transfer_net
+    theta = make_net(1, hp.dim)
     with pytest.warns(UserWarning, match="non-finite"):
         result = local_update(state, consensus, theta, sampler, hp, VariantConfig.from_label("Fed3CR"))
     assert result is None

@@ -12,12 +12,11 @@ from fed3cr.losses import (
     consistency_loss,
     orthogonality_loss,
     rec_loss,
-    similarity_consistency_diagnostic,
     top_one_distribution,
     total_loss,
     total_loss_t,
 )
-from fed3cr.model import forward_pass, init_client
+from fed3cr.model import forward_pass, init_client, init_client_net
 from fed3cr.numerics import grad_check
 
 
@@ -163,43 +162,24 @@ def test_orthogonality_zero_iff_columns_orthogonal():
     assert orthogonality_loss(c_e, v_not) > 0.0
 
 
-def test_similarity_diagnostic_identical_and_scaled():
-    t = np.random.default_rng(6).normal(size=(5, 3))
-    assert similarity_consistency_diagnostic(t, t) == pytest.approx(0.0, abs=1e-12)
-    assert similarity_consistency_diagnostic(t, 2 * t) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_similarity_diagnostic_matches_double_loop_oracle():
-    rng = np.random.default_rng(7)
-    a, b = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-
-    def gram(t):
-        g = np.zeros((4, 4))
-        for i in range(4):
-            for j in range(4):
-                g[i, j] = t[i] @ t[j] / (np.linalg.norm(t[i]) * np.linalg.norm(t[j]))
-        return g
-
-    oracle = np.sqrt(np.sum((gram(a) - gram(b)) ** 2))
-    assert similarity_consistency_diagnostic(a, b) == pytest.approx(oracle, abs=1e-9)
-
-
-def make_trace(seed=9, d=4, m=6, enhancement="ace", condition=True):
-    state = init_client(seed=seed, d=d, M=m, dtype=np.float64, enhancement=enhancement)
-    if condition:
-        rng = np.random.default_rng(seed + 100)
-        state.user_embedding = rng.normal(0, 0.5, d)
-        state.global_table = rng.normal(0, 0.5, (m, d))
-        state.personal_table = rng.normal(0, 0.5, (m, d))
-        if state.transfer_net is not None:
-            state.transfer_net.weights[-1] = rng.normal(0, 0.3, state.transfer_net.weights[-1].shape)
-            state.transfer_net.biases[-1] = rng.normal(0, 0.3, state.transfer_net.biases[-1].shape)
+def make_trace(seed=9, d=4, m=6):
+    """A client, the shared table and net it scores with, its positives and
+    the forward trace, with every block drawn at a scale where finite
+    differences are reliable."""
+    rng = np.random.default_rng(seed + 100)
+    state = init_client(seed=seed, d=d, M=m, dtype=np.float64)
+    state.user_embedding = rng.normal(0, 0.5, d)
+    table = rng.normal(0, 0.5, (m, d))
+    state.personal_table = rng.normal(0, 0.5, (m, d))
+    net = init_client_net(rng, d, (2, 4), dtype=np.float64)
+    net.weights[-1] = rng.normal(0, 0.3, net.weights[-1].shape)
+    net.biases[-1] = rng.normal(0, 0.3, net.biases[-1].shape)
     positives = np.array([0, 2, 4])
-    return state, positives, forward_pass(state, positives, enhancement=enhancement)
+    return state, table, net, positives, forward_pass(state, table, net, positives)
 
 
 def test_total_reduces_to_rec_when_betas_zero():
-    _, _, trace = make_trace()
+    *_, trace = make_trace()
     items, labels = np.array([0, 1, 2]), np.array([1, 0, 1])
     breakdown = total_loss(trace, (items, labels), beta_a=0.0, beta_o=0.0)
     assert breakdown.total == breakdown.l_rec
@@ -208,7 +188,7 @@ def test_total_reduces_to_rec_when_betas_zero():
 
 
 def test_total_is_weighted_component_sum():
-    _, _, trace = make_trace()
+    *_, trace = make_trace()
     items, labels = np.array([0, 1, 2, 3, 5]), np.array([1, 0, 1, 0, 0])
     b = total_loss(trace, (items, labels), beta_a=0.7, beta_o=0.3)
     assert b.total == pytest.approx(b.l_rec + 0.7 * b.l_a + 0.3 * b.l_o, abs=1e-9)
@@ -223,12 +203,12 @@ def test_component_sum_arithmetic():
 
 @pytest.mark.parametrize("eq12_mode", ["softmax", "literal-ratio"])
 @pytest.mark.parametrize("complementarity", ["orthogonal", "l2-distance"])
-def test_total_gradients_pass_grad_check(eq12_mode, complementarity):
-    state, positives, _ = make_trace()
+def test_total_gradients_pass_grad_check(eq12_mode, complementarity, block_grad_check):
+    state, table, net, positives, _ = make_trace()
     items, labels = np.array([0, 1, 2, 3, 5]), np.array([1, 0, 1, 0, 0])
 
-    def build(s):
-        trace = forward_pass(s, positives, enhancement="ace")
+    def build(client, table, net):
+        trace = forward_pass(client, table, net, positives, enhancement="ace")
         return total_loss_t(
             trace,
             items,
@@ -239,39 +219,14 @@ def test_total_gradients_pass_grad_check(eq12_mode, complementarity):
             complementarity_kind=complementarity,
         )[0], trace
 
-    check_every_block(state, build)
-
-
-def check_every_block(state, build):
-    """grad_check the total from `build(state) -> (total, trace)` against
-    every trainable block of the client; returns the trace."""
-    total, trace = build(state)
-    total.backward()
-    for name, tensor in trace.params.items():
-        def f(p, name=name):
-            s2 = state.copy()
-            if name == "u":
-                s2.user_embedding = p
-            elif name == "C":
-                s2.global_table = p
-            elif name == "V":
-                s2.personal_table = p
-            elif name.startswith("w"):
-                s2.transfer_net.weights[int(name[1:])] = p
-            else:
-                s2.transfer_net.biases[int(name[1:])] = p
-            return build(s2)[0].item()
-
-        report = grad_check(f, tensor.data, tensor.grad)
-        assert report.passed, (name, report)
-    return trace
+    block_grad_check(state, table, net, build)
 
 
 def test_consistency_sample_restricts_to_batch_items():
-    state, positives, trace = make_trace()
+    state, table, net, positives, trace = make_trace()
     items, labels = np.array([0, 1, 2]), np.array([1, 0, 1])
     full = total_loss(trace, (items, labels), beta_a=1.0, beta_o=0.0)
-    trace2 = forward_pass(state, positives, enhancement="ace")
+    trace2 = forward_pass(state, table, net, positives, enhancement="ace")
     _, restricted = total_loss_t(
         trace2, items, labels, beta_a=1.0, beta_o=0.0, consistency_items=np.unique(items)
     )
@@ -317,19 +272,19 @@ def test_fused_consistency_op_grad_check(eq12_mode):
 
 
 @pytest.mark.parametrize("eq12_mode", ["softmax", "literal-ratio"])
-def test_consistency_items_subset_gradients_pass_grad_check(eq12_mode):
-    state, positives, _ = make_trace(m=9)
+def test_consistency_items_subset_gradients_pass_grad_check(eq12_mode, block_grad_check):
+    state, table, net, positives, _ = make_trace(m=9)
     items, labels = np.array([0, 3, 3, 5, 8]), np.array([1, 0, 0, 1, 0])
 
-    def build(s):
-        trace = forward_pass(s, positives, enhancement="ace")
+    def build(client, table, net):
+        trace = forward_pass(client, table, net, positives, enhancement="ace")
         total, _ = total_loss_t(
             trace, items, labels, beta_a=1.0, beta_o=0.0, eq12_mode=eq12_mode,
             consistency_items=np.unique(items),
         )
         return total, trace
 
-    trace = check_every_block(state, build)
+    trace, _ = block_grad_check(state, table, net, build)
     # rows outside the subset get no consistency gradient through V
     outside = np.setdiff1d(np.arange(9), np.concatenate([np.unique(items), positives]))
     assert np.all(trace.params["V"].grad[outside] == 0.0)
@@ -353,10 +308,13 @@ def test_fused_consistency_op_at_log_floor():
 
 def test_tape_size_of_a_fed3cr_step():
     state = init_client(seed=0, d=16, M=96)
+    rng = np.random.default_rng(0)
+    table = rng.normal(0, 0.01, (96, 16)).astype(np.float32)
+    net = init_client_net(rng, 16, (2, 4))
     positives = np.arange(0, 96, 12)
     items = np.arange(40)
     labels = (items % 5 == 0).astype(int)
-    trace = forward_pass(state, positives, enhancement="ace")
+    trace = forward_pass(state, table, net, positives, enhancement="ace")
     total, _ = total_loss_t(trace, items, labels, beta_a=0.5, beta_o=0.5)
     seen, stack = set(), [total]
     while stack:

@@ -4,8 +4,7 @@ import pytest
 from fed3cr.checkpoint import load_client_state, load_server_state, save_client_state, save_server_state
 from fed3cr.errors import DataError, ParseError
 from fed3cr.federation import ServerState
-from fed3cr.model import TransferNet, forward_pass, init_client
-from fed3cr.numerics import grad_check
+from fed3cr.model import TransferNet, forward_pass, init_client, init_client_net
 
 
 def rigged_net(matrix):
@@ -21,45 +20,48 @@ def rigged_identity_net(d):
     return rigged_net(np.eye(d))
 
 
-def test_prototypes_singleton():
+def test_prototypes_singleton(shared_blocks):
     state = init_client(seed=0, d=3, M=5, dtype=np.float64)
-    trace = forward_pass(state, np.array([2]))
-    assert np.array_equal(trace.p_G.data, state.global_table[2])
+    table, net = shared_blocks(0, 3, 5)
+    trace = forward_pass(state, table, net, np.array([2]))
+    assert np.array_equal(trace.p_G.data, table[2])
     assert np.array_equal(trace.p_P.data, state.personal_table[2])
 
 
-def test_prototypes_mean_of_two_rows():
+def test_prototypes_mean_of_two_rows(shared_blocks):
     state = init_client(seed=0, d=2, M=2, dtype=np.float64)
-    state.global_table = np.array([[1.0, 0.0], [0.0, 1.0]])
-    trace = forward_pass(state, np.array([0, 1]))
+    _, net = shared_blocks(0, 2, 2)
+    trace = forward_pass(state, np.array([[1.0, 0.0], [0.0, 1.0]]), net, np.array([0, 1]))
     assert np.allclose(trace.p_G.data, [0.5, 0.5])
 
 
-def test_prototypes_match_accumulate_divide_oracle():
+def test_prototypes_match_accumulate_divide_oracle(shared_blocks):
     positives = np.random.default_rng(1).choice(80, size=50, replace=False)
+    state = init_client(seed=3, d=8, M=80, dtype=np.float64)
     for enhancement in ("ace", "consensus-transfer", "none"):
-        state = init_client(seed=3, d=8, M=80, dtype=np.float64, enhancement=enhancement)
+        table, net = shared_blocks(3, 8, 80, enhancement=enhancement)
         acc_g = np.zeros(8)
         acc_p = np.zeros(8)
         for j in positives:
-            acc_g += state.global_table[j]
+            acc_g += table[j]
             acc_p += state.personal_table[j]
-        trace = forward_pass(state, positives, enhancement=enhancement)
+        trace = forward_pass(state, table, net, positives, enhancement=enhancement)
         assert np.allclose(trace.p_G.data, acc_g / 50, atol=1e-12)
         assert np.allclose(trace.p_P.data, acc_p / 50, atol=1e-12)
 
 
-def test_prototypes_empty_positives():
+def test_prototypes_empty_positives(shared_blocks):
     state = init_client(seed=0, d=2, M=3, dtype=np.float64)
+    table, net = shared_blocks(0, 2, 3)
     with pytest.raises(DataError):
-        forward_pass(state, np.array([], dtype=np.int64))
+        forward_pass(state, table, net, np.array([], dtype=np.int64))
 
 
-def test_transfer_matrix_zero_final_layer():
+def test_transfer_matrix_zero_final_layer(shared_blocks):
     d = 3
     state = init_client(seed=0, d=d, M=4, dtype=np.float64)
-    state.transfer_net = rigged_net(np.zeros((d, d)))
-    trace = forward_pass(state, np.array([0, 1]))
+    table, _ = shared_blocks(0, d, 4)
+    trace = forward_pass(state, table, rigged_net(np.zeros((d, d))), np.array([0, 1]))
     assert np.array_equal(trace.W.data, np.zeros((d, d)))
     assert np.array_equal(trace.C_E.data, np.zeros((4, d)))
 
@@ -67,134 +69,124 @@ def test_transfer_matrix_zero_final_layer():
 def test_transfer_matrix_rigged_identity():
     d = 3
     state = init_client(seed=0, d=d, M=4, dtype=np.float64)
-    state.global_table = np.ones((4, d))
     state.personal_table = -np.ones((4, d))
-    state.transfer_net = rigged_identity_net(d)
-    trace = forward_pass(state, np.array([0, 3]))
+    trace = forward_pass(state, np.ones((4, d)), rigged_identity_net(d), np.array([0, 3]))
     assert np.array_equal(trace.W.data, np.eye(d))
 
 
-def test_transfer_matrix_gradient_wrt_theta():
+def test_transfer_matrix_gradient_wrt_theta(shared_blocks, block_grad_check):
     import fed3cr.autodiff as ad
 
     d = 3
     rng = np.random.default_rng(7)
     state = init_client(seed=5, d=d, M=4, dtype=np.float64)
-    state.transfer_net.weights[-1] = rng.normal(0, 0.3, state.transfer_net.weights[-1].shape)
+    table, net = shared_blocks(5, d, 4)
+    net.weights[-1] = rng.normal(0, 0.3, net.weights[-1].shape)
     # random projection of W keeps the check cheap while touching every entry
     proj = rng.normal(size=(d, d))
 
-    def f_for_block(name):
-        def f(p):
-            s2 = state.copy()
-            if name.startswith("w"):
-                s2.transfer_net.weights[int(name[1:])] = p
-            else:
-                s2.transfer_net.biases[int(name[1:])] = p
-            t2 = forward_pass(s2, np.array([0, 1]), enhancement="ace")
-            return ad.tsum(ad.mul(t2.W, proj)).item()
+    def build(client, table, net):
+        trace = forward_pass(client, table, net, np.array([0, 1]), enhancement="ace")
+        return ad.tsum(ad.mul(trace.W, proj)), trace
 
-        return f
-
-    trace = forward_pass(state, np.array([0, 1]), enhancement="ace")
-    target = ad.tsum(ad.mul(trace.W, proj))
-    target.backward()
-    for name in ("w0", "b0", "w1", "b1"):
-        tensor = trace.params[name]
-        report = grad_check(f_for_block(name), tensor.data, tensor.grad)
-        assert report.passed, (name, report)
+    block_grad_check(state, table, net, build, names=("w0", "b0", "w1", "b1"))
 
 
-def test_enhance_identity_and_scaling():
+def test_enhance_identity_and_scaling(shared_blocks):
     state = init_client(seed=0, d=3, M=4, dtype=np.float64)
-    state.transfer_net = rigged_identity_net(3)
-    c = state.global_table
-    assert np.allclose(forward_pass(state, np.array([1])).C_E.data, c)
-    assert np.allclose(forward_pass(state, np.array([1]), ace_scale=2.0).C_E.data, 2 * c)
+    c, _ = shared_blocks(0, 3, 4)
+    net = rigged_identity_net(3)
+    assert np.allclose(forward_pass(state, c, net, np.array([1])).C_E.data, c)
+    assert np.allclose(forward_pass(state, c, net, np.array([1]), ace_scale=2.0).C_E.data, 2 * c)
 
 
-def test_enhance_matches_per_row_matvec_oracle():
+def test_enhance_matches_per_row_matvec_oracle(shared_blocks):
     rng = np.random.default_rng(1)
     state = init_client(seed=4, d=2, M=3, dtype=np.float64)
-    for net in (rigged_net(rng.normal(size=(2, 2))), state.transfer_net):
-        state.transfer_net = net
-        trace = forward_pass(state, np.array([0, 2]))
+    table, initial = shared_blocks(4, 2, 3)
+    for net in (rigged_net(rng.normal(size=(2, 2))), initial):
+        trace = forward_pass(state, table, net, np.array([0, 2]))
         for j in range(3):
-            assert np.allclose(trace.C_E.data[j], trace.W.data @ state.global_table[j], atol=1e-12)
+            assert np.allclose(trace.C_E.data[j], trace.W.data @ table[j], atol=1e-12)
 
 
-def test_fuse_cases():
+def test_fuse_cases(shared_blocks):
     # V_F is the enhanced shared table plus the personal table, for every
     # kind that keeps V as it is; a client without V scores its own table
     state = init_client(seed=3, d=4, M=6, dtype=np.float64)
-    state.transfer_net.weights[-1] = np.random.default_rng(2).normal(0, 0.4, (16, 16))
+    table, net = shared_blocks(3, 4, 6)
+    net.weights[-1] = np.random.default_rng(2).normal(0, 0.4, (16, 16))
     pos = np.array([1, 4])
-    trace = forward_pass(state, pos, enhancement="ace")
+    trace = forward_pass(state, table, net, pos, enhancement="ace")
     assert np.array_equal(trace.V_F.data, trace.C_E.data + state.personal_table)
-    trace = forward_pass(state, pos, enhancement="none")
-    assert np.array_equal(trace.C_E.data, state.global_table)
-    assert np.array_equal(trace.V_F.data, state.global_table + state.personal_table)
-    row_state = init_client(seed=3, d=4, M=6, dtype=np.float64, enhancement="consensus-transfer")
-    trace = forward_pass(row_state, pos, enhancement="consensus-transfer")
-    assert np.array_equal(trace.V_F.data, trace.C_E.data + row_state.personal_table)
-    single = init_client(seed=3, d=4, M=6, dtype=np.float64, enhancement="none")
+    trace = forward_pass(state, table, net, pos, enhancement="none")
+    assert np.array_equal(trace.C_E.data, table)
+    assert np.array_equal(trace.V_F.data, table + state.personal_table)
+    _, row_net = shared_blocks(3, 4, 6, enhancement="consensus-transfer")
+    trace = forward_pass(state, table, row_net, pos, enhancement="consensus-transfer")
+    assert np.array_equal(trace.V_F.data, trace.C_E.data + state.personal_table)
+    single = init_client(seed=3, d=4, M=6, dtype=np.float64)
     single.personal_table = None
-    trace = forward_pass(single, pos, enhancement="none")
-    assert np.array_equal(trace.V_F.data, single.global_table)
+    trace = forward_pass(single, table, None, pos, enhancement="none")
+    assert np.array_equal(trace.V_F.data, table)
 
 
 def test_init_client_deterministic():
     a = init_client(seed=11, d=4, M=6, client_id=2)
     b = init_client(seed=11, d=4, M=6, client_id=2)
     assert np.array_equal(a.user_embedding, b.user_embedding)
-    assert np.array_equal(a.global_table, b.global_table)
     assert np.array_equal(a.personal_table, b.personal_table)
-    for w1, w2 in zip(a.transfer_net.weights, b.transfer_net.weights):
+    nets = [init_client_net(np.random.default_rng(11), 4, (2, 4)) for _ in range(2)]
+    for w1, w2 in zip(nets[0].weights, nets[1].weights):
         assert np.array_equal(w1, w2)
 
 
 def test_init_client_shapes():
     state = init_client(seed=0, d=2, M=3)
     assert state.user_embedding.shape == (2,)
-    assert state.global_table.shape == (3, 2)
     assert state.personal_table.shape == (3, 2)
-    assert state.transfer_net.in_dim == 4
-    assert state.transfer_net.out_dim == 4
+    net = init_client_net(np.random.default_rng(0), 2, (2, 4))
+    assert net.layer_shapes[0][1] == 4
+    assert net.layer_shapes[-1][0] == 4
 
 
-def test_initial_transfer_matrix_is_small():
+def test_initial_transfer_matrix_is_small(shared_blocks):
     state = init_client(seed=13, d=32, M=10, dtype=np.float64)
-    assert np.linalg.norm(forward_pass(state, np.arange(5)).W.data) < 0.1
+    table, net = shared_blocks(13, 32, 10)
+    assert np.linalg.norm(forward_pass(state, table, net, np.arange(5)).W.data) < 0.1
 
 
-def test_identity_init_starts_near_identity():
-    state = init_client(seed=13, d=8, M=10, dtype=np.float64, ace_init="identity")
-    assert np.linalg.norm(forward_pass(state, np.arange(4)).W.data - np.eye(8)) < 0.1
+def test_identity_init_starts_near_identity(shared_blocks):
+    state = init_client(seed=13, d=8, M=10, dtype=np.float64)
+    table, net = shared_blocks(13, 8, 10, ace_init="identity")
+    assert np.linalg.norm(forward_pass(state, table, net, np.arange(4)).W.data - np.eye(8)) < 0.1
 
 
-def test_identity_rigged_net_reduces_to_additive_fusion():
+def test_identity_rigged_net_reduces_to_additive_fusion(shared_blocks):
     d, m = 3, 5
     state = init_client(seed=1, d=d, M=m, dtype=np.float64)
-    state.transfer_net = rigged_identity_net(d)
-    trace = forward_pass(state, np.array([0, 2]), enhancement="ace")
-    assert np.allclose(trace.V_F.data, state.global_table + state.personal_table)
-    assert np.allclose(trace.C_E.data, state.global_table)
+    table, _ = shared_blocks(1, d, m)
+    trace = forward_pass(state, table, rigged_identity_net(d), np.array([0, 2]), enhancement="ace")
+    assert np.allclose(trace.V_F.data, table + state.personal_table)
+    assert np.allclose(trace.C_E.data, table)
     assert np.allclose(trace.p_E.data, trace.p_G.data)
 
 
-def test_ace_scale_multiplies_matrix():
+def test_ace_scale_multiplies_matrix(shared_blocks):
     state = init_client(seed=2, d=3, M=4, dtype=np.float64)
-    state.transfer_net.weights[-1] = np.random.default_rng(0).normal(0, 0.5, (9, 12))
+    table, net = shared_blocks(2, 3, 4)
+    net.weights[-1] = np.random.default_rng(0).normal(0, 0.5, (9, 12))
     pos = np.array([0, 1])
-    t1 = forward_pass(state, pos, enhancement="ace", ace_scale=1.0)
-    t2 = forward_pass(state, pos, enhancement="ace", ace_scale=2.5)
+    t1 = forward_pass(state, table, net, pos, enhancement="ace", ace_scale=1.0)
+    t2 = forward_pass(state, table, net, pos, enhancement="ace", ace_scale=2.5)
     assert np.allclose(t2.W.data, 2.5 * t1.W.data)
 
 
-def test_forward_p_e_is_mapped_global_prototype():
+def test_forward_p_e_is_mapped_global_prototype(shared_blocks):
     state = init_client(seed=3, d=4, M=6, dtype=np.float64)
-    state.transfer_net.weights[-1] = np.random.default_rng(1).normal(0, 0.4, (16, 16))
-    trace = forward_pass(state, np.array([1, 3, 5]), enhancement="ace")
+    table, net = shared_blocks(3, 4, 6)
+    net.weights[-1] = np.random.default_rng(1).normal(0, 0.4, (16, 16))
+    trace = forward_pass(state, table, net, np.array([1, 3, 5]), enhancement="ace")
     assert np.allclose(trace.p_E.data, trace.W.data @ trace.p_G.data, atol=1e-12)
 
 
@@ -210,8 +202,6 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert loaded.client_id == 9
     assert np.array_equal(loaded.user_embedding, state.user_embedding)
     assert np.array_equal(loaded.personal_table, state.personal_table)
-    assert loaded.global_table is None
-    assert loaded.transfer_net is None
 
 
 def test_checkpoint_without_net(tmp_path):
@@ -237,9 +227,9 @@ def test_checkpoint_without_personal_table_reloads_bit_exact(tmp_path):
     assert np.array_equal(loaded.user_embedding, state.user_embedding)
 
 
-def test_server_checkpoint_round_trip_bit_exact(tmp_path):
-    state = init_client(seed=5, d=4, M=6)
-    server = ServerState(consensus=state.global_table, theta=state.transfer_net, round=7)
+def test_server_checkpoint_round_trip_bit_exact(tmp_path, shared_blocks):
+    consensus, theta = shared_blocks(5, 4, 6, dtype=np.float32)
+    server = ServerState(consensus=consensus, theta=theta, round=7)
     path = str(tmp_path / "server.bin")
     save_server_state(path, server, seed=5)
     loaded, header = load_server_state(path)
@@ -248,7 +238,8 @@ def test_server_checkpoint_round_trip_bit_exact(tmp_path):
     assert loaded.round == 7
     assert np.array_equal(loaded.consensus, server.consensus)
     assert loaded.theta.layer_shapes == server.theta.layer_shapes
-    assert np.array_equal(loaded.theta.flatten(), server.theta.flatten())
+    for a, b in zip(loaded.theta.weights + loaded.theta.biases, server.theta.weights + server.theta.biases):
+        assert np.array_equal(a, b)
 
 
 def test_checkpoint_of_another_format_version_is_rejected(tmp_path):
@@ -257,4 +248,25 @@ def test_checkpoint_of_another_format_version_is_rejected(tmp_path):
     raw = open(path, "rb").read()
     open(path, "wb").write(raw.replace(b'"version": 2', b'"version": 1'))
     with pytest.raises(ParseError, match="version 1"):
+        load_client_state(path)
+
+
+@pytest.mark.parametrize(
+    "cut, match",
+    [
+        (lambda raw: raw[:5], "truncated checkpoint header"),
+        (lambda raw: raw[:20], "truncated checkpoint header"),
+        (lambda raw: raw[:-4], "truncated payload for block personal_table"),
+        (lambda raw: raw + b"\0\0\0", "3 trailing bytes"),
+    ],
+    ids=["length", "header", "payload", "trailing"],
+)
+def test_checkpoint_cut_short_or_with_trailing_bytes_is_rejected(tmp_path, cut, match):
+    path = str(tmp_path / "client.bin")
+    save_client_state(path, init_client(seed=0, d=2, M=3), seed=0, round=0)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(cut(raw))
+    with pytest.raises(ParseError, match=match):
         load_client_state(path)
