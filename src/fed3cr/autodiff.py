@@ -2,26 +2,29 @@
 
 Covers dense matrix/vector arithmetic, row gathering from embedding
 tables, elementwise nonlinearities and reductions, plus `fused` for ops
-whose backward is written in closed form (the losses' BCE and
-consistency term are one `fused` node each). Gradients
-are accumulated by walking the recorded graph in reverse topological
-order, so parameters that feed several paths (an embedding table that
-enters both a prototype mean and a scoring head, say) receive the sum of
-all path contributions.
+whose backward is written in closed form (the whole training objective is
+one `fused` node). Gradients are accumulated by walking the recorded graph
+in reverse topological order, so parameters that feed several paths (an
+embedding table that enters both a prototype mean and a scoring head, say)
+receive the sum of all path contributions.
 
 Only parents that need a gradient are recorded as edges, so constants
-cost nothing in `backward`. Gradient ownership: a node's first
-contribution becomes its `.grad` as is, and that array may be shared with
-another node (`add` hands the same gradient to both operands) or be a
-read-only `broadcast_to` view. `backward` writes in place only into a
-buffer it allocated itself, on the second contribution to a node, in the
-node's own dtype. So a `.grad` is to be read, never written, and the
-arrays it was built from are never changed.
+cost nothing in `backward`. Gradient ownership: a node's first dense
+contribution becomes its `.grad` as is. In general that array may be
+shared with another node (`add` hands the same gradient to both operands)
+or be a read-only `broadcast_to` view, so `backward` writes into a `.grad`
+only once it owns it: the first contribution came fresh from a `matmul` or
+`fused` node, whose edge functions return new arrays no one else holds,
+or `backward` allocated the buffer itself, in the node's own dtype, on a
+later contribution. A `gather_rows` edge hands back only its rows; they
+are added in place into an owned gradient, and a node with no owned
+gradient yet gets a zero or copied buffer first. So a `.grad` is to be
+read, never written, and the arrays it was built from are never changed.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -30,7 +33,29 @@ from .errors import ShapeError
 ArrayLike = Union["Tensor", np.ndarray, float, int]
 
 # A parent edge: (parent tensor, function mapping output grad -> parent grad)
-GradFn = Callable[[np.ndarray], np.ndarray]
+GradFn = Callable[[np.ndarray], Union[np.ndarray, "RowGrad"]]
+
+
+class RowGrad(NamedTuple):
+    """A gradient that is zero outside the rows `idx` of a 2-D parent."""
+
+    idx: np.ndarray
+    rows: np.ndarray
+
+
+def add_rows(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
+    """Add row i of `rows` into row idx[i] of `out`, in place.
+
+    Unique indices (batch items, positives) take one fancy in-place add;
+    repeated ones, including two indices that name the same row such as
+    -1 and M-1, fall back to `np.add.at`.
+    """
+    hit = np.zeros(out.shape[0], dtype=bool)
+    hit[idx] = True
+    if np.count_nonzero(hit) == idx.size:
+        out[idx] += rows
+    else:
+        np.add.at(out, idx, rows)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -48,18 +73,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A numpy array plus the bookkeeping needed for reverse-mode backprop."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_edges")
+    __slots__ = ("data", "grad", "requires_grad", "_edges", "_fresh")
 
     def __init__(
         self,
         data: ArrayLike,
         requires_grad: bool = False,
         _edges: tuple[tuple["Tensor", GradFn], ...] = (),
+        _fresh: bool = False,
     ):
         self.data = data.data if isinstance(data, Tensor) else np.asarray(data)
         self.grad: np.ndarray | None = None
         self._edges = [edge for edge in _edges if edge[0].requires_grad]
         self.requires_grad = requires_grad or bool(self._edges)
+        # True when every edge function returns a new array no one else holds
+        self._fresh = _fresh
 
     # -- basic introspection -------------------------------------------------
 
@@ -97,24 +125,32 @@ class Tensor:
                 stack.append((parent, False))
 
         self.grad = np.ones_like(self.data)
-        owned: set[int] = set()  # ids of nodes whose .grad this call allocated
+        owned: set[int] = set()  # ids of nodes whose .grad backward may write into
         for node in reversed(topo):
             out_grad = node.grad
             if out_grad is None:
                 continue
             for parent, grad_fn in node._edges:
                 contribution = grad_fn(out_grad)
-                if parent.grad is None:
-                    if contribution.dtype == parent.data.dtype:
-                        parent.grad = contribution
-                    else:
-                        parent.grad = np.asarray(contribution, dtype=parent.data.dtype)
-                        owned.add(id(parent))
-                elif id(parent) in owned:
+                key = id(parent)
+                if isinstance(contribution, RowGrad):
+                    if key not in owned:
+                        parent.grad = (
+                            np.zeros_like(parent.data)
+                            if parent.grad is None
+                            else np.array(parent.grad, dtype=parent.data.dtype)
+                        )
+                        owned.add(key)
+                    add_rows(parent.grad, contribution.idx, contribution.rows)
+                elif parent.grad is None:
+                    parent.grad = np.asarray(contribution, dtype=parent.data.dtype)
+                    if node._fresh or parent.grad is not contribution:
+                        owned.add(key)
+                elif key in owned:
                     parent.grad += contribution
                 else:
                     parent.grad = np.add(parent.grad, contribution, out=np.empty_like(parent.data))
-                    owned.add(id(parent))
+                    owned.add(key)
 
     # -- operator sugar --------------------------------------------------------
 
@@ -170,8 +206,9 @@ def parameter(x: np.ndarray) -> Tensor:
 def fused(value: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable[[np.ndarray], tuple]) -> Tensor:
     """One tape node for a multi-input op with a closed-form backward.
 
-    `vjp(g)` returns one gradient per parent; it runs once per backward
-    pass, however many of the parents need a gradient.
+    `vjp(g)` returns one gradient per parent, each a new array that
+    nothing else holds (`backward` may add into it in place); it runs once
+    per backward pass, however many of the parents need a gradient.
     """
     memo: dict = {}
 
@@ -183,7 +220,7 @@ def fused(value: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable[[np.ndar
 
         return grad
 
-    return Tensor(value, _edges=tuple((p, make_grad(i)) for i, p in enumerate(parents)))
+    return Tensor(value, _edges=tuple((p, make_grad(i)) for i, p in enumerate(parents)), _fresh=True)
 
 
 # -- arithmetic ----------------------------------------------------------------
@@ -234,7 +271,7 @@ def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
         if a.data.ndim == 1 and b.data.ndim == 1:
             return g * b.data
         if b.data.ndim == 1:
-            return g[:, None] * b.data
+            return np.dot(g[:, None], b.data[None])  # outer product; BLAS beats the broadcast
         if a.data.ndim == 1:
             return g @ b.data.T
         return g @ b.data.T
@@ -245,10 +282,10 @@ def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
         if b.data.ndim == 1:
             return a.data.T @ g
         if a.data.ndim == 1:
-            return a.data[:, None] * g
+            return np.dot(a.data[:, None], g[None])
         return a.data.T @ g
 
-    return Tensor(a.data @ b.data, _edges=((a, grad_a), (b, grad_b)))
+    return Tensor(a.data @ b.data, _edges=((a, grad_a), (b, grad_b)), _fresh=True)
 
 
 def transpose(a: ArrayLike) -> Tensor:
@@ -275,28 +312,10 @@ def concat(parts: list[Tensor | np.ndarray]) -> Tensor:
 
 
 def gather_rows(a: ArrayLike, indices: np.ndarray) -> Tensor:
-    """Select rows of a 2-D tensor; gradients scatter-add back."""
+    """Select rows of a 2-D tensor; gradients add back into those rows."""
     a = as_tensor(a)
     idx = np.asarray(indices)
-
-    return Tensor(a.data[idx], _edges=((a, lambda g: _scatter_rows(g, idx, a.data)),))
-
-
-def _scatter_rows(g: np.ndarray, idx: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """Add row i of `g` into row idx[i] of a zero array shaped like `like`.
-
-    Unique indices (batch items, positives) take one fancy assignment;
-    repeated ones, including two indices that name the same row such as
-    -1 and M-1, fall back to `np.add.at`.
-    """
-    out = np.zeros_like(like)
-    hit = np.zeros(like.shape[0], dtype=bool)
-    hit[idx] = True
-    if np.count_nonzero(hit) == idx.size:
-        out[idx] = g
-    else:
-        np.add.at(out, idx, g)
-    return out
+    return Tensor(a.data[idx], _edges=((a, lambda g: RowGrad(idx, g)),))
 
 
 # -- reductions ------------------------------------------------------------------
@@ -328,11 +347,15 @@ def relu(a: ArrayLike) -> Tensor:
     return Tensor(np.where(mask, a.data, 0.0), _edges=((a, lambda g: g * mask),))
 
 
-def sigmoid(a: ArrayLike) -> Tensor:
-    """Numerically stable logistic function."""
-    a = as_tensor(a)
-    x = a.data
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function of an array."""
     z = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def sigmoid(a: ArrayLike) -> Tensor:
+    """`logistic` as a tape op."""
+    a = as_tensor(a)
+    out = logistic(a.data)
     return Tensor(out, _edges=((a, lambda g: g * out * (1.0 - out)),))
 

@@ -5,8 +5,9 @@ seed and split), `sweep` (one config key over a value list), `dataset
 stats` (ingestion statistics as JSON), and `degradation` (consensus-drift
 bound verification on synthetic fixtures). Exit codes: 0 ok, 2 configuration
 error, 3 data error, 4 runtime failure. The environment variable FED3CR_SEED
-overrides the seed in the config file; a `--training.seed` override or a
-`sweep` value for `training.seed` overrides FED3CR_SEED.
+overrides the seed in a config file, but not the seed of a manifest.json
+given as the config; a `--training.seed` override or a `sweep` value for
+`training.seed` overrides both.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import VERSION, ExperimentConfig, load_config, resolve_config
+from .config import VERSION, ExperimentConfig, load_config, resolve_manifest
 from .datasets import load_dataset
 from .degradation import QuadraticClient, bound_sweep, verify_bound
 from .errors import ConfigurationError, DataError, ParseError
@@ -158,7 +159,7 @@ def run_sweep(
     be; returns (value, final hr, final ndcg) rows."""
     manifest = config.resolved()
     del manifest["version"]
-    configs = [resolve_config(manifest, {param: value}) for value in values]
+    configs = [resolve_manifest(manifest, {param: value}) for value in values]
     if outdir is not None:
         _prepare_outdir(outdir, force)
     rows = []

@@ -189,6 +189,15 @@ def resolve_config(values: dict[str, dict], overrides: dict[str, str] | None = N
     return ExperimentConfig(dataset=full["dataset"], hp=hp, variant=variant, **kwargs[""])
 
 
+def resolve_manifest(manifest: dict[str, dict], overrides: dict[str, str] | None = None) -> ExperimentConfig:
+    """`resolve_config` for the values of a manifest: its seed beats
+    FED3CR_SEED, so it replays the run it records, and an explicit
+    `training.seed` override still beats it."""
+    if "seed" in manifest.get("training", {}):
+        overrides = {"training.seed": manifest["training"]["seed"], **(overrides or {})}
+    return resolve_config(manifest, overrides)
+
+
 def load_config(path: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Load either a sectioned key=value file or a manifest JSON."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -197,5 +206,5 @@ def load_config(path: str, overrides: dict[str, str] | None = None) -> Experimen
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         data.pop("version", None)
-        return resolve_config(data, overrides)
+        return resolve_manifest(data, overrides)
     return resolve_config(_read_sectioned(path), overrides)

@@ -103,10 +103,16 @@ def rbo_truncated(list_a: list[int], list_b: list[int], p: float) -> float:
 
 
 def top_k_list(u: np.ndarray, table: np.ndarray, k: int) -> list[int]:
-    """Top-k item ids by u . row score, ties broken by ascending id."""
-    scores = np.asarray(table) @ np.asarray(u)
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    return [int(i) for i in order[:k]]
+    """Top-k item ids by u . row score, ties broken by ascending id (NaN
+    scores last)."""
+    neg = -(np.asarray(table) @ np.asarray(u))
+    ids = np.arange(len(neg))
+    if k < len(neg):
+        # Only items scoring at or above the k-th best can make the list
+        # (NaN ones are kept too: a NaN k-th score keeps every item).
+        ids = np.flatnonzero(~(neg > np.partition(neg, k - 1)[k - 1]))
+    order = np.lexsort((ids, neg[ids]))
+    return [int(i) for i in ids[order[:k]]]
 
 
 def view_consistency_rbo(state: ClientState, trace: ForwardTrace, k_prime: int, p: float) -> float:

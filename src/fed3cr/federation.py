@@ -402,7 +402,7 @@ def evaluate_round(
             enhancement=variant.enhancement_kind,
             ace_scale=hp.ace_scale,
         )
-        ranked = rank_candidates(client.user_embedding, trace.V_F.data, candidates[client.client_id])
+        ranked = rank_candidates(client.user_embedding, trace.V_F, candidates[client.client_id])
         hr, ndcg = hr_ndcg_at_k(ranked, ds.test_items[client.client_id], hp.top_k)
         hrs.append(hr)
         ndcgs.append(ndcg)

@@ -2,16 +2,18 @@
 the two item-table views, and the orthogonality penalty on their correlation,
 combined as l_rec + beta_a * l_a + beta_o * l_o.
 
-Every term has a pure-numpy entry point for direct evaluation plus a tape
-counterpart (same math) used inside the differentiable training step. The
-BCE and the consistency term are one tape node each, with a closed-form
-backward; their numpy entry points share that node's forward.
+Each term is a plain numpy function that returns its value and what its
+closed-form gradient needs; the public entry points evaluate them directly.
+The training step records the whole objective as one tape node
+(`total_loss_t`) that composes them, so each item table's gradient is built
+once, in one buffer.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -41,24 +43,17 @@ class LossBreakdown:
     beta_o: float
 
 
-# -- tape-level building blocks -----------------------------------------------------
+# -- plain numpy pieces the objective node composes --------------------------------------
 
 
-def _rec_loss_t(predictions: Tensor, labels: np.ndarray) -> Tensor:
-    """Summed binary cross-entropy with predictions clamped away from {0, 1}.
-
-    One tape node; a prediction outside the clamp gets zero gradient.
-    """
-    x = predictions.data
-    labels = np.asarray(labels, dtype=x.dtype)
-    p = np.clip(x, PRED_CLAMP, 1.0 - PRED_CLAMP)
-    loss = -np.sum(np.log(p) * labels + np.log(1.0 - p) * (1.0 - labels))
-
-    def vjp(g: np.ndarray) -> tuple[np.ndarray]:
-        inside = (x >= PRED_CLAMP) & (x <= 1.0 - PRED_CLAMP)
-        return (g * inside * ((1.0 - labels) / (1.0 - p) - labels / p),)
-
-    return ad.fused(loss, (predictions,), vjp)
+def _bce(p: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Summed binary cross-entropy of predictions clamped away from {0, 1},
+    and its gradient w.r.t. the predictions (zero outside the clamp)."""
+    labels = np.asarray(labels, dtype=p.dtype)
+    clamped = np.clip(p, PRED_CLAMP, 1.0 - PRED_CLAMP)
+    loss = -np.sum(np.log(clamped) * labels + np.log(1.0 - clamped) * (1.0 - labels))
+    inside = (p >= PRED_CLAMP) & (p <= 1.0 - PRED_CLAMP)
+    return loss, inside * ((1.0 - labels) / (1.0 - clamped) - labels / clamped)
 
 
 def _top_one(prototype: np.ndarray, table: np.ndarray, mode: str) -> tuple[np.ndarray, tuple]:
@@ -83,21 +78,35 @@ def _top_one(prototype: np.ndarray, table: np.ndarray, mode: str) -> tuple[np.nd
 
 
 def _top_one_vjp(
-    d_dist: np.ndarray, dist: np.ndarray, cache: tuple, prototype: np.ndarray, table: np.ndarray
+    d_dist: np.ndarray,
+    dist: np.ndarray,
+    cache: tuple,
+    prototype: np.ndarray,
+    table: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of `_top_one` w.r.t. (prototype, table) given d(loss)/d(dist)."""
+    """Gradients of `_top_one` w.r.t. (prototype, table) given d(loss)/d(dist).
+    The table gradient is added into `out` in place, or into a new array
+    when `out` is None; returns (prototype gradient, that array)."""
     cos, row_norms, p_norm, total = cache
     centred = d_dist - np.dot(d_dist, dist)
     if total is None:
         d_cos = dist * centred
     else:
         d_cos = centred / total * ((cos >= COS_CLAMP) & (cos <= 1.0))
-    # cos_j = dots_j / (row_norms_j * p_norm); a_j is d(loss)/d(dots_j).
+    # cos_j = dots_j / (row_norms_j * p_norm); a_j is d(loss)/d(dots_j), and
+    # d_table = a p^T - diag(row_scale) table. The one-column BLAS product and
+    # the einsum row scaling time faster than numpy's broadcast products.
     a = d_cos / (row_norms * p_norm)
     ac = a * cos
-    d_table = a[:, None] * prototype - (ac * (p_norm / row_norms))[:, None] * table
+    row_scale = ac * (p_norm / row_norms)
+    if out is None:
+        out = np.einsum("i,ij->ij", -row_scale, table)
+    else:
+        out -= np.einsum("i,ij->ij", row_scale, table)
+    out += np.dot(a[:, None], prototype[None])
     d_proto = table.T @ a - (np.dot(ac, row_norms) / p_norm) * prototype
-    return d_proto, d_table
+    return d_proto, out
 
 
 def _consistency(
@@ -110,42 +119,44 @@ def _consistency(
     return cross * -0.5, log_g, log_p
 
 
-def _consistency_t(
-    p_personal: Tensor, v_view: Tensor, p_global: Tensor, g_view: Tensor, mode: str
-) -> Tensor:
-    """The whole consistency term as one tape node: the top-one distribution
-    of each view (prototype against table rows) and their symmetric
-    cross-entropy, with a closed-form backward."""
-    pp, v = p_personal.data, v_view.data
-    pg, c = p_global.data, g_view.data
-    dist_p, cache_p = _top_one(pp, v, mode)
-    dist_g, cache_g = _top_one(pg, c, mode)
+def _consistency_term(
+    p_personal: np.ndarray, v_view: np.ndarray, p_global: np.ndarray, g_view: np.ndarray, mode: str
+) -> tuple[np.ndarray, Callable]:
+    """The consistency term: the top-one distribution of each view (prototype
+    against table rows) and their symmetric cross-entropy. Returns the loss
+    and `vjp(scale, v_out, g_out)`, the gradients of scale * loss w.r.t.
+    (p_personal, v_view, p_global, g_view); the two table gradients are
+    added into `v_out` and `g_out` when given (see `_top_one_vjp`)."""
+    dist_p, cache_p = _top_one(p_personal, v_view, mode)
+    dist_g, cache_g = _top_one(p_global, g_view, mode)
     loss, log_g, log_p = _consistency(dist_p, dist_g)
 
-    def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
+    def vjp(scale, v_out=None, g_out=None) -> tuple[np.ndarray, ...]:
         # The clamp at LOG_FLOOR passes gradient only where the value is kept.
-        half = -0.5 * g
+        half = -0.5 * scale
         d_dist_p = half * (log_g + (dist_p >= LOG_FLOOR) * dist_g / np.maximum(dist_p, LOG_FLOOR))
         d_dist_g = half * (log_p + (dist_g >= LOG_FLOOR) * dist_p / np.maximum(dist_g, LOG_FLOOR))
-        d_pp, d_v = _top_one_vjp(d_dist_p, dist_p, cache_p, pp, v)
-        d_pg, d_c = _top_one_vjp(d_dist_g, dist_g, cache_g, pg, c)
+        d_pp, d_v = _top_one_vjp(d_dist_p, dist_p, cache_p, p_personal, v_view, v_out)
+        d_pg, d_c = _top_one_vjp(d_dist_g, dist_g, cache_g, p_global, g_view, g_out)
         return d_pp, d_v, d_pg, d_c
 
-    return ad.fused(loss, (p_personal, v_view, p_global, g_view), vjp)
+    return loss, vjp
 
 
-def _orthogonality_t(c_e: Tensor, v: Tensor) -> Tensor:
-    """Mean-per-column Frobenius energy of the cross-view correlation matrix."""
-    corr = ad.matmul(ad.transpose(c_e), v)
-    d = c_e.data.shape[1]
-    return ad.mul(ad.tsum(ad.mul(corr, corr)), 1.0 / d)
+def _orthogonality(c_e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean-per-column Frobenius energy of the cross-view correlation matrix
+    corr = c_e^T v, and corr. Its gradients are (2/d) v corr^T for c_e and
+    (2/d) c_e corr for v."""
+    corr = c_e.T @ v
+    return np.sum(corr * corr) * np.asarray(1.0 / c_e.shape[1], dtype=corr.dtype), corr
 
 
-def _distance_push_t(c_e: Tensor, v: Tensor) -> Tensor:
-    """Negative mean squared distance between the tables (push-apart baseline)."""
-    diff = ad.sub(c_e, v)
-    m, d = c_e.data.shape
-    return ad.mul(ad.tsum(ad.mul(diff, diff)), -1.0 / (m * d))
+def _distance_push(c_e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Negative mean squared distance between the tables (push-apart
+    baseline), and diff = c_e - v. Its gradient is -2 diff / (M d) for c_e
+    and the negation for v."""
+    diff = c_e - v
+    return np.sum(diff * diff) * np.asarray(-1.0 / diff.size, dtype=diff.dtype), diff
 
 
 # -- public numpy surface -------------------------------------------------------------
@@ -155,7 +166,7 @@ def rec_loss(predictions: np.ndarray, labels: np.ndarray) -> float:
     predictions, labels = np.asarray(predictions), np.asarray(labels)
     if predictions.shape != labels.shape:
         raise ShapeError(f"predictions {predictions.shape} vs labels {labels.shape}")
-    return _rec_loss_t(ad.as_tensor(np.asarray(predictions, dtype=np.float64)), labels).item()
+    return float(_bce(np.asarray(predictions, dtype=np.float64), labels)[0])
 
 
 def top_one_distribution(prototype: np.ndarray, table: np.ndarray, mode: str = "softmax") -> np.ndarray:
@@ -178,7 +189,7 @@ def orthogonality_loss(c_e: np.ndarray, v: np.ndarray) -> float:
     c_e, v = np.asarray(c_e), np.asarray(v)
     if c_e.shape != v.shape:
         raise ShapeError(f"table shapes differ: {c_e.shape} vs {v.shape}")
-    return _orthogonality_t(ad.as_tensor(c_e), ad.as_tensor(v)).item()
+    return float(_orthogonality(c_e, v)[0])
 
 
 # -- combined objective --------------------------------------------------------------
@@ -196,45 +207,99 @@ def total_loss_t(
     complementarity_kind: str = "orthogonal",
     consistency_items: np.ndarray | None = None,
 ) -> tuple[Tensor, LossBreakdown]:
-    """Assemble the full objective on the tape; returns (total tensor, breakdown).
+    """Record l_rec + beta_a * l_a + beta_o * l_o as one tape node; returns
+    (total tensor, breakdown).
 
-    `consistency_items`, when given, restricts the two top-one distributions
-    to that subset of rows (cheaper than all M items on large tables).
+    l_rec scores the batch rows of the trace's views, so the full scoring
+    table is never built. The node's parents are u, the views and, for each
+    auxiliary term that is on, the two table views (C_E and V) and the
+    prototypes (p_P and p_E). Its backward builds each table's gradient in
+    one buffer: the l_o term, then the l_a row terms, then the batch rows
+    are added in place. `consistency_items`, when given, restricts the two
+    top-one distributions to that subset of rows (cheaper than all M items
+    on large tables).
     """
-    u = trace.params["u"]
-    scores = ad.matmul(ad.gather_rows(trace.V_F, np.asarray(batch_items)), u)
-    preds = ad.sigmoid(scores)
-    l_rec = _rec_loss_t(preds, batch_labels)
+    u, c_e, v = trace.params["u"], trace.C_E, trace.params.get("V")
+    items = np.asarray(batch_items)
+    rows = trace.views[0].data[items]
+    for view in trace.views[1:]:
+        rows = rows + view.data[items]
+    preds = ad.logistic(rows @ u.data)
+    l_rec, d_preds = _bce(preds, batch_labels)
+    dtype = rows.dtype
+    parents = [u, *trace.views]
 
-    zero = ad.as_tensor(np.asarray(0.0, dtype=trace.V_F.data.dtype))
-    l_a = zero
-    if consistency_enabled and beta_a != 0.0:
-        v_view, g_view = trace.params["V"], trace.C_E
-        if consistency_items is not None:
-            idx = np.asarray(consistency_items)
-            v_view = ad.gather_rows(v_view, idx)
-            g_view = ad.gather_rows(g_view, idx)
-        l_a = _consistency_t(trace.p_P, v_view, trace.p_E, g_view, eq12_mode)
+    l_a = np.asarray(0.0, dtype=dtype)
+    with_l_a = consistency_enabled and beta_a != 0.0
+    if with_l_a:
+        idx = None if consistency_items is None else np.asarray(consistency_items)
+        v_rows, c_rows = (v.data, c_e.data) if idx is None else (v.data[idx], c_e.data[idx])
+        l_a, consistency_vjp = _consistency_term(trace.p_P.data, v_rows, trace.p_E.data, c_rows, eq12_mode)
+        parents += [trace.p_P, v, trace.p_E, c_e]
 
-    l_o = zero
-    if orthogonality_enabled and beta_o != 0.0:
+    l_o = np.asarray(0.0, dtype=dtype)
+    with_l_o = orthogonality_enabled and beta_o != 0.0
+    if with_l_o:
         if complementarity_kind == "orthogonal":
-            l_o = _orthogonality_t(trace.C_E, trace.params["V"])
+            l_o, corr = _orthogonality(c_e.data, v.data)
         elif complementarity_kind == "l2-distance":
-            l_o = _distance_push_t(trace.C_E, trace.params["V"])
+            l_o, diff = _distance_push(c_e.data, v.data)
         else:
             raise ValueError(f"unknown complementarity kind {complementarity_kind!r}")
+        parents += [c_e, v]
+    parents = list({id(t): t for t in parents}.values())
 
-    total = ad.add(l_rec, ad.add(ad.mul(l_a, beta_a), ad.mul(l_o, beta_o)))
+    def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        grads: dict[int, np.ndarray] = {}  # id(parent) -> its one gradient buffer
+
+        def add(t: Tensor, contribution: np.ndarray) -> None:
+            if id(t) in grads:
+                grads[id(t)] += contribution
+            else:
+                grads[id(t)] = contribution  # every contribution here is a new array
+
+        def add_rows(t: Tensor, at: np.ndarray, rows_grad: np.ndarray) -> None:
+            if id(t) not in grads:
+                grads[id(t)] = np.zeros_like(t.data)
+            ad.add_rows(grads[id(t)], at, rows_grad)
+
+        if with_l_o:
+            if complementarity_kind == "orthogonal":
+                k = g * beta_o * 2.0 / c_e.data.shape[1]
+                add(c_e, v.data @ (corr.T * k))
+                add(v, c_e.data @ (corr * k))
+            else:
+                k = g * beta_o * 2.0 / diff.size
+                add(c_e, diff * -k)
+                add(v, diff * k)
+        if with_l_a:
+            if idx is None:
+                d_pp, grads[id(v)], d_pe, grads[id(c_e)] = consistency_vjp(
+                    g * beta_a, grads.get(id(v)), grads.get(id(c_e))
+                )
+            else:
+                d_pp, d_v, d_pe, d_c = consistency_vjp(g * beta_a)
+                add_rows(v, idx, d_v)
+                add_rows(c_e, idx, d_c)
+            add(trace.p_P, d_pp)
+            add(trace.p_E, d_pe)
+        d_scores = g * d_preds * preds * (1.0 - preds)
+        add(u, rows.T @ d_scores)
+        d_rows = np.dot(d_scores[:, None], u.data[None])
+        for view in trace.views:
+            add_rows(view, items, d_rows)
+        return tuple(grads[id(t)] for t in parents)
+
+    total = l_rec + (l_a * np.asarray(beta_a, dtype=dtype) + l_o * np.asarray(beta_o, dtype=dtype))
     breakdown = LossBreakdown(
-        l_rec=l_rec.item(),
-        l_a=l_a.item(),
-        l_o=l_o.item(),
-        total=total.item(),
+        l_rec=float(l_rec),
+        l_a=float(l_a),
+        l_o=float(l_o),
+        total=float(total),
         beta_a=beta_a,
         beta_o=beta_o,
     )
-    return total, breakdown
+    return ad.fused(total, tuple(parents), vjp), breakdown
 
 
 def total_loss(

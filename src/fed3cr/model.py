@@ -113,15 +113,28 @@ class ClientState:
 
 @dataclass
 class ForwardTrace:
-    """Tensors recorded by one forward pass; `params` holds the trainable leaves."""
+    """Tensors recorded by one forward pass; `params` holds the trainable leaves.
+
+    `views` are the M x d tables whose sum is the scoring table V_F: the
+    enhanced global table and the personal view, or a federated-MF client's
+    trained table alone. Training scores only the batch rows of each view.
+    """
 
     p_G: Tensor
     p_P: Tensor
     W: Tensor | None
     C_E: Tensor
     p_E: Tensor
-    V_F: Tensor
+    views: tuple[Tensor, ...]
     params: dict = field(repr=False, default_factory=dict)
+
+    @property
+    def V_F(self) -> np.ndarray:
+        """The full scoring table (to be read, never written)."""
+        table = self.views[0].data
+        for view in self.views[1:]:
+            table = table + view.data
+        return table
 
 
 def init_client(seed: int, d: int, M: int, client_id: int = 0, dtype=np.float32) -> ClientState:
@@ -205,7 +218,8 @@ def forward_pass(
     A client without a personal table trains "u", "C" and the net only. Its
     trained table "C" takes the personal role (V_F = C with no enhancement),
     and `consensus`, the frozen download (default: `table`), takes the
-    global role: V_F = C + consensus W^T.
+    global role: V_F = C + consensus W^T. The sum V_F itself is not
+    recorded; the trace keeps its terms as `views`.
     """
     if enhancement not in ENHANCEMENT_KINDS:
         raise ValueError(f"unknown enhancement kind {enhancement!r}")
@@ -243,19 +257,18 @@ def forward_pass(
             w_mat = ad.mul(w_mat, ace_scale)
         c_e = ad.matmul(c_t, ad.transpose(w_mat))
         p_e = ad.matmul(w_mat, p_g)
-        v_f = ad.add(c_e, v_t)
+        views = (c_e, v_t)
     elif enhancement == "consensus-transfer":
         c_e = net_forward_rows(theta, c_t)
         p_e = ad.tmean(ad.gather_rows(c_e, positives), axis=0)
-        v_f = ad.add(c_e, v_t)
+        views = (c_e, v_t)
     elif enhancement == "unified-transfer":
         c_e = net_forward_rows(theta, c_t)
-        v_mapped = net_forward_rows(theta, v_t)
         p_e = ad.tmean(ad.gather_rows(c_e, positives), axis=0)
-        v_f = ad.add(c_e, v_mapped)
+        views = (c_e, net_forward_rows(theta, v_t))
     else:  # none: the raw consensus fused with the personal table, or a single table alone
         c_e = c_t
         p_e = p_g
-        v_f = v_t if single else ad.add(c_t, v_t)
+        views = (v_t,) if single else (c_t, v_t)
 
-    return ForwardTrace(p_G=p_g, p_P=p_p, W=w_mat, C_E=c_e, p_E=p_e, V_F=v_f, params=params)
+    return ForwardTrace(p_G=p_g, p_P=p_p, W=w_mat, C_E=c_e, p_E=p_e, views=views, params=params)

@@ -209,6 +209,25 @@ def test_leaf_with_three_contributions():
     check_all_inputs(build, x)
 
 
+def test_gathered_rows_add_into_a_dense_gradient():
+    # The table also gets a dense gradient: fresh from a matmul, which backward
+    # may add the rows into in place, or tsum's read-only broadcast view, which
+    # it must not write into. The rows repeat a row, or name one row as -1 and 4.
+    x = RNG.normal(size=(5, 3))
+    k = np.random.default_rng(10).normal(size=(3, 2))
+    proj = np.random.default_rng(11).normal(size=(4, 3))
+    dense_terms = (lambda a: ad.tsum(ad.mul(ad.matmul(a, k), k[0])), ad.tsum)
+    for idx in (np.array([0, 2, 2, 3]), np.array([-1, 4, 1, 0])):
+        for dense in dense_terms:
+            for rows_first in (True, False):
+
+                def build(a, idx=idx, dense=dense, rows_first=rows_first):
+                    rows = ad.tsum(ad.mul(ad.gather_rows(a, idx), proj))
+                    return ad.add(rows, dense(a)) if rows_first else ad.add(dense(a), rows)
+
+                check_all_inputs(build, x)
+
+
 def _fan_out_graph(dtype):
     x = ad.parameter(RNG.normal(size=(4, 3)).astype(dtype))
     w = ad.parameter(RNG.normal(size=(3, 2)).astype(dtype))

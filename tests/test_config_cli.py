@@ -101,6 +101,19 @@ def test_sweep_over_seed_beats_env_seed(cfg_path, tmp_path, monkeypatch, capsys)
         assert manifest["training"]["seed"] == value
 
 
+def test_manifest_seed_beats_env_seed(cfg_path, tmp_path, monkeypatch):
+    # A manifest replays its own seed: FED3CR_SEED < manifest < --training.seed
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(load_config(cfg_path).resolved()))
+    monkeypatch.setenv("FED3CR_SEED", "5")
+    assert load_config(str(manifest)).hp.seed == 3
+    assert load_config(str(manifest), {"training.seed": "7"}).hp.seed == 7
+    out = str(tmp_path / "sw")
+    argv = ["sweep", "--config", str(manifest), "--param", "training.lr", "--values", "0.05", "--out", out]
+    assert main(argv) == 0
+    assert json.load(open(os.path.join(out, "training.lr_0.05", "manifest.json")))["training"]["seed"] == 3
+
+
 def test_variant_explicit_flags_override_label(tmp_path):
     path = tmp_path / "v.cfg"
     path.write_text("[variant]\nlabel = Fed3CR\ncomplementarity = l2-distance\n")

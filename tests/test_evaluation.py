@@ -162,6 +162,21 @@ def test_view_rbo_matches_direct_oracle(shared_blocks):
     assert got == pytest.approx(rbo_truncated(personal, global_view, 0.9), abs=1e-9)
 
 
+def test_top_k_list_matches_full_lexsort_oracle():
+    # Rows repeat, so scores tie; two rows score NaN, so for k = 39 the k-th
+    # score is NaN; k runs past M.
+    rng = np.random.default_rng(12)
+    table = rng.normal(size=(6, 3)).round(0)[rng.integers(0, 6, size=40)]
+    table[[7, 30]] = np.nan
+    u = np.array([1.0, -2.0, 0.5])
+    scores = table @ u
+    oracle = [int(i) for i in np.lexsort((np.arange(40), -scores))]
+    assert len(set(scores[~np.isnan(scores)])) < 38
+    for k in (1, 3, 5, 20, 38, 39, 40, 41, 100):
+        assert top_k_list(u, table, k) == oracle[:k], k
+    assert top_k_list(u, table, 40)[-2:] == [7, 30]
+
+
 def test_correlation_export_orthogonal_pair_all_zero(tmp_path):
     c_e = np.array([[1.0, 2.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
     v = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 1.0], [1.0, -2.0]])

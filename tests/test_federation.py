@@ -343,9 +343,9 @@ def test_identity_rigged_row_net_reduces_to_additive_fusion():
     net.weights[0] = np.concatenate([np.eye(4), -np.eye(4)])
     net.weights[1] = np.concatenate([np.eye(4), -np.eye(4)], axis=1)
     trace = forward_pass(state, table, net, np.array([0, 1]), enhancement="consensus-transfer")
-    assert np.allclose(trace.V_F.data, table + state.personal_table, atol=1e-12)
+    assert np.allclose(trace.V_F, table + state.personal_table, atol=1e-12)
     trace_u = forward_pass(state, table, net, np.array([0, 1]), enhancement="unified-transfer")
-    assert np.allclose(trace_u.V_F.data, table + state.personal_table, atol=1e-12)
+    assert np.allclose(trace_u.V_F, table + state.personal_table, atol=1e-12)
 
 
 def test_fedmf_plain_and_plugin_shapes():
@@ -375,8 +375,8 @@ def test_fedmf_zero_net_scores_match_plain_exactly():
     plugin = forward_pass(state, table, net, pos, enhancement="ace", consensus=download)
     plain = forward_pass(state, table, net, pos, enhancement="none", consensus=download)
     assert np.array_equal(plugin.W.data, np.zeros((d, d)))
-    assert np.array_equal(plugin.V_F.data, table)
-    assert np.array_equal(plain.V_F.data, table)
+    assert np.array_equal(plugin.V_F, table)
+    assert np.array_equal(plain.V_F, table)
     # the frozen download is the consensus view, the trained table the local one
     assert np.allclose(plugin.p_G.data, download[pos].mean(axis=0), atol=1e-15)
     assert np.allclose(plugin.p_P.data, table[pos].mean(axis=0), atol=1e-15)

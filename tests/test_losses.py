@@ -1,14 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from fed3cr import autodiff as ad
 from fed3cr.errors import DegenerateInputWarning, ShapeError
+from fed3cr.federation import VARIANT_LABELS, VariantConfig
 from fed3cr.losses import (
     LOG_FLOOR,
     PRED_CLAMP,
     LossBreakdown,
-    _consistency_t,
-    _rec_loss_t,
+    _bce,
+    _consistency_term,
     consistency_loss,
     orthogonality_loss,
     rec_loss,
@@ -245,22 +247,101 @@ def test_consistency_sample_restricts_to_batch_items():
     assert restricted.l_a == pytest.approx(oracle, abs=1e-9)
 
 
-# -- fused tape ops -------------------------------------------------------------------
+# (label, enhancement kind, eq12 mode, consistency on a row subset, complementarity):
+# every label with its own flags, once more with the other auxiliary-loss
+# options where it has l_a or l_o, and the two row-map kinds.
+OBJECTIVE_CASES = [
+    case
+    for label, (kind, l_a, l_o, _) in VARIANT_LABELS.items()
+    for case in [(label, kind, "softmax", False, "orthogonal")]
+    + ([(label, kind, "literal-ratio", True, "l2-distance")] if l_a or l_o else [])
+] + [
+    ("Fed3CR", kind, mode, subset, complementarity)
+    for kind in ("consensus-transfer", "unified-transfer")
+    for mode, subset, complementarity in (("softmax", False, "orthogonal"), ("literal-ratio", True, "l2-distance"))
+]
+
+
+@pytest.mark.parametrize(
+    "label, kind, eq12_mode, subset, complementarity",
+    OBJECTIVE_CASES,
+    ids=["-".join(str(part) for part in case) for case in OBJECTIVE_CASES],
+)
+def test_objective_node_gradients_for_every_variant(
+    label, kind, eq12_mode, subset, complementarity, block_grad_check
+):
+    variant = dataclasses.replace(
+        VariantConfig.from_label(label), enhancement_kind=kind, complementarity_kind=complementarity
+    )
+    state, table, net, positives, _ = make_trace(m=9)
+    if kind in ("consensus-transfer", "unified-transfer"):
+        # a row-map net, drawn at unit scale: its near-identity init puts hidden
+        # pre-activations within a finite-difference step of the ReLU kink
+        rng = np.random.default_rng(7)
+        net = init_client_net(rng, 4, (2, 4), enhancement=kind, dtype=np.float64)
+        net.weights = [rng.normal(0, 0.5, w.shape) for w in net.weights]
+        net.biases = [rng.normal(0, 0.5, b.shape) for b in net.biases]
+    if not variant.personal_table:
+        state.personal_table = None
+    consensus = table.copy()  # the frozen download of a federated-MF client
+    items, labels = np.array([0, 3, 3, 5, 8]), np.array([1, 0, 0, 1, 0])
+
+    def build(client, table, net):
+        trace = forward_pass(client, table, net, positives, enhancement=kind, consensus=consensus)
+        total, _ = total_loss_t(
+            trace,
+            items,
+            labels,
+            beta_a=0.7,
+            beta_o=0.4,
+            eq12_mode=eq12_mode,
+            consistency_enabled=variant.consistency_enabled,
+            orthogonality_enabled=variant.orthogonality_enabled,
+            complementarity_kind=complementarity,
+            consistency_items=np.unique(items) if subset else None,
+        )
+        return total, trace
+
+    block_grad_check(state, table, net, build)
+
+
+def test_fed3cr_step_graph_holds_no_other_table_sized_tensor():
+    # The objective is one node over C_E and V: no V_F = C_E + V and no
+    # per-term M x d intermediates on the tape.
+    m, d = 96, 16
+    state = init_client(seed=0, d=d, M=m)
+    rng = np.random.default_rng(0)
+    table = rng.normal(0, 0.01, (m, d)).astype(np.float32)
+    trace = forward_pass(state, table, init_client_net(rng, d, (2, 4)), np.arange(0, m, 12))
+    items = np.arange(40)
+    total, _ = total_loss_t(trace, items, (items % 5 == 0).astype(int), beta_a=0.5, beta_o=0.5)
+    seen, stack, tables = set(), [total], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node.data.shape == (m, d):
+                tables.add(id(node))
+            stack.extend(parent for parent, _ in node._edges)
+    assert tables == {id(trace.params["C"]), id(trace.params["V"]), id(trace.C_E)}
+
+
+# -- closed-form gradients of the objective's pieces ---------------------------------
 
 
 def check_consistency_op(blocks, mode, check=(0, 1, 2, 3)):
-    """grad_check the fused consistency node w.r.t. each input in `check`
-    (order: personal prototype, personal table, global prototype, global table)."""
-    params = [ad.parameter(b.copy()) for b in blocks]
-    _consistency_t(*params, mode=mode).backward()
+    """grad_check the consistency term's closed-form gradients w.r.t. each
+    input in `check` (order: personal prototype, personal table, global
+    prototype, global table)."""
+    grads = _consistency_term(*blocks, mode=mode)[1](1.0)
     for i in check:
 
         def f(p, i=i):
-            args = [ad.as_tensor(b) for b in blocks]
-            args[i] = ad.as_tensor(p)
-            return _consistency_t(*args, mode=mode).item()
+            args = list(blocks)
+            args[i] = p
+            return float(_consistency_term(*args, mode=mode)[0])
 
-        report = grad_check(f, blocks[i], params[i].grad)
+        report = grad_check(f, blocks[i], grads[i])
         assert report.passed, (mode, i, report)
 
 
@@ -328,14 +409,11 @@ def test_tape_size_of_a_fed3cr_step():
 def test_fused_bce_zero_gradient_when_clamped():
     x = np.array([0.0, 1e-9, 0.3, 0.6, 1.0 - 1e-9, 1.0])
     labels = np.array([1, 0, 1, 0, 1, 0])
-    t = ad.parameter(x)
-    _rec_loss_t(t, labels).backward()
+    grad = _bce(x, labels)[1]
     clamped = (x < PRED_CLAMP) | (x > 1.0 - PRED_CLAMP)
-    assert np.all(t.grad[clamped] == 0.0)
-    assert np.all(t.grad[~clamped] != 0.0)
+    assert np.all(grad[clamped] == 0.0)
+    assert np.all(grad[~clamped] != 0.0)
 
     inner = x[~clamped]
-    t_inner = ad.parameter(inner)
-    _rec_loss_t(t_inner, labels[~clamped]).backward()
-    report = grad_check(lambda p: rec_loss(p, labels[~clamped]), inner, t_inner.grad)
+    report = grad_check(lambda p: rec_loss(p, labels[~clamped]), inner, _bce(inner, labels[~clamped])[1])
     assert report.passed, report

@@ -118,17 +118,17 @@ def test_fuse_cases(shared_blocks):
     net.weights[-1] = np.random.default_rng(2).normal(0, 0.4, (16, 16))
     pos = np.array([1, 4])
     trace = forward_pass(state, table, net, pos, enhancement="ace")
-    assert np.array_equal(trace.V_F.data, trace.C_E.data + state.personal_table)
+    assert np.array_equal(trace.V_F, trace.C_E.data + state.personal_table)
     trace = forward_pass(state, table, net, pos, enhancement="none")
     assert np.array_equal(trace.C_E.data, table)
-    assert np.array_equal(trace.V_F.data, table + state.personal_table)
+    assert np.array_equal(trace.V_F, table + state.personal_table)
     _, row_net = shared_blocks(3, 4, 6, enhancement="consensus-transfer")
     trace = forward_pass(state, table, row_net, pos, enhancement="consensus-transfer")
-    assert np.array_equal(trace.V_F.data, trace.C_E.data + state.personal_table)
+    assert np.array_equal(trace.V_F, trace.C_E.data + state.personal_table)
     single = init_client(seed=3, d=4, M=6, dtype=np.float64)
     single.personal_table = None
     trace = forward_pass(single, table, None, pos, enhancement="none")
-    assert np.array_equal(trace.V_F.data, table)
+    assert np.array_equal(trace.V_F, table)
 
 
 def test_init_client_deterministic():
@@ -167,7 +167,7 @@ def test_identity_rigged_net_reduces_to_additive_fusion(shared_blocks):
     state = init_client(seed=1, d=d, M=m, dtype=np.float64)
     table, _ = shared_blocks(1, d, m)
     trace = forward_pass(state, table, rigged_identity_net(d), np.array([0, 2]), enhancement="ace")
-    assert np.allclose(trace.V_F.data, table + state.personal_table)
+    assert np.allclose(trace.V_F, table + state.personal_table)
     assert np.allclose(trace.C_E.data, table)
     assert np.allclose(trace.p_E.data, trace.p_G.data)
 
