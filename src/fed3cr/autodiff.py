@@ -160,12 +160,6 @@ class Tensor:
     def __radd__(self, other: ArrayLike) -> "Tensor":
         return add(other, self)
 
-    def __sub__(self, other: ArrayLike) -> "Tensor":
-        return sub(self, other)
-
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return sub(other, self)
-
     def __mul__(self, other: ArrayLike) -> "Tensor":
         return mul(self, other)
 
@@ -233,17 +227,6 @@ def add(a: ArrayLike, b: ArrayLike) -> Tensor:
         _edges=(
             (a, lambda g: _unbroadcast(g, a.data.shape)),
             (b, lambda g: _unbroadcast(g, b.data.shape)),
-        ),
-    )
-
-
-def sub(a: ArrayLike, b: ArrayLike) -> Tensor:
-    a, b = _pair(a, b)
-    return Tensor(
-        a.data - b.data,
-        _edges=(
-            (a, lambda g: _unbroadcast(g, a.data.shape)),
-            (b, lambda g: _unbroadcast(-g, b.data.shape)),
         ),
     )
 
@@ -323,13 +306,14 @@ def gather_rows(a: ArrayLike, indices: np.ndarray) -> Tensor:
 
 def tsum(a: ArrayLike, axis: int | None = None) -> Tensor:
     a = as_tensor(a)
-
-    def grad_a(g: np.ndarray) -> np.ndarray:
-        if axis is None:
-            return np.broadcast_to(g, a.data.shape)
-        return np.broadcast_to(np.expand_dims(g, axis), a.data.shape)
-
-    return Tensor(a.data.sum(axis=axis), _edges=((a, grad_a),))
+    if axis is None:
+        return Tensor(a.data.sum(), _edges=((a, lambda g: np.broadcast_to(g, a.data.shape)),))
+    # The summed axis back at length 1, copied along it by one C-level
+    # repeat: a few times cheaper than broadcast_to(expand_dims(...)).
+    kept = list(a.data.shape)
+    kept[axis] = 1
+    count = a.data.shape[axis]
+    return Tensor(a.data.sum(axis=axis), _edges=((a, lambda g: g.reshape(kept).repeat(count, axis)),))
 
 
 def tmean(a: ArrayLike, axis: int | None = None) -> Tensor:
@@ -351,11 +335,3 @@ def logistic(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function of an array."""
     z = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
-def sigmoid(a: ArrayLike) -> Tensor:
-    """`logistic` as a tape op."""
-    a = as_tensor(a)
-    out = logistic(a.data)
-    return Tensor(out, _edges=((a, lambda g: g * out * (1.0 - out)),))
-

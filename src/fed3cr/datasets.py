@@ -314,8 +314,9 @@ class NegativeSampler:
 
 def build_eval_candidates(
     ds: InteractionDataset, client: int, num_negatives: int, seed: int
-) -> list[int]:
-    """Fixed evaluation candidate list: the test item plus sampled negatives.
+) -> np.ndarray:
+    """Fixed evaluation candidates: the test item first, then sampled
+    negatives, as one int64 array.
 
     Deterministic per (client, seed); negatives never collide with the
     client's train positives or its test item. `num_negatives=-1` selects
@@ -327,21 +328,21 @@ def build_eval_candidates(
     blocked = np.concatenate([ds.client_items[client], [test]])
     universe = np.setdiff1d(np.arange(ds.num_items, dtype=np.int64), blocked)
     if num_negatives == -1:
-        return [int(test)] + [int(n) for n in universe]
-    rng = seeding.rng(seed, seeding.EVAL_CANDIDATES, client)
-    if len(universe) == 0:
+        negatives = universe
+    elif len(universe) == 0:
         warnings.warn(
             f"client {client}: no non-interacted items; candidate list is the test item alone",
             ReplacementSamplingWarning,
         )
-        return [int(test)]
-    if len(universe) < num_negatives:
-        warnings.warn(
-            f"client {client}: only {len(universe)} candidate negatives for {num_negatives} "
-            "requested; sampling with replacement",
-            ReplacementSamplingWarning,
-        )
-        negatives = rng.choice(universe, size=num_negatives, replace=True)
+        negatives = universe
     else:
-        negatives = rng.choice(universe, size=num_negatives, replace=False)
-    return [int(test)] + [int(n) for n in negatives]
+        rng = seeding.rng(seed, seeding.EVAL_CANDIDATES, client)
+        replace = len(universe) < num_negatives
+        if replace:
+            warnings.warn(
+                f"client {client}: only {len(universe)} candidate negatives for {num_negatives} "
+                "requested; sampling with replacement",
+                ReplacementSamplingWarning,
+            )
+        negatives = rng.choice(universe, size=num_negatives, replace=replace)
+    return np.concatenate(([test], negatives)).astype(np.int64, copy=False)

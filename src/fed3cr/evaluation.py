@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolError, ShapeError
-from .model import ClientState, ForwardTrace
 
 
 @dataclass
@@ -44,24 +43,25 @@ def metrics_csv_lines(metrics: list[RoundMetrics]) -> list[str]:
     return lines
 
 
-def rank_candidates(u: np.ndarray, table: np.ndarray, candidates: list[int]) -> list[int]:
-    """Candidates sorted by descending u . v_j; score ties broken by ascending id."""
-    cand = np.asarray(candidates, dtype=np.int64)
-    scores = table[cand] @ np.asarray(u)
-    order = np.lexsort((cand, -scores))
-    return [int(c) for c in cand[order]]
+def rank_candidates(scores: np.ndarray, candidates: np.ndarray, test_item: int) -> int:
+    """1-based rank of `test_item` among `candidates` under `scores` (one
+    score per item id): descending score, ties broken by ascending id, NaN
+    scores last. It counts the candidates that order before the test item,
+    so it neither sorts nor builds a list."""
+    cand = np.asarray(candidates)
+    if not np.any(cand == test_item):
+        raise ProtocolError(f"test item {test_item} not among the ranked candidates")
+    s, t = scores[cand], scores[test_item]
+    if np.isnan(t):
+        higher, tied = ~np.isnan(s), np.isnan(s)
+    else:
+        higher, tied = s > t, s == t
+    return int(np.count_nonzero(higher | (tied & (cand < test_item)))) + 1
 
 
-def hr_ndcg_at_k(ranked: list[int], test_item: int, k: int) -> tuple[int, float]:
-    """Hit indicator and positional discount for the held-out item.
-
-    The rank is 1-based; a miss (rank > k) scores (0, 0.0) and a rank-1 hit
-    scores (1, 1.0).
-    """
-    try:
-        rank = ranked.index(test_item) + 1
-    except ValueError:
-        raise ProtocolError(f"test item {test_item} not among the ranked candidates") from None
+def hr_ndcg_at_k(rank: int, k: int) -> tuple[int, float]:
+    """Hit indicator and positional discount of a 1-based rank: a miss
+    (rank > k) scores (0, 0.0) and a rank-1 hit scores (1, 1.0)."""
     if rank > k:
         return 0, 0.0
     return 1, float(1.0 / np.log2(rank + 1))
@@ -102,10 +102,10 @@ def rbo_truncated(list_a: list[int], list_b: list[int], p: float) -> float:
     return numerator / denominator
 
 
-def top_k_list(u: np.ndarray, table: np.ndarray, k: int) -> list[int]:
-    """Top-k item ids by u . row score, ties broken by ascending id (NaN
+def top_k_list(scores: np.ndarray, k: int) -> list[int]:
+    """Top-k item ids by descending score, ties broken by ascending id (NaN
     scores last)."""
-    neg = -(np.asarray(table) @ np.asarray(u))
+    neg = -np.asarray(scores)
     ids = np.arange(len(neg))
     if k < len(neg):
         # Only items scoring at or above the k-th best can make the list
@@ -115,13 +115,13 @@ def top_k_list(u: np.ndarray, table: np.ndarray, k: int) -> list[int]:
     return [int(i) for i in ids[order[:k]]]
 
 
-def view_consistency_rbo(state: ClientState, trace: ForwardTrace, k_prime: int, p: float) -> float:
-    """RBO between the client's top-k' lists under the personal view (rows of
-    the personal table) and the global view (rows of the enhanced consensus)."""
-    u = state.user_embedding
-    personal = top_k_list(u, trace.params["V"].data, k_prime)
-    global_view = top_k_list(u, trace.C_E.data, k_prime)
-    return rbo_truncated(personal, global_view, p)
+def view_consistency_rbo(
+    personal_scores: np.ndarray, global_scores: np.ndarray, k_prime: int, p: float
+) -> float:
+    """RBO between a client's top-k' lists under the personal view (its
+    scores of the personal table's rows) and the global view (its scores of
+    the enhanced consensus's rows)."""
+    return rbo_truncated(top_k_list(personal_scores, k_prime), top_k_list(global_scores, k_prime), p)
 
 
 def correlation_matrix(c_e: np.ndarray, v: np.ndarray, clip: float = 0.003) -> np.ndarray:

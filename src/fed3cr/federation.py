@@ -382,7 +382,7 @@ def evaluate_round(
     ds: InteractionDataset,
     hp: HyperParams,
     variant: VariantConfig,
-    candidates: list[list[int]],
+    candidates: list[np.ndarray],
     round: int,
     loss_means: LossBreakdown,
     compute_rbo: bool = True,
@@ -402,13 +402,20 @@ def evaluate_round(
             enhancement=variant.enhancement_kind,
             ace_scale=hp.ace_scale,
         )
-        ranked = rank_candidates(client.user_embedding, trace.V_F, candidates[client.client_id])
-        hr, ndcg = hr_ndcg_at_k(ranked, ds.test_items[client.client_id], hp.top_k)
+        u = client.user_embedding
+        view_scores = [view.data @ u for view in trace.views]
+        scores = sum(view_scores[1:], view_scores[0])
+        rank = rank_candidates(scores, candidates[client.client_id], ds.test_items[client.client_id])
+        hr, ndcg = hr_ndcg_at_k(rank, hp.top_k)
         hrs.append(hr)
         ndcgs.append(ndcg)
         if compute_rbo and variant.personal_table:
+            # The global view is C_E, always views[0]. The personal view is
+            # the raw table V, which unified-transfer maps before fusing.
+            personal = trace.params["V"]
+            personal_scores = view_scores[1] if trace.views[1] is personal else personal.data @ u
             k = min(hp.rbo_k, ds.num_items)
-            rbos.append(view_consistency_rbo(client, trace, k, hp.rbo_p))
+            rbos.append(view_consistency_rbo(personal_scores, view_scores[0], k, hp.rbo_p))
     return RoundMetrics(
         round=round,
         hr_at_k=float(np.mean(hrs)),

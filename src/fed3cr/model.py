@@ -117,7 +117,8 @@ class ForwardTrace:
 
     `views` are the M x d tables whose sum is the scoring table V_F: the
     enhanced global table and the personal view, or a federated-MF client's
-    trained table alone. Training scores only the batch rows of each view.
+    trained table alone. Training scores only the batch rows of each view,
+    and evaluation each whole view once; neither builds V_F.
     """
 
     p_G: Tensor

@@ -25,12 +25,12 @@ def check_unary(op, x, rtol=1e-5, **kwargs):
     assert report.passed, report
 
 
-def test_add_sub_mul_broadcasting():
+def test_add_mul_broadcasting():
     a = RNG.normal(size=(4, 3))
     b = RNG.normal(size=3) + 2.0
     proj = np.random.default_rng(1).normal(size=(4, 3))
 
-    for op in (ad.add, ad.sub, ad.mul):
+    for op in (ad.add, ad.mul):
         ta, tb = ad.parameter(a), ad.parameter(b)
         loss = ad.tsum(ad.mul(op(ta, tb), proj))
         loss.backward()
@@ -99,8 +99,7 @@ def test_reductions_and_shapes():
 
 def test_nonlinearities():
     x = RNG.normal(size=(3, 4)) + 0.05  # keep clear of the relu kink
-    for op in (ad.relu, ad.sigmoid):
-        check_unary(op, x)
+    check_unary(ad.relu, x)
 
 
 def test_concat_gradient_splits():
@@ -131,11 +130,12 @@ def test_constants_do_not_collect_grads():
     assert np.allclose(t.grad, np.ones(3))
 
 
-def test_sigmoid_saturation_no_overflow():
-    out = ad.sigmoid(ad.as_tensor(np.array([40.0, -40.0, 1000.0, -1000.0])))
-    assert np.isfinite(out.data).all()
-    assert out.data[0] == pytest.approx(1.0, abs=1e-12)
-    assert out.data[1] == pytest.approx(0.0, abs=1e-12)
+def test_logistic_saturation_no_overflow():
+    with np.errstate(over="raise"):
+        out = ad.logistic(np.array([40.0, -40.0, 1000.0, -1000.0]))
+    assert np.isfinite(out).all()
+    assert out[0] == pytest.approx(1.0, abs=1e-12)
+    assert out[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dtype_preserved():
@@ -183,8 +183,8 @@ def test_subexpression_feeding_add_and_mul():
 
 
 def test_tsum_broadcast_grad_reaching_two_consumers():
-    # tsum's read-only broadcast view reaches both operands of the add as is;
-    # x then gets two more contributions and must not write into that view.
+    # tsum's gradient reaches both operands of the add as one shared array;
+    # x then gets two more contributions and must not write into it.
     x, y = RNG.normal(size=(4, 3)), RNG.normal(size=(4, 3))
     proj = np.random.default_rng(7).normal(size=3)
 
@@ -203,7 +203,7 @@ def test_leaf_with_three_contributions():
 
     def build(a):
         return ad.add(
-            ad.add(ad.tsum(ad.mul(a, proj)), ad.tsum(ad.matmul(a, w))), ad.tsum(ad.sigmoid(a))
+            ad.add(ad.tsum(ad.mul(a, proj)), ad.tsum(ad.matmul(a, w))), ad.tsum(ad.mul(a, a))
         )
 
     check_all_inputs(build, x)
@@ -235,7 +235,7 @@ def _fan_out_graph(dtype):
     col = ad.tsum(ad.add(h, h), axis=0)
     rows = ad.gather_rows(x, np.array([0, 2, 2, 3]))
     loss = ad.add(
-        ad.add(ad.tsum(ad.mul(col, col)), ad.tsum(ad.sigmoid(rows))),
+        ad.add(ad.tsum(ad.mul(col, col)), ad.tsum(ad.mul(rows, rows))),
         ad.tmean(ad.mul(ad.add(x, 1.0), x)),
     )
     return loss

@@ -217,13 +217,15 @@ def test_batch_truncation():
 def test_eval_candidates_cardinality_and_test_presence():
     ds = make_split_fixture(num_items=150)
     cands = build_eval_candidates(ds, 2, num_negatives=99, seed=4)
+    assert cands.dtype == np.int64
     assert len(cands) == 100
-    assert cands.count(ds.test_items[2]) == 1
+    assert np.count_nonzero(cands == ds.test_items[2]) == 1
+    assert cands[0] == ds.test_items[2]
 
 
 def test_eval_candidates_deterministic():
     ds = make_split_fixture()
-    assert build_eval_candidates(ds, 1, 20, seed=8) == build_eval_candidates(ds, 1, 20, seed=8)
+    assert np.array_equal(build_eval_candidates(ds, 1, 20, seed=8), build_eval_candidates(ds, 1, 20, seed=8))
 
 
 def test_eval_candidates_never_intersect_train_positives():
@@ -239,7 +241,7 @@ def test_eval_candidates_replacement_warning():
     with pytest.warns(ReplacementSamplingWarning):
         cands = build_eval_candidates(ds, 0, num_negatives=50, seed=0)
     assert len(cands) == 51
-    assert cands.count(ds.test_items[0]) == 1
+    assert np.count_nonzero(cands == ds.test_items[0]) == 1
 
 
 def test_split_random_strategy_ignores_timestamps():

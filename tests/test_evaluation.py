@@ -16,60 +16,93 @@ from fed3cr.evaluation import (
 from fed3cr.model import forward_pass, init_client
 
 
+def old_ranked(scores, candidates):
+    """The candidates as the sort ranked them before counting replaced it:
+    lexsort by descending score, then ascending id (NaN last)."""
+    cand = np.asarray(candidates, dtype=np.int64)
+    order = np.lexsort((cand, -scores[cand]))
+    return [int(c) for c in cand[order]]
+
+
 def test_rank_single_candidate():
-    assert rank_candidates(np.ones(2), np.ones((3, 2)), [1]) == [1]
+    scores = np.ones((3, 2)) @ np.ones(2)
+    assert rank_candidates(scores, np.array([1]), 1) == 1
 
 
 def test_rank_tie_broken_by_ascending_id():
-    table = np.zeros((6, 2))
-    ranked = rank_candidates(np.ones(2), table, [5, 2])
-    assert ranked == [2, 5]
+    scores = np.zeros((6, 2)) @ np.ones(2)
+    cands = np.array([5, 2])
+    assert [rank_candidates(scores, cands, j) for j in (2, 5)] == [1, 2]
 
 
 def test_rank_matches_full_sort_oracle():
     rng = np.random.default_rng(0)
     u = rng.normal(size=8)
-    table = rng.normal(size=(200, 8))
-    cands = list(rng.choice(200, size=100, replace=False))
-    ranked = rank_candidates(u, table, cands)
-    oracle = sorted(cands, key=lambda j: (-float(table[j] @ u), j))
-    assert ranked == oracle
+    scores = rng.normal(size=(200, 8)) @ u
+    cands = rng.choice(200, size=100, replace=False)
+    oracle = sorted(cands, key=lambda j: (-float(scores[j]), j))
+    assert [rank_candidates(scores, cands, j) for j in oracle] == list(range(1, 101))
 
 
 def test_rank_invariant_under_positive_rescaling():
     rng = np.random.default_rng(1)
     u = rng.normal(size=4)
     table = rng.normal(size=(30, 4))
-    cands = list(range(30))
-    assert rank_candidates(u, table, cands) == rank_candidates(3.7 * u, table, cands)
+    cands = np.arange(30)
+    ranks = [rank_candidates(table @ u, cands, j) for j in cands]
+    assert ranks == [rank_candidates(table @ (3.7 * u), cands, j) for j in cands]
+
+
+def test_rank_matches_the_sort_path_on_random_candidates():
+    # The sort path: lexsort the candidates, then list.index the test item.
+    # Scores come from a few values (ties), some are NaN (sometimes the test
+    # item's), negatives repeat (replacement sampling), and the candidates
+    # run from one item to every item.
+    rng = np.random.default_rng(13)
+    for trial in range(300):
+        m = int(rng.integers(1, 40))
+        scores = rng.integers(-2, 3, size=m).astype(np.float32)
+        scores[rng.random(m) < 0.2] = np.nan
+        test = int(rng.integers(m))
+        if trial % 3 == 0:
+            cands = np.concatenate(([test], np.setdiff1d(np.arange(m), [test])))
+        else:
+            others = np.setdiff1d(np.arange(m), [test])
+            size = int(rng.integers(0, 2 * m))
+            negatives = rng.choice(others, size=size, replace=True) if len(others) else others
+            cands = np.concatenate(([test], negatives)).astype(np.int64)
+        expected = old_ranked(scores, cands).index(test) + 1
+        assert rank_candidates(scores, cands, test) == expected, (scores, cands, test)
+    scores = np.array([np.nan, 1.0, np.nan, 2.0])
+    assert rank_candidates(scores, np.array([2, 0, 3, 1, 3]), 2) == 5
+    assert rank_candidates(scores, np.array([2]), 2) == 1
+    with pytest.raises(ProtocolError):
+        rank_candidates(scores, np.array([0, 1, 3]), 2)
 
 
 def test_hr_ndcg_perfect_rank():
-    assert hr_ndcg_at_k([7, 1, 2], 7, k=10) == (1, 1.0)
+    assert hr_ndcg_at_k(1, k=10) == (1, 1.0)
 
 
 def test_hr_ndcg_rank_ten():
-    ranked = list(range(10)) + [99]
-    hr, ndcg = hr_ndcg_at_k(ranked, 9, k=10)
+    hr, ndcg = hr_ndcg_at_k(10, k=10)
     assert hr == 1
     assert ndcg == pytest.approx(1 / np.log2(11), abs=1e-4)
 
 
 def test_hr_ndcg_miss():
-    ranked = list(range(11))
-    assert hr_ndcg_at_k(ranked, 10, k=10) == (0, 0.0)
+    assert hr_ndcg_at_k(11, k=10) == (0, 0.0)
 
 
 def test_hr_ndcg_absent_item_raises():
     with pytest.raises(ProtocolError):
-        hr_ndcg_at_k([1, 2, 3], 9, k=2)
+        rank_candidates(np.zeros(10), np.array([1, 2, 3]), 9)
 
 
 def test_ndcg_never_exceeds_hr():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        ranked = list(rng.permutation(30))
-        hr, ndcg = hr_ndcg_at_k(ranked, int(rng.integers(30)), k=10)
+        hr, ndcg = hr_ndcg_at_k(int(rng.integers(1, 31)), k=10)
         assert ndcg <= hr
 
 
@@ -129,6 +162,12 @@ def test_rbo_rejects_duplicates_and_bad_lengths():
         rbo_truncated([1, 2], [1, 2, 3], 0.5)
 
 
+def view_rbo(state, trace, k_prime, p):
+    """RBO of the personal table's scores against C_E's."""
+    u = state.user_embedding
+    return view_consistency_rbo(trace.params["V"].data @ u, trace.C_E.data @ u, k_prime, p)
+
+
 def test_view_rbo_identical_views(shared_blocks):
     state = init_client(seed=0, d=4, M=10, dtype=np.float64)
     table, _ = shared_blocks(0, 4, 10)
@@ -137,7 +176,7 @@ def test_view_rbo_identical_views(shared_blocks):
     from tests.test_model import rigged_identity_net
 
     trace = forward_pass(state, table, rigged_identity_net(4), np.array([0, 1]), enhancement="ace")
-    assert view_consistency_rbo(state, trace, k_prime=10, p=0.9) == pytest.approx(1.0)
+    assert view_rbo(state, trace, k_prime=10, p=0.9) == pytest.approx(1.0)
 
 
 def test_view_rbo_antithetical_views_near_zero():
@@ -148,7 +187,12 @@ def test_view_rbo_antithetical_views_near_zero():
     state.personal_table = np.stack([scores, np.zeros(m)], axis=1)
     table = np.stack([scores[::-1], np.zeros(m)], axis=1)
     trace = forward_pass(state, table, None, np.array([0, 1]), enhancement="none")
-    assert view_consistency_rbo(state, trace, k_prime=m, p=0.5) < 0.01
+    assert view_rbo(state, trace, k_prime=m, p=0.5) < 0.01
+
+
+def full_sort_top_k(table, u, k):
+    scores = table @ u
+    return [int(i) for i in np.lexsort((np.arange(len(scores)), -scores))[:k]]
 
 
 def test_view_rbo_matches_direct_oracle(shared_blocks):
@@ -156,9 +200,9 @@ def test_view_rbo_matches_direct_oracle(shared_blocks):
     table, net = shared_blocks(2, 4, 30)
     net.weights[-1] = np.random.default_rng(5).normal(0, 0.4, (16, 16))
     trace = forward_pass(state, table, net, np.array([0, 3, 7]), enhancement="ace")
-    got = view_consistency_rbo(state, trace, k_prime=10, p=0.9)
-    personal = top_k_list(state.user_embedding, state.personal_table, 10)
-    global_view = top_k_list(state.user_embedding, trace.C_E.data, 10)
+    got = view_rbo(state, trace, k_prime=10, p=0.9)
+    personal = full_sort_top_k(state.personal_table, state.user_embedding, 10)
+    global_view = full_sort_top_k(trace.C_E.data, state.user_embedding, 10)
     assert got == pytest.approx(rbo_truncated(personal, global_view, 0.9), abs=1e-9)
 
 
@@ -173,8 +217,8 @@ def test_top_k_list_matches_full_lexsort_oracle():
     oracle = [int(i) for i in np.lexsort((np.arange(40), -scores))]
     assert len(set(scores[~np.isnan(scores)])) < 38
     for k in (1, 3, 5, 20, 38, 39, 40, 41, 100):
-        assert top_k_list(u, table, k) == oracle[:k], k
-    assert top_k_list(u, table, 40)[-2:] == [7, 30]
+        assert top_k_list(scores, k) == oracle[:k], k
+    assert top_k_list(scores, 40)[-2:] == [7, 30]
 
 
 def test_correlation_export_orthogonal_pair_all_zero(tmp_path):

@@ -4,21 +4,24 @@ import warnings
 import numpy as np
 import pytest
 
-from fed3cr.datasets import NegativeSampler, leave_one_out_split
+from fed3cr.datasets import NegativeSampler, build_eval_candidates, leave_one_out_split
 from fed3cr.errors import AggregationError, ConfigurationError, ShapeError
-from fed3cr.evaluation import metrics_csv_lines
+from fed3cr.evaluation import metrics_csv_lines, rbo_truncated
 from fed3cr.federation import (
+    VARIANT_LABELS,
     HyperParams,
     Upload,
     UploadChannel,
     VariantConfig,
     aggregate_consensus,
     aggregate_theta,
+    evaluate_round,
     local_update,
     run_training,
     select_clients,
 )
-from fed3cr.model import ClientState, TransferNet, forward_pass, init_client, init_client_net
+from fed3cr.losses import LossBreakdown
+from fed3cr.model import ClientState, ForwardTrace, TransferNet, forward_pass, init_client, init_client_net
 from fed3cr.toy import generate_toy_dataset
 
 TOY = leave_one_out_split(generate_toy_dataset(seed=0), seed=0)
@@ -462,3 +465,63 @@ def test_aggregation_order_invariance_via_sorted_ids():
     rng.shuffle(shuffled_ids)
     resorted = aggregate_consensus([uploads[c] for c in sorted(shuffled_ids)])
     assert np.array_equal(in_order, resorted)
+
+
+def sort_path_metrics(clients, server, ds, hp, variant, candidates):
+    """Client-mean HR, NDCG and RBO as evaluation computed them before it
+    ranked by counting: the fused table V_F, a lexsort of its candidate
+    rows and list.index, and top-k lists sorted from each full table."""
+
+    def ranked(u, table, cands):
+        scores = table[cands] @ u
+        return [int(c) for c in cands[np.lexsort((cands, -scores))]]
+
+    hrs, ndcgs, rbos = [], [], []
+    for client in clients:
+        trace = forward_pass(
+            client,
+            server.consensus,
+            server.theta,
+            ds.client_items[client.client_id],
+            enhancement=variant.enhancement_kind,
+            ace_scale=hp.ace_scale,
+        )
+        u = client.user_embedding
+        rank = ranked(u, trace.V_F, candidates[client.client_id]).index(ds.test_items[client.client_id]) + 1
+        hrs.append(int(rank <= hp.top_k))
+        ndcgs.append(float(1.0 / np.log2(rank + 1)) if rank <= hp.top_k else 0.0)
+        if variant.personal_table:
+            every = np.arange(ds.num_items)
+            k = min(hp.rbo_k, ds.num_items)
+            personal = ranked(u, trace.params["V"].data, every)[:k]
+            global_view = ranked(u, trace.C_E.data, every)[:k]
+            rbos.append(rbo_truncated(personal, global_view, hp.rbo_p))
+    return float(np.mean(hrs)), float(np.mean(ndcgs)), float(np.mean(rbos)) if rbos else None
+
+
+EVAL_VARIANTS = {label: VariantConfig.from_label(label) for label in VARIANT_LABELS}
+EVAL_VARIANTS.update({kind: VariantConfig(kind) for kind in ("consensus-transfer", "unified-transfer")})
+
+
+@pytest.mark.parametrize("name", list(EVAL_VARIANTS))
+def test_evaluate_round_matches_the_sort_path(name, monkeypatch):
+    # Scores per view, summed, and ranks by counting: the same HR, NDCG and
+    # RBO as sorting the fused table's rows. evaluate_round never builds V_F.
+    variant = EVAL_VARIANTS[name]
+    hp = dataclasses.replace(FAST, rounds=2, rbo_k=30)
+    result = run_training(TOY, hp, variant)
+    candidates = [build_eval_candidates(TOY, c, hp.eval_negatives, hp.seed) for c in range(TOY.num_clients)]
+    expected = sort_path_metrics(result.clients, result.server, TOY, hp, variant, candidates)
+
+    def no_fused_table(trace):
+        raise AssertionError("evaluate_round read ForwardTrace.V_F")
+
+    monkeypatch.setattr(ForwardTrace, "V_F", property(no_fused_table))
+    no_loss = LossBreakdown(0.0, 0.0, 0.0, 0.0, hp.beta_a, hp.beta_o)
+    got = evaluate_round(result.clients, result.server, TOY, hp, variant, candidates, hp.rounds - 1, no_loss)
+    assert (got.hr_at_k, got.ndcg_at_k, got.rbo) == expected
+    assert (got.hr_at_k, got.ndcg_at_k, got.rbo) == (
+        result.metrics[-1].hr_at_k,
+        result.metrics[-1].ndcg_at_k,
+        result.metrics[-1].rbo,
+    )
