@@ -33,10 +33,11 @@ print(f"\ntransfer matrix W: shape {w.shape}, |W|_F = {np.linalg.norm(w):.5f}")
 print("(fresh nets start with W near zero, so enhancement begins as a no-op)")
 
 print(f"\nenhanced shared table C_E = C W^T: {trace.C_E.data.shape}, |C_E|_F = {np.linalg.norm(trace.C_E.data):.5f}")
-print(f"fused scoring table   V_F = C_E + V: {trace.V_F.shape}")
+fused = sum((view.data for view in trace.views[1:]), trace.views[0].data)
+print(f"fused scoring table   V_F = C_E + V: {fused.shape}")
 
 print("\nper-item interaction probabilities sigma(u . V_F[j]):")
-scores = trace.V_F @ state.user_embedding
+scores = fused @ state.user_embedding
 for j in range(4):
     print(f"  item {j}: {1.0 / (1.0 + np.exp(-scores[j])):.4f}")
 

@@ -33,7 +33,7 @@ hp = HyperParams(
     seed=0,
 )
 channel = UploadChannel()
-result = run_training(ds, hp, VariantConfig.from_label("Fed3CR"), workers=4, channel=channel)
+result = run_training(ds, hp, VariantConfig.from_label("Fed3CR"), channel=channel)
 
 print("round-by-round metrics:")
 for line in metrics_csv_lines(result.metrics):

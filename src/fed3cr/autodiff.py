@@ -14,12 +14,15 @@ contribution becomes its `.grad` as is. In general that array may be
 shared with another node (`add` hands the same gradient to both operands)
 or be a read-only `broadcast_to` view, so `backward` writes into a `.grad`
 only once it owns it: the first contribution came fresh from a `matmul` or
-`fused` node, whose edge functions return new arrays no one else holds,
-or `backward` allocated the buffer itself, in the node's own dtype, on a
+`fused` node, whose edge functions return arrays no other node holds (new
+ones, or `Workspace` buffers their caller handed in for that one role), or
+`backward` allocated the buffer itself, in the node's own dtype, on a
 later contribution. A `gather_rows` edge hands back only its rows; they
 are added in place into an owned gradient, and a node with no owned
-gradient yet gets a zero or copied buffer first. So a `.grad` is to be
-read, never written, and the arrays it was built from are never changed.
+gradient yet gets a zero or copied buffer first. So during `backward` a
+`.grad` is to be read, never written, and the arrays it was built from are
+never changed. Once it returns, the caller that built the graph may use a
+leaf's `.grad` as scratch (the client step's SGD scales it in place).
 """
 
 from __future__ import annotations
@@ -43,19 +46,54 @@ class RowGrad(NamedTuple):
     rows: np.ndarray
 
 
-def add_rows(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
+def add_rows(out: np.ndarray, idx: np.ndarray, rows: np.ndarray, scratch: np.ndarray | None = None) -> None:
     """Add row i of `rows` into row idx[i] of `out`, in place.
 
-    Unique indices (batch items, positives) take one fancy in-place add;
-    repeated ones, including two indices that name the same row such as
-    -1 and M-1, fall back to `np.add.at`.
+    Unique indices (batch items, positives) take one fancy in-place add,
+    which gathers the rows into `scratch` when given (a new array
+    otherwise); repeated ones, including two indices that name the same row
+    such as -1 and M-1, fall back to `np.add.at`. The indices must already
+    have been checked against `out` (they gathered its rows forward).
     """
     hit = np.zeros(out.shape[0], dtype=bool)
     hit[idx] = True
-    if np.count_nonzero(hit) == idx.size:
+    if np.count_nonzero(hit) != idx.size:
+        np.add.at(out, idx, rows)
+    elif scratch is None:
         out[idx] += rows
     else:
-        np.add.at(out, idx, rows)
+        # "wrap" maps the checked indices as indexing does; "raise" would copy.
+        out.take(idx, axis=0, out=scratch, mode="wrap")
+        scratch += rows
+        out[idx] = scratch
+
+
+class Workspace:
+    """Arrays reused from one call to the next, one per key.
+
+    `buffer(key, shape, dtype)` returns the array last handed out for `key`
+    when its shape and dtype still match, else a new uninitialized one. A key
+    names one role, so whoever takes a buffer may hold its contents until
+    the same key is asked for again; the client step takes every large
+    array this way, so after its first call it allocates none.
+    """
+
+    __slots__ = ("_arrays",)
+
+    def __init__(self):
+        self._arrays: dict = {}
+
+    def buffer(self, key, shape: tuple[int, ...], dtype) -> np.ndarray:
+        array = self._arrays.get(key)
+        if array is None or array.shape != shape or array.dtype != dtype:
+            array = self._arrays[key] = np.empty(shape, dtype)
+        return array
+
+    def copy(self, key, source: np.ndarray) -> np.ndarray:
+        """The buffer for `key`, loaded with a copy of `source`."""
+        array = self.buffer(key, source.shape, source.dtype)
+        np.copyto(array, source)
+        return array
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -200,9 +238,10 @@ def parameter(x: np.ndarray) -> Tensor:
 def fused(value: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable[[np.ndarray], tuple]) -> Tensor:
     """One tape node for a multi-input op with a closed-form backward.
 
-    `vjp(g)` returns one gradient per parent, each a new array that
-    nothing else holds (`backward` may add into it in place); it runs once
-    per backward pass, however many of the parents need a gradient.
+    `vjp(g)` returns one gradient per parent, each a new array or a
+    workspace buffer that no other node holds (`backward` may add into it
+    in place); it runs once per backward pass, however many of the parents
+    need a gradient.
     """
     memo: dict = {}
 
@@ -242,8 +281,10 @@ def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
     )
 
 
-def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
-    """Matrix product for 2-D @ 2-D, 2-D @ 1-D and 1-D @ 1-D operands."""
+def matmul(a: ArrayLike, b: ArrayLike, out: np.ndarray | None = None, a_grad: np.ndarray | None = None) -> Tensor:
+    """Matrix product for 2-D @ 2-D, 2-D @ 1-D and 1-D @ 1-D operands. The
+    product is written into `out` and, for a 2-D `a`, a's gradient into
+    `a_grad` when given (new arrays otherwise)."""
     a, b = as_tensor(a), as_tensor(b)
     inner_a = a.data.shape[-1]
     inner_b = b.data.shape[0]
@@ -254,10 +295,10 @@ def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
         if a.data.ndim == 1 and b.data.ndim == 1:
             return g * b.data
         if b.data.ndim == 1:
-            return np.dot(g[:, None], b.data[None])  # outer product; BLAS beats the broadcast
+            return np.dot(g[:, None], b.data[None], out=a_grad)  # outer product; BLAS beats the broadcast
         if a.data.ndim == 1:
             return g @ b.data.T
-        return g @ b.data.T
+        return np.matmul(g, b.data.T, out=a_grad)
 
     def grad_b(g: np.ndarray) -> np.ndarray:
         if a.data.ndim == 1 and b.data.ndim == 1:
@@ -268,7 +309,7 @@ def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
             return np.dot(a.data[:, None], g[None])
         return a.data.T @ g
 
-    return Tensor(a.data @ b.data, _edges=((a, grad_a), (b, grad_b)), _fresh=True)
+    return Tensor(np.matmul(a.data, b.data, out=out), _edges=((a, grad_a), (b, grad_b)), _fresh=True)
 
 
 def transpose(a: ArrayLike) -> Tensor:

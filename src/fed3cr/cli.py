@@ -67,7 +67,6 @@ def _prepare_outdir(outdir: str, force: bool) -> None:
 def run_experiment(
     config: ExperimentConfig,
     outdir: str | None = None,
-    workers: int = 1,
     force: bool = False,
     save_checkpoints: bool = True,
 ) -> ExperimentRecord:
@@ -91,7 +90,7 @@ def run_experiment(
         round_times.append(now - last)
         last = now
 
-    result = run_training(ds, config.hp, config.variant, workers=workers, on_round=tick)
+    result = run_training(ds, config.hp, config.variant, on_round=tick)
 
     record = ExperimentRecord(config=config.resolved(), metrics=result.metrics)
     record.wall_clock_per_round = round_times
@@ -125,7 +124,6 @@ def run_ablation(
     config: ExperimentConfig,
     labels: list[str],
     outdir: str | None = None,
-    workers: int = 1,
     force: bool = False,
 ) -> list[tuple[str, float, float]]:
     """One run per variant label under the shared seed and data split;
@@ -137,7 +135,7 @@ def run_ablation(
     for label, variant in zip(labels, variants):
         variant_config = dataclasses.replace(config, variant=variant, variant_label=label)
         sub = os.path.join(outdir, label) if outdir is not None else None
-        record = run_experiment(variant_config, sub, workers=workers, force=force, save_checkpoints=False)
+        record = run_experiment(variant_config, sub, force=force, save_checkpoints=False)
         final = record.metrics[-1]
         rows.append((label, final.hr_at_k, final.ndcg_at_k))
     if outdir is not None:
@@ -151,7 +149,6 @@ def run_sweep(
     param: str,
     values: list[str],
     outdir: str | None = None,
-    workers: int = 1,
     force: bool = False,
 ) -> list[tuple[str, float, float]]:
     """One run per value of the dotted config key `param`, each value cast
@@ -165,7 +162,7 @@ def run_sweep(
     rows = []
     for value, sub_config in zip(values, configs):
         sub = os.path.join(outdir, f"{param}_{value}") if outdir is not None else None
-        record = run_experiment(sub_config, sub, workers=workers, force=force, save_checkpoints=False)
+        record = run_experiment(sub_config, sub, force=force, save_checkpoints=False)
         final = record.metrics[-1]
         rows.append((str(value), final.hr_at_k, final.ndcg_at_k))
     if outdir is not None:
@@ -215,14 +212,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute one training run")
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--out", default=None)
-    run_p.add_argument("--workers", type=int, default=1)
     run_p.add_argument("--force", action="store_true")
 
     ab_p = sub.add_parser("ablate", help="run a variant grid under one seed/split")
     ab_p.add_argument("--config", required=True)
     ab_p.add_argument("--variants", default=",".join(ABLATION_LABELS))
     ab_p.add_argument("--out", default=None)
-    ab_p.add_argument("--workers", type=int, default=1)
     ab_p.add_argument("--force", action="store_true")
 
     sw_p = sub.add_parser("sweep", help="sweep one config key (section.key) over a value list")
@@ -230,7 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sw_p.add_argument("--param", required=True)
     sw_p.add_argument("--values", required=True, nargs="+")
     sw_p.add_argument("--out", default=None)
-    sw_p.add_argument("--workers", type=int, default=1)
     sw_p.add_argument("--force", action="store_true")
 
     ds_p = sub.add_parser("dataset", help="dataset utilities")
@@ -252,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args, overrides) -> int:
     config = load_config(args.config, overrides)
-    record = run_experiment(config, args.out, workers=args.workers, force=args.force)
+    record = run_experiment(config, args.out, force=args.force)
     print(json.dumps(record.summary(), sort_keys=True))
     return 0
 
@@ -260,14 +254,14 @@ def _cmd_run(args, overrides) -> int:
 def _cmd_ablate(args, overrides) -> int:
     config = load_config(args.config, overrides)
     labels = [v.strip() for v in args.variants.split(",") if v.strip()]
-    rows = run_ablation(config, labels, args.out, workers=args.workers, force=args.force)
+    rows = run_ablation(config, labels, args.out, force=args.force)
     _write_rows(sys.stdout, "variant", rows)
     return 0
 
 
 def _cmd_sweep(args, overrides) -> int:
     config = load_config(args.config, overrides)
-    rows = run_sweep(config, args.param, args.values, args.out, workers=args.workers, force=args.force)
+    rows = run_sweep(config, args.param, args.values, args.out, force=args.force)
     _write_rows(sys.stdout, args.param, rows)
     return 0
 

@@ -7,19 +7,22 @@ Only the shared table and the transfer-net weights ever leave a client;
 user embeddings and personal tables stay local. Every upload is routed
 through an UploadChannel so that surface is auditable. Between rounds a
 client holds only those private blocks: the shared table and the net live
-once, on the server, plus one working copy per running local update.
+once, on the server, plus one working copy in the run's workspace, which
+the client being trained fills. Clients train one after another in id
+order, and each upload is added into the round's running sums before the
+next client starts, so a round holds no upload beyond the one in training.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import seeding
+from .autodiff import Workspace
 from .datasets import InteractionDataset, NegativeSampler, build_eval_candidates
 from .errors import AggregationError, ConfigurationError, ShapeError
 from .evaluation import RoundMetrics, hr_ndcg_at_k, rank_candidates, view_consistency_rbo
@@ -221,30 +224,31 @@ class UploadChannel:
 # -- aggregation ----------------------------------------------------------------------
 
 
-def aggregate_consensus(uploads: list[np.ndarray]) -> np.ndarray:
-    """Elementwise mean of the uploaded tables."""
-    if not uploads:
-        raise AggregationError("no uploads to aggregate")
-    first = np.asarray(uploads[0])
-    for u in uploads[1:]:
-        if np.asarray(u).shape != first.shape:
-            raise ShapeError(f"upload shapes differ: {first.shape} vs {np.asarray(u).shape}")
-    return np.mean(np.stack([np.asarray(u) for u in uploads]), axis=0)
+def aggregate_consensus(table: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:
+    """Add one uploaded table into the round's running sum `total` in place
+    and return the sum; None starts a new one. Divided by the number of
+    tables added, the sum is their elementwise mean, bit for bit what
+    `np.mean(np.stack(tables), axis=0)` gives: that too adds each table in
+    turn into zeros, then divides."""
+    if total is None:
+        total = np.zeros_like(table)
+    elif table.shape != total.shape:
+        raise ShapeError(f"upload shapes differ: {total.shape} vs {table.shape}")
+    total += table
+    return total
 
 
-def aggregate_theta(uploads: list[TransferNet]) -> TransferNet:
-    """Blockwise mean of net weights and biases."""
-    if not uploads:
-        raise AggregationError("no transfer nets to aggregate")
-    shapes = uploads[0].layer_shapes
-    for net in uploads[1:]:
-        if net.layer_shapes != shapes:
-            raise ConfigurationError(
-                f"transfer-net schedules differ: {shapes} vs {net.layer_shapes}"
-            )
-    weights = [np.mean(np.stack([net.weights[l] for net in uploads]), axis=0) for l in range(len(shapes))]
-    biases = [np.mean(np.stack([net.biases[l] for net in uploads]), axis=0) for l in range(len(shapes))]
-    return TransferNet(weights, biases)
+def aggregate_theta(net: TransferNet, total: TransferNet | None = None) -> TransferNet:
+    """Add one uploaded net into the round's running blockwise sum `total`
+    in place and return the sum; None starts a new one (see
+    `aggregate_consensus`)."""
+    if total is None:
+        total = TransferNet([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases])
+    elif net.layer_shapes != total.layer_shapes:
+        raise ConfigurationError(f"transfer-net schedules differ: {total.layer_shapes} vs {net.layer_shapes}")
+    for block_sum, block in zip(total.weights + total.biases, net.weights + net.biases):
+        block_sum += block
+    return total
 
 
 def select_clients(n: int, fraction: float, round: int, seed: int) -> list[int]:
@@ -281,12 +285,19 @@ def local_update(
     hp: HyperParams,
     variant: VariantConfig,
     round: int = 0,
+    workspace: Workspace | None = None,
 ) -> tuple[Upload, LossBreakdown] | None:
     """Download the shared blocks, run E SGD iterations, return the upload.
 
     The learning rate decays per local iteration across the whole run:
     lr * gamma^(round * E + e). A non-finite loss aborts the client for the
     round (it is excluded from aggregation) with a warning naming it.
+
+    The working table and net, and every large array of a step, are
+    `workspace` buffers, so after the first call a step allocates no
+    table-sized array. The upload is those buffers: it stays valid only
+    until the next call with the same workspace. Without one, each call
+    trains in a fresh workspace and the upload is the caller's own.
     """
     positives = sampler.dataset.client_items[state.client_id]
     if len(positives) == 0:
@@ -295,11 +306,18 @@ def local_update(
 
     if variant.has_net and theta is None:
         raise ConfigurationError("variant requires transfer-net weights to download")
-    # Train fresh copies of the shared blocks; they become the upload, never
+    if workspace is None:
+        workspace = Workspace()
+    # Train working copies of the shared blocks; they become the upload, never
     # alias the server's arrays, and leave the frozen download as it came.
     download = np.asarray(consensus, dtype=hp.np_dtype)
-    table = download.copy()
-    net = theta.copy() if variant.has_net else None
+    table = workspace.copy(("local_update", "table"), download)
+    net = None
+    if variant.has_net:
+        net = TransferNet(
+            [workspace.copy(("local_update", "w", l), w) for l, w in enumerate(theta.weights)],
+            [workspace.copy(("local_update", "b", l), b) for l, b in enumerate(theta.biases)],
+        )
 
     breakdowns = []
     for e in range(hp.local_iters):
@@ -312,6 +330,7 @@ def local_update(
             enhancement=variant.enhancement_kind,
             ace_scale=hp.ace_scale,
             consensus=download,
+            workspace=workspace,
         )
         total, breakdown = total_loss_t(
             trace,
@@ -324,6 +343,7 @@ def local_update(
             orthogonality_enabled=variant.orthogonality_enabled,
             complementarity_kind=variant.complementarity_kind,
             consistency_items=np.unique(items) if hp.consistency_sample else None,
+            workspace=workspace,
         )
         if not np.isfinite(breakdown.total):
             warnings.warn(
@@ -340,11 +360,15 @@ def local_update(
             "unified-transfer",
         ) else 1.0
         for name, tensor in trace.params.items():
-            if tensor.grad is None:
+            grad = tensor.grad
+            if grad is None:
                 continue
             scale = net_scale if name[0] in ("w", "b") else 1.0
-            tensor.data -= (lr * scale * tensor.grad).astype(tensor.data.dtype, copy=False)
+            # In place, in the gradient's own buffer: no two leaves share one.
+            np.multiply(grad, lr * scale, out=grad)
+            tensor.data -= grad
         breakdowns.append(breakdown)
+        del trace, total  # drop this step's graph before the next one is built
 
     upload = Upload(client_id=state.client_id, consensus=table, transfer_net=net)
     return upload, _mean_breakdown(breakdowns)
@@ -386,9 +410,11 @@ def evaluate_round(
     round: int,
     loss_means: LossBreakdown,
     compute_rbo: bool = True,
+    workspace: Workspace | None = None,
 ) -> RoundMetrics:
     # Each client scores as it would after downloading the freshest shared
-    # blocks. Scoring only reads them, so every client reads the server's.
+    # blocks. Scoring only reads them, so every client reads the server's;
+    # its enhanced table is a `workspace` buffer, read before the next client.
     hrs, ndcgs, rbos = [], [], []
     for client in clients:
         positives = ds.client_items[client.client_id]
@@ -401,6 +427,7 @@ def evaluate_round(
             positives,
             enhancement=variant.enhancement_kind,
             ace_scale=hp.ace_scale,
+            workspace=workspace,
         )
         u = client.user_embedding
         view_scores = [view.data @ u for view in trace.views]
@@ -432,14 +459,16 @@ def run_training(
     ds: InteractionDataset,
     hp: HyperParams,
     variant: VariantConfig = VariantConfig(),
-    workers: int = 1,
     channel: UploadChannel | None = None,
     on_round=None,
 ) -> TrainingResult:
-    """Full federated run: T rounds of select / parallel local update /
-    aggregate / evaluate. Deterministic for a fixed (config, seed) no matter
-    how many workers execute the client map. `on_round(round)` fires after
-    each completed round (timing hooks and progress reporting)."""
+    """Full federated run: T rounds of select / local update / aggregate /
+    evaluate. The selected clients train in id order through one workspace,
+    and each upload is added into the round's running sums as it arrives;
+    the server's new blocks are those sums divided by the number of
+    uploads. Deterministic for a fixed (config, seed). `on_round(round)`
+    fires after each completed round (timing hooks and progress
+    reporting)."""
     hp.validate()
     variant.validate()
     if not ds.is_split:
@@ -456,36 +485,35 @@ def run_training(
     candidates = [
         build_eval_candidates(ds, c, hp.eval_negatives, hp.seed) for c in range(ds.num_clients)
     ]
+    workspace = Workspace()
 
     metrics: list[RoundMetrics] = []
     for round in range(hp.rounds):
         selected = select_clients(ds.num_clients, hp.client_fraction, round, hp.seed)
-
-        def update(cid: int):
-            return local_update(clients[cid], server.consensus, server.theta, sampler, hp, variant, round)
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(update, selected))
-        else:
-            results = [update(cid) for cid in selected]
-
-        uploads, losses = [], []
-        for result in results:
+        table_sum, theta_sum, losses = None, None, []
+        for cid in selected:
+            result = local_update(
+                clients[cid], server.consensus, server.theta, sampler, hp, variant, round, workspace
+            )
             if result is None:
                 continue
             upload, breakdown = result
             if channel is not None:
                 channel.send(round, upload)
-            uploads.append(upload)
+            # The upload is the workspace's working copy: add it before the next client overwrites it.
+            table_sum = aggregate_consensus(upload.consensus, table_sum)
+            if variant.has_net:
+                theta_sum = aggregate_theta(upload.transfer_net, theta_sum)
             losses.append(breakdown)
-        if not uploads:
+        if not losses:
             raise AggregationError(f"round {round}: every selected client failed; aborting run")
 
-        uploads.sort(key=lambda u: u.client_id)
-        server.consensus = aggregate_consensus([u.consensus for u in uploads]).astype(hp.np_dtype)
+        table_sum /= len(losses)
+        server.consensus = table_sum
         if variant.has_net:
-            server.theta = aggregate_theta([u.transfer_net for u in uploads])
+            for block in theta_sum.weights + theta_sum.biases:
+                block /= len(losses)
+            server.theta = theta_sum
         server.round = round + 1
 
         if (round + 1) % hp.eval_interval == 0 or round == hp.rounds - 1:
@@ -500,9 +528,9 @@ def run_training(
                     round,
                     _mean_breakdown(losses),
                     compute_rbo=hp.rbo_enabled,
+                    workspace=workspace,
                 )
             )
         if on_round is not None:
             on_round(round)
     return TrainingResult(server=server, metrics=metrics, clients=clients)
-

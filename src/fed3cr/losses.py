@@ -84,10 +84,14 @@ def _top_one_vjp(
     prototype: np.ndarray,
     table: np.ndarray,
     out: np.ndarray | None = None,
+    accumulate: bool = False,
+    scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of `_top_one` w.r.t. (prototype, table) given d(loss)/d(dist).
-    The table gradient is added into `out` in place, or into a new array
-    when `out` is None; returns (prototype gradient, that array)."""
+    The table gradient is added into `out` in place when `accumulate`, else
+    written into `out` (a new array when None); `scratch`, when given, holds
+    the table-sized products on the way. Returns (prototype gradient, the
+    table gradient's array)."""
     cos, row_norms, p_norm, total = cache
     centred = d_dist - np.dot(d_dist, dist)
     if total is None:
@@ -100,11 +104,11 @@ def _top_one_vjp(
     a = d_cos / (row_norms * p_norm)
     ac = a * cos
     row_scale = ac * (p_norm / row_norms)
-    if out is None:
-        out = np.einsum("i,ij->ij", -row_scale, table)
+    if accumulate:
+        out -= np.einsum("i,ij->ij", row_scale, table, out=scratch)
     else:
-        out -= np.einsum("i,ij->ij", row_scale, table)
-    out += np.dot(a[:, None], prototype[None])
+        out = np.einsum("i,ij->ij", -row_scale, table, out=out)
+    out += np.dot(a[:, None], prototype[None], out=scratch)
     d_proto = table.T @ a - (np.dot(ac, row_norms) / p_norm) * prototype
     return d_proto, out
 
@@ -124,20 +128,20 @@ def _consistency_term(
 ) -> tuple[np.ndarray, Callable]:
     """The consistency term: the top-one distribution of each view (prototype
     against table rows) and their symmetric cross-entropy. Returns the loss
-    and `vjp(scale, v_out, g_out)`, the gradients of scale * loss w.r.t.
-    (p_personal, v_view, p_global, g_view); the two table gradients are
-    added into `v_out` and `g_out` when given (see `_top_one_vjp`)."""
+    and `vjp(scale, v_out, g_out, accumulate, scratch)`, the gradients of
+    scale * loss w.r.t. (p_personal, v_view, p_global, g_view); the two
+    table gradients go into `v_out` and `g_out` (see `_top_one_vjp`)."""
     dist_p, cache_p = _top_one(p_personal, v_view, mode)
     dist_g, cache_g = _top_one(p_global, g_view, mode)
     loss, log_g, log_p = _consistency(dist_p, dist_g)
 
-    def vjp(scale, v_out=None, g_out=None) -> tuple[np.ndarray, ...]:
+    def vjp(scale, v_out=None, g_out=None, accumulate=False, scratch=None) -> tuple[np.ndarray, ...]:
         # The clamp at LOG_FLOOR passes gradient only where the value is kept.
         half = -0.5 * scale
         d_dist_p = half * (log_g + (dist_p >= LOG_FLOOR) * dist_g / np.maximum(dist_p, LOG_FLOOR))
         d_dist_g = half * (log_p + (dist_g >= LOG_FLOOR) * dist_p / np.maximum(dist_g, LOG_FLOOR))
-        d_pp, d_v = _top_one_vjp(d_dist_p, dist_p, cache_p, p_personal, v_view, v_out)
-        d_pg, d_c = _top_one_vjp(d_dist_g, dist_g, cache_g, p_global, g_view, g_out)
+        d_pp, d_v = _top_one_vjp(d_dist_p, dist_p, cache_p, p_personal, v_view, v_out, accumulate, scratch)
+        d_pg, d_c = _top_one_vjp(d_dist_g, dist_g, cache_g, p_global, g_view, g_out, accumulate, scratch)
         return d_pp, d_v, d_pg, d_c
 
     return loss, vjp
@@ -206,6 +210,7 @@ def total_loss_t(
     orthogonality_enabled: bool = True,
     complementarity_kind: str = "orthogonal",
     consistency_items: np.ndarray | None = None,
+    workspace: ad.Workspace | None = None,
 ) -> tuple[Tensor, LossBreakdown]:
     """Record l_rec + beta_a * l_a + beta_o * l_o as one tape node; returns
     (total tensor, breakdown).
@@ -217,16 +222,21 @@ def total_loss_t(
     one buffer: the l_o term, then the l_a row terms, then the batch rows
     are added in place. `consistency_items`, when given, restricts the two
     top-one distributions to that subset of rows (cheaper than all M items
-    on large tables).
+    on large tables). The batch rows, the table gradients and their scratch
+    are `workspace` buffers (a fresh one when None), valid until the next
+    call over the same workspace.
     """
+    if workspace is None:
+        workspace = ad.Workspace()
     u, c_e, v = trace.params["u"], trace.C_E, trace.params.get("V")
     items = np.asarray(batch_items)
-    rows = trace.views[0].data[items]
+    first = trace.views[0].data
+    dtype = first.dtype
+    rows = first.take(items, axis=0, out=workspace.buffer(("total_loss_t", "rows"), (items.size, first.shape[1]), dtype))
     for view in trace.views[1:]:
-        rows = rows + view.data[items]
+        rows += view.data[items]
     preds = ad.logistic(rows @ u.data)
     l_rec, d_preds = _bce(preds, batch_labels)
-    dtype = rows.dtype
     parents = [u, *trace.views]
 
     l_a = np.asarray(0.0, dtype=dtype)
@@ -248,46 +258,54 @@ def total_loss_t(
             raise ValueError(f"unknown complementarity kind {complementarity_kind!r}")
         parents += [c_e, v]
     parents = list({id(t): t for t in parents}.values())
+    slots = {id(t): i for i, t in enumerate(parents)}
 
     def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
         grads: dict[int, np.ndarray] = {}  # id(parent) -> its one gradient buffer
+
+        def buffer(t: Tensor, role=None) -> np.ndarray:
+            """The workspace array of t's shape for `role`, by default t's gradient."""
+            return workspace.buffer(("total_loss_t", slots[id(t)] if role is None else role), t.data.shape, t.data.dtype)
 
         def add(t: Tensor, contribution: np.ndarray) -> None:
             if id(t) in grads:
                 grads[id(t)] += contribution
             else:
-                grads[id(t)] = contribution  # every contribution here is a new array
+                grads[id(t)] = contribution  # every contribution here is a new array or t's buffer
 
-        def add_rows(t: Tensor, at: np.ndarray, rows_grad: np.ndarray) -> None:
+        def add_rows(t: Tensor, at: np.ndarray, rows_grad: np.ndarray, role: str) -> None:
             if id(t) not in grads:
-                grads[id(t)] = np.zeros_like(t.data)
-            ad.add_rows(grads[id(t)], at, rows_grad)
+                grads[id(t)] = buffer(t)
+                grads[id(t)].fill(0)
+            scratch = workspace.buffer(("total_loss_t", role), rows_grad.shape, rows_grad.dtype)
+            ad.add_rows(grads[id(t)], at, rows_grad, scratch)
 
         if with_l_o:
             if complementarity_kind == "orthogonal":
                 k = g * beta_o * 2.0 / c_e.data.shape[1]
-                add(c_e, v.data @ (corr.T * k))
-                add(v, c_e.data @ (corr * k))
+                add(c_e, np.matmul(v.data, corr.T * k, out=buffer(c_e)))
+                add(v, np.matmul(c_e.data, corr * k, out=buffer(v)))
             else:
                 k = g * beta_o * 2.0 / diff.size
-                add(c_e, diff * -k)
-                add(v, diff * k)
+                add(c_e, np.multiply(diff, -k, out=buffer(c_e)))
+                add(v, np.multiply(diff, k, out=buffer(v)))
         if with_l_a:
             if idx is None:
+                outs = (grads[id(v)], grads[id(c_e)]) if with_l_o else (buffer(v), buffer(c_e))
                 d_pp, grads[id(v)], d_pe, grads[id(c_e)] = consistency_vjp(
-                    g * beta_a, grads.get(id(v)), grads.get(id(c_e))
+                    g * beta_a, *outs, accumulate=with_l_o, scratch=buffer(v, "scratch")
                 )
             else:
                 d_pp, d_v, d_pe, d_c = consistency_vjp(g * beta_a)
-                add_rows(v, idx, d_v)
-                add_rows(c_e, idx, d_c)
+                add_rows(v, idx, d_v, "scatter subset")
+                add_rows(c_e, idx, d_c, "scatter subset")
             add(trace.p_P, d_pp)
             add(trace.p_E, d_pe)
         d_scores = g * d_preds * preds * (1.0 - preds)
         add(u, rows.T @ d_scores)
-        d_rows = np.dot(d_scores[:, None], u.data[None])
+        d_rows = np.dot(d_scores[:, None], u.data[None], out=workspace.buffer(("total_loss_t", "d_rows"), rows.shape, dtype))
         for view in trace.views:
-            add_rows(view, items, d_rows)
+            add_rows(view, items, d_rows, "scatter batch")
         return tuple(grads[id(t)] for t in parents)
 
     total = l_rec + (l_a * np.asarray(beta_a, dtype=dtype) + l_o * np.asarray(beta_o, dtype=dtype))

@@ -81,11 +81,13 @@ def init_transfer_net(
     return TransferNet(weights, biases)
 
 
-def net_forward(params: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
-    """Run the net on a single input vector."""
+def net_forward(params: list[tuple[Tensor, Tensor]], x: Tensor, workspace: ad.Workspace) -> Tensor:
+    """Run the net on a single input vector, building each layer's weight
+    gradient in a workspace buffer."""
     h = x
     for l, (w, b) in enumerate(params):
-        h = ad.matmul(w, h) + b
+        grad = workspace.buffer(("net_forward", l), w.data.shape, w.data.dtype)
+        h = ad.matmul(w, h, a_grad=grad) + b
         if l < len(params) - 1:
             h = ad.relu(h)
     return h
@@ -128,14 +130,6 @@ class ForwardTrace:
     p_E: Tensor
     views: tuple[Tensor, ...]
     params: dict = field(repr=False, default_factory=dict)
-
-    @property
-    def V_F(self) -> np.ndarray:
-        """The full scoring table (to be read, never written)."""
-        table = self.views[0].data
-        for view in self.views[1:]:
-            table = table + view.data
-        return table
 
 
 def init_client(seed: int, d: int, M: int, client_id: int = 0, dtype=np.float32) -> ClientState:
@@ -207,6 +201,7 @@ def forward_pass(
     enhancement: str = "ace",
     ace_scale: float = 1.0,
     consensus: np.ndarray | None = None,
+    workspace: ad.Workspace | None = None,
 ) -> ForwardTrace:
     """Build the differentiable graph from the client's private blocks, the
     shared table `table` and the net `net` (ignored when `enhancement` is
@@ -221,6 +216,10 @@ def forward_pass(
     and `consensus`, the frozen download (default: `table`), takes the
     global role: V_F = C + consensus W^T. The sum V_F itself is not
     recorded; the trace keeps its terms as `views`.
+
+    The enhanced table C_E, C's gradient through it and the net's weight
+    gradients are built in `workspace` buffers, so they stay valid only
+    until the next pass over the same workspace (a fresh one when None).
     """
     if enhancement not in ENHANCEMENT_KINDS:
         raise ValueError(f"unknown enhancement kind {enhancement!r}")
@@ -228,6 +227,8 @@ def forward_pass(
     if positives.size == 0:
         raise DataError(f"client {client.client_id} has no positives")
 
+    if workspace is None:
+        workspace = ad.Workspace()
     d = table.shape[1]
     u_t = ad.parameter(client.user_embedding)
     c_t = ad.parameter(table)
@@ -252,11 +253,14 @@ def forward_pass(
 
     w_mat: Tensor | None = None
     if enhancement == "ace":
-        out = net_forward(theta, ad.concat([p_g, p_p]))
+        out = net_forward(theta, ad.concat([p_g, p_p]), workspace)
         w_mat = ad.reshape(out, (d, d))
         if ace_scale != 1.0:
             w_mat = ad.mul(w_mat, ace_scale)
-        c_e = ad.matmul(c_t, ad.transpose(w_mat))
+        shape, dtype = c_t.data.shape, c_t.data.dtype
+        product = workspace.buffer(("forward_pass", "C_E"), shape, dtype)
+        grad = workspace.buffer(("forward_pass", "C"), shape, dtype)
+        c_e = ad.matmul(c_t, ad.transpose(w_mat), out=product, a_grad=grad)
         p_e = ad.matmul(w_mat, p_g)
         views = (c_e, v_t)
     elif enhancement == "consensus-transfer":

@@ -1,9 +1,11 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from fed3cr.autodiff import Workspace
 from fed3cr.datasets import NegativeSampler, build_eval_candidates, leave_one_out_split
 from fed3cr.errors import AggregationError, ConfigurationError, ShapeError
 from fed3cr.evaluation import metrics_csv_lines, rbo_truncated
@@ -16,12 +18,13 @@ from fed3cr.federation import (
     aggregate_consensus,
     aggregate_theta,
     evaluate_round,
+    init_server,
     local_update,
     run_training,
     select_clients,
 )
 from fed3cr.losses import LossBreakdown
-from fed3cr.model import ClientState, ForwardTrace, TransferNet, forward_pass, init_client, init_client_net
+from fed3cr.model import ClientState, TransferNet, forward_pass, init_client, init_client_net
 from fed3cr.toy import generate_toy_dataset
 
 TOY = leave_one_out_split(generate_toy_dataset(seed=0), seed=0)
@@ -37,6 +40,11 @@ class KeepingChannel(UploadChannel):
     def send(self, round, upload):
         self.uploads.append(upload)
         return super().send(round, upload)
+
+
+def fused_table(trace):
+    """V_F, the sum of the trace's views."""
+    return sum((view.data for view in trace.views[1:]), trace.views[0].data)
 
 
 def net_arrays(net):
@@ -98,39 +106,54 @@ def test_variant_without_personal_table_rejects_two_view_terms():
             dataclasses.replace(fedmf, **change).validate()
 
 
+def mean_table(tables):
+    """The streamed mean: each table added into the running sum, then divided."""
+    total = None
+    for table in tables:
+        total = aggregate_consensus(table, total)
+    return total / len(tables)
+
+
+def mean_net(nets):
+    total = None
+    for net in nets:
+        total = aggregate_theta(net, total)
+    return TransferNet([w / len(nets) for w in total.weights], [b / len(nets) for b in total.biases])
+
+
 def test_aggregate_consensus_cases():
     t = np.random.default_rng(0).normal(size=(3, 2))
-    assert np.allclose(aggregate_consensus([t, t.copy()]), t)
+    assert np.allclose(mean_table([t, t.copy()]), t)
     rows = [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), np.array([[-1.0, 0.0]])]
-    assert np.allclose(aggregate_consensus(rows), [[0.0, 1 / 3]])
-    with pytest.raises(AggregationError):
-        aggregate_consensus([])
+    assert np.allclose(mean_table(rows), [[0.0, 1 / 3]])
+    total = aggregate_consensus(t)
+    assert aggregate_consensus(t, total) is total  # added in place
     with pytest.raises(ShapeError):
-        aggregate_consensus([np.ones((2, 2)), np.ones((3, 2))])
+        aggregate_consensus(np.ones((3, 2)), aggregate_consensus(np.ones((2, 2))))
 
 
 def test_aggregate_consensus_norm_convexity():
     rng = np.random.default_rng(1)
     uploads = [rng.normal(size=(4, 3)) for _ in range(5)]
-    mean_norm = np.linalg.norm(aggregate_consensus(uploads))
+    mean_norm = np.linalg.norm(mean_table(uploads))
     assert mean_norm <= max(np.linalg.norm(u) for u in uploads) + 1e-12
 
 
 def test_aggregate_theta_cases():
     net = make_net(0, 4)
-    single = aggregate_theta([net])
+    single = mean_net([net])
     for w1, w2 in zip(single.weights, net.weights):
         assert np.array_equal(w1, w2)
 
     neg = TransferNet([-w for w in net.weights], [-b for b in net.biases])
-    zero = aggregate_theta([net, neg])
+    zero = mean_net([net, neg])
     for w in zero.weights + zero.biases:
         assert np.allclose(w, 0.0)
 
 
 def test_aggregate_theta_matches_flat_mean_oracle():
     nets = [make_net(s, 3) for s in range(3)]
-    merged = aggregate_theta(nets)
+    merged = mean_net(nets)
     oracle = np.mean([flat(n) for n in nets], axis=0)
     assert np.allclose(flat(merged), oracle, atol=1e-7)
 
@@ -139,7 +162,25 @@ def test_aggregate_theta_schedule_mismatch():
     a = make_net(0, 4, (2, 4))
     b = make_net(0, 4, (2, 4, 8))
     with pytest.raises(ConfigurationError):
-        aggregate_theta([a, b])
+        aggregate_theta(b, aggregate_theta(a))
+
+
+def test_streamed_mean_is_bit_equal_to_the_stacked_mean():
+    # Summed in order into zeros and divided once, as np.mean over the stack
+    # does, so the server's blocks keep every bit; a -0.0 in the first
+    # upload checks that the sum starts from zeros, not from a copy.
+    rng = np.random.default_rng(7)
+    for count in (3, 4, 32):
+        tables = [rng.normal(0, 0.01, (3706, 32)).astype(np.float32) for _ in range(count)]
+        tables[0][0, 0] = -0.0
+        assert mean_table(tables).tobytes() == np.mean(np.stack(tables), axis=0).tobytes()
+        nets = [make_net(s, 8) for s in range(count)]
+        merged = mean_net(nets)
+        for l in range(len(nets[0].weights)):
+            stacked = np.mean(np.stack([n.weights[l] for n in nets]), axis=0)
+            assert merged.weights[l].tobytes() == stacked.tobytes()
+            stacked = np.mean(np.stack([n.biases[l] for n in nets]), axis=0)
+            assert merged.biases[l].tobytes() == stacked.tobytes()
 
 
 def test_select_clients():
@@ -215,8 +256,46 @@ def test_identical_clients_consensus_equals_single_upload():
         sampler_clone = NegativeSampler(TOY, seed=0)
         upload, _ = local_update(state, consensus, theta, sampler_clone, hp, variant)
         uploads.append(upload.consensus)
-    merged = aggregate_consensus(uploads)
+    merged = mean_table(uploads)
     assert np.allclose(merged, uploads[0], atol=1e-7)
+
+
+def test_consecutive_local_updates_stay_distinct():
+    # Without a workspace each call trains its own working copies: the
+    # second upload neither aliases nor changes the first.
+    hp = FAST
+    variant = VariantConfig.from_label("Fed3CR")
+    consensus = np.random.default_rng(0).normal(0, 0.01, (TOY.num_items, hp.dim)).astype(np.float32)
+    theta = make_net(1, hp.dim)
+    sampler = NegativeSampler(TOY, seed=0)
+    first, _ = local_update(init_client(0, hp.dim, TOY.num_items, client_id=0), consensus, theta, sampler, hp, variant)
+    held = [a.copy() for a in [first.consensus] + net_arrays(first.transfer_net)]
+    second, _ = local_update(init_client(0, hp.dim, TOY.num_items, client_id=1), consensus, theta, sampler, hp, variant)
+    for a, b, kept in zip([first.consensus] + net_arrays(first.transfer_net), [second.consensus] + net_arrays(second.transfer_net), held):
+        assert not np.shares_memory(a, b)
+        assert np.array_equal(a, kept)
+    assert not np.array_equal(first.consensus, second.consensus)
+
+
+def test_run_training_round_is_the_stacked_mean_of_its_payloads():
+    # Each upload is added into the round's sums as it arrives and then
+    # dropped; the server's blocks still equal, bit for bit, the stacked mean
+    # of the payloads the channel captured, and those payloads stay distinct.
+    channel = UploadChannel(capture_bytes=True)
+    hp = dataclasses.replace(FAST, rounds=1)
+    result = run_training(TOY, hp, VariantConfig.from_label("Fed3CR"), channel=channel)
+    net = result.server.theta
+    # in payload order: the table, then each layer's weights and biases
+    server = [result.server.consensus] + [a for w, b in zip(net.weights, net.biases) for a in (w, b)]
+    ends = np.cumsum([a.size for a in server])
+    blocks = []  # per client, one array per server block
+    for record in channel.records:
+        payload = np.frombuffer(record["payload_bytes"], dtype=np.float32)
+        blocks.append([payload[end - a.size : end].reshape(a.shape) for a, end in zip(server, ends)])
+    assert len(blocks) == TOY.num_clients
+    assert len({record["payload_bytes"] for record in channel.records}) == TOY.num_clients
+    for i, array in enumerate(server):
+        assert array.tobytes() == np.mean(np.stack([b[i] for b in blocks]), axis=0).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::fed3cr.errors.ReplacementSamplingWarning")
@@ -268,15 +347,41 @@ def test_uploads_never_share_memory_with_the_servers_blocks(label, monkeypatch):
             assert not any(np.shares_memory(a, server_array) for a in sent)
 
 
-def test_run_training_deterministic_and_worker_independent():
+def test_run_training_deterministic_across_runs():
     hp = FAST
     variant = VariantConfig.from_label("Fed3CR")
-    runs = [
-        run_training(TOY, hp, variant, workers=w).metrics for w in (1, 1, 4)
-    ]
+    runs = [run_training(TOY, hp, variant).metrics for _ in range(2)]
     csvs = ["\n".join(metrics_csv_lines(m)) for m in runs]
     assert csvs[0] == csvs[1]  # same config, same bytes
-    assert csvs[0] == csvs[2]  # independent of worker count
+
+
+def test_warm_client_step_allocates_less_than_one_table():
+    # After a warm-up call, a two-step local update at ML-1M shape draws every
+    # table-sized array from the workspace: its traced allocations peak
+    # below one M x d float32 table, for every variant label.
+    ds = leave_one_out_split(
+        generate_toy_dataset(num_clients=2, num_items=3706, num_blocks=2, min_positives=150, max_positives=200, seed=0),
+        seed=0,
+    )
+    hp = HyperParams(rounds=1, local_iters=2, dim=32, lr=0.01, seed=0)
+    table_bytes = ds.num_items * hp.dim * 4
+    peaks = {}
+    for label in VARIANT_LABELS:
+        variant = VariantConfig.from_label(label)
+        server = init_server(ds, hp, variant)
+        state = init_client(0, hp.dim, ds.num_items, client_id=0)
+        if not variant.personal_table:
+            state.personal_table = None
+        sampler = NegativeSampler(ds, 0, hp.negatives_per_positive)
+        workspace = Workspace()
+        local_update(state, server.consensus, server.theta, sampler, hp, variant, 0, workspace)
+        tracemalloc.start()
+        try:
+            local_update(state, server.consensus, server.theta, sampler, hp, variant, 1, workspace)
+            peaks[label] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert all(peak < table_bytes for peak in peaks.values()), (table_bytes, peaks)
 
 
 def test_run_training_requires_split():
@@ -346,9 +451,9 @@ def test_identity_rigged_row_net_reduces_to_additive_fusion():
     net.weights[0] = np.concatenate([np.eye(4), -np.eye(4)])
     net.weights[1] = np.concatenate([np.eye(4), -np.eye(4)], axis=1)
     trace = forward_pass(state, table, net, np.array([0, 1]), enhancement="consensus-transfer")
-    assert np.allclose(trace.V_F, table + state.personal_table, atol=1e-12)
+    assert np.allclose(fused_table(trace), table + state.personal_table, atol=1e-12)
     trace_u = forward_pass(state, table, net, np.array([0, 1]), enhancement="unified-transfer")
-    assert np.allclose(trace_u.V_F, table + state.personal_table, atol=1e-12)
+    assert np.allclose(fused_table(trace_u), table + state.personal_table, atol=1e-12)
 
 
 def test_fedmf_plain_and_plugin_shapes():
@@ -378,8 +483,8 @@ def test_fedmf_zero_net_scores_match_plain_exactly():
     plugin = forward_pass(state, table, net, pos, enhancement="ace", consensus=download)
     plain = forward_pass(state, table, net, pos, enhancement="none", consensus=download)
     assert np.array_equal(plugin.W.data, np.zeros((d, d)))
-    assert np.array_equal(plugin.V_F, table)
-    assert np.array_equal(plain.V_F, table)
+    assert np.array_equal(fused_table(plugin), table)
+    assert np.array_equal(fused_table(plain), table)
     # the frozen download is the consensus view, the trained table the local one
     assert np.allclose(plugin.p_G.data, download[pos].mean(axis=0), atol=1e-15)
     assert np.allclose(plugin.p_P.data, table[pos].mean(axis=0), atol=1e-15)
@@ -389,10 +494,12 @@ def test_fedmf_zero_net_scores_match_plain_exactly():
 def test_fedmf_plugin_consensus_stays_the_download_across_local_iters(monkeypatch):
     import fed3cr.federation as federation
 
-    traces = []
+    traces, steps = [], []
 
     def recording_forward_pass(*args, **kwargs):
         traces.append(forward_pass(*args, **kwargs))
+        # C_E lives in the workspace until the next step: copy it now
+        steps.append((traces[-1].C_E.data.copy(), traces[-1].W.data.copy(), traces[-1].p_P.data.copy()))
         return traces[-1]
 
     monkeypatch.setattr(federation, "forward_pass", recording_forward_pass)
@@ -404,9 +511,9 @@ def test_fedmf_plugin_consensus_stays_the_download_across_local_iters(monkeypatc
     sampler = NegativeSampler(TOY, seed=0)
     held = download.copy()
     upload, _ = local_update(state, download, theta, sampler, hp, VariantConfig.from_label("FedMF+ACE"))
-    assert len(traces) == 3
-    assert all(np.array_equal(t.C_E.data, download @ t.W.data.T) for t in traces)
-    assert not np.array_equal(traces[-1].p_P.data, traces[0].p_P.data)  # the trained table moved
+    assert len(steps) == 3
+    assert all(np.array_equal(c_e, download @ w.T) for c_e, w, _ in steps)
+    assert not np.array_equal(steps[-1][2], steps[0][2])  # the trained table moved
     # the upload is the working table the last step trained, not a second copy,
     # and the download is left as it came
     assert upload.consensus is traces[-1].params["C"].data
@@ -460,10 +567,10 @@ def test_ace_not_worse_than_row_enhancement_baselines():
 def test_aggregation_order_invariance_via_sorted_ids():
     rng = np.random.default_rng(4)
     uploads = {cid: rng.normal(size=(3, 2)) for cid in range(5)}
-    in_order = aggregate_consensus([uploads[c] for c in sorted(uploads)])
+    in_order = mean_table([uploads[c] for c in sorted(uploads)])
     shuffled_ids = list(uploads)
     rng.shuffle(shuffled_ids)
-    resorted = aggregate_consensus([uploads[c] for c in sorted(shuffled_ids)])
+    resorted = mean_table([uploads[c] for c in sorted(shuffled_ids)])
     assert np.array_equal(in_order, resorted)
 
 
@@ -487,7 +594,7 @@ def sort_path_metrics(clients, server, ds, hp, variant, candidates):
             ace_scale=hp.ace_scale,
         )
         u = client.user_embedding
-        rank = ranked(u, trace.V_F, candidates[client.client_id]).index(ds.test_items[client.client_id]) + 1
+        rank = ranked(u, fused_table(trace), candidates[client.client_id]).index(ds.test_items[client.client_id]) + 1
         hrs.append(int(rank <= hp.top_k))
         ndcgs.append(float(1.0 / np.log2(rank + 1)) if rank <= hp.top_k else 0.0)
         if variant.personal_table:
@@ -503,22 +610,49 @@ EVAL_VARIANTS = {label: VariantConfig.from_label(label) for label in VARIANT_LAB
 EVAL_VARIANTS.update({kind: VariantConfig(kind) for kind in ("consensus-transfer", "unified-transfer")})
 
 
+class TableSumError(AssertionError):
+    pass
+
+
+class NoTableSum(np.ndarray):
+    """An item table that refuses to be added to another table, so code
+    that builds V_F from it fails; products and everything else pass."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.add and sum(np.ndim(x) == 2 for x in inputs) == 2:
+            raise TableSumError("two item tables were added: V_F was built")
+        plain = [x.view(np.ndarray) if isinstance(x, NoTableSum) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
 @pytest.mark.parametrize("name", list(EVAL_VARIANTS))
 def test_evaluate_round_matches_the_sort_path(name, monkeypatch):
     # Scores per view, summed, and ranks by counting: the same HR, NDCG and
     # RBO as sorting the fused table's rows. evaluate_round never builds V_F.
+    import fed3cr.federation as federation
+
     variant = EVAL_VARIANTS[name]
     hp = dataclasses.replace(FAST, rounds=2, rbo_k=30)
     result = run_training(TOY, hp, variant)
     candidates = [build_eval_candidates(TOY, c, hp.eval_negatives, hp.seed) for c in range(TOY.num_clients)]
     expected = sort_path_metrics(result.clients, result.server, TOY, hp, variant, candidates)
 
-    def no_fused_table(trace):
-        raise AssertionError("evaluate_round read ForwardTrace.V_F")
+    traces = []
 
-    monkeypatch.setattr(ForwardTrace, "V_F", property(no_fused_table))
+    def guarded_forward_pass(*args, **kwargs):
+        trace = forward_pass(*args, **kwargs)
+        for view in trace.views:
+            view.data = view.data.view(NoTableSum)
+        traces.append(trace)
+        return trace
+
+    monkeypatch.setattr(federation, "forward_pass", guarded_forward_pass)
     no_loss = LossBreakdown(0.0, 0.0, 0.0, 0.0, hp.beta_a, hp.beta_o)
     got = evaluate_round(result.clients, result.server, TOY, hp, variant, candidates, hp.rounds - 1, no_loss)
+    assert len(traces) == TOY.num_clients
+    if len(traces[0].views) == 2:  # the guard fires on a fused table
+        with pytest.raises(TableSumError):
+            traces[0].views[0].data + traces[0].views[1].data
     assert (got.hr_at_k, got.ndcg_at_k, got.rbo) == expected
     assert (got.hr_at_k, got.ndcg_at_k, got.rbo) == (
         result.metrics[-1].hr_at_k,
