@@ -49,23 +49,23 @@ class RowGrad(NamedTuple):
 def add_rows(out: np.ndarray, idx: np.ndarray, rows: np.ndarray, scratch: np.ndarray | None = None) -> None:
     """Add row i of `rows` into row idx[i] of `out`, in place.
 
-    Unique indices (batch items, positives) take one fancy in-place add,
-    which gathers the rows into `scratch` when given (a new array
-    otherwise); repeated ones, including two indices that name the same row
-    such as -1 and M-1, fall back to `np.add.at`. The indices must already
-    have been checked against `out` (they gathered its rows forward).
+    Unique indices (batch items, positives) gather their rows into
+    `scratch` (a new array when None), add and scatter back; repeated ones,
+    including two indices that name the same row such as -1 and M-1, fall
+    back to `np.add.at`. The indices must already have been checked against
+    `out` (they gathered its rows forward).
     """
     hit = np.zeros(out.shape[0], dtype=bool)
     hit[idx] = True
     if np.count_nonzero(hit) != idx.size:
         np.add.at(out, idx, rows)
-    elif scratch is None:
-        out[idx] += rows
-    else:
-        # "wrap" maps the checked indices as indexing does; "raise" would copy.
-        out.take(idx, axis=0, out=scratch, mode="wrap")
-        scratch += rows
-        out[idx] = scratch
+        return
+    if scratch is None:
+        scratch = np.empty(rows.shape, out.dtype)
+    # "wrap" maps the checked indices as indexing does; "raise" would copy.
+    out.take(idx, axis=0, out=scratch, mode="wrap")
+    scratch += rows
+    out[idx] = scratch
 
 
 class Workspace:

@@ -28,6 +28,11 @@ def _with_block(name, p, client, table, net):
     return client, table, net
 
 
+def sum_views(trace):
+    """V_F, the fused scoring table: the sum of the trace's views."""
+    return sum((view.data for view in trace.views[1:]), trace.views[0].data)
+
+
 def check_block_gradients(client, table, net, build, names=None, **tolerances):
     """grad_check the scalar from `build(client, table, net) -> (total, trace)`
     against every trainable block in `trace.params`, or those in `names`.
@@ -55,3 +60,8 @@ def shared_blocks():
 @pytest.fixture
 def block_grad_check():
     return check_block_gradients
+
+
+@pytest.fixture
+def fused_table():
+    return sum_views

@@ -42,11 +42,6 @@ class KeepingChannel(UploadChannel):
         return super().send(round, upload)
 
 
-def fused_table(trace):
-    """V_F, the sum of the trace's views."""
-    return sum((view.data for view in trace.views[1:]), trace.views[0].data)
-
-
 def net_arrays(net):
     return [] if net is None else net.weights + net.biases
 
@@ -440,7 +435,7 @@ def test_enhancement_kinds_preserve_shapes():
         assert result.server.theta.layer_shapes[-1][0] == hp.dim
 
 
-def test_identity_rigged_row_net_reduces_to_additive_fusion():
+def test_identity_rigged_row_net_reduces_to_additive_fusion(fused_table):
     from fed3cr.model import init_row_net
     import fed3cr.seeding as seeding
 
@@ -469,7 +464,7 @@ def test_fedmf_plain_and_plugin_shapes():
     assert all(c.personal_table is None for c in plain.clients + plugin.clients)
 
 
-def test_fedmf_zero_net_scores_match_plain_exactly():
+def test_fedmf_zero_net_scores_match_plain_exactly(fused_table):
     # FedMF+ACE with the net's last layer zeroed scores with the trained
     # shared table alone, exactly as plain FedMF does
     d, m = 8, 20
@@ -574,7 +569,7 @@ def test_aggregation_order_invariance_via_sorted_ids():
     assert np.array_equal(in_order, resorted)
 
 
-def sort_path_metrics(clients, server, ds, hp, variant, candidates):
+def sort_path_metrics(clients, server, ds, hp, variant, candidates, fused_table):
     """Client-mean HR, NDCG and RBO as evaluation computed them before it
     ranked by counting: the fused table V_F, a lexsort of its candidate
     rows and list.index, and top-k lists sorted from each full table."""
@@ -626,7 +621,7 @@ class NoTableSum(np.ndarray):
 
 
 @pytest.mark.parametrize("name", list(EVAL_VARIANTS))
-def test_evaluate_round_matches_the_sort_path(name, monkeypatch):
+def test_evaluate_round_matches_the_sort_path(name, monkeypatch, fused_table):
     # Scores per view, summed, and ranks by counting: the same HR, NDCG and
     # RBO as sorting the fused table's rows. evaluate_round never builds V_F.
     import fed3cr.federation as federation
@@ -635,7 +630,7 @@ def test_evaluate_round_matches_the_sort_path(name, monkeypatch):
     hp = dataclasses.replace(FAST, rounds=2, rbo_k=30)
     result = run_training(TOY, hp, variant)
     candidates = [build_eval_candidates(TOY, c, hp.eval_negatives, hp.seed) for c in range(TOY.num_clients)]
-    expected = sort_path_metrics(result.clients, result.server, TOY, hp, variant, candidates)
+    expected = sort_path_metrics(result.clients, result.server, TOY, hp, variant, candidates, fused_table)
 
     traces = []
 

@@ -110,12 +110,7 @@ def test_enhance_matches_per_row_matvec_oracle(shared_blocks):
             assert np.allclose(trace.C_E.data[j], trace.W.data @ table[j], atol=1e-12)
 
 
-def fused_table(trace):
-    """V_F, the sum of the trace's views."""
-    return sum((view.data for view in trace.views[1:]), trace.views[0].data)
-
-
-def test_fuse_cases(shared_blocks):
+def test_fuse_cases(shared_blocks, fused_table):
     # V_F is the enhanced shared table plus the personal table, for every
     # kind that keeps V as it is; a client without V scores its own table
     state = init_client(seed=3, d=4, M=6, dtype=np.float64)
@@ -167,7 +162,7 @@ def test_identity_init_starts_near_identity(shared_blocks):
     assert np.linalg.norm(forward_pass(state, table, net, np.arange(4)).W.data - np.eye(8)) < 0.1
 
 
-def test_identity_rigged_net_reduces_to_additive_fusion(shared_blocks):
+def test_identity_rigged_net_reduces_to_additive_fusion(shared_blocks, fused_table):
     d, m = 3, 5
     state = init_client(seed=1, d=d, M=m, dtype=np.float64)
     table, _ = shared_blocks(1, d, m)
