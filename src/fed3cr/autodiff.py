@@ -1,28 +1,29 @@
 """Minimal reverse-mode tape over numpy arrays.
 
-Covers dense matrix/vector arithmetic, row gathering from embedding
-tables, elementwise nonlinearities and reductions, plus `fused` for ops
-whose backward is written in closed form (the whole training objective is
-one `fused` node). Gradients are accumulated by walking the recorded graph
-in reverse topological order, so parameters that feed several paths (an
-embedding table that enters both a prototype mean and a scoring head, say)
-receive the sum of all path contributions.
+Covers dense matrix/vector products, row gathering from embedding tables
+and reductions, plus `fused` for ops whose backward is written in closed
+form (the whole training objective is one `fused` node, and so is each
+pass of a transfer net). Gradients are accumulated by walking the
+recorded graph in reverse topological order, so parameters that feed
+several paths (an embedding table that enters both a prototype mean and
+a scoring head, say) receive the sum of all path contributions.
 
 Only parents that need a gradient are recorded as edges, so constants
 cost nothing in `backward`. Gradient ownership: a node's first dense
 contribution becomes its `.grad` as is. In general that array may be
-shared with another node (`add` hands the same gradient to both operands)
-or be a read-only `broadcast_to` view, so `backward` writes into a `.grad`
-only once it owns it: the first contribution came fresh from a `matmul` or
-`fused` node, whose edge functions return arrays no other node holds (new
-ones, or `Workspace` buffers their caller handed in for that one role), or
-`backward` allocated the buffer itself, in the node's own dtype, on a
-later contribution. A `gather_rows` edge hands back only its rows; they
-are added in place into an owned gradient, and a node with no owned
-gradient yet gets a zero or copied buffer first. So during `backward` a
-`.grad` is to be read, never written, and the arrays it was built from are
-never changed. Once it returns, the caller that built the graph may use a
-leaf's `.grad` as scratch (the client step's SGD scales it in place).
+shared with another node (a `transpose` edge hands back a view of its
+output's gradient) or be a read-only `broadcast_to` view, so `backward`
+writes into a `.grad` only once it owns it: the first contribution came
+fresh from a `matmul` or `fused` node, whose edge functions return
+arrays no other node holds (new ones, or `Workspace` buffers their
+caller handed in for that one role), or `backward` allocated the buffer
+itself, in the node's own dtype, on a later contribution. A
+`gather_rows` edge hands back only its rows; they are added in place
+into an owned gradient, and a node with no owned gradient yet gets a
+zero or copied buffer first. So during `backward` a `.grad` is to be
+read, never written, and the arrays it was built from are never changed.
+Once it returns, the caller that built the graph may use a leaf's
+`.grad` as scratch (the client step's SGD scales it in place).
 """
 
 from __future__ import annotations
@@ -190,26 +191,6 @@ class Tensor:
                     parent.grad = np.add(parent.grad, contribution, out=np.empty_like(parent.data))
                     owned.add(key)
 
-    # -- operator sugar --------------------------------------------------------
-
-    def __add__(self, other: ArrayLike) -> "Tensor":
-        return add(self, other)
-
-    def __radd__(self, other: ArrayLike) -> "Tensor":
-        return add(other, self)
-
-    def __mul__(self, other: ArrayLike) -> "Tensor":
-        return mul(self, other)
-
-    def __rmul__(self, other: ArrayLike) -> "Tensor":
-        return mul(other, self)
-
-    def __neg__(self) -> "Tensor":
-        return mul(self, -1.0)
-
-    def __matmul__(self, other: ArrayLike) -> "Tensor":
-        return matmul(self, other)
-
 
 def as_tensor(x: ArrayLike) -> Tensor:
     """Wrap an array or scalar as a constant (non-trainable) tensor."""
@@ -259,17 +240,6 @@ def fused(value: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable[[np.ndar
 # -- arithmetic ----------------------------------------------------------------
 
 
-def add(a: ArrayLike, b: ArrayLike) -> Tensor:
-    a, b = _pair(a, b)
-    return Tensor(
-        a.data + b.data,
-        _edges=(
-            (a, lambda g: _unbroadcast(g, a.data.shape)),
-            (b, lambda g: _unbroadcast(g, b.data.shape)),
-        ),
-    )
-
-
 def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
     a, b = _pair(a, b)
     return Tensor(
@@ -317,24 +287,6 @@ def transpose(a: ArrayLike) -> Tensor:
     return Tensor(a.data.T, _edges=((a, lambda g: g.T),))
 
 
-def reshape(a: ArrayLike, shape: tuple[int, ...]) -> Tensor:
-    a = as_tensor(a)
-    return Tensor(a.data.reshape(shape), _edges=((a, lambda g: g.reshape(a.data.shape)),))
-
-
-def concat(parts: list[Tensor | np.ndarray]) -> Tensor:
-    """Concatenate 1-D tensors."""
-    tensors = [as_tensor(p) for p in parts]
-    sizes = [t.data.shape[0] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_grad(i: int) -> GradFn:
-        return lambda g: g[offsets[i] : offsets[i + 1]]
-
-    edges = tuple((t, make_grad(i)) for i, t in enumerate(tensors))
-    return Tensor(np.concatenate([t.data for t in tensors]), _edges=edges)
-
-
 def gather_rows(a: ArrayLike, indices: np.ndarray) -> Tensor:
     """Select rows of a 2-D tensor; gradients add back into those rows."""
     a = as_tensor(a)
@@ -361,15 +313,6 @@ def tmean(a: ArrayLike, axis: int | None = None) -> Tensor:
     a = as_tensor(a)
     count = a.data.size if axis is None else a.data.shape[axis]
     return mul(tsum(a, axis=axis), 1.0 / count)
-
-
-# -- nonlinearities ---------------------------------------------------------------
-
-
-def relu(a: ArrayLike) -> Tensor:
-    a = as_tensor(a)
-    mask = a.data > 0
-    return Tensor(np.where(mask, a.data, 0.0), _edges=((a, lambda g: g * mask),))
 
 
 def logistic(x: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ cross-view correlation-matrix export."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,36 @@ def hr_ndcg_at_k(rank: int, k: int) -> tuple[int, float]:
     return 1, float(1.0 / np.log2(rank + 1))
 
 
-def rbo_truncated(list_a: list[int], list_b: list[int], p: float) -> float:
-    """Truncated rank-biased overlap of two equal-length ranked lists.
+@functools.lru_cache(maxsize=16)
+def _rbo_weights(k: int, p: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The depth weights p^(d-1) for d = 1..k, the depths, and the weights'
+    sum, each built by the sequential products and sums the definition
+    spells out (`cumprod`/`cumsum` accumulate in order)."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"persistence p must lie in (0, 1), got {p}")
+    steps = np.full(k, p)
+    steps[0] = 1.0
+    weights = np.cumprod(steps)
+    depths = np.arange(1, k + 1)
+    weights.flags.writeable = depths.flags.writeable = False
+    return weights, depths, float(np.cumsum(weights)[-1])
+
+
+def _rbo(ids_a: np.ndarray, ids_b: np.ndarray, p: float, num_ids: int) -> float:
+    """Truncated RBO of two equal-length arrays of distinct ids in [0, num_ids)."""
+    k = ids_a.size
+    weights, depths, denominator = _rbo_weights(k, p)
+    # Where each of a's ids sits in b (k when absent): it is in both
+    # prefixes from depth max(its own position, that one) + 1 on.
+    positions = depths - 1
+    in_b = np.full(num_ids, k)
+    in_b[ids_b] = positions
+    overlap = np.cumsum(np.bincount(np.maximum(positions, in_b[ids_a]), minlength=k + 1)[:k])
+    return float(np.cumsum(weights * overlap / depths)[-1] / denominator)
+
+
+def rbo_truncated(list_a, list_b, p: float) -> float:
+    """Truncated rank-biased overlap of two equal-length ranked lists of ids.
 
     Weighted prefix agreement: sum_k p^(k-1) * |prefix_k(a) & prefix_k(b)| / k,
     normalized by sum_k p^(k-1). 1.0 means identical lists, 0.0 fully disjoint.
@@ -77,42 +106,20 @@ def rbo_truncated(list_a: list[int], list_b: list[int], p: float) -> float:
         raise ShapeError(f"lists must have equal length, got {len(list_a)} and {len(list_b)}")
     if len(set(list_a)) != len(list_a) or len(set(list_b)) != len(list_b):
         raise ValueError("ranked lists must not contain duplicate items")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"persistence p must lie in (0, 1), got {p}")
-
-    seen_a: set[int] = set()
-    seen_b: set[int] = set()
-    overlap = 0
-    numerator = 0.0
-    denominator = 0.0
-    weight = 1.0
-    for depth, (a, b) in enumerate(zip(list_a, list_b), start=1):
-        if a == b:
-            overlap += 1
-        else:
-            if a in seen_b:
-                overlap += 1
-            if b in seen_a:
-                overlap += 1
-            seen_a.add(a)
-            seen_b.add(b)
-        numerator += weight * overlap / depth
-        denominator += weight
-        weight *= p
-    return numerator / denominator
+    ids, dense = np.unique(np.concatenate([list_a, list_b]).astype(np.int64), return_inverse=True)
+    return _rbo(dense[: len(list_a)], dense[len(list_a) :], p, ids.size)
 
 
-def top_k_list(scores: np.ndarray, k: int) -> list[int]:
+def top_k_ids(scores: np.ndarray, k: int) -> np.ndarray:
     """Top-k item ids by descending score, ties broken by ascending id (NaN
-    scores last)."""
+    scores last), as an int array."""
     neg = -np.asarray(scores)
     ids = np.arange(len(neg))
     if k < len(neg):
         # Only items scoring at or above the k-th best can make the list
         # (NaN ones are kept too: a NaN k-th score keeps every item).
         ids = np.flatnonzero(~(neg > np.partition(neg, k - 1)[k - 1]))
-    order = np.lexsort((ids, neg[ids]))
-    return [int(i) for i in ids[order[:k]]]
+    return ids[np.lexsort((ids, neg[ids]))[:k]]
 
 
 def view_consistency_rbo(
@@ -121,7 +128,8 @@ def view_consistency_rbo(
     """RBO between a client's top-k' lists under the personal view (its
     scores of the personal table's rows) and the global view (its scores of
     the enhanced consensus's rows)."""
-    return rbo_truncated(top_k_list(personal_scores, k_prime), top_k_list(global_scores, k_prime), p)
+    top_personal, top_global = top_k_ids(personal_scores, k_prime), top_k_ids(global_scores, k_prime)
+    return _rbo(top_personal, top_global, p, len(personal_scores))
 
 
 def correlation_matrix(c_e: np.ndarray, v: np.ndarray, clip: float = 0.003) -> np.ndarray:

@@ -27,7 +27,7 @@ from .datasets import InteractionDataset, NegativeSampler, build_eval_candidates
 from .errors import AggregationError, ConfigurationError, ShapeError
 from .evaluation import RoundMetrics, hr_ndcg_at_k, rank_candidates, view_consistency_rbo
 from .losses import COMPLEMENTARITY_KINDS, EQ12_MODES, LossBreakdown, total_loss_t
-from .model import ENHANCEMENT_KINDS, ClientState, TransferNet, forward_pass, init_client, init_client_net
+from .model import ENHANCEMENT_KINDS, ClientState, TransferNet, forward_pass, init_client, init_client_net, score_views
 
 # label -> (enhancement kind, l_a on, l_o on, personal table). C0 is bare
 # additive fusion, C1 adds the enhancement, C2/C3/C4 add only the auxiliary
@@ -413,14 +413,15 @@ def evaluate_round(
     workspace: Workspace | None = None,
 ) -> RoundMetrics:
     # Each client scores as it would after downloading the freshest shared
-    # blocks. Scoring only reads them, so every client reads the server's;
-    # its enhanced table is a `workspace` buffer, read before the next client.
+    # blocks. Scoring only reads them, so every client reads the server's,
+    # through the net passes of its forward pass but with no tape: the net's
+    # activations are `workspace` buffers, read before the next client.
     hrs, ndcgs, rbos = [], [], []
     for client in clients:
         positives = ds.client_items[client.client_id]
         if len(positives) == 0:
             continue
-        trace = forward_pass(
+        scores = score_views(
             client,
             server.consensus,
             server.theta,
@@ -429,20 +430,14 @@ def evaluate_round(
             ace_scale=hp.ace_scale,
             workspace=workspace,
         )
-        u = client.user_embedding
-        view_scores = [view.data @ u for view in trace.views]
-        scores = sum(view_scores[1:], view_scores[0])
-        rank = rank_candidates(scores, candidates[client.client_id], ds.test_items[client.client_id])
+        rank = rank_candidates(scores.fused, candidates[client.client_id], ds.test_items[client.client_id])
         hr, ndcg = hr_ndcg_at_k(rank, hp.top_k)
         hrs.append(hr)
         ndcgs.append(ndcg)
         if compute_rbo and variant.personal_table:
-            # The global view is C_E, always views[0]. The personal view is
-            # the raw table V, which unified-transfer maps before fusing.
-            personal = trace.params["V"]
-            personal_scores = view_scores[1] if trace.views[1] is personal else personal.data @ u
+            # The personal view is the raw table V, which unified-transfer maps before fusing.
             k = min(hp.rbo_k, ds.num_items)
-            rbos.append(view_consistency_rbo(personal_scores, view_scores[0], k, hp.rbo_p))
+            rbos.append(view_consistency_rbo(scores.personal, scores.global_view, k, hp.rbo_p))
     return RoundMetrics(
         round=round,
         hr_at_k=float(np.mean(hrs)),

@@ -231,10 +231,14 @@ def total_loss_t(
     u, c_e, v = trace.params["u"], trace.C_E, trace.params.get("V")
     items = np.asarray(batch_items)
     first = trace.views[0].data
-    dtype = first.dtype
-    rows = first.take(items, axis=0, out=workspace.buffer(("total_loss_t", "rows"), (items.size, first.shape[1]), dtype))
+    dtype, (m, d) = first.dtype, first.shape
+    if items.size and not -m <= items.min() <= items.max() < m:
+        raise IndexError(f"batch items must index the {m} item rows")
+    # Checked once, the items gather in "wrap" mode, which maps them as
+    # indexing does; "raise" would copy through a temporary first.
+    rows = first.take(items, axis=0, out=workspace.buffer(("total_loss_t", "rows"), (items.size, d), dtype), mode="wrap")
     for view in trace.views[1:]:
-        rows += view.data[items]
+        rows += view.data.take(items, axis=0, out=workspace.buffer(("total_loss_t", "view rows"), rows.shape, dtype), mode="wrap")
     preds = ad.logistic(rows @ u.data)
     l_rec, d_preds = _bce(preds, batch_labels)
     parents = [u, *trace.views]

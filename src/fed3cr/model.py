@@ -3,11 +3,13 @@
 A client owns two private blocks: its user embedding and a personal item
 table. The shared (global) item table and the weights of a small fully
 connected net, which turns the client's two preference prototypes into a
-d x d transfer matrix, belong to the server; whoever trains or scores passes
-them to `forward_pass` next to the client. Scoring fuses the transformed
-global table with the personal one additively. A federated-MF client has no
-personal table: the shared table it trains takes the personal role, and the
-table as downloaded takes the global one.
+d x d transfer matrix, belong to the server. Training passes them to
+`forward_pass` next to the client, which records the tape; scoring passes
+them to `score_views`, which runs the same net passes in plain numpy.
+Scoring fuses the transformed global table with the personal one
+additively. A federated-MF client has no personal table: the shared table
+it trains takes the personal role, and the table as downloaded takes the
+global one.
 """
 
 from __future__ import annotations
@@ -81,26 +83,75 @@ def init_transfer_net(
     return TransferNet(weights, biases)
 
 
-def net_forward(params: list[tuple[Tensor, Tensor]], x: Tensor, workspace: ad.Workspace) -> Tensor:
-    """Run the net on a single input vector, building each layer's weight
-    gradient in a workspace buffer."""
-    h = x
-    for l, (w, b) in enumerate(params):
-        grad = workspace.buffer(("net_forward", l), w.data.shape, w.data.dtype)
-        h = ad.matmul(w, h, a_grad=grad) + b
-        if l < len(params) - 1:
-            h = ad.relu(h)
-    return h
+@dataclass
+class NetPass:
+    """One run of a transfer net over a vector or over the rows of a table:
+    each layer's input (a hidden one after its ReLU), each hidden layer's
+    ReLU mask, and the output. That is all its closed-form backward needs."""
+
+    inputs: list[np.ndarray]
+    masks: list[np.ndarray]
+    out: np.ndarray
 
 
-def net_forward_rows(params: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
-    """Run the net independently on every row of a matrix."""
+def net_pass(net: TransferNet, x: np.ndarray, workspace: ad.Workspace, role: str) -> NetPass:
+    """Run the net on `x`, one input vector or a matrix whose rows are mapped
+    independently. Every activation is a `workspace` buffer under `role`,
+    valid until the next pass in that role."""
+    inputs, masks = [], []
     h = x
-    for l, (w, b) in enumerate(params):
-        h = ad.matmul(h, ad.transpose(w)) + b
-        if l < len(params) - 1:
-            h = ad.relu(h)
-    return h
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        inputs.append(h)
+        out = workspace.buffer((role, "h", l), h.shape[:-1] + w.shape[:1], np.result_type(h, w, b))
+        if h.ndim == 1:
+            np.matmul(w, h, out=out)
+        else:
+            np.matmul(h, w.T, out=out)
+        out += b
+        if l < len(net.weights) - 1:
+            mask = np.greater(out, 0, out=workspace.buffer((role, "mask", l), out.shape, bool))
+            # np.where(mask, out, 0.0) in place: NaN and -0.0 become 0.0 as well
+            np.copyto(out, 0.0, where=np.logical_not(mask, out=workspace.buffer((role, "off"), out.shape, bool)))
+            masks.append(mask)
+        h = out
+    return NetPass(inputs, masks, h)
+
+
+def net_backward(net: TransferNet, fwd: NetPass, g: np.ndarray, workspace: ad.Workspace, role: str) -> list[np.ndarray]:
+    """Closed-form backward of `net_pass`: from g = d(loss)/d(fwd.out), the
+    gradients w.r.t. the pass's input and then w0, b0, w1, b1, ...
+    Table-sized gradients and the 1-D case's weight gradients (the outer
+    products) are `workspace` buffers under `role`; no two returned arrays
+    share memory, and no other caller holds one."""
+    blocks: list[np.ndarray] = []
+    for l in reversed(range(len(net.weights))):
+        w, h = net.weights[l], fwd.inputs[l]
+        if l < len(net.weights) - 1:
+            g = np.multiply(g, fwd.masks[l], out=workspace.buffer((role, "dh", l), g.shape, g.dtype))
+        if g.ndim == 1:
+            dw = np.dot(g[:, None], h[None], out=workspace.buffer((role, "dw", l), w.shape, w.dtype))
+            blocks[:0] = [dw, g.copy()]
+            g = w.T @ g
+        else:
+            blocks[:0] = [(h.T @ g).T, g.sum(axis=0)]
+            g = np.matmul(g, w, out=workspace.buffer((role, "dx", l), h.shape, g.dtype))
+    return [g, *blocks]
+
+
+def transfer_matrix(
+    net: TransferNet, p_G: np.ndarray, p_P: np.ndarray, ace_scale: float, workspace: ad.Workspace
+) -> tuple[np.ndarray, NetPass]:
+    """ACE's d x d transfer matrix W = ace_scale * net([p_G, p_P]), and the pass."""
+    fwd = net_pass(net, np.concatenate([p_G, p_P]), workspace, "transfer")
+    w_mat = fwd.out.reshape(p_G.shape[0], p_G.shape[0])
+    if ace_scale != 1.0:
+        w_mat = w_mat * np.asarray(ace_scale, dtype=w_mat.dtype)
+    return w_mat, fwd
+
+
+def _prototype(table: np.ndarray, positives: np.ndarray) -> np.ndarray:
+    """Mean of the positives' rows, rounded as the tape's `tmean` rounds it."""
+    return table[positives].sum(axis=0) * np.asarray(1.0 / positives.size, dtype=table.dtype)
 
 
 @dataclass
@@ -119,8 +170,8 @@ class ForwardTrace:
 
     `views` are the M x d tables whose sum is the scoring table V_F: the
     enhanced global table and the personal view, or a federated-MF client's
-    trained table alone. Training scores only the batch rows of each view,
-    and evaluation each whole view once; neither builds V_F.
+    trained table alone. Training scores only the batch rows of each view
+    and never builds V_F. Evaluation builds no trace (see `score_views`).
     """
 
     p_G: Tensor
@@ -189,7 +240,23 @@ def init_row_net(rng: np.random.Generator, d: int, hidden: int, dtype=np.float32
     return TransferNet([w0.astype(dtype), w1.astype(dtype)], [b0.astype(dtype), b1.astype(dtype)])
 
 
-# -- differentiable forward pass ----------------------------------------------------
+# -- forward passes ----------------------------------------------------------------
+
+
+def _checked_positives(client: ClientState, positives: np.ndarray, enhancement: str) -> np.ndarray:
+    if enhancement not in ENHANCEMENT_KINDS:
+        raise ValueError(f"unknown enhancement kind {enhancement!r}")
+    positives = np.asarray(positives)
+    if positives.size == 0:
+        raise DataError(f"client {client.client_id} has no positives")
+    return positives
+
+
+def _map_rows(net: TransferNet, theta: list[Tensor], table: Tensor, workspace: ad.Workspace, role: str) -> Tensor:
+    """A row map's pass over every row of `table`, recorded as one tape node
+    over the table and the net's blocks."""
+    fwd = net_pass(net, table.data, workspace, role)
+    return ad.fused(fwd.out, (table, *theta), lambda g: net_backward(net, fwd, g, workspace, role))
 
 
 def forward_pass(
@@ -205,7 +272,8 @@ def forward_pass(
 ) -> ForwardTrace:
     """Build the differentiable graph from the client's private blocks, the
     shared table `table` and the net `net` (ignored when `enhancement` is
-    "none").
+    "none"). Training calls it; evaluation scores through `score_views`,
+    which runs the same net passes without a tape.
 
     The returned trace's `params` dict holds the trainable leaf tensors
     ("u", "C" for `table`, "V" and per-layer "w{l}"/"b{l}"); after a
@@ -217,19 +285,17 @@ def forward_pass(
     global role: V_F = C + consensus W^T. The sum V_F itself is not
     recorded; the trace keeps its terms as `views`.
 
-    The enhanced table C_E, C's gradient through it and the net's weight
-    gradients are built in `workspace` buffers, so they stay valid only
-    until the next pass over the same workspace (a fresh one when None).
+    Each net pass is one tape node with a closed-form backward: ACE's from
+    the two prototypes to W, a row map's from a table to its mapped rows.
+    The enhanced table C_E, C's gradient through it, the passes'
+    activations and the net's table-sized and outer-product gradients are
+    built in `workspace` buffers, so they stay valid only until the next
+    pass over the same workspace (a fresh one when None).
     """
-    if enhancement not in ENHANCEMENT_KINDS:
-        raise ValueError(f"unknown enhancement kind {enhancement!r}")
-    positives = np.asarray(positives)
-    if positives.size == 0:
-        raise DataError(f"client {client.client_id} has no positives")
+    positives = _checked_positives(client, positives, enhancement)
 
     if workspace is None:
         workspace = ad.Workspace()
-    d = table.shape[1]
     u_t = ad.parameter(client.user_embedding)
     c_t = ad.parameter(table)
     params: dict = {"u": u_t, "C": c_t}
@@ -240,40 +306,85 @@ def forward_pass(
     else:
         v_t = params["V"] = ad.parameter(client.personal_table)
 
-    theta: list[tuple[Tensor, Tensor]] = []
+    theta: list[Tensor] = []
     if net is not None and enhancement != "none":
         for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-            w_t, b_t = ad.parameter(w), ad.parameter(b)
-            params[f"w{l}"] = w_t
-            params[f"b{l}"] = b_t
-            theta.append((w_t, b_t))
+            params[f"w{l}"] = ad.parameter(w)
+            params[f"b{l}"] = ad.parameter(b)
+            theta += [params[f"w{l}"], params[f"b{l}"]]
 
     p_g = ad.tmean(ad.gather_rows(c_t, positives), axis=0)
     p_p = ad.tmean(ad.gather_rows(v_t, positives), axis=0)
 
     w_mat: Tensor | None = None
     if enhancement == "ace":
-        out = net_forward(theta, ad.concat([p_g, p_p]), workspace)
-        w_mat = ad.reshape(out, (d, d))
-        if ace_scale != 1.0:
-            w_mat = ad.mul(w_mat, ace_scale)
+        value, fwd = transfer_matrix(net, p_g.data, p_p.data, ace_scale, workspace)
+        scale = np.asarray(ace_scale, dtype=value.dtype)
+
+        def w_vjp(g: np.ndarray) -> list[np.ndarray]:
+            dx, *blocks = net_backward(net, fwd, (g if ace_scale == 1.0 else g * scale).reshape(-1), workspace, "transfer")
+            return [dx[: dx.size // 2], dx[dx.size // 2 :], *blocks]
+
+        w_mat = ad.fused(value, (p_g, p_p, *theta), w_vjp)
         shape, dtype = c_t.data.shape, c_t.data.dtype
         product = workspace.buffer(("forward_pass", "C_E"), shape, dtype)
         grad = workspace.buffer(("forward_pass", "C"), shape, dtype)
         c_e = ad.matmul(c_t, ad.transpose(w_mat), out=product, a_grad=grad)
         p_e = ad.matmul(w_mat, p_g)
         views = (c_e, v_t)
-    elif enhancement == "consensus-transfer":
-        c_e = net_forward_rows(theta, c_t)
+    elif enhancement in ("consensus-transfer", "unified-transfer"):
+        c_e = _map_rows(net, theta, c_t, workspace, "C")
         p_e = ad.tmean(ad.gather_rows(c_e, positives), axis=0)
-        views = (c_e, v_t)
-    elif enhancement == "unified-transfer":
-        c_e = net_forward_rows(theta, c_t)
-        p_e = ad.tmean(ad.gather_rows(c_e, positives), axis=0)
-        views = (c_e, net_forward_rows(theta, v_t))
+        views = (c_e, _map_rows(net, theta, v_t, workspace, "V") if enhancement == "unified-transfer" else v_t)
     else:  # none: the raw consensus fused with the personal table, or a single table alone
         c_e = c_t
         p_e = p_g
         views = (v_t,) if single else (c_t, v_t)
 
     return ForwardTrace(p_G=p_g, p_P=p_p, W=w_mat, C_E=c_e, p_E=p_e, views=views, params=params)
+
+
+@dataclass
+class ViewScores:
+    """One client's score of every item under each view: `global_view` (the
+    enhanced consensus; None for a federated-MF client without the
+    enhancement), `personal` (the client's own table as it stands) and
+    `fused` (the sum of the views, which ranks the items)."""
+
+    global_view: np.ndarray | None
+    personal: np.ndarray
+    fused: np.ndarray
+
+
+def score_views(
+    client: ClientState,
+    table: np.ndarray,
+    net: TransferNet | None,
+    positives: np.ndarray,
+    *,
+    enhancement: str = "ace",
+    ace_scale: float = 1.0,
+    workspace: ad.Workspace | None = None,
+) -> ViewScores:
+    """Score every item under each view of `forward_pass(client, table,
+    net, positives)`, in plain numpy: no tape, no fused table, and for ACE
+    no C_E, since C_E u = C (W^T u). The net passes are `forward_pass`'s,
+    in `workspace` buffers (a fresh one when None)."""
+    positives = _checked_positives(client, positives, enhancement)
+    if workspace is None:
+        workspace = ad.Workspace()
+    u = client.user_embedding
+    own = table if client.personal_table is None else client.personal_table
+    personal = own @ u
+    fused_personal = personal
+    if enhancement == "ace":
+        w_mat, _ = transfer_matrix(net, _prototype(table, positives), _prototype(own, positives), ace_scale, workspace)
+        global_view = table @ (w_mat.T @ u)
+    elif enhancement == "none":
+        global_view = None if client.personal_table is None else table @ u
+    else:
+        global_view = net_pass(net, table, workspace, "C").out @ u
+        if enhancement == "unified-transfer":
+            fused_personal = net_pass(net, own, workspace, "V").out @ u
+    fused = fused_personal if global_view is None else global_view + fused_personal
+    return ViewScores(global_view, personal, fused)

@@ -9,6 +9,17 @@ from fed3cr.numerics import grad_check
 RNG = np.random.default_rng(42)
 
 
+def add(a, b):
+    """a + b as a node that hands its one gradient array to both parents
+    (summed over broadcast axes): the fan-out shape `backward` must never
+    write into. The library records no such op, so its tests build it."""
+    a, b = ad._pair(a, b)
+    return ad.Tensor(
+        a.data + b.data,
+        _edges=((a, lambda g: ad._unbroadcast(g, a.shape)), (b, lambda g: ad._unbroadcast(g, b.shape))),
+    )
+
+
 def check_unary(op, x, rtol=1e-5, **kwargs):
     """Project the op's output onto a fixed random direction and compare the
     tape gradient against central differences."""
@@ -30,7 +41,7 @@ def test_add_mul_broadcasting():
     b = RNG.normal(size=3) + 2.0
     proj = np.random.default_rng(1).normal(size=(4, 3))
 
-    for op in (ad.add, ad.mul):
+    for op in (add, ad.mul):
         ta, tb = ad.parameter(a), ad.parameter(b)
         loss = ad.tsum(ad.mul(op(ta, tb), proj))
         loss.backward()
@@ -92,31 +103,15 @@ def test_reductions_and_shapes():
         (ad.tsum, {"axis": 1}),
         (ad.tmean, {"axis": 0}),
         (ad.transpose, {}),
-        (ad.reshape, {"shape": (12,)}),
     ]:
         check_unary(op, x, **kwargs)
-
-
-def test_nonlinearities():
-    x = RNG.normal(size=(3, 4)) + 0.05  # keep clear of the relu kink
-    check_unary(ad.relu, x)
-
-
-def test_concat_gradient_splits():
-    a, b = RNG.normal(size=3), RNG.normal(size=4)
-    proj = np.random.default_rng(4).normal(size=7)
-    ta, tb = ad.parameter(a), ad.parameter(b)
-    loss = ad.tsum(ad.mul(ad.concat([ta, tb]), proj))
-    loss.backward()
-    assert np.allclose(ta.grad, proj[:3])
-    assert np.allclose(tb.grad, proj[3:])
 
 
 def test_diamond_graph_accumulates_both_paths():
     # y = sum(x * x) + sum(x): dx = 2x + 1; x feeds two paths.
     x = RNG.normal(size=5)
     t = ad.parameter(x)
-    loss = ad.add(ad.tsum(ad.mul(t, t)), ad.tsum(t))
+    loss = add(ad.tsum(ad.mul(t, t)), ad.tsum(t))
     loss.backward()
     assert np.allclose(t.grad, 2 * x + 1)
 
@@ -140,7 +135,7 @@ def test_logistic_saturation_no_overflow():
 
 def test_dtype_preserved():
     t = ad.parameter(np.ones(3, dtype=np.float32))
-    out = ad.mul(ad.add(t, 1.0), 2.0)
+    out = ad.mul(add(t, 1.0), 2.0)
     assert out.data.dtype == np.float32
 
 
@@ -167,7 +162,7 @@ def test_self_add_fan_out():
     # add hands the same gradient array to both of its (identical) parents
     x = RNG.normal(size=(3, 4))
     proj = np.random.default_rng(5).normal(size=(3, 4))
-    (t,) = check_all_inputs(lambda a: ad.tsum(ad.mul(ad.add(a, a), proj)), x)
+    (t,) = check_all_inputs(lambda a: ad.tsum(ad.mul(add(a, a), proj)), x)
     assert np.allclose(t.grad, 2 * proj)
 
 
@@ -177,7 +172,7 @@ def test_subexpression_feeding_add_and_mul():
 
     def build(a, b):
         s = ad.mul(a, b)
-        return ad.add(ad.tsum(ad.mul(ad.add(s, a), proj)), ad.tsum(ad.mul(s, s)))
+        return add(ad.tsum(ad.mul(add(s, a), proj)), ad.tsum(ad.mul(s, s)))
 
     check_all_inputs(build, x, y)
 
@@ -189,8 +184,8 @@ def test_tsum_broadcast_grad_reaching_two_consumers():
     proj = np.random.default_rng(7).normal(size=3)
 
     def build(a, b):
-        col = ad.tsum(ad.add(a, b), axis=0)
-        return ad.add(ad.tsum(ad.mul(col, proj)), ad.tsum(ad.mul(a, a)))
+        col = ad.tsum(add(a, b), axis=0)
+        return add(ad.tsum(ad.mul(col, proj)), ad.tsum(ad.mul(a, a)))
 
     _, ty = check_all_inputs(build, x, y)
     assert np.array_equal(ty.grad, np.broadcast_to(proj, (4, 3)))
@@ -202,8 +197,8 @@ def test_leaf_with_three_contributions():
     w = np.random.default_rng(9).normal(size=3)
 
     def build(a):
-        return ad.add(
-            ad.add(ad.tsum(ad.mul(a, proj)), ad.tsum(ad.matmul(a, w))), ad.tsum(ad.mul(a, a))
+        return add(
+            add(ad.tsum(ad.mul(a, proj)), ad.tsum(ad.matmul(a, w))), ad.tsum(ad.mul(a, a))
         )
 
     check_all_inputs(build, x)
@@ -223,7 +218,7 @@ def test_gathered_rows_add_into_a_dense_gradient():
 
                 def build(a, idx=idx, dense=dense, rows_first=rows_first):
                     rows = ad.tsum(ad.mul(ad.gather_rows(a, idx), proj))
-                    return ad.add(rows, dense(a)) if rows_first else ad.add(dense(a), rows)
+                    return add(rows, dense(a)) if rows_first else add(dense(a), rows)
 
                 check_all_inputs(build, x)
 
@@ -232,11 +227,11 @@ def _fan_out_graph(dtype):
     x = ad.parameter(RNG.normal(size=(4, 3)).astype(dtype))
     w = ad.parameter(RNG.normal(size=(3, 2)).astype(dtype))
     h = ad.matmul(x, w)
-    col = ad.tsum(ad.add(h, h), axis=0)
+    col = ad.tsum(add(h, h), axis=0)
     rows = ad.gather_rows(x, np.array([0, 2, 2, 3]))
-    loss = ad.add(
-        ad.add(ad.tsum(ad.mul(col, col)), ad.tsum(ad.mul(rows, rows))),
-        ad.tmean(ad.mul(ad.add(x, 1.0), x)),
+    loss = add(
+        add(ad.tsum(ad.mul(col, col)), ad.tsum(ad.mul(rows, rows))),
+        ad.tmean(ad.mul(add(x, 1.0), x)),
     )
     return loss
 

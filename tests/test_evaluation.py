@@ -10,7 +10,7 @@ from fed3cr.evaluation import (
     metrics_csv_lines,
     rank_candidates,
     rbo_truncated,
-    top_k_list,
+    top_k_ids,
     view_consistency_rbo,
 )
 from fed3cr.model import forward_pass, init_client
@@ -160,6 +160,49 @@ def test_rbo_rejects_duplicates_and_bad_lengths():
         rbo_truncated([1, 1, 2], [1, 2, 3], 0.5)
     with pytest.raises(ShapeError):
         rbo_truncated([1, 2], [1, 2, 3], 0.5)
+    for p in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="persistence"):
+            rbo_truncated([1, 2, 3], [1, 3, 2], p)
+
+
+def list_top_k(scores, k):
+    """Top-k ids as a Python list, by a full lexsort: descending score,
+    ascending id, NaN last."""
+    return [int(i) for i in np.lexsort((np.arange(len(scores)), -scores))[:k]]
+
+
+def list_rbo(list_a, list_b, p):
+    """Truncated RBO as one loop over the depths with two seen-sets: the
+    list-based reference the array form must match bit for bit."""
+    seen_a, seen_b = set(), set()
+    overlap, numerator, denominator, weight = 0, 0.0, 0.0, 1.0
+    for depth, (a, b) in enumerate(zip(list_a, list_b), start=1):
+        if a == b:
+            overlap += 1
+        else:
+            overlap += (a in seen_b) + (b in seen_a)
+            seen_a.add(a)
+            seen_b.add(b)
+        numerator += weight * overlap / depth
+        denominator += weight
+        weight *= p
+    return numerator / denominator
+
+
+def test_view_rbo_is_bit_identical_to_the_list_reference():
+    # Scores rounded to a few levels tie often, so the id tie-break decides
+    # many top-k entries; every result must equal the loop's float exactly.
+    rng = np.random.default_rng(21)
+    for trial in range(1200):
+        m = int(rng.integers(60, 1201))
+        k = int(rng.integers(1, 61))
+        p = float(rng.choice([0.5, 0.9, 0.99, rng.uniform(0.01, 0.99)]))
+        levels = int(rng.integers(2, 40))
+        personal = rng.integers(0, levels, m) / levels
+        global_view = np.where(rng.random(m) < 0.5, personal, rng.integers(0, levels, m) / levels)
+        expected = list_rbo(list_top_k(personal, k), list_top_k(global_view, k), p)
+        assert view_consistency_rbo(personal, global_view, k, p) == expected, (trial, m, k, p)
+        assert rbo_truncated(list_top_k(personal, k), list_top_k(global_view, k), p) == expected
 
 
 def view_rbo(state, trace, k_prime, p):
@@ -206,7 +249,7 @@ def test_view_rbo_matches_direct_oracle(shared_blocks):
     assert got == pytest.approx(rbo_truncated(personal, global_view, 0.9), abs=1e-9)
 
 
-def test_top_k_list_matches_full_lexsort_oracle():
+def test_top_k_ids_matches_full_lexsort_oracle():
     # Rows repeat, so scores tie; two rows score NaN, so for k = 39 the k-th
     # score is NaN; k runs past M.
     rng = np.random.default_rng(12)
@@ -217,8 +260,8 @@ def test_top_k_list_matches_full_lexsort_oracle():
     oracle = [int(i) for i in np.lexsort((np.arange(40), -scores))]
     assert len(set(scores[~np.isnan(scores)])) < 38
     for k in (1, 3, 5, 20, 38, 39, 40, 41, 100):
-        assert top_k_list(scores, k) == oracle[:k], k
-    assert top_k_list(scores, 40)[-2:] == [7, 30]
+        assert top_k_ids(scores, k).tolist() == oracle[:k], k
+    assert top_k_ids(scores, 40)[-2:].tolist() == [7, 30]
 
 
 def test_correlation_export_orthogonal_pair_all_zero(tmp_path):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fed3cr.autodiff import Workspace
+from fed3cr.autodiff import Tensor, Workspace
 from fed3cr.datasets import NegativeSampler, build_eval_candidates, leave_one_out_split
 from fed3cr.errors import AggregationError, ConfigurationError, ShapeError
 from fed3cr.evaluation import metrics_csv_lines, rbo_truncated
@@ -350,19 +350,23 @@ def test_run_training_deterministic_across_runs():
     assert csvs[0] == csvs[1]  # same config, same bytes
 
 
-def test_warm_client_step_allocates_less_than_one_table():
-    # After a warm-up call, a two-step local update at ML-1M shape draws every
-    # table-sized array from the workspace: its traced allocations peak
-    # below one M x d float32 table, for every variant label.
-    ds = leave_one_out_split(
+def ml1m_shape_pair():
+    """Two toy clients over ML-1M's 3706 items, with 150-200 positives each."""
+    return leave_one_out_split(
         generate_toy_dataset(num_clients=2, num_items=3706, num_blocks=2, min_positives=150, max_positives=200, seed=0),
         seed=0,
     )
+
+
+def test_warm_client_step_allocates_less_than_one_table():
+    # After a warm-up call, a two-step local update at ML-1M shape draws every
+    # table-sized array from the workspace: its traced allocations peak
+    # below one M x d float32 table, for every variant label and row map.
+    ds = ml1m_shape_pair()
     hp = HyperParams(rounds=1, local_iters=2, dim=32, lr=0.01, seed=0)
     table_bytes = ds.num_items * hp.dim * 4
     peaks = {}
-    for label in VARIANT_LABELS:
-        variant = VariantConfig.from_label(label)
+    for label, variant in EVAL_VARIANTS.items():
         server = init_server(ds, hp, variant)
         state = init_client(0, hp.dim, ds.num_items, client_id=0)
         if not variant.personal_table:
@@ -623,34 +627,60 @@ class NoTableSum(np.ndarray):
 @pytest.mark.parametrize("name", list(EVAL_VARIANTS))
 def test_evaluate_round_matches_the_sort_path(name, monkeypatch, fused_table):
     # Scores per view, summed, and ranks by counting: the same HR, NDCG and
-    # RBO as sorting the fused table's rows. evaluate_round never builds V_F.
-    import fed3cr.federation as federation
-
+    # RBO as sorting the fused table's rows. evaluate_round builds no tape
+    # (a Tensor refuses to be built) and no V_F (the tables it reads refuse
+    # to be added to one another).
     variant = EVAL_VARIANTS[name]
     hp = dataclasses.replace(FAST, rounds=2, rbo_k=30)
     result = run_training(TOY, hp, variant)
     candidates = [build_eval_candidates(TOY, c, hp.eval_negatives, hp.seed) for c in range(TOY.num_clients)]
     expected = sort_path_metrics(result.clients, result.server, TOY, hp, variant, candidates, fused_table)
 
-    traces = []
+    server = dataclasses.replace(result.server, consensus=result.server.consensus.view(NoTableSum))
+    clients = [
+        ClientState(c.client_id, c.user_embedding, None if c.personal_table is None else c.personal_table.view(NoTableSum))
+        for c in result.clients
+    ]
+    with pytest.raises(TableSumError):  # the guard fires on a fused table
+        server.consensus + server.consensus
 
-    def guarded_forward_pass(*args, **kwargs):
-        trace = forward_pass(*args, **kwargs)
-        for view in trace.views:
-            view.data = view.data.view(NoTableSum)
-        traces.append(trace)
-        return trace
+    def no_tensor(self, *args, **kwargs):
+        raise AssertionError("evaluate_round built a Tensor")
 
-    monkeypatch.setattr(federation, "forward_pass", guarded_forward_pass)
+    monkeypatch.setattr(Tensor, "__init__", no_tensor)
     no_loss = LossBreakdown(0.0, 0.0, 0.0, 0.0, hp.beta_a, hp.beta_o)
-    got = evaluate_round(result.clients, result.server, TOY, hp, variant, candidates, hp.rounds - 1, no_loss)
-    assert len(traces) == TOY.num_clients
-    if len(traces[0].views) == 2:  # the guard fires on a fused table
-        with pytest.raises(TableSumError):
-            traces[0].views[0].data + traces[0].views[1].data
+    got = evaluate_round(clients, server, TOY, hp, variant, candidates, hp.rounds - 1, no_loss)
+    monkeypatch.undo()
     assert (got.hr_at_k, got.ndcg_at_k, got.rbo) == expected
     assert (got.hr_at_k, got.ndcg_at_k, got.rbo) == (
         result.metrics[-1].hr_at_k,
         result.metrics[-1].ndcg_at_k,
         result.metrics[-1].rbo,
     )
+
+
+def test_warm_evaluate_round_allocates_less_than_one_table():
+    # After a warm-up call, scoring every item for two clients at ML-1M shape
+    # (full ranking, RBO at k=50) allocates less than one M x d float32
+    # table, for every variant label and row map: no C_E, no fused table,
+    # and the net's activations are workspace buffers.
+    ds = ml1m_shape_pair()
+    hp = HyperParams(rounds=1, dim=32, eval_negatives=-1, rbo_k=50, seed=0)
+    candidates = [build_eval_candidates(ds, c, hp.eval_negatives, hp.seed) for c in range(2)]
+    no_loss = LossBreakdown(0.0, 0.0, 0.0, 0.0, hp.beta_a, hp.beta_o)
+    peaks = {}
+    for name, variant in EVAL_VARIANTS.items():
+        server = init_server(ds, hp, variant)
+        clients = [init_client(0, hp.dim, ds.num_items, client_id=c) for c in range(2)]
+        for client in clients:
+            if not variant.personal_table:
+                client.personal_table = None
+        workspace = Workspace()
+        evaluate_round(clients, server, ds, hp, variant, candidates, 0, no_loss, workspace=workspace)
+        tracemalloc.start()
+        try:
+            evaluate_round(clients, server, ds, hp, variant, candidates, 0, no_loss, workspace=workspace)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert all(peak < ds.num_items * hp.dim * 4 for peak in peaks.values()), peaks

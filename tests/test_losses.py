@@ -1,8 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fed3cr.autodiff import Workspace
 from fed3cr.errors import DegenerateInputWarning, ShapeError
 from fed3cr.federation import VARIANT_LABELS, VariantConfig
 from fed3cr.losses import (
@@ -387,6 +389,32 @@ def test_fused_consistency_op_at_log_floor():
     check_consistency_op(blocks, "literal-ratio", check=(0, 2))
 
 
+@pytest.mark.parametrize("kind", ["none", "ace"])
+def test_warm_objective_gathers_the_batch_rows_without_temporaries(kind):
+    # At ML-1M shape, a warm l_rec-only objective (C0, C1) gathers both
+    # views' batch rows into workspace buffers: its traced allocations peak
+    # below one |batch| x d array.
+    m, d = 3706, 32
+    rng = np.random.default_rng(0)
+    state = init_client(0, d, m)
+    table = rng.normal(0, 0.01, (m, d)).astype(np.float32)
+    workspace = Workspace()
+    net = init_client_net(rng, d, (2, 4))
+    trace = forward_pass(state, table, net, rng.choice(m, 177, replace=False), enhancement=kind, workspace=workspace)
+    items, labels = rng.choice(m, 885), (np.arange(885) < 177).astype(int)
+    total_loss_t(trace, items, labels, 0.0, 0.0, workspace=workspace)
+    tracemalloc.start()
+    try:
+        _, warm = total_loss_t(trace, items, labels, 0.0, 0.0, workspace=workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(warm.total)
+    assert peak < items.size * d * 4, peak
+    with pytest.raises(IndexError):
+        total_loss_t(trace, np.array([0, m]), np.array([1, 0]), 0.0, 0.0, workspace=workspace)
+
+
 def test_tape_size_of_a_fed3cr_step():
     state = init_client(seed=0, d=16, M=96)
     rng = np.random.default_rng(0)
@@ -403,7 +431,9 @@ def test_tape_size_of_a_fed3cr_step():
         if id(node) not in seen:
             seen.add(id(node))
             stack.extend(parent for parent, _ in node._edges)
-    assert len(seen) <= 50
+    # the 7 leaves (u, C, V, w0, b0, w1, b1), 3 nodes for each prototype mean
+    # (gather, sum, scale), the net node giving W, W^T, C_E, p_E, the objective
+    assert len(seen) == 18
 
 
 def test_fused_bce_zero_gradient_when_clamped():

@@ -4,6 +4,7 @@ import pytest
 from fed3cr.checkpoint import load_client_state, load_server_state, save_client_state, save_server_state
 from fed3cr.errors import DataError, ParseError
 from fed3cr.federation import ServerState
+from fed3cr.losses import total_loss_t
 from fed3cr.model import TransferNet, forward_pass, init_client, init_client_net
 
 
@@ -90,6 +91,41 @@ def test_transfer_matrix_gradient_wrt_theta(shared_blocks, block_grad_check):
         return ad.tsum(ad.mul(trace.W, proj)), trace
 
     block_grad_check(state, table, net, build, names=("w0", "b0", "w1", "b1"))
+
+
+# (enhancement, transfer_layers, ace_init, ace_scale): ACE's net node at every
+# schedule, final-layer init and scale; each row map's at the hidden width each
+# schedule gives it (its init and W's scale do not apply).
+NET_NODE_CASES = [
+    ("ace", schedule, ace_init, ace_scale)
+    for schedule in ((2,), (2, 4), (2, 4, 2))
+    for ace_init in ("zero", "identity")
+    for ace_scale in (1.0, 2.0)
+] + [(kind, schedule, "zero", 1.0) for kind in ("consensus-transfer", "unified-transfer") for schedule in ((2,), (2, 4), (2, 4, 2))]
+
+
+@pytest.mark.parametrize("kind, schedule, ace_init, ace_scale", NET_NODE_CASES)
+def test_net_node_gradients(kind, schedule, ace_init, ace_scale, block_grad_check):
+    # Every theta block, and C and V, whose prototypes (ACE) or rows (row
+    # maps) enter the net node, against central differences of the full
+    # Fed3CR objective in float64.
+    d, m = 3, 7
+    rng = np.random.default_rng(len(schedule) + int(10 * ace_scale))
+    state = init_client(seed=1, d=d, M=m, dtype=np.float64)
+    state.user_embedding = rng.normal(0, 0.5, d)
+    state.personal_table = rng.normal(0, 0.5, (m, d))
+    table = rng.normal(0, 0.5, (m, d))
+    net = init_client_net(rng, d, schedule, ace_init=ace_init, enhancement=kind, dtype=np.float64)
+    # unit-scale weights: every ReLU pre-activation sits well clear of its kink
+    net.weights = [rng.normal(0, 0.5, w.shape) for w in net.weights]
+    items, labels = np.array([0, 2, 3, 6]), np.array([1, 0, 1, 0])
+
+    def build(client, table, net):
+        trace = forward_pass(client, table, net, np.array([1, 3]), enhancement=kind, ace_scale=ace_scale)
+        return total_loss_t(trace, items, labels, beta_a=0.7, beta_o=0.4)[0], trace
+
+    trace, _ = block_grad_check(state, table, net, build)
+    assert sorted(trace.params) == sorted(["u", "C", "V"] + [f"{b}{l}" for l in range(len(net.weights)) for b in "wb"])
 
 
 def test_enhance_identity_and_scaling(shared_blocks):
