@@ -4,7 +4,6 @@ cross-view correlation-matrix export."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,32 +67,23 @@ def hr_ndcg_at_k(rank: int, k: int) -> tuple[int, float]:
     return 1, float(1.0 / np.log2(rank + 1))
 
 
-@functools.lru_cache(maxsize=16)
-def _rbo_weights(k: int, p: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """The depth weights p^(d-1) for d = 1..k, the depths, and the weights'
-    sum, each built by the sequential products and sums the definition
-    spells out (`cumprod`/`cumsum` accumulate in order)."""
+def _rbo(ids_a: np.ndarray, ids_b: np.ndarray, p: float, num_ids: int) -> float:
+    """Truncated RBO of two equal-length arrays of distinct ids in [0, num_ids).
+    The weights p^(d-1) and every sum are built in order (`cumprod`/`cumsum`),
+    as the definition spells them out."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"persistence p must lie in (0, 1), got {p}")
+    k = ids_a.size
     steps = np.full(k, p)
     steps[0] = 1.0
     weights = np.cumprod(steps)
-    depths = np.arange(1, k + 1)
-    weights.flags.writeable = depths.flags.writeable = False
-    return weights, depths, float(np.cumsum(weights)[-1])
-
-
-def _rbo(ids_a: np.ndarray, ids_b: np.ndarray, p: float, num_ids: int) -> float:
-    """Truncated RBO of two equal-length arrays of distinct ids in [0, num_ids)."""
-    k = ids_a.size
-    weights, depths, denominator = _rbo_weights(k, p)
     # Where each of a's ids sits in b (k when absent): it is in both
     # prefixes from depth max(its own position, that one) + 1 on.
-    positions = depths - 1
+    positions = np.arange(k)
     in_b = np.full(num_ids, k)
     in_b[ids_b] = positions
     overlap = np.cumsum(np.bincount(np.maximum(positions, in_b[ids_a]), minlength=k + 1)[:k])
-    return float(np.cumsum(weights * overlap / depths)[-1] / denominator)
+    return float(np.cumsum(weights * overlap / (positions + 1))[-1] / np.cumsum(weights)[-1])
 
 
 def rbo_truncated(list_a, list_b, p: float) -> float:

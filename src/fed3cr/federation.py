@@ -27,7 +27,7 @@ from .datasets import InteractionDataset, NegativeSampler, build_eval_candidates
 from .errors import AggregationError, ConfigurationError, ShapeError
 from .evaluation import RoundMetrics, hr_ndcg_at_k, rank_candidates, view_consistency_rbo
 from .losses import COMPLEMENTARITY_KINDS, EQ12_MODES, LossBreakdown, total_loss_t
-from .model import ENHANCEMENT_KINDS, ClientState, TransferNet, forward_pass, init_client, init_client_net, score_views
+from .model import ENHANCEMENT_KINDS, ClientState, TransferNet, forward_pass, init_client, init_client_net
 
 # label -> (enhancement kind, l_a on, l_o on, personal table). C0 is bare
 # additive fusion, C1 adds the enhancement, C2/C3/C4 add only the auxiliary
@@ -421,7 +421,7 @@ def evaluate_round(
         positives = ds.client_items[client.client_id]
         if len(positives) == 0:
             continue
-        scores = score_views(
+        scores = forward_pass(
             client,
             server.consensus,
             server.theta,
@@ -429,6 +429,7 @@ def evaluate_round(
             enhancement=variant.enhancement_kind,
             ace_scale=hp.ace_scale,
             workspace=workspace,
+            tape=False,
         )
         rank = rank_candidates(scores.fused, candidates[client.client_id], ds.test_items[client.client_id])
         hr, ndcg = hr_ndcg_at_k(rank, hp.top_k)

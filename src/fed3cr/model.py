@@ -3,10 +3,9 @@
 A client owns two private blocks: its user embedding and a personal item
 table. The shared (global) item table and the weights of a small fully
 connected net, which turns the client's two preference prototypes into a
-d x d transfer matrix, belong to the server. Training passes them to
-`forward_pass` next to the client, which records the tape; scoring passes
-them to `score_views`, which runs the same net passes in plain numpy.
-Scoring fuses the transformed global table with the personal one
+d x d transfer matrix, belong to the server. Both are passed to
+`forward_pass` next to the client: training records the pass on the tape,
+and scoring runs the same net passes in plain numpy. Scoring fuses the transformed global table with the personal one
 additively. A federated-MF client has no personal table: the shared table
 it trains takes the personal role, and the table as downloaded takes the
 global one.
@@ -111,7 +110,7 @@ def net_pass(net: TransferNet, x: np.ndarray, workspace: ad.Workspace, role: str
         if l < len(net.weights) - 1:
             mask = np.greater(out, 0, out=workspace.buffer((role, "mask", l), out.shape, bool))
             # np.where(mask, out, 0.0) in place: NaN and -0.0 become 0.0 as well
-            np.copyto(out, 0.0, where=np.logical_not(mask, out=workspace.buffer((role, "off"), out.shape, bool)))
+            np.copyto(out, 0.0, where=np.logical_not(mask, out=workspace.buffer((role, "off", l), out.shape, bool)))
             masks.append(mask)
         h = out
     return NetPass(inputs, masks, h)
@@ -171,7 +170,7 @@ class ForwardTrace:
     `views` are the M x d tables whose sum is the scoring table V_F: the
     enhanced global table and the personal view, or a federated-MF client's
     trained table alone. Training scores only the batch rows of each view
-    and never builds V_F. Evaluation builds no trace (see `score_views`).
+    and never builds V_F. Evaluation builds no trace (see `forward_pass`).
     """
 
     p_G: Tensor
@@ -259,6 +258,18 @@ def _map_rows(net: TransferNet, theta: list[Tensor], table: Tensor, workspace: a
     return ad.fused(fwd.out, (table, *theta), lambda g: net_backward(net, fwd, g, workspace, role))
 
 
+@dataclass
+class ViewScores:
+    """One client's score of every item under each view: `global_view` (the
+    enhanced consensus; None for a federated-MF client without the
+    enhancement), `personal` (the client's own table as it stands) and
+    `fused` (the sum of the views, which ranks the items)."""
+
+    global_view: np.ndarray | None
+    personal: np.ndarray
+    fused: np.ndarray
+
+
 def forward_pass(
     client: ClientState,
     table: np.ndarray,
@@ -269,11 +280,13 @@ def forward_pass(
     ace_scale: float = 1.0,
     consensus: np.ndarray | None = None,
     workspace: ad.Workspace | None = None,
-) -> ForwardTrace:
+    tape: bool = True,
+) -> ForwardTrace | ViewScores:
     """Build the differentiable graph from the client's private blocks, the
     shared table `table` and the net `net` (ignored when `enhancement` is
-    "none"). Training calls it; evaluation scores through `score_views`,
-    which runs the same net passes without a tape.
+    "none"). Training calls it; evaluation calls it with `tape=False`,
+    which runs the same net passes in plain numpy and returns the client's
+    `ViewScores` instead of a trace.
 
     The returned trace's `params` dict holds the trainable leaf tensors
     ("u", "C" for `table`, "V" and per-layer "w{l}"/"b{l}"); after a
@@ -293,9 +306,11 @@ def forward_pass(
     pass over the same workspace (a fresh one when None).
     """
     positives = _checked_positives(client, positives, enhancement)
-
     if workspace is None:
         workspace = ad.Workspace()
+    if not tape:
+        return _score_views(client, table, net, positives, enhancement, ace_scale, consensus, workspace)
+
     u_t = ad.parameter(client.user_embedding)
     c_t = ad.parameter(table)
     params: dict = {"u": u_t, "C": c_t}
@@ -344,37 +359,22 @@ def forward_pass(
     return ForwardTrace(p_G=p_g, p_P=p_p, W=w_mat, C_E=c_e, p_E=p_e, views=views, params=params)
 
 
-@dataclass
-class ViewScores:
-    """One client's score of every item under each view: `global_view` (the
-    enhanced consensus; None for a federated-MF client without the
-    enhancement), `personal` (the client's own table as it stands) and
-    `fused` (the sum of the views, which ranks the items)."""
-
-    global_view: np.ndarray | None
-    personal: np.ndarray
-    fused: np.ndarray
-
-
-def score_views(
+def _score_views(
     client: ClientState,
     table: np.ndarray,
     net: TransferNet | None,
     positives: np.ndarray,
-    *,
-    enhancement: str = "ace",
-    ace_scale: float = 1.0,
-    workspace: ad.Workspace | None = None,
+    enhancement: str,
+    ace_scale: float,
+    consensus: np.ndarray | None,
+    workspace: ad.Workspace,
 ) -> ViewScores:
-    """Score every item under each view of `forward_pass(client, table,
-    net, positives)`, in plain numpy: no tape, no fused table, and for ACE
-    no C_E, since C_E u = C (W^T u). The net passes are `forward_pass`'s,
-    in `workspace` buffers (a fresh one when None)."""
-    positives = _checked_positives(client, positives, enhancement)
-    if workspace is None:
-        workspace = ad.Workspace()
+    """`forward_pass` without the tape: every item's score under each view,
+    with no fused table and, for ACE, no C_E, since C_E u = C (W^T u)."""
     u = client.user_embedding
     own = table if client.personal_table is None else client.personal_table
+    if client.personal_table is None and consensus is not None:
+        table = consensus
     personal = own @ u
     fused_personal = personal
     if enhancement == "ace":

@@ -167,6 +167,33 @@ def test_fuse_cases(shared_blocks, fused_table):
     assert np.array_equal(fused_table(trace), table)
 
 
+@pytest.mark.parametrize("kind", ["ace", "consensus-transfer", "unified-transfer", "none"])
+@pytest.mark.parametrize("single", [False, True])
+def test_tape_free_pass_scores_the_views_of_the_trace(kind, single, shared_blocks, fused_table):
+    # tape=False runs the same passes as the trace: each view's scores are
+    # the trace's view times u, and a client without V reads the frozen
+    # download as its global view
+    state = init_client(seed=5, d=4, M=7, dtype=np.float64)
+    table, net = shared_blocks(5, 4, 7, enhancement=kind)
+    rng = np.random.default_rng(5)
+    if net is not None:
+        net.weights[-1] = rng.normal(0, 0.4, net.weights[-1].shape)
+    consensus = None
+    if single:
+        state.personal_table = None
+        consensus = rng.normal(0, 0.01, table.shape)
+    pos = np.array([0, 2, 5])
+    trace = forward_pass(state, table, net, pos, enhancement=kind, consensus=consensus)
+    scores = forward_pass(state, table, net, pos, enhancement=kind, consensus=consensus, tape=False)
+    u = state.user_embedding
+    assert np.array_equal(scores.personal, (table if single else state.personal_table) @ u)
+    if single and kind == "none":
+        assert scores.global_view is None
+    else:
+        assert np.allclose(scores.global_view, trace.views[0].data @ u, rtol=1e-12, atol=1e-15)
+    assert np.allclose(scores.fused, fused_table(trace) @ u, rtol=1e-12, atol=1e-15)
+
+
 def test_init_client_deterministic():
     a = init_client(seed=11, d=4, M=6, client_id=2)
     b = init_client(seed=11, d=4, M=6, client_id=2)
