@@ -58,7 +58,7 @@ parts = total_loss(trace, (items, labels), beta_a=0.5, beta_o=0.5)
 print(f"rec {parts.l_rec:.4f} + 0.5*consistency {parts.l_a:.4f} + 0.5*orthogonality {parts.l_o:.4f}"
       f" = {parts.total:.4f}")
 
-print("\n=== Gradient audit (central differences vs the tape) ===")
+print("\n=== Gradient audit (central differences vs the closed-form backward) ===")
 # condition the instance: tiny near-zero blocks make finite differences noisy
 rng = np.random.default_rng(9)
 state.user_embedding = rng.normal(0, 0.5, 4)

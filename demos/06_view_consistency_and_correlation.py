@@ -58,7 +58,7 @@ def surviving_entries(result, variant, client_id):
         enhancement=variant.enhancement_kind,
     )
     path = os.path.join(tempfile.mkdtemp(), f"corr_{client_id}.csv")
-    matrix = export_correlation_matrix(trace.C_E.data, client.personal_table, path, clip=0.003)
+    matrix = export_correlation_matrix(trace.C_E, client.personal_table, path, clip=0.003)
     return int((matrix != 0).sum()), path
 
 

@@ -128,13 +128,11 @@ class HyperParams:
     seed: int = 0
     # transfer-net layer widths in multiples of d, from the input width 2*d
     transfer_schedule: tuple[int, ...] = field(default=(2, 4), metadata={"config": "training.transfer_layers"})
-    consistency_sample: bool = False
     dtype: str = "float32"
     eval_interval: int = field(default=1, metadata={"config": "eval.interval"})
     top_k: int = field(default=10, metadata={"config": "eval.top_k"})
     rbo_k: int = field(default=50, metadata={"config": "eval.rbo_k"})
     rbo_p: float = field(default=0.99, metadata={"config": "eval.rbo_p"})
-    rbo_enabled: bool = field(default=True, metadata={"config": "eval.rbo_enabled"})
 
     def validate(self) -> None:
         """Reject an out-of-range knob, naming it by its config key."""
@@ -342,7 +340,6 @@ def local_update(
             consistency_enabled=variant.consistency_enabled,
             orthogonality_enabled=variant.orthogonality_enabled,
             complementarity_kind=variant.complementarity_kind,
-            consistency_items=np.unique(items) if hp.consistency_sample else None,
             workspace=workspace,
         )
         if not np.isfinite(breakdown.total):
@@ -409,13 +406,12 @@ def evaluate_round(
     candidates: list[np.ndarray],
     round: int,
     loss_means: LossBreakdown,
-    compute_rbo: bool = True,
     workspace: Workspace | None = None,
 ) -> RoundMetrics:
     # Each client scores as it would after downloading the freshest shared
     # blocks. Scoring only reads them, so every client reads the server's,
-    # through the net passes of its forward pass but with no tape: the net's
-    # activations are `workspace` buffers, read before the next client.
+    # through its forward pass with `tape=False`: the net's activations are
+    # `workspace` buffers, read before the next client.
     hrs, ndcgs, rbos = [], [], []
     for client in clients:
         positives = ds.client_items[client.client_id]
@@ -435,7 +431,7 @@ def evaluate_round(
         hr, ndcg = hr_ndcg_at_k(rank, hp.top_k)
         hrs.append(hr)
         ndcgs.append(ndcg)
-        if compute_rbo and variant.personal_table:
+        if variant.personal_table:
             # The personal view is the raw table V, which unified-transfer maps before fusing.
             k = min(hp.rbo_k, ds.num_items)
             rbos.append(view_consistency_rbo(scores.personal, scores.global_view, k, hp.rbo_p))
@@ -462,9 +458,11 @@ def run_training(
     evaluate. The selected clients train in id order through one workspace,
     and each upload is added into the round's running sums as it arrives;
     the server's new blocks are those sums divided by the number of
-    uploads. Deterministic for a fixed (config, seed). `on_round(round)`
-    fires after each completed round (timing hooks and progress
-    reporting)."""
+    uploads. For a fixed (config, seed) the run, and so `metrics.csv`, is
+    byte-reproducible only at a fixed BLAS thread count: BLAS may sum a
+    product in another order on another count, which changes low bits
+    that training then carries into the metrics. `on_round(round)` fires
+    after each completed round (timing hooks and progress reporting)."""
     hp.validate()
     variant.validate()
     if not ds.is_split:
@@ -523,7 +521,6 @@ def run_training(
                     candidates,
                     round,
                     _mean_breakdown(losses),
-                    compute_rbo=hp.rbo_enabled,
                     workspace=workspace,
                 )
             )

@@ -4,9 +4,9 @@ combined as l_rec + beta_a * l_a + beta_o * l_o.
 
 Each term is a plain numpy function that returns its value and what its
 closed-form gradient needs; the public entry points evaluate them directly.
-The training step records the whole objective as one tape node
-(`total_loss_t`) that composes them, so each item table's gradient is built
-once, in one buffer.
+The training step records the whole objective as one node over the
+trainable leaves (`total_loss_t`) that composes them, so each item table's
+gradient is built once, in one buffer.
 """
 
 from __future__ import annotations
@@ -209,28 +209,27 @@ def total_loss_t(
     consistency_enabled: bool = True,
     orthogonality_enabled: bool = True,
     complementarity_kind: str = "orthogonal",
-    consistency_items: np.ndarray | None = None,
     workspace: ad.Workspace | None = None,
 ) -> tuple[Tensor, LossBreakdown]:
-    """Record l_rec + beta_a * l_a + beta_o * l_o as one tape node; returns
-    (total tensor, breakdown).
+    """Record l_rec + beta_a * l_a + beta_o * l_o as one node over the
+    trace's leaves; returns (total tensor, breakdown).
 
     l_rec scores the batch rows of the trace's views, so the full scoring
-    table is never built. The node's parents are u, the views and, for each
-    auxiliary term that is on, the two table views (C_E and V) and the
-    prototypes (p_P and p_E). Its backward builds each table's gradient in
-    one buffer: the l_o term, then the l_a row terms, then the batch rows
-    are added in place. `consistency_items`, when given, restricts the two
-    top-one distributions to that subset of rows (cheaper than all M items
-    on large tables). The batch rows, the table gradients and their scratch
-    are `workspace` buffers (a fresh one when None), valid until the next
-    call over the same workspace.
+    table is never built; each auxiliary term that is on reads the two
+    table views (C_E and V) and the prototypes (p_P and p_E). The node's
+    backward builds each table's gradient in one buffer: the l_o term,
+    then the l_a terms, then the batch rows are added in place. It hands
+    the gradients w.r.t. those arrays to `trace.pullback`, which ends at
+    the leaves. The batch rows, the table gradients and their scratch are
+    `workspace` buffers (a fresh one when None), valid until the next call
+    over the same workspace.
     """
     if workspace is None:
         workspace = ad.Workspace()
-    u, c_e, v = trace.params["u"], trace.C_E, trace.params.get("V")
+    u, c_e = trace.params["u"].data, trace.C_E
+    v = trace.params["V"].data if "V" in trace.params else None
     items = np.asarray(batch_items)
-    first = trace.views[0].data
+    first = trace.views[0]
     dtype, (m, d) = first.dtype, first.shape
     if items.size and not -m <= items.min() <= items.max() < m:
         raise IndexError(f"batch items must index the {m} item rows")
@@ -238,79 +237,65 @@ def total_loss_t(
     # indexing does; "raise" would copy through a temporary first.
     rows = first.take(items, axis=0, out=workspace.buffer(("total_loss_t", "rows"), (items.size, d), dtype), mode="wrap")
     for view in trace.views[1:]:
-        rows += view.data.take(items, axis=0, out=workspace.buffer(("total_loss_t", "view rows"), rows.shape, dtype), mode="wrap")
-    preds = ad.logistic(rows @ u.data)
+        rows += view.take(items, axis=0, out=workspace.buffer(("total_loss_t", "view rows"), rows.shape, dtype), mode="wrap")
+    preds = ad.logistic(rows @ u)
     l_rec, d_preds = _bce(preds, batch_labels)
-    parents = [u, *trace.views]
 
     l_a = np.asarray(0.0, dtype=dtype)
     with_l_a = consistency_enabled and beta_a != 0.0
     if with_l_a:
-        idx = None if consistency_items is None else np.asarray(consistency_items)
-        v_rows, c_rows = (v.data, c_e.data) if idx is None else (v.data[idx], c_e.data[idx])
-        l_a, consistency_vjp = _consistency_term(trace.p_P.data, v_rows, trace.p_E.data, c_rows, eq12_mode)
-        parents += [trace.p_P, v, trace.p_E, c_e]
+        l_a, consistency_vjp = _consistency_term(trace.p_P, v, trace.p_E, c_e, eq12_mode)
 
     l_o = np.asarray(0.0, dtype=dtype)
     with_l_o = orthogonality_enabled and beta_o != 0.0
     if with_l_o:
         if complementarity_kind == "orthogonal":
-            l_o, corr = _orthogonality(c_e.data, v.data)
+            l_o, corr = _orthogonality(c_e, v)
         elif complementarity_kind == "l2-distance":
-            l_o, diff = _distance_push(c_e.data, v.data)
+            l_o, diff = _distance_push(c_e, v)
         else:
             raise ValueError(f"unknown complementarity kind {complementarity_kind!r}")
-        parents += [c_e, v]
-    parents = list({id(t): t for t in parents}.values())
-    slots = {id(t): i for i, t in enumerate(parents)}
+    slots = {id(a): i for i, a in enumerate((*trace.views, c_e, v))}
 
-    def vjp(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        grads: dict[int, np.ndarray] = {}  # id(parent) -> its one gradient buffer
+    def vjp(g: np.ndarray) -> list:
+        grads: dict[int, np.ndarray] = {}  # id(array) -> its one gradient buffer
 
-        def buffer(t: Tensor, role=None) -> np.ndarray:
-            """The workspace array of t's shape for `role`, by default t's gradient."""
-            return workspace.buffer(("total_loss_t", slots[id(t)] if role is None else role), t.data.shape, t.data.dtype)
+        def buffer(a: np.ndarray, role=None) -> np.ndarray:
+            """The workspace array of a's shape for `role`, by default a's gradient."""
+            return workspace.buffer(("total_loss_t", slots[id(a)] if role is None else role), a.shape, a.dtype)
 
-        def add(t: Tensor, contribution: np.ndarray) -> None:
-            if id(t) in grads:
-                grads[id(t)] += contribution
+        def add(a: np.ndarray, contribution: np.ndarray) -> None:
+            if id(a) in grads:
+                grads[id(a)] += contribution
             else:
-                grads[id(t)] = contribution  # every contribution here is a new array or t's buffer
-
-        def add_rows(t: Tensor, at: np.ndarray, rows_grad: np.ndarray, role: str) -> None:
-            if id(t) not in grads:
-                grads[id(t)] = buffer(t)
-                grads[id(t)].fill(0)
-            scratch = workspace.buffer(("total_loss_t", role), rows_grad.shape, rows_grad.dtype)
-            ad.add_rows(grads[id(t)], at, rows_grad, scratch)
+                grads[id(a)] = contribution  # every contribution here is a new array or a's buffer
 
         if with_l_o:
             if complementarity_kind == "orthogonal":
-                k = g * beta_o * 2.0 / c_e.data.shape[1]
-                add(c_e, np.matmul(v.data, corr.T * k, out=buffer(c_e)))
-                add(v, np.matmul(c_e.data, corr * k, out=buffer(v)))
+                k = g * beta_o * 2.0 / d
+                add(c_e, np.matmul(v, corr.T * k, out=buffer(c_e)))
+                add(v, np.matmul(c_e, corr * k, out=buffer(v)))
             else:
                 k = g * beta_o * 2.0 / diff.size
                 add(c_e, np.multiply(diff, -k, out=buffer(c_e)))
                 add(v, np.multiply(diff, k, out=buffer(v)))
         if with_l_a:
-            if idx is None:
-                outs = (grads[id(v)], grads[id(c_e)]) if with_l_o else (buffer(v), buffer(c_e))
-                d_pp, grads[id(v)], d_pe, grads[id(c_e)] = consistency_vjp(
-                    g * beta_a, *outs, accumulate=with_l_o, scratch=buffer(v, "scratch")
-                )
-            else:
-                d_pp, d_v, d_pe, d_c = consistency_vjp(g * beta_a)
-                add_rows(v, idx, d_v, "scatter subset")
-                add_rows(c_e, idx, d_c, "scatter subset")
+            outs = (grads[id(v)], grads[id(c_e)]) if with_l_o else (buffer(v), buffer(c_e))
+            d_pp, grads[id(v)], d_pe, grads[id(c_e)] = consistency_vjp(
+                g * beta_a, *outs, accumulate=with_l_o, scratch=buffer(v, "scratch")
+            )
             add(trace.p_P, d_pp)
             add(trace.p_E, d_pe)
         d_scores = g * d_preds * preds * (1.0 - preds)
         add(u, rows.T @ d_scores)
-        d_rows = np.dot(d_scores[:, None], u.data[None], out=workspace.buffer(("total_loss_t", "d_rows"), rows.shape, dtype))
+        d_rows = np.dot(d_scores[:, None], u[None], out=workspace.buffer(("total_loss_t", "d_rows"), rows.shape, dtype))
+        scratch = workspace.buffer(("total_loss_t", "scatter batch"), rows.shape, dtype)
         for view in trace.views:
-            add_rows(view, items, d_rows, "scatter batch")
-        return tuple(grads[id(t)] for t in parents)
+            if id(view) not in grads:
+                grads[id(view)] = buffer(view)
+                grads[id(view)].fill(0)
+            ad.add_rows(grads[id(view)], items, d_rows, scratch)
+        return trace.pullback(grads)
 
     total = l_rec + (l_a * np.asarray(beta_a, dtype=dtype) + l_o * np.asarray(beta_o, dtype=dtype))
     breakdown = LossBreakdown(
@@ -321,7 +306,7 @@ def total_loss_t(
         beta_a=beta_a,
         beta_o=beta_o,
     )
-    return ad.fused(total, tuple(parents), vjp), breakdown
+    return ad.fused(total, tuple(trace.params.values()), vjp), breakdown
 
 
 def total_loss(

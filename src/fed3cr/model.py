@@ -4,9 +4,10 @@ A client owns two private blocks: its user embedding and a personal item
 table. The shared (global) item table and the weights of a small fully
 connected net, which turns the client's two preference prototypes into a
 d x d transfer matrix, belong to the server. Both are passed to
-`forward_pass` next to the client: training records the pass on the tape,
-and scoring runs the same net passes in plain numpy. Scoring fuses the transformed global table with the personal one
-additively. A federated-MF client has no personal table: the shared table
+`forward_pass` next to the client, which runs the pass in plain numpy:
+training keeps its arrays and a closed-form pullback of the whole pass,
+and scoring keeps each item's score under each view. Scoring fuses the
+transformed global table with the personal one additively. A federated-MF client has no personal table: the shared table
 it trains takes the personal role, and the table as downloaded takes the
 global one.
 """
@@ -14,12 +15,12 @@ global one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
 from . import seeding
-from .autodiff import Tensor
 from .errors import DataError, ShapeError
 
 ENHANCEMENT_KINDS = ("ace", "consensus-transfer", "unified-transfer", "none")
@@ -149,7 +150,7 @@ def transfer_matrix(
 
 
 def _prototype(table: np.ndarray, positives: np.ndarray) -> np.ndarray:
-    """Mean of the positives' rows, rounded as the tape's `tmean` rounds it."""
+    """Mean of the positives' rows: their sum times 1/|positives| in the table's dtype."""
     return table[positives].sum(axis=0) * np.asarray(1.0 / positives.size, dtype=table.dtype)
 
 
@@ -165,21 +166,27 @@ class ClientState:
 
 @dataclass
 class ForwardTrace:
-    """Tensors recorded by one forward pass; `params` holds the trainable leaves.
+    """What one training forward pass computed, and how to pull gradients back.
 
-    `views` are the M x d tables whose sum is the scoring table V_F: the
-    enhanced global table and the personal view, or a federated-MF client's
-    trained table alone. Training scores only the batch rows of each view
-    and never builds V_F. Evaluation builds no trace (see `forward_pass`).
+    The arrays are the prototypes `p_G` and `p_P`, ACE's transfer matrix
+    `W` (None for the other kinds), the enhanced global table `C_E` and
+    prototype `p_E`, and `views`, the M x d tables whose sum is the scoring
+    table V_F: the enhanced global table and the personal view, or a
+    federated-MF client's trained table alone. Training scores only the
+    batch rows of each view and never builds V_F. `params` holds the
+    trainable leaf tensors. `pullback(grads)` maps gradients w.r.t. these
+    arrays and the leaves' own arrays, keyed by `id` of the array, to one
+    gradient per leaf in `params` order (None for a leaf that gets none).
     """
 
-    p_G: Tensor
-    p_P: Tensor
-    W: Tensor | None
-    C_E: Tensor
-    p_E: Tensor
-    views: tuple[Tensor, ...]
-    params: dict = field(repr=False, default_factory=dict)
+    p_G: np.ndarray
+    p_P: np.ndarray
+    W: np.ndarray | None
+    C_E: np.ndarray
+    p_E: np.ndarray
+    views: tuple[np.ndarray, ...]
+    params: dict = field(repr=False)
+    pullback: Callable[[dict], list] = field(repr=False)
 
 
 def init_client(seed: int, d: int, M: int, client_id: int = 0, dtype=np.float32) -> ClientState:
@@ -251,13 +258,6 @@ def _checked_positives(client: ClientState, positives: np.ndarray, enhancement: 
     return positives
 
 
-def _map_rows(net: TransferNet, theta: list[Tensor], table: Tensor, workspace: ad.Workspace, role: str) -> Tensor:
-    """A row map's pass over every row of `table`, recorded as one tape node
-    over the table and the net's blocks."""
-    fwd = net_pass(net, table.data, workspace, role)
-    return ad.fused(fwd.out, (table, *theta), lambda g: net_backward(net, fwd, g, workspace, role))
-
-
 @dataclass
 class ViewScores:
     """One client's score of every item under each view: `global_view` (the
@@ -282,109 +282,125 @@ def forward_pass(
     workspace: ad.Workspace | None = None,
     tape: bool = True,
 ) -> ForwardTrace | ViewScores:
-    """Build the differentiable graph from the client's private blocks, the
+    """Run the enhancement forward from the client's private blocks, the
     shared table `table` and the net `net` (ignored when `enhancement` is
-    "none"). Training calls it; evaluation calls it with `tape=False`,
-    which runs the same net passes in plain numpy and returns the client's
-    `ViewScores` instead of a trace.
+    "none"). Training calls it and gets a `ForwardTrace`; evaluation calls
+    it with `tape=False` and gets the client's `ViewScores`, from the same
+    prototypes, W and row-map passes but without building C_E.
 
-    The returned trace's `params` dict holds the trainable leaf tensors
-    ("u", "C" for `table`, "V" and per-layer "w{l}"/"b{l}"); after a
-    backward pass their `.grad` fields drive the SGD update.
+    The trace's `params` dict holds the trainable leaf tensors ("u", "C"
+    for `table`, "V" and per-layer "w{l}"/"b{l}"); after a backward pass
+    their `.grad` fields drive the SGD update.
 
     A client without a personal table trains "u", "C" and the net only. Its
     trained table "C" takes the personal role (V_F = C with no enhancement),
     and `consensus`, the frozen download (default: `table`), takes the
     global role: V_F = C + consensus W^T. The sum V_F itself is not
-    recorded; the trace keeps its terms as `views`.
+    built; the trace keeps its terms as `views`.
 
-    Each net pass is one tape node with a closed-form backward: ACE's from
-    the two prototypes to W, a row map's from a table to its mapped rows.
-    The enhanced table C_E, C's gradient through it, the passes'
-    activations and the net's table-sized and outer-product gradients are
-    built in `workspace` buffers, so they stay valid only until the next
-    pass over the same workspace (a fresh one when None).
+    The trace's `pullback` is the closed-form backward of the whole pass:
+    ACE's from C_E and p_E through W and the net to the prototypes, a row
+    map's from its mapped rows to the table and the net, and each
+    prototype's to the positives' rows. C_E, C's gradient through it, the
+    passes' activations and the net's table-sized and outer-product
+    gradients are `workspace` buffers, so they stay valid only until the
+    next pass over the same workspace (a fresh one when None).
     """
     positives = _checked_positives(client, positives, enhancement)
     if workspace is None:
         workspace = ad.Workspace()
-    if not tape:
-        return _score_views(client, table, net, positives, enhancement, ace_scale, consensus, workspace)
-
-    u_t = ad.parameter(client.user_embedding)
-    c_t = ad.parameter(table)
-    params: dict = {"u": u_t, "C": c_t}
+    u = client.user_embedding
     single = client.personal_table is None
-    if single:
-        v_t = c_t
-        c_t = ad.as_tensor(table if consensus is None else consensus)
-    else:
-        v_t = params["V"] = ad.parameter(client.personal_table)
+    own = table if single else client.personal_table  # the personal role
+    glob = table if not single or consensus is None else consensus  # the global role
+    p_g, p_p = _prototype(glob, positives), _prototype(own, positives)
+    w_mat = c_pass = v_pass = None
+    if enhancement == "ace":
+        w_mat, fwd = transfer_matrix(net, p_g, p_p, ace_scale, workspace)
+    elif enhancement != "none":
+        c_pass = net_pass(net, glob, workspace, "C")
+        if enhancement == "unified-transfer":
+            v_pass = net_pass(net, own, workspace, "V")
 
-    theta: list[Tensor] = []
+    if not tape:
+        # Every item's score under each view, with no fused table and, for
+        # ACE, no C_E, since C_E u = C (W^T u).
+        personal = own @ u
+        if enhancement == "ace":
+            global_view = glob @ (w_mat.T @ u)
+        elif enhancement == "none":
+            global_view = None if single else glob @ u
+        else:
+            global_view = c_pass.out @ u
+        fused_personal = personal if v_pass is None else v_pass.out @ u
+        fused = fused_personal if global_view is None else global_view + fused_personal
+        return ViewScores(global_view, personal, fused)
+
+    params: dict = {"u": ad.parameter(u), "C": ad.parameter(table)}
+    if not single:
+        params["V"] = ad.parameter(own)
     if net is not None and enhancement != "none":
         for l, (w, b) in enumerate(zip(net.weights, net.biases)):
             params[f"w{l}"] = ad.parameter(w)
             params[f"b{l}"] = ad.parameter(b)
-            theta += [params[f"w{l}"], params[f"b{l}"]]
 
-    p_g = ad.tmean(ad.gather_rows(c_t, positives), axis=0)
-    p_p = ad.tmean(ad.gather_rows(v_t, positives), axis=0)
-
-    w_mat: Tensor | None = None
     if enhancement == "ace":
-        value, fwd = transfer_matrix(net, p_g.data, p_p.data, ace_scale, workspace)
-        scale = np.asarray(ace_scale, dtype=value.dtype)
-
-        def w_vjp(g: np.ndarray) -> list[np.ndarray]:
-            dx, *blocks = net_backward(net, fwd, (g if ace_scale == 1.0 else g * scale).reshape(-1), workspace, "transfer")
-            return [dx[: dx.size // 2], dx[dx.size // 2 :], *blocks]
-
-        w_mat = ad.fused(value, (p_g, p_p, *theta), w_vjp)
-        shape, dtype = c_t.data.shape, c_t.data.dtype
-        product = workspace.buffer(("forward_pass", "C_E"), shape, dtype)
-        grad = workspace.buffer(("forward_pass", "C"), shape, dtype)
-        c_e = ad.matmul(c_t, ad.transpose(w_mat), out=product, a_grad=grad)
-        p_e = ad.matmul(w_mat, p_g)
-        views = (c_e, v_t)
-    elif enhancement in ("consensus-transfer", "unified-transfer"):
-        c_e = _map_rows(net, theta, c_t, workspace, "C")
-        p_e = ad.tmean(ad.gather_rows(c_e, positives), axis=0)
-        views = (c_e, _map_rows(net, theta, v_t, workspace, "V") if enhancement == "unified-transfer" else v_t)
+        c_e = np.matmul(glob, w_mat.T, out=workspace.buffer(("forward_pass", "C_E"), glob.shape, glob.dtype))
+        p_e = w_mat @ p_g
+        views = (c_e, own)
+    elif c_pass is not None:
+        c_e = c_pass.out
+        p_e = _prototype(c_e, positives)
+        views = (c_e, own if v_pass is None else v_pass.out)
     else:  # none: the raw consensus fused with the personal table, or a single table alone
-        c_e = c_t
-        p_e = p_g
-        views = (v_t,) if single else (c_t, v_t)
+        c_e, p_e = glob, p_g
+        views = (own,) if single else (glob, own)
 
-    return ForwardTrace(p_G=p_g, p_P=p_p, W=w_mat, C_E=c_e, p_E=p_e, views=views, params=params)
+    def mean_rows(out: np.ndarray | None, dp: np.ndarray, of: np.ndarray) -> np.ndarray:
+        """Add dp, the gradient of a mean over the positives' rows of `of`, into
+        those rows of `out`, the gradient w.r.t. `of` so far (zeros when None)."""
+        if out is None:
+            out = np.zeros_like(of)
+        row = dp * np.asarray(1.0 / positives.size, dtype=out.dtype)
+        ad.add_rows(out, positives, np.broadcast_to(row, (positives.size, row.size)))
+        return out
 
+    def pullback(grads: dict) -> list:
+        d_glob, d_own = grads.get(id(glob)), grads.get(id(own))
+        # p_G's own entry is p_E's under "none", where the two are one array
+        dp_g, dp_p, dp_e = grads.get(id(p_g)), grads.get(id(p_p)), grads.get(id(p_e))
+        d_theta: list[np.ndarray] = []
+        if enhancement == "ace":
+            d_ce = grads[id(c_e)]
+            d_w = (glob.T @ d_ce).T
+            if dp_e is not None:
+                d_w += np.dot(dp_e[:, None], p_g[None])  # the outer product; BLAS beats the broadcast
+            if ace_scale != 1.0:
+                d_w = d_w * np.asarray(ace_scale, dtype=d_w.dtype)
+            dx, *d_theta = net_backward(net, fwd, d_w.reshape(-1), workspace, "transfer")
+            d = p_g.size
+            dp_p = dx[d:] if dp_p is None else dx[d:] + dp_p
+            if not single:
+                d_glob = np.matmul(d_ce, w_mat, out=workspace.buffer(("forward_pass", "C"), glob.shape, glob.dtype))
+                dp_g = dx[:d] if dp_e is None else dx[:d] + w_mat.T @ dp_e
+        elif c_pass is not None:
+            d_ce = grads[id(c_e)]
+            if dp_e is not None:
+                mean_rows(d_ce, dp_e, c_e)
+            d_glob, *d_theta = net_backward(net, c_pass, d_ce, workspace, "C")
+            if v_pass is not None:
+                d_in, *d_theta_v = net_backward(net, v_pass, grads[id(v_pass.out)], workspace, "V")
+                for block, more in zip(d_theta, d_theta_v):
+                    block += more
+                if d_own is None:
+                    d_own = d_in
+                else:
+                    d_own += d_in
+        if dp_g is not None and not single:
+            d_glob = mean_rows(d_glob, dp_g, glob)
+        if dp_p is not None:
+            d_own = mean_rows(d_own, dp_p, own)
+        table_grads = [d_own] if single else [d_glob, d_own]
+        return [grads.get(id(u)), *table_grads, *d_theta]
 
-def _score_views(
-    client: ClientState,
-    table: np.ndarray,
-    net: TransferNet | None,
-    positives: np.ndarray,
-    enhancement: str,
-    ace_scale: float,
-    consensus: np.ndarray | None,
-    workspace: ad.Workspace,
-) -> ViewScores:
-    """`forward_pass` without the tape: every item's score under each view,
-    with no fused table and, for ACE, no C_E, since C_E u = C (W^T u)."""
-    u = client.user_embedding
-    own = table if client.personal_table is None else client.personal_table
-    if client.personal_table is None and consensus is not None:
-        table = consensus
-    personal = own @ u
-    fused_personal = personal
-    if enhancement == "ace":
-        w_mat, _ = transfer_matrix(net, _prototype(table, positives), _prototype(own, positives), ace_scale, workspace)
-        global_view = table @ (w_mat.T @ u)
-    elif enhancement == "none":
-        global_view = None if client.personal_table is None else table @ u
-    else:
-        global_view = net_pass(net, table, workspace, "C").out @ u
-        if enhancement == "unified-transfer":
-            fused_personal = net_pass(net, own, workspace, "V").out @ u
-    fused = fused_personal if global_view is None else global_view + fused_personal
-    return ViewScores(global_view, personal, fused)
+    return ForwardTrace(p_G=p_g, p_P=p_p, W=w_mat, C_E=c_e, p_E=p_e, views=views, params=params, pullback=pullback)

@@ -30,7 +30,7 @@ def _with_block(name, p, client, table, net):
 
 def sum_views(trace):
     """V_F, the fused scoring table: the sum of the trace's views."""
-    return sum((view.data for view in trace.views[1:]), trace.views[0].data)
+    return sum(trace.views[1:], trace.views[0])
 
 
 def check_block_gradients(client, table, net, build, names=None, **tolerances):

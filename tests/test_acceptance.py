@@ -224,7 +224,7 @@ def _large_correlation_entries(result, variant):
             ds.client_items[client.client_id],
             enhancement=variant.enhancement_kind,
         )
-        corr = correlation_matrix(trace.C_E.data, client.personal_table, clip=0.003)
+        corr = correlation_matrix(trace.C_E, client.personal_table, clip=0.003)
         total += int((corr != 0).sum())
     return total
 

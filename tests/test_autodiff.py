@@ -1,145 +1,39 @@
-"""Finite-difference checks for every tape primitive, plus graph plumbing."""
+"""The gradient engine: `backward` over test-local `fused` nodes, and `add_rows`."""
 
 import numpy as np
 import pytest
 
 from fed3cr import autodiff as ad
+from fed3cr.model import forward_pass, init_client, init_client_net
 from fed3cr.numerics import grad_check
 
 RNG = np.random.default_rng(42)
 
 
+# Closed-form nodes built for these tests. Each vjp returns new arrays, as
+# `fused` requires: `add` copies its gradient for each parent, so a node
+# that names one parent twice (add(a, a)) hands it two separate arrays.
+
+
 def add(a, b):
-    """a + b as a node that hands its one gradient array to both parents
-    (summed over broadcast axes): the fan-out shape `backward` must never
-    write into. The library records no such op, so its tests build it."""
-    a, b = ad._pair(a, b)
-    return ad.Tensor(
-        a.data + b.data,
-        _edges=((a, lambda g: ad._unbroadcast(g, a.shape)), (b, lambda g: ad._unbroadcast(g, b.shape))),
-    )
+    return ad.fused(a.data + b.data, (a, b), lambda g: (g.copy(), g.copy()))
 
 
-def check_unary(op, x, rtol=1e-5, **kwargs):
-    """Project the op's output onto a fixed random direction and compare the
-    tape gradient against central differences."""
-    out_shape = op(ad.as_tensor(x), **kwargs).data.shape
-    proj = np.random.default_rng(0).normal(size=out_shape)
-
-    def f(p):
-        return ad.tsum(ad.mul(op(ad.as_tensor(p), **kwargs), proj)).item()
-
-    t = ad.parameter(x)
-    loss = ad.tsum(ad.mul(op(t, **kwargs), proj))
-    loss.backward()
-    report = grad_check(f, x, t.grad, rtol=rtol)
-    assert report.passed, report
+def mul(a, b):
+    return ad.fused(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
-def test_add_mul_broadcasting():
-    a = RNG.normal(size=(4, 3))
-    b = RNG.normal(size=3) + 2.0
-    proj = np.random.default_rng(1).normal(size=(4, 3))
-
-    for op in (add, ad.mul):
-        ta, tb = ad.parameter(a), ad.parameter(b)
-        loss = ad.tsum(ad.mul(op(ta, tb), proj))
-        loss.backward()
-
-        def fa(p, op=op):
-            return ad.tsum(ad.mul(op(ad.as_tensor(p), ad.as_tensor(b)), proj)).item()
-
-        def fb(p, op=op):
-            return ad.tsum(ad.mul(op(ad.as_tensor(a), ad.as_tensor(p)), proj)).item()
-
-        assert grad_check(fa, a, ta.grad).passed
-        assert grad_check(fb, b, tb.grad).passed
+def dot(a, w):
+    """a @ w for a matrix `a` and a constant array `w`."""
+    return ad.fused(a.data @ w, (a,), lambda g: (g @ w.T if w.ndim == 2 else np.outer(g, w),))
 
 
-def test_matmul_grads_all_arities():
-    cases = [
-        (RNG.normal(size=(3, 4)), RNG.normal(size=(4, 2))),
-        (RNG.normal(size=(3, 4)), RNG.normal(size=4)),
-        (RNG.normal(size=4), RNG.normal(size=(4, 2))),
-        (RNG.normal(size=4), RNG.normal(size=4)),
-    ]
-    for a, b in cases:
-        out_shape = (np.asarray(a) @ np.asarray(b)).shape
-        proj = np.random.default_rng(2).normal(size=out_shape) if out_shape else 1.0
-        ta, tb = ad.parameter(a), ad.parameter(b)
-        loss = ad.tsum(ad.mul(ad.matmul(ta, tb), proj))
-        loss.backward()
-
-        def fa(p):
-            return ad.tsum(ad.mul(ad.matmul(ad.as_tensor(p), ad.as_tensor(b)), proj)).item()
-
-        def fb(p):
-            return ad.tsum(ad.mul(ad.matmul(ad.as_tensor(a), ad.as_tensor(p)), proj)).item()
-
-        assert grad_check(fa, a, ta.grad).passed
-        assert grad_check(fb, b, tb.grad).passed
+def total(a):
+    return ad.fused(a.data.sum(), (a,), lambda g: (np.full_like(a.data, g),))
 
 
-def test_gather_rows_scatter_adds():
-    x = RNG.normal(size=(5, 3))
-    proj = np.random.default_rng(3).normal(size=(4, 3))
-    # a repeated row, and -1 and 4 naming one row: gradients must accumulate
-    for idx in (np.array([0, 2, 2, 4]), np.array([-1, 4, 1, 0])):
-        t = ad.parameter(x)
-        loss = ad.tsum(ad.mul(ad.gather_rows(t, idx), proj))
-        loss.backward()
-
-        def f(p):
-            return ad.tsum(ad.mul(ad.gather_rows(ad.as_tensor(p), idx), proj)).item()
-
-        assert grad_check(f, x, t.grad).passed
-
-
-def test_reductions_and_shapes():
-    x = RNG.normal(size=(4, 3))
-    for op, kwargs in [
-        (ad.tsum, {}),
-        (ad.tsum, {"axis": 0}),
-        (ad.tsum, {"axis": 1}),
-        (ad.tmean, {"axis": 0}),
-        (ad.transpose, {}),
-    ]:
-        check_unary(op, x, **kwargs)
-
-
-def test_diamond_graph_accumulates_both_paths():
-    # y = sum(x * x) + sum(x): dx = 2x + 1; x feeds two paths.
-    x = RNG.normal(size=5)
-    t = ad.parameter(x)
-    loss = add(ad.tsum(ad.mul(t, t)), ad.tsum(t))
-    loss.backward()
-    assert np.allclose(t.grad, 2 * x + 1)
-
-
-def test_constants_do_not_collect_grads():
-    c = ad.as_tensor(np.ones(3))
-    t = ad.parameter(np.ones(3))
-    loss = ad.tsum(ad.mul(c, t))
-    loss.backward()
-    assert c.grad is None
-    assert np.allclose(t.grad, np.ones(3))
-
-
-def test_logistic_saturation_no_overflow():
-    with np.errstate(over="raise"):
-        out = ad.logistic(np.array([40.0, -40.0, 1000.0, -1000.0]))
-    assert np.isfinite(out).all()
-    assert out[0] == pytest.approx(1.0, abs=1e-12)
-    assert out[1] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_dtype_preserved():
-    t = ad.parameter(np.ones(3, dtype=np.float32))
-    out = ad.mul(add(t, 1.0), 2.0)
-    assert out.data.dtype == np.float32
-
-
-# -- fan-out shapes that in-place gradient accumulation could get wrong --------------
+def constant(x):
+    return ad.Tensor(np.asarray(x))
 
 
 def check_all_inputs(build, *arrays):
@@ -149,8 +43,8 @@ def check_all_inputs(build, *arrays):
     for i, a in enumerate(arrays):
 
         def f(p, i=i):
-            args = [ad.as_tensor(x) for x in arrays]
-            args[i] = ad.as_tensor(p)
+            args = [constant(x) for x in arrays]
+            args[i] = constant(p)
             return build(*args).item()
 
         report = grad_check(f, a, params[i].grad)
@@ -158,37 +52,11 @@ def check_all_inputs(build, *arrays):
     return params
 
 
-def test_self_add_fan_out():
-    # add hands the same gradient array to both of its (identical) parents
-    x = RNG.normal(size=(3, 4))
-    proj = np.random.default_rng(5).normal(size=(3, 4))
-    (t,) = check_all_inputs(lambda a: ad.tsum(ad.mul(add(a, a), proj)), x)
-    assert np.allclose(t.grad, 2 * proj)
-
-
-def test_subexpression_feeding_add_and_mul():
-    x, y = RNG.normal(size=5), RNG.normal(size=5)
-    proj = np.random.default_rng(6).normal(size=5)
-
-    def build(a, b):
-        s = ad.mul(a, b)
-        return add(ad.tsum(ad.mul(add(s, a), proj)), ad.tsum(ad.mul(s, s)))
-
-    check_all_inputs(build, x, y)
-
-
-def test_tsum_broadcast_grad_reaching_two_consumers():
-    # tsum's gradient reaches both operands of the add as one shared array;
-    # x then gets two more contributions and must not write into it.
-    x, y = RNG.normal(size=(4, 3)), RNG.normal(size=(4, 3))
-    proj = np.random.default_rng(7).normal(size=3)
-
-    def build(a, b):
-        col = ad.tsum(add(a, b), axis=0)
-        return add(ad.tsum(ad.mul(col, proj)), ad.tsum(ad.mul(a, a)))
-
-    _, ty = check_all_inputs(build, x, y)
-    assert np.array_equal(ty.grad, np.broadcast_to(proj, (4, 3)))
+def test_diamond_graph_accumulates_both_paths():
+    # y = sum(x * x) + sum(x): dx = 2x + 1; x feeds two paths.
+    x = RNG.normal(size=5)
+    (t,) = check_all_inputs(lambda a: add(total(mul(a, a)), total(a)), x)
+    assert np.allclose(t.grad, 2 * x + 1)
 
 
 def test_leaf_with_three_contributions():
@@ -197,43 +65,84 @@ def test_leaf_with_three_contributions():
     w = np.random.default_rng(9).normal(size=3)
 
     def build(a):
-        return add(
-            add(ad.tsum(ad.mul(a, proj)), ad.tsum(ad.matmul(a, w))), ad.tsum(ad.mul(a, a))
-        )
+        return add(add(total(mul(a, constant(proj))), total(dot(a, w))), total(mul(a, a)))
 
-    check_all_inputs(build, x)
+    (t,) = check_all_inputs(build, x)
+    assert np.allclose(t.grad, proj + w + 2 * x)
 
 
-def test_gathered_rows_add_into_a_dense_gradient():
-    # The table also gets a dense gradient: fresh from a matmul, which backward
-    # may add the rows into in place, or tsum's read-only broadcast view, which
-    # it must not write into. The rows repeat a row, or name one row as -1 and 4.
-    x = RNG.normal(size=(5, 3))
-    k = np.random.default_rng(10).normal(size=(3, 2))
-    proj = np.random.default_rng(11).normal(size=(4, 3))
-    dense_terms = (lambda a: ad.tsum(ad.mul(ad.matmul(a, k), k[0])), ad.tsum)
-    for idx in (np.array([0, 2, 2, 3]), np.array([-1, 4, 1, 0])):
-        for dense in dense_terms:
-            for rows_first in (True, False):
+def test_self_add_fan_out():
+    # one node names the same parent twice: both contributions add up
+    x = RNG.normal(size=(3, 4))
+    proj = np.random.default_rng(5).normal(size=(3, 4))
+    (t,) = check_all_inputs(lambda a: total(mul(add(a, a), constant(proj))), x)
+    assert np.allclose(t.grad, 2 * proj)
 
-                def build(a, idx=idx, dense=dense, rows_first=rows_first):
-                    rows = ad.tsum(ad.mul(ad.gather_rows(a, idx), proj))
-                    return add(rows, dense(a)) if rows_first else add(dense(a), rows)
 
-                check_all_inputs(build, x)
+def test_subexpression_feeding_add_and_mul():
+    x, y = RNG.normal(size=5), RNG.normal(size=5)
+    proj = np.random.default_rng(6).normal(size=5)
+
+    def build(a, b):
+        s = mul(a, b)
+        return add(total(mul(add(s, a), constant(proj))), total(mul(s, s)))
+
+    check_all_inputs(build, x, y)
+
+
+def test_constants_do_not_collect_grads():
+    # a parent that needs no gradient gets no edge, and a node over
+    # constants alone needs none itself
+    c = constant(np.ones(3))
+    t = ad.parameter(np.ones(3))
+    product = mul(c, t)
+    assert [parent for parent, _ in product._edges] == [t]
+    assert not mul(c, c).requires_grad and mul(c, c)._edges == []
+    total(product).backward()
+    assert c.grad is None
+    assert np.allclose(t.grad, np.ones(3))
+
+
+def test_vjp_runs_once_per_backward():
+    calls = []
+    a, b = ad.parameter(RNG.normal(size=3)), ad.parameter(RNG.normal(size=3))
+
+    def vjp(g):
+        calls.append(g)
+        return g * b.data, g * a.data
+
+    total(ad.fused(a.data * b.data, (a, b), vjp)).backward()
+    assert len(calls) == 1
+    assert np.allclose(a.grad, b.data) and np.allclose(b.grad, a.data)
+
+
+def test_none_contribution_leaves_the_parent_without_one():
+    a, b = ad.parameter(np.ones(2)), ad.parameter(np.ones(2))
+    total(ad.fused(a.data + b.data, (a, b), lambda g: (g.copy(), None))).backward()
+    assert np.array_equal(a.grad, np.ones(2))
+    assert b.grad is None
+
+
+def test_dtype_preserved():
+    # the root's seed gradient has the root's dtype, so a float32 graph
+    # hands float32 gradients to its vjps
+    seen = []
+    t = ad.parameter(np.ones(3, dtype=np.float32))
+
+    def vjp(g):
+        seen.append(g.dtype)
+        return (np.full_like(t.data, g),)
+
+    out = ad.fused(t.data.sum(), (t,), vjp)
+    assert out.data.dtype == np.float32
+    out.backward()
+    assert seen == [np.float32] and t.grad.dtype == np.float32
 
 
 def _fan_out_graph(dtype):
     x = ad.parameter(RNG.normal(size=(4, 3)).astype(dtype))
-    w = ad.parameter(RNG.normal(size=(3, 2)).astype(dtype))
-    h = ad.matmul(x, w)
-    col = ad.tsum(add(h, h), axis=0)
-    rows = ad.gather_rows(x, np.array([0, 2, 2, 3]))
-    loss = add(
-        add(ad.tsum(ad.mul(col, col)), ad.tsum(ad.mul(rows, rows))),
-        ad.tmean(ad.mul(add(x, 1.0), x)),
-    )
-    return loss
+    h = dot(x, RNG.normal(size=(3, 2)).astype(dtype))
+    return add(add(total(mul(h, h)), total(mul(x, x))), total(add(h, h)))
 
 
 def _reachable(root):
@@ -264,5 +173,49 @@ def test_float32_graph_keeps_float32_grads():
         assert node.grad.dtype == np.float32
     # a float64 constant promotes the product, but not its float32 leaf's grad
     t = ad.parameter(np.ones(3, dtype=np.float32))
-    ad.tsum(ad.mul(t, np.full(3, 0.5))).backward()
+    total(mul(t, constant(np.full(3, 0.5)))).backward()
     assert t.grad.dtype == np.float32
+
+
+def test_add_rows_scatter_adds():
+    # a repeated row, and -1 and 4 naming one row, must both accumulate;
+    # unique indices take the gather-add-scatter path, with or without scratch
+    for idx in (np.array([0, 2, 2, 4]), np.array([-1, 4, 1, 0]), np.array([3, 0, 1])):
+        for scratch in (None, np.empty((idx.size, 3))):
+            out = RNG.normal(size=(5, 3))
+            rows = RNG.normal(size=(idx.size, 3))
+            expected = out.copy()
+            np.add.at(expected, idx, rows)
+            ad.add_rows(out, idx, rows, scratch)
+            assert np.allclose(out, expected, rtol=0, atol=1e-15), (idx, scratch is None)
+
+
+def test_gathered_rows_add_into_a_dense_gradient():
+    # The positives' rows of C (through p_G) add into C's dense gradient
+    # (through C_E), also when the positives repeat a row or name one row
+    # as -1 and 4: the trace's pullback under a linear functional of C_E
+    # and p_E, against central differences.
+    state = init_client(seed=2, d=3, M=5, dtype=np.float64)
+    table = RNG.normal(0, 0.5, (5, 3))
+    net = init_client_net(np.random.default_rng(3), 3, (2, 4), dtype=np.float64)
+    net.weights = [np.random.default_rng(4).normal(0, 0.5, w.shape) for w in net.weights]
+    proj_c, proj_e = RNG.normal(size=(5, 3)), RNG.normal(size=3)
+    for kind in ("ace", "none"):
+        for positives in (np.array([0, 2, 2, 3]), np.array([-1, 4, 1, 0])):
+
+            def value(c, kind=kind, positives=positives):
+                trace = forward_pass(state, c, net, positives, enhancement=kind)
+                return trace, np.sum(trace.C_E * proj_c) + trace.p_E @ proj_e
+
+            trace, _ = value(table)
+            _, d_c, *_ = trace.pullback({id(trace.C_E): proj_c.copy(), id(trace.p_E): proj_e.copy()})
+            report = grad_check(lambda c: float(value(c)[1]), table, d_c)
+            assert report.passed, (kind, positives, report)
+
+
+def test_logistic_saturation_no_overflow():
+    with np.errstate(over="raise"):
+        out = ad.logistic(np.array([40.0, -40.0, 1000.0, -1000.0]))
+    assert np.isfinite(out).all()
+    assert out[0] == pytest.approx(1.0, abs=1e-12)
+    assert out[1] == pytest.approx(0.0, abs=1e-12)

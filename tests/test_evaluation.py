@@ -208,7 +208,7 @@ def test_view_rbo_is_bit_identical_to_the_list_reference():
 def view_rbo(state, trace, k_prime, p):
     """RBO of the personal table's scores against C_E's."""
     u = state.user_embedding
-    return view_consistency_rbo(trace.params["V"].data @ u, trace.C_E.data @ u, k_prime, p)
+    return view_consistency_rbo(trace.params["V"].data @ u, trace.C_E @ u, k_prime, p)
 
 
 def test_view_rbo_identical_views(shared_blocks):
@@ -245,7 +245,7 @@ def test_view_rbo_matches_direct_oracle(shared_blocks):
     trace = forward_pass(state, table, net, np.array([0, 3, 7]), enhancement="ace")
     got = view_rbo(state, trace, k_prime=10, p=0.9)
     personal = full_sort_top_k(state.personal_table, state.user_embedding, 10)
-    global_view = full_sort_top_k(trace.C_E.data, state.user_embedding, 10)
+    global_view = full_sort_top_k(trace.C_E, state.user_embedding, 10)
     assert got == pytest.approx(rbo_truncated(personal, global_view, 0.9), abs=1e-9)
 
 

@@ -481,12 +481,12 @@ def test_fedmf_zero_net_scores_match_plain_exactly(fused_table):
     pos = np.array([1, 5])
     plugin = forward_pass(state, table, net, pos, enhancement="ace", consensus=download)
     plain = forward_pass(state, table, net, pos, enhancement="none", consensus=download)
-    assert np.array_equal(plugin.W.data, np.zeros((d, d)))
+    assert np.array_equal(plugin.W, np.zeros((d, d)))
     assert np.array_equal(fused_table(plugin), table)
     assert np.array_equal(fused_table(plain), table)
     # the frozen download is the consensus view, the trained table the local one
-    assert np.allclose(plugin.p_G.data, download[pos].mean(axis=0), atol=1e-15)
-    assert np.allclose(plugin.p_P.data, table[pos].mean(axis=0), atol=1e-15)
+    assert np.allclose(plugin.p_G, download[pos].mean(axis=0), atol=1e-15)
+    assert np.allclose(plugin.p_P, table[pos].mean(axis=0), atol=1e-15)
     assert sorted(plugin.params) == ["C", "b0", "b1", "u", "w0", "w1"]
 
 
@@ -498,7 +498,7 @@ def test_fedmf_plugin_consensus_stays_the_download_across_local_iters(monkeypatc
     def recording_forward_pass(*args, **kwargs):
         traces.append(forward_pass(*args, **kwargs))
         # C_E lives in the workspace until the next step: copy it now
-        steps.append((traces[-1].C_E.data.copy(), traces[-1].W.data.copy(), traces[-1].p_P.data.copy()))
+        steps.append((traces[-1].C_E.copy(), traces[-1].W.copy(), traces[-1].p_P.copy()))
         return traces[-1]
 
     monkeypatch.setattr(federation, "forward_pass", recording_forward_pass)
@@ -600,7 +600,7 @@ def sort_path_metrics(clients, server, ds, hp, variant, candidates, fused_table)
             every = np.arange(ds.num_items)
             k = min(hp.rbo_k, ds.num_items)
             personal = ranked(u, trace.params["V"].data, every)[:k]
-            global_view = ranked(u, trace.C_E.data, every)[:k]
+            global_view = ranked(u, trace.C_E, every)[:k]
             rbos.append(rbo_truncated(personal, global_view, hp.rbo_p))
     return float(np.mean(hrs)), float(np.mean(ndcgs)), float(np.mean(rbos)) if rbos else None
 

@@ -24,11 +24,6 @@ from fed3cr.model import forward_pass, init_client, init_client_net
 from fed3cr.numerics import grad_check
 
 
-def softmax(x):
-    e = np.exp(x - x.max())
-    return e / e.sum()
-
-
 def test_rec_loss_half_probability():
     assert rec_loss(np.array([0.5]), np.array([1])) == pytest.approx(0.6931, abs=1e-4)
 
@@ -226,52 +221,30 @@ def test_total_gradients_pass_grad_check(eq12_mode, complementarity, block_grad_
     block_grad_check(state, table, net, build)
 
 
-def test_consistency_sample_restricts_to_batch_items():
-    state, table, net, positives, trace = make_trace()
-    items, labels = np.array([0, 1, 2]), np.array([1, 0, 1])
-    full = total_loss(trace, (items, labels), beta_a=1.0, beta_o=0.0)
-    trace2 = forward_pass(state, table, net, positives, enhancement="ace")
-    _, restricted = total_loss_t(
-        trace2, items, labels, beta_a=1.0, beta_o=0.0, consistency_items=np.unique(items)
-    )
-    assert restricted.l_a != full.l_a  # different support
-
-    # oracle for the restricted version: distributions over the 3 batch rows
-    sub_v = state.personal_table[np.unique(items)]
-    sub_g = trace2.C_E.data[np.unique(items)]
-    p_p = softmax(
-        np.array([trace2.p_P.data @ r / (np.linalg.norm(trace2.p_P.data) * np.linalg.norm(r)) for r in sub_v])
-    )
-    p_g = softmax(
-        np.array([trace2.p_E.data @ r / (np.linalg.norm(trace2.p_E.data) * np.linalg.norm(r)) for r in sub_g])
-    )
-    oracle = -0.5 * float(p_p @ np.log(p_g)) - 0.5 * float(p_g @ np.log(p_p))
-    assert restricted.l_a == pytest.approx(oracle, abs=1e-9)
-
-
-# (label, enhancement kind, eq12 mode, consistency on a row subset, complementarity):
+# (label, enhancement kind, eq12 mode, shared workspace, complementarity):
 # every label with its own flags, once more with the other auxiliary-loss
-# options where it has l_a or l_o, and the two row-map kinds.
+# options where it has l_a or l_o, and the two row-map kinds. With a shared
+# workspace, every pass of the check (the traced one and each finite
+# difference) reuses one Workspace, as a client's steps do: the leaves'
+# gradients must not sit in a buffer a later forward pass overwrites.
 OBJECTIVE_CASES = [
     case
     for label, (kind, l_a, l_o, _) in VARIANT_LABELS.items()
     for case in [(label, kind, "softmax", False, "orthogonal")]
     + ([(label, kind, "literal-ratio", True, "l2-distance")] if l_a or l_o else [])
 ] + [
-    ("Fed3CR", kind, mode, subset, complementarity)
+    ("Fed3CR", kind, mode, shared, complementarity)
     for kind in ("consensus-transfer", "unified-transfer")
-    for mode, subset, complementarity in (("softmax", False, "orthogonal"), ("literal-ratio", True, "l2-distance"))
+    for mode, shared, complementarity in (("softmax", False, "orthogonal"), ("literal-ratio", True, "l2-distance"))
 ]
 
 
 @pytest.mark.parametrize(
-    "label, kind, eq12_mode, subset, complementarity",
+    "label, kind, eq12_mode, shared, complementarity",
     OBJECTIVE_CASES,
     ids=["-".join(str(part) for part in case) for case in OBJECTIVE_CASES],
 )
-def test_objective_node_gradients_for_every_variant(
-    label, kind, eq12_mode, subset, complementarity, block_grad_check
-):
+def test_objective_node_gradients_for_every_variant(label, kind, eq12_mode, shared, complementarity, block_grad_check):
     variant = dataclasses.replace(
         VariantConfig.from_label(label), enhancement_kind=kind, complementarity_kind=complementarity
     )
@@ -287,9 +260,10 @@ def test_objective_node_gradients_for_every_variant(
         state.personal_table = None
     consensus = table.copy()  # the frozen download of a federated-MF client
     items, labels = np.array([0, 3, 3, 5, 8]), np.array([1, 0, 0, 1, 0])
+    workspace = Workspace() if shared else None
 
     def build(client, table, net):
-        trace = forward_pass(client, table, net, positives, enhancement=kind, consensus=consensus)
+        trace = forward_pass(client, table, net, positives, enhancement=kind, consensus=consensus, workspace=workspace)
         total, _ = total_loss_t(
             trace,
             items,
@@ -300,32 +274,42 @@ def test_objective_node_gradients_for_every_variant(
             consistency_enabled=variant.consistency_enabled,
             orthogonality_enabled=variant.orthogonality_enabled,
             complementarity_kind=complementarity,
-            consistency_items=np.unique(items) if subset else None,
+            workspace=workspace,
         )
         return total, trace
 
     block_grad_check(state, table, net, build)
 
 
-def test_fed3cr_step_graph_holds_no_other_table_sized_tensor():
-    # The objective is one node over C_E and V: no V_F = C_E + V and no
-    # per-term M x d intermediates on the tape.
+def step_graph(seed=0):
+    """A float32 Fed3CR step at toy shape: (total, trace, every tensor its graph reaches)."""
     m, d = 96, 16
-    state = init_client(seed=0, d=d, M=m)
-    rng = np.random.default_rng(0)
+    state = init_client(seed=seed, d=d, M=m)
+    rng = np.random.default_rng(seed)
     table = rng.normal(0, 0.01, (m, d)).astype(np.float32)
-    trace = forward_pass(state, table, init_client_net(rng, d, (2, 4)), np.arange(0, m, 12))
+    trace = forward_pass(state, table, init_client_net(rng, d, (2, 4)), np.arange(0, m, 12), enhancement="ace")
     items = np.arange(40)
     total, _ = total_loss_t(trace, items, (items % 5 == 0).astype(int), beta_a=0.5, beta_o=0.5)
-    seen, stack, tables = set(), [total], set()
+    seen, stack, nodes = set(), [total], []
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
-            if node.data.shape == (m, d):
-                tables.add(id(node))
+            nodes.append(node)
             stack.extend(parent for parent, _ in node._edges)
-    assert tables == {id(trace.params["C"]), id(trace.params["V"]), id(trace.C_E)}
+    return total, trace, nodes
+
+
+def test_fed3cr_step_graph_holds_no_other_table_sized_tensor():
+    # The step is one node over the leaves: C_E, V_F and the per-term M x d
+    # intermediates are arrays of the forward pass, not tensors.
+    total, trace, nodes = step_graph()
+    tables = {id(node) for node in nodes if node.data.shape == (96, 16)}
+    assert tables == {id(trace.params["C"]), id(trace.params["V"])}
+    total.backward()
+    for name, leaf in trace.params.items():
+        assert leaf.grad is not None and leaf.grad.shape == leaf.data.shape, name
+        assert leaf.grad.dtype == np.float32, name
 
 
 # -- closed-form gradients of the objective's pieces ---------------------------------
@@ -352,25 +336,6 @@ def test_fused_consistency_op_grad_check(eq12_mode):
     rng = np.random.default_rng(10)
     blocks = (rng.normal(size=4), rng.normal(size=(7, 4)), rng.normal(size=4), rng.normal(size=(7, 4)))
     check_consistency_op(blocks, eq12_mode)
-
-
-@pytest.mark.parametrize("eq12_mode", ["softmax", "literal-ratio"])
-def test_consistency_items_subset_gradients_pass_grad_check(eq12_mode, block_grad_check):
-    state, table, net, positives, _ = make_trace(m=9)
-    items, labels = np.array([0, 3, 3, 5, 8]), np.array([1, 0, 0, 1, 0])
-
-    def build(client, table, net):
-        trace = forward_pass(client, table, net, positives, enhancement="ace")
-        total, _ = total_loss_t(
-            trace, items, labels, beta_a=1.0, beta_o=0.0, eq12_mode=eq12_mode,
-            consistency_items=np.unique(items),
-        )
-        return total, trace
-
-    trace, _ = block_grad_check(state, table, net, build)
-    # rows outside the subset get no consistency gradient through V
-    outside = np.setdiff1d(np.arange(9), np.concatenate([np.unique(items), positives]))
-    assert np.all(trace.params["V"].grad[outside] == 0.0)
 
 
 def test_fused_consistency_op_at_log_floor():
@@ -416,24 +381,10 @@ def test_warm_objective_gathers_the_batch_rows_without_temporaries(kind):
 
 
 def test_tape_size_of_a_fed3cr_step():
-    state = init_client(seed=0, d=16, M=96)
-    rng = np.random.default_rng(0)
-    table = rng.normal(0, 0.01, (96, 16)).astype(np.float32)
-    net = init_client_net(rng, 16, (2, 4))
-    positives = np.arange(0, 96, 12)
-    items = np.arange(40)
-    labels = (items % 5 == 0).astype(int)
-    trace = forward_pass(state, table, net, positives, enhancement="ace")
-    total, _ = total_loss_t(trace, items, labels, beta_a=0.5, beta_o=0.5)
-    seen, stack = set(), [total]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(parent for parent, _ in node._edges)
-    # the 7 leaves (u, C, V, w0, b0, w1, b1), 3 nodes for each prototype mean
-    # (gather, sum, scale), the net node giving W, W^T, C_E, p_E, the objective
-    assert len(seen) == 18
+    total, trace, nodes = step_graph()
+    # the 7 leaves (u, C, V, w0, b0, w1, b1) and the objective
+    assert len(nodes) == 8
+    assert [parent for parent, _ in total._edges] == list(trace.params.values())
 
 
 def test_fused_bce_zero_gradient_when_clamped():

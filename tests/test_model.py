@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fed3cr.autodiff as ad
 from fed3cr.checkpoint import load_client_state, load_server_state, save_client_state, save_server_state
 from fed3cr.errors import DataError, ParseError
 from fed3cr.federation import ServerState
@@ -25,15 +26,15 @@ def test_prototypes_singleton(shared_blocks):
     state = init_client(seed=0, d=3, M=5, dtype=np.float64)
     table, net = shared_blocks(0, 3, 5)
     trace = forward_pass(state, table, net, np.array([2]))
-    assert np.array_equal(trace.p_G.data, table[2])
-    assert np.array_equal(trace.p_P.data, state.personal_table[2])
+    assert np.array_equal(trace.p_G, table[2])
+    assert np.array_equal(trace.p_P, state.personal_table[2])
 
 
 def test_prototypes_mean_of_two_rows(shared_blocks):
     state = init_client(seed=0, d=2, M=2, dtype=np.float64)
     _, net = shared_blocks(0, 2, 2)
     trace = forward_pass(state, np.array([[1.0, 0.0], [0.0, 1.0]]), net, np.array([0, 1]))
-    assert np.allclose(trace.p_G.data, [0.5, 0.5])
+    assert np.allclose(trace.p_G, [0.5, 0.5])
 
 
 def test_prototypes_match_accumulate_divide_oracle(shared_blocks):
@@ -47,8 +48,8 @@ def test_prototypes_match_accumulate_divide_oracle(shared_blocks):
             acc_g += table[j]
             acc_p += state.personal_table[j]
         trace = forward_pass(state, table, net, positives, enhancement=enhancement)
-        assert np.allclose(trace.p_G.data, acc_g / 50, atol=1e-12)
-        assert np.allclose(trace.p_P.data, acc_p / 50, atol=1e-12)
+        assert np.allclose(trace.p_G, acc_g / 50, atol=1e-12)
+        assert np.allclose(trace.p_P, acc_p / 50, atol=1e-12)
 
 
 def test_prototypes_empty_positives(shared_blocks):
@@ -63,8 +64,8 @@ def test_transfer_matrix_zero_final_layer(shared_blocks):
     state = init_client(seed=0, d=d, M=4, dtype=np.float64)
     table, _ = shared_blocks(0, d, 4)
     trace = forward_pass(state, table, rigged_net(np.zeros((d, d))), np.array([0, 1]))
-    assert np.array_equal(trace.W.data, np.zeros((d, d)))
-    assert np.array_equal(trace.C_E.data, np.zeros((4, d)))
+    assert np.array_equal(trace.W, np.zeros((d, d)))
+    assert np.array_equal(trace.C_E, np.zeros((4, d)))
 
 
 def test_transfer_matrix_rigged_identity():
@@ -72,25 +73,31 @@ def test_transfer_matrix_rigged_identity():
     state = init_client(seed=0, d=d, M=4, dtype=np.float64)
     state.personal_table = -np.ones((4, d))
     trace = forward_pass(state, np.ones((4, d)), rigged_identity_net(d), np.array([0, 3]))
-    assert np.array_equal(trace.W.data, np.eye(d))
+    assert np.array_equal(trace.W, np.eye(d))
 
 
 def test_transfer_matrix_gradient_wrt_theta(shared_blocks, block_grad_check):
-    import fed3cr.autodiff as ad
-
+    # The trace's pullback alone, under a random linear functional of C_E
+    # and p_E: every theta block through W, C through C_E and p_G, and V
+    # through p_P.
     d = 3
     rng = np.random.default_rng(7)
     state = init_client(seed=5, d=d, M=4, dtype=np.float64)
     table, net = shared_blocks(5, d, 4)
     net.weights[-1] = rng.normal(0, 0.3, net.weights[-1].shape)
-    # random projection of W keeps the check cheap while touching every entry
-    proj = rng.normal(size=(d, d))
+    proj_c, proj_e = rng.normal(size=(4, d)), rng.normal(size=d)
 
     def build(client, table, net):
         trace = forward_pass(client, table, net, np.array([0, 1]), enhancement="ace")
-        return ad.tsum(ad.mul(trace.W, proj)), trace
+        value = np.sum(trace.C_E * proj_c) + trace.p_E @ proj_e
 
-    block_grad_check(state, table, net, build, names=("w0", "b0", "w1", "b1"))
+        def vjp(g):
+            return trace.pullback({id(trace.C_E): g * proj_c, id(trace.p_E): g * proj_e})
+
+        return ad.fused(value, tuple(trace.params.values()), vjp), trace
+
+    trace, _ = block_grad_check(state, table, net, build, names=("C", "V", "w0", "b0", "w1", "b1"))
+    assert trace.params["u"].grad is None
 
 
 # (enhancement, transfer_layers, ace_init, ace_scale): ACE's net node at every
@@ -132,8 +139,8 @@ def test_enhance_identity_and_scaling(shared_blocks):
     state = init_client(seed=0, d=3, M=4, dtype=np.float64)
     c, _ = shared_blocks(0, 3, 4)
     net = rigged_identity_net(3)
-    assert np.allclose(forward_pass(state, c, net, np.array([1])).C_E.data, c)
-    assert np.allclose(forward_pass(state, c, net, np.array([1]), ace_scale=2.0).C_E.data, 2 * c)
+    assert np.allclose(forward_pass(state, c, net, np.array([1])).C_E, c)
+    assert np.allclose(forward_pass(state, c, net, np.array([1]), ace_scale=2.0).C_E, 2 * c)
 
 
 def test_enhance_matches_per_row_matvec_oracle(shared_blocks):
@@ -143,7 +150,7 @@ def test_enhance_matches_per_row_matvec_oracle(shared_blocks):
     for net in (rigged_net(rng.normal(size=(2, 2))), initial):
         trace = forward_pass(state, table, net, np.array([0, 2]))
         for j in range(3):
-            assert np.allclose(trace.C_E.data[j], trace.W.data @ table[j], atol=1e-12)
+            assert np.allclose(trace.C_E[j], trace.W @ table[j], atol=1e-12)
 
 
 def test_fuse_cases(shared_blocks, fused_table):
@@ -154,13 +161,13 @@ def test_fuse_cases(shared_blocks, fused_table):
     net.weights[-1] = np.random.default_rng(2).normal(0, 0.4, (16, 16))
     pos = np.array([1, 4])
     trace = forward_pass(state, table, net, pos, enhancement="ace")
-    assert np.array_equal(fused_table(trace), trace.C_E.data + state.personal_table)
+    assert np.array_equal(fused_table(trace), trace.C_E + state.personal_table)
     trace = forward_pass(state, table, net, pos, enhancement="none")
-    assert np.array_equal(trace.C_E.data, table)
+    assert np.array_equal(trace.C_E, table)
     assert np.array_equal(fused_table(trace), table + state.personal_table)
     _, row_net = shared_blocks(3, 4, 6, enhancement="consensus-transfer")
     trace = forward_pass(state, table, row_net, pos, enhancement="consensus-transfer")
-    assert np.array_equal(fused_table(trace), trace.C_E.data + state.personal_table)
+    assert np.array_equal(fused_table(trace), trace.C_E + state.personal_table)
     single = init_client(seed=3, d=4, M=6, dtype=np.float64)
     single.personal_table = None
     trace = forward_pass(single, table, None, pos, enhancement="none")
@@ -190,7 +197,7 @@ def test_tape_free_pass_scores_the_views_of_the_trace(kind, single, shared_block
     if single and kind == "none":
         assert scores.global_view is None
     else:
-        assert np.allclose(scores.global_view, trace.views[0].data @ u, rtol=1e-12, atol=1e-15)
+        assert np.allclose(scores.global_view, trace.views[0] @ u, rtol=1e-12, atol=1e-15)
     assert np.allclose(scores.fused, fused_table(trace) @ u, rtol=1e-12, atol=1e-15)
 
 
@@ -216,13 +223,13 @@ def test_init_client_shapes():
 def test_initial_transfer_matrix_is_small(shared_blocks):
     state = init_client(seed=13, d=32, M=10, dtype=np.float64)
     table, net = shared_blocks(13, 32, 10)
-    assert np.linalg.norm(forward_pass(state, table, net, np.arange(5)).W.data) < 0.1
+    assert np.linalg.norm(forward_pass(state, table, net, np.arange(5)).W) < 0.1
 
 
 def test_identity_init_starts_near_identity(shared_blocks):
     state = init_client(seed=13, d=8, M=10, dtype=np.float64)
     table, net = shared_blocks(13, 8, 10, ace_init="identity")
-    assert np.linalg.norm(forward_pass(state, table, net, np.arange(4)).W.data - np.eye(8)) < 0.1
+    assert np.linalg.norm(forward_pass(state, table, net, np.arange(4)).W - np.eye(8)) < 0.1
 
 
 def test_identity_rigged_net_reduces_to_additive_fusion(shared_blocks, fused_table):
@@ -231,8 +238,8 @@ def test_identity_rigged_net_reduces_to_additive_fusion(shared_blocks, fused_tab
     table, _ = shared_blocks(1, d, m)
     trace = forward_pass(state, table, rigged_identity_net(d), np.array([0, 2]), enhancement="ace")
     assert np.allclose(fused_table(trace), table + state.personal_table)
-    assert np.allclose(trace.C_E.data, table)
-    assert np.allclose(trace.p_E.data, trace.p_G.data)
+    assert np.allclose(trace.C_E, table)
+    assert np.allclose(trace.p_E, trace.p_G)
 
 
 def test_ace_scale_multiplies_matrix(shared_blocks):
@@ -242,7 +249,7 @@ def test_ace_scale_multiplies_matrix(shared_blocks):
     pos = np.array([0, 1])
     t1 = forward_pass(state, table, net, pos, enhancement="ace", ace_scale=1.0)
     t2 = forward_pass(state, table, net, pos, enhancement="ace", ace_scale=2.5)
-    assert np.allclose(t2.W.data, 2.5 * t1.W.data)
+    assert np.allclose(t2.W, 2.5 * t1.W)
 
 
 def test_forward_p_e_is_mapped_global_prototype(shared_blocks):
@@ -250,7 +257,7 @@ def test_forward_p_e_is_mapped_global_prototype(shared_blocks):
     table, net = shared_blocks(3, 4, 6)
     net.weights[-1] = np.random.default_rng(1).normal(0, 0.4, (16, 16))
     trace = forward_pass(state, table, net, np.array([1, 3, 5]), enhancement="ace")
-    assert np.allclose(trace.p_E.data, trace.W.data @ trace.p_G.data, atol=1e-12)
+    assert np.allclose(trace.p_E, trace.W @ trace.p_G, atol=1e-12)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
