@@ -242,6 +242,15 @@ def leave_one_out_split(
 # -- sampling --------------------------------------------------------------------
 
 
+def _unseen_items(ds: InteractionDataset, client: int) -> np.ndarray:
+    """The ascending int64 ids of every item the client never interacted
+    with: all but its train positives and its test item."""
+    unseen = np.ones(ds.num_items, dtype=bool)
+    unseen[ds.client_items[client]] = False
+    unseen[ds.test_items[client]] = False
+    return np.flatnonzero(unseen).astype(np.int64, copy=False)
+
+
 class NegativeSampler:
     """Training-batch sampler pairing each positive with sampled negatives.
 
@@ -267,12 +276,7 @@ class NegativeSampler:
     def candidate_universe(self, client: int) -> np.ndarray:
         """Items the client never interacted with (train positives and test excluded)."""
         if client not in self._universe:
-            blocked = np.concatenate(
-                [self.dataset.client_items[client], [self.dataset.test_items[client]]]
-            )
-            self._universe[client] = np.setdiff1d(
-                np.arange(self.dataset.num_items, dtype=np.int64), blocked
-            )
+            self._universe[client] = _unseen_items(self.dataset, client)
         return self._universe[client]
 
     def sample_batch(self, client: int, batch_size: int = 2048) -> tuple[np.ndarray, np.ndarray]:
@@ -325,8 +329,7 @@ def build_eval_candidates(
     if not ds.is_split:
         raise DataError("evaluation candidates require a split dataset")
     test = ds.test_items[client]
-    blocked = np.concatenate([ds.client_items[client], [test]])
-    universe = np.setdiff1d(np.arange(ds.num_items, dtype=np.int64), blocked)
+    universe = _unseen_items(ds, client)
     if num_negatives == -1:
         negatives = universe
     elif len(universe) == 0:

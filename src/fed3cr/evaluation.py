@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Workspace
 from .errors import ProtocolError, ShapeError
 
 
@@ -43,47 +44,70 @@ def metrics_csv_lines(metrics: list[RoundMetrics]) -> list[str]:
     return lines
 
 
-def rank_candidates(scores: np.ndarray, candidates: np.ndarray, test_item: int) -> int:
-    """1-based rank of `test_item` among `candidates` under `scores` (one
-    score per item id): descending score, ties broken by ascending id, NaN
-    scores last. It counts the candidates that order before the test item,
-    so it neither sorts nor builds a list."""
-    cand = np.asarray(candidates)
-    if not np.any(cand == test_item):
-        raise ProtocolError(f"test item {test_item} not among the ranked candidates")
-    s, t = scores[cand], scores[test_item]
-    if np.isnan(t):
-        higher, tied = ~np.isnan(s), np.isnan(s)
-    else:
-        higher, tied = s > t, s == t
-    return int(np.count_nonzero(higher | (tied & (cand < test_item)))) + 1
+def rank_candidates(scores: np.ndarray, candidates: np.ndarray, test_item):
+    """1-based rank of each row's test item among that row's candidates
+    under that row's scores (one score per item id): descending score, ties
+    broken by ascending id, NaN scores last. `scores` is (B, M), `candidates`
+    (B, K) and `test_item` (B,), giving B ranks; a 1-D call is a block of one
+    and gives one int. It counts the candidates that order before the test
+    item, so it neither sorts nor builds a list, and a repeat of the test
+    item among its own candidates never orders before it."""
+    if np.ndim(scores) == 1:
+        return int(rank_candidates(scores[None], np.asarray(candidates)[None], np.array([test_item]))[0])
+    cand, test = np.asarray(candidates), np.asarray(test_item)[:, None]
+    missing = ~np.any(cand == test, axis=1)
+    if missing.any():
+        raise ProtocolError(f"test item {test[missing, 0][0]} not among the ranked candidates")
+    # Gathered by flat index: np.take is several times faster than take_along_axis.
+    rows = np.arange(len(cand))[:, None] * scores.shape[1]
+    s, t = np.take(scores, cand + rows), np.take(scores, test + rows)
+    before = (s > t) | ((s == t) & (cand < test))
+    for r in np.flatnonzero(np.isnan(t[:, 0])):
+        # A NaN test score orders after every number and ties with NaN.
+        nan = np.isnan(s[r])
+        before[r] = ~nan | (nan & (cand[r] < test[r]))
+    return np.count_nonzero(before, axis=1) + 1
 
 
-def hr_ndcg_at_k(rank: int, k: int) -> tuple[int, float]:
-    """Hit indicator and positional discount of a 1-based rank: a miss
-    (rank > k) scores (0, 0.0) and a rank-1 hit scores (1, 1.0)."""
-    if rank > k:
-        return 0, 0.0
-    return 1, float(1.0 / np.log2(rank + 1))
+def hr_ndcg_at_k(rank, k: int):
+    """Hit indicator and positional discount of 1-based ranks: a miss
+    (rank > k) scores (0, 0.0) and a rank-1 hit scores (1, 1.0). An array
+    of ranks gives an int64 array of hits and a float64 array of discounts;
+    one rank gives (int, float). Each discount is the scalar
+    `float(1.0 / np.log2(rank + 1))`, which a vectorised log2 may round
+    differently."""
+    ranks = np.asarray(rank)
+    hits = ranks <= k
+    ndcgs = np.zeros(ranks.shape)
+    ndcgs[hits] = [float(1.0 / np.log2(r + 1)) for r in ranks[hits].tolist()]
+    return (int(hits), float(ndcgs)) if ranks.ndim == 0 else (hits.astype(np.int64), ndcgs)
 
 
-def _rbo(ids_a: np.ndarray, ids_b: np.ndarray, p: float, num_ids: int) -> float:
-    """Truncated RBO of two equal-length arrays of distinct ids in [0, num_ids).
-    The weights p^(d-1) and every sum are built in order (`cumprod`/`cumsum`),
-    as the definition spells them out."""
+def _rbo(ids_a: np.ndarray, ids_b: np.ndarray, p: float, stride: int) -> np.ndarray:
+    """Truncated RBO of each row of ids_a against the same row of ids_b, two
+    (B, k) arrays whose rows hold distinct ids in [0, stride). The weights
+    p^(d-1) and every sum are built in order along the row
+    (`cumprod`/`cumsum`), as the definition spells them out."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"persistence p must lie in (0, 1), got {p}")
-    k = ids_a.size
+    b, k = ids_a.shape
     steps = np.full(k, p)
     steps[0] = 1.0
     weights = np.cumprod(steps)
-    # Where each of a's ids sits in b (k when absent): it is in both
-    # prefixes from depth max(its own position, that one) + 1 on.
+    # Where each of a's ids sits in its row of b (k when absent), found by a
+    # search among b's ids offset by row * stride, so rows never meet: it
+    # is in both prefixes from depth max(its own position, that one) + 1 on.
     positions = np.arange(k)
-    in_b = np.full(num_ids, k)
-    in_b[ids_b] = positions
-    overlap = np.cumsum(np.bincount(np.maximum(positions, in_b[ids_a]), minlength=k + 1)[:k])
-    return float(np.cumsum(weights * overlap / (positions + 1))[-1] / np.cumsum(weights)[-1])
+    offsets = np.arange(b)[:, None] * stride
+    keys_b = (ids_b + offsets).ravel()
+    order = np.argsort(keys_b)
+    sorted_b, keys_a = keys_b[order], (ids_a + offsets).ravel()
+    at = np.minimum(np.searchsorted(sorted_b, keys_a), sorted_b.size - 1)
+    in_b = np.where(sorted_b[at] == keys_a, order[at] % k, k).reshape(b, k)
+    depth = np.maximum(positions, in_b) + np.arange(b)[:, None] * (k + 1)  # offset by row, as above
+    entered = np.bincount(depth.ravel(), minlength=b * (k + 1)).reshape(b, k + 1)[:, :k]
+    overlap = np.cumsum(entered, axis=1)
+    return np.cumsum(weights * overlap / (positions + 1), axis=1)[:, -1] / np.cumsum(weights)[-1]
 
 
 def rbo_truncated(list_a, list_b, p: float) -> float:
@@ -96,30 +120,63 @@ def rbo_truncated(list_a, list_b, p: float) -> float:
         raise ShapeError(f"lists must have equal length, got {len(list_a)} and {len(list_b)}")
     if len(set(list_a)) != len(list_a) or len(set(list_b)) != len(list_b):
         raise ValueError("ranked lists must not contain duplicate items")
-    ids, dense = np.unique(np.concatenate([list_a, list_b]).astype(np.int64), return_inverse=True)
-    return _rbo(dense[: len(list_a)], dense[len(list_a) :], p, ids.size)
+    ids_a, ids_b = (np.asarray(ids, dtype=np.int64)[None] for ids in (list_a, list_b))
+    return float(_rbo(ids_a, ids_b, p, 0)[0])
 
 
-def top_k_ids(scores: np.ndarray, k: int) -> np.ndarray:
-    """Top-k item ids by descending score, ties broken by ascending id (NaN
-    scores last), as an int array."""
-    neg = -np.asarray(scores)
-    ids = np.arange(len(neg))
-    if k < len(neg):
-        # Only items scoring at or above the k-th best can make the list
-        # (NaN ones are kept too: a NaN k-th score keeps every item).
-        ids = np.flatnonzero(~(neg > np.partition(neg, k - 1)[k - 1]))
-    return ids[np.lexsort((ids, neg[ids]))[:k]]
+def top_k_ids(scores: np.ndarray, k: int, workspace: Workspace | None = None) -> np.ndarray:
+    """Each row's top-k item ids by descending score, ties broken by
+    ascending id (NaN scores last), as a (B, min(k, M)) int array for (B, M)
+    scores; a 1-D call is a block of one and gives one row. Scores compare
+    by value, so -0.0 ties with 0.0. The partitioned copy and the selection
+    mask are `workspace` buffers, one pair per block shape, when one is
+    given."""
+    if np.ndim(scores) == 1:
+        return top_k_ids(np.asarray(scores)[None], k, workspace)[0]
+    if workspace is None:
+        workspace = Workspace()
+    b, m = scores.shape
+    if k >= m:
+        return np.argsort(-scores, axis=1, kind="stable")
+    # Only items scoring at or above the k-th best can make a row's list
+    # (NaN ones are kept too: a NaN k-th score keeps every item).
+    neg = np.negative(scores, out=workspace.buffer(("top_k_ids", "neg", b), scores.shape, scores.dtype))
+    neg.partition(k - 1, axis=1)
+    keep = np.less(scores, -neg[:, k - 1 : k], out=workspace.buffer(("top_k_ids", "keep", b), scores.shape, bool))
+    np.logical_not(keep, out=keep)
+    # Every row keeps at least k items. Rows that keep exactly k (no tie at
+    # the k-th score, no NaN) only need their kept items sorted, and a
+    # stable sort of their scores keeps equal scores in ascending id order.
+    kept = np.flatnonzero(keep)
+    exact = np.ones(b, dtype=bool)
+    if kept.size > b * k:
+        exact = np.count_nonzero(keep, axis=1) == k
+        kept = kept[exact[kept // m]]
+    kept = kept.reshape(-1, k)
+    top = np.empty((b, k), dtype=np.intp)
+    top[exact] = np.take_along_axis(kept, np.argsort(-np.take(scores, kept), axis=1, kind="stable"), axis=1) % m
+    for r in np.flatnonzero(~exact):
+        ids = np.flatnonzero(keep[r])
+        top[r] = ids[np.lexsort((ids, -scores[r, ids]))[:k]]
+    return top
 
 
 def view_consistency_rbo(
-    personal_scores: np.ndarray, global_scores: np.ndarray, k_prime: int, p: float
-) -> float:
-    """RBO between a client's top-k' lists under the personal view (its
+    personal_scores: np.ndarray,
+    global_scores: np.ndarray,
+    k_prime: int,
+    p: float,
+    workspace: Workspace | None = None,
+):
+    """RBO between each client's top-k' lists under the personal view (its
     scores of the personal table's rows) and the global view (its scores of
-    the enhanced consensus's rows)."""
-    top_personal, top_global = top_k_ids(personal_scores, k_prime), top_k_ids(global_scores, k_prime)
-    return _rbo(top_personal, top_global, p, len(personal_scores))
+    the enhanced consensus's rows): (B, M) score blocks give B RBOs, and a
+    1-D call is a block of one and gives one float."""
+    if np.ndim(personal_scores) == 1:
+        return float(view_consistency_rbo(personal_scores[None], global_scores[None], k_prime, p, workspace)[0])
+    top_personal = top_k_ids(personal_scores, k_prime, workspace)
+    top_global = top_k_ids(global_scores, k_prime, workspace)
+    return _rbo(top_personal, top_global, p, personal_scores.shape[1])
 
 
 def correlation_matrix(c_e: np.ndarray, v: np.ndarray, clip: float = 0.003) -> np.ndarray:

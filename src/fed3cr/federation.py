@@ -27,7 +27,7 @@ from .datasets import InteractionDataset, NegativeSampler, build_eval_candidates
 from .errors import AggregationError, ConfigurationError, ShapeError
 from .evaluation import RoundMetrics, hr_ndcg_at_k, rank_candidates, view_consistency_rbo
 from .losses import COMPLEMENTARITY_KINDS, EQ12_MODES, LossBreakdown, total_loss_t
-from .model import ENHANCEMENT_KINDS, ClientState, TransferNet, forward_pass, init_client, init_client_net
+from .model import ENHANCEMENT_KINDS, ClientState, TransferNet, forward_pass, init_client, init_client_net, net_pass
 
 # label -> (enhancement kind, l_a on, l_o on, personal table). C0 is bare
 # additive fusion, C1 adds the enhancement, C2/C3/C4 add only the auxiliary
@@ -408,42 +408,67 @@ def evaluate_round(
     loss_means: LossBreakdown,
     workspace: Workspace | None = None,
 ) -> RoundMetrics:
-    # Each client scores as it would after downloading the freshest shared
-    # blocks. Scoring only reads them, so every client reads the server's,
-    # through its forward pass with `tape=False`: the net's activations are
-    # `workspace` buffers, read before the next client.
-    hrs, ndcgs, rbos = [], [], []
-    for client in clients:
-        positives = ds.client_items[client.client_id]
-        if len(positives) == 0:
-            continue
-        scores = forward_pass(
-            client,
-            server.consensus,
-            server.theta,
-            positives,
-            enhancement=variant.enhancement_kind,
-            ace_scale=hp.ace_scale,
-            workspace=workspace,
-            tape=False,
-        )
-        rank = rank_candidates(scores.fused, candidates[client.client_id], ds.test_items[client.client_id])
-        hr, ndcg = hr_ndcg_at_k(rank, hp.top_k)
-        hrs.append(hr)
-        ndcgs.append(ndcg)
-        if variant.personal_table:
+    """Score every client with positives against the server's blocks and
+    average HR@K, NDCG@K and (with a personal table) the view RBO.
+
+    Each client scores as it would after downloading the freshest shared
+    blocks. Scoring only reads them, so every client reads the server's,
+    through one forward pass with `tape=False`; a row map's pass over the
+    server's table is the same for every client, so it runs once here. The
+    clients go in blocks of d: each one's score vectors are copied into
+    rows of (d, M) `workspace` blocks and its candidates into a (d, K) one,
+    padded with its test item (which never orders before itself), and the
+    ranking, top-k and RBO functions run once per block."""
+    if workspace is None:
+        workspace = Workspace()
+    evaluated = [c for c in clients if len(ds.client_items[c.client_id])]
+    global_pass = None
+    if variant.enhancement_kind in ("consensus-transfer", "unified-transfer"):
+        global_pass = net_pass(server.theta, server.consensus, workspace, "C")
+    width = max((len(candidates[c.client_id]) for c in evaluated), default=1)
+    views = ("fused", "personal", "global_view") if variant.personal_table else ("fused",)
+    block = hp.dim
+    hits, ndcgs, rbos = (np.empty(len(evaluated), dtype) for dtype in (np.int64, np.float64, np.float64))
+    for start in range(0, len(evaluated), block):
+        chunk = evaluated[start : start + block]
+        n = len(chunk)
+        cands = workspace.buffer(("evaluate_round", "candidates"), (block, width), np.int64)[:n]
+        tests = np.array([ds.test_items[c.client_id] for c in chunk], dtype=np.int64)
+        for row, client in enumerate(chunk):
+            scores = forward_pass(
+                client,
+                server.consensus,
+                server.theta,
+                ds.client_items[client.client_id],
+                enhancement=variant.enhancement_kind,
+                ace_scale=hp.ace_scale,
+                workspace=workspace,
+                tape=False,
+                global_pass=global_pass,
+            )
+            if row == 0:
+                shape, dtype = (block, scores.fused.size), scores.fused.dtype
+                blocks = {view: workspace.buffer(("evaluate_round", view), shape, dtype)[:n] for view in views}
             # The personal view is the raw table V, which unified-transfer maps before fusing.
+            for view in views:
+                blocks[view][row] = getattr(scores, view)
+            own = candidates[client.client_id]
+            cands[row, : len(own)] = own
+            cands[row, len(own) :] = tests[row]
+        done = slice(start, start + n)
+        hits[done], ndcgs[done] = hr_ndcg_at_k(rank_candidates(blocks["fused"], cands, tests), hp.top_k)
+        if variant.personal_table:
             k = min(hp.rbo_k, ds.num_items)
-            rbos.append(view_consistency_rbo(scores.personal, scores.global_view, k, hp.rbo_p))
+            rbos[done] = view_consistency_rbo(blocks["personal"], blocks["global_view"], k, hp.rbo_p, workspace)
     return RoundMetrics(
         round=round,
-        hr_at_k=float(np.mean(hrs)),
+        hr_at_k=float(np.mean(hits)),
         ndcg_at_k=float(np.mean(ndcgs)),
-        rbo=float(np.mean(rbos)) if rbos else None,
+        rbo=float(np.mean(rbos)) if variant.personal_table and evaluated else None,
         loss_rec=loss_means.l_rec,
         loss_a=loss_means.l_a,
         loss_o=loss_means.l_o,
-        clients_evaluated=len(hrs),
+        clients_evaluated=len(evaluated),
     )
 
 

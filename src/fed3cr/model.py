@@ -281,12 +281,17 @@ def forward_pass(
     consensus: np.ndarray | None = None,
     workspace: ad.Workspace | None = None,
     tape: bool = True,
+    global_pass: NetPass | None = None,
 ) -> ForwardTrace | ViewScores:
     """Run the enhancement forward from the client's private blocks, the
     shared table `table` and the net `net` (ignored when `enhancement` is
     "none"). Training calls it and gets a `ForwardTrace`; evaluation calls
     it with `tape=False` and gets the client's `ViewScores`, from the same
     prototypes, W and row-map passes but without building C_E.
+
+    A row map's pass over the global table depends on no private block:
+    `global_pass`, when given, is that `net_pass` of `net` over `table`
+    already run (evaluation maps the server's table once per round).
 
     The trace's `params` dict holds the trainable leaf tensors ("u", "C"
     for `table`, "V" and per-layer "w{l}"/"b{l}"); after a backward pass
@@ -318,7 +323,7 @@ def forward_pass(
     if enhancement == "ace":
         w_mat, fwd = transfer_matrix(net, p_g, p_p, ace_scale, workspace)
     elif enhancement != "none":
-        c_pass = net_pass(net, glob, workspace, "C")
+        c_pass = net_pass(net, glob, workspace, "C") if global_pass is None else global_pass
         if enhancement == "unified-transfer":
             v_pass = net_pass(net, own, workspace, "V")
 

@@ -264,6 +264,67 @@ def test_top_k_ids_matches_full_lexsort_oracle():
     assert top_k_ids(scores, 40)[-2:].tolist() == [7, 30]
 
 
+def random_block(rng, b, m):
+    """A (b, m) score block drawn from a few levels, so rows tie often (at
+    the k-th score too), or from many, with -0.0 next to 0.0 and, in some
+    rows, NaN."""
+    levels = int(rng.choice([rng.integers(1, 12), 10**6]))
+    block = (rng.integers(-levels, levels + 1, size=(b, m)) / levels).astype(rng.choice([np.float32, np.float64]))
+    block[rng.random((b, m)) < 0.2] = -0.0
+    nan_rows = rng.random(b) < 0.3
+    block[nan_rows[:, None] & (rng.random((b, m)) < 0.3)] = np.nan
+    return block
+
+
+def test_block_functions_match_the_one_row_references_on_random_blocks():
+    # Each block row must give what the list/lexsort references give for
+    # that row alone, and what a 1-D call (a block of one) gives.
+    rng = np.random.default_rng(31)
+    for trial in range(400):
+        b, m = int(rng.integers(1, 9)), int(rng.integers(1, 80))
+        k = int(rng.choice([1, m, m + 3, rng.integers(1, m + 1)]))
+        p = float(rng.choice([0.5, 0.9, 0.99]))
+        scores, other = random_block(rng, b, m), random_block(rng, b, m)
+        tests = rng.integers(0, m, size=b)
+        nan_tests = rng.random(b) < 0.2
+        scores[nan_tests, tests[nan_tests]] = np.nan
+        width = int(rng.integers(1, 2 * m + 2))
+        cands = rng.integers(0, m, size=(b, width))  # with replacement: ids repeat
+        cands[np.arange(b), rng.integers(0, width, size=b)] = tests
+        padded = np.arange(width) >= rng.integers(0, width + 1, size=b)[:, None]
+        cands = np.where(padded, tests[:, None], cands)  # rows may end in copies of their test item, as padding does
+
+        ranks = rank_candidates(scores, cands, tests)
+        expected = [old_ranked(scores[r], cands[r]).index(tests[r]) + 1 for r in range(b)]
+        assert ranks.tolist() == expected, trial
+        assert [rank_candidates(scores[r], cands[r], tests[r]) for r in range(b)] == expected
+
+        hits, ndcgs = hr_ndcg_at_k(ranks, k)
+        assert list(zip(hits.tolist(), ndcgs.tolist())) == [hr_ndcg_at_k(r, k) for r in expected]
+
+        top = top_k_ids(scores, k)
+        assert top.tolist() == [list_top_k(scores[r], k) for r in range(b)], trial
+        assert [top_k_ids(scores[r], k).tolist() for r in range(b)] == top.tolist()
+
+        rbos = view_consistency_rbo(scores, other, k, p)
+        lists = [(list_top_k(scores[r], k), list_top_k(other[r], k)) for r in range(b)]
+        assert rbos.tolist() == [list_rbo(a, o, p) for a, o in lists], trial
+        assert [view_consistency_rbo(scores[r], other[r], k, p) for r in range(b)] == rbos.tolist()
+
+    scores = np.zeros((3, 5))
+    cands = np.array([[0, 1, 2], [3, 4, 4], [1, 1, 2]])
+    with pytest.raises(ProtocolError, match="test item 3 not among"):
+        rank_candidates(scores, cands, np.array([2, 4, 3]))
+
+
+def test_block_ndcg_discount_is_the_scalar_one_at_every_rank():
+    for k in range(1, 101):
+        ranks = np.arange(1, k + 2)
+        hits, ndcgs = hr_ndcg_at_k(ranks, k)
+        assert hits.tolist() == [1] * k + [0]
+        assert ndcgs.tolist() == [float(1.0 / np.log2(r + 1)) for r in range(1, k + 1)] + [0.0]
+
+
 def test_correlation_export_orthogonal_pair_all_zero(tmp_path):
     c_e = np.array([[1.0, 2.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
     v = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 1.0], [1.0, -2.0]])

@@ -1,10 +1,16 @@
 import dataclasses
+import importlib
+import importlib.util
+import os
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fed3cr import federation, model
 from fed3cr.autodiff import Tensor, Workspace
 from fed3cr.datasets import NegativeSampler, build_eval_candidates, leave_one_out_split
 from fed3cr.errors import AggregationError, ConfigurationError, ShapeError
@@ -26,6 +32,7 @@ from fed3cr.federation import (
 from fed3cr.losses import LossBreakdown
 from fed3cr.model import ClientState, TransferNet, forward_pass, init_client, init_client_net
 from fed3cr.toy import generate_toy_dataset
+from tests.test_evaluation import list_rbo, list_top_k, old_ranked
 
 TOY = leave_one_out_split(generate_toy_dataset(seed=0), seed=0)
 
@@ -684,3 +691,108 @@ def test_warm_evaluate_round_allocates_less_than_one_table():
         finally:
             tracemalloc.stop()
     assert all(peak < ds.num_items * hp.dim * 4 for peak in peaks.values()), peaks
+
+
+def without_positives(ds, n, client=1):
+    """The first n clients of `ds`, with `client` (when among them) left
+    without train positives."""
+    items = [ds.client_items[c][: 0 if c == client else None] for c in range(n)]
+    return dataclasses.replace(ds, num_clients=n, client_items=items, test_items=ds.test_items[:n], user_ids=ds.user_ids[:n])
+
+
+def per_client_metrics(clients, server, ds, hp, variant, candidates):
+    """HR, NDCG and RBO means and the clients evaluated, one client at a
+    time: its own forward pass (a row map maps the server's table in it)
+    and the list/lexsort references of the ranking functions."""
+    hits, ndcgs, rbos = [], [], []
+    for client in clients:
+        positives = ds.client_items[client.client_id]
+        if len(positives) == 0:
+            continue
+        scores = forward_pass(
+            client, server.consensus, server.theta, positives, enhancement=variant.enhancement_kind, ace_scale=hp.ace_scale, tape=False
+        )
+        rank = old_ranked(scores.fused, candidates[client.client_id]).index(ds.test_items[client.client_id]) + 1
+        hits.append(int(rank <= hp.top_k))
+        ndcgs.append(float(1.0 / np.log2(rank + 1)) if rank <= hp.top_k else 0.0)
+        if variant.personal_table:
+            k = min(hp.rbo_k, ds.num_items)
+            rbos.append(list_rbo(list_top_k(scores.personal, k), list_top_k(scores.global_view, k), hp.rbo_p))
+    return float(np.mean(hits)), float(np.mean(ndcgs)), float(np.mean(rbos)) if rbos else None, len(hits)
+
+
+@pytest.mark.parametrize("negatives", [20, -1])
+@pytest.mark.parametrize("name", ["Fed3CR", "FedMF", "consensus-transfer", "unified-transfer"])
+def test_evaluate_round_matches_the_per_client_reference_at_every_block_edge(name, negatives):
+    # Evaluation ranks blocks of d clients: 1, d - 1, d, d + 1 and 2d + 3
+    # clients fill one block in part or in full, or spill into a last
+    # partial one. Client 1 has no positives and is skipped; under full
+    # ranking the candidate rows differ in length and are padded. With
+    # top_k at half the items, NDCG reads most ranks exactly.
+    variant = EVAL_VARIANTS[name]
+    hp = dataclasses.replace(FAST, rounds=1, eval_negatives=negatives, rbo_k=30, top_k=TOY.num_items // 2)
+    result = run_training(TOY, hp, variant)
+    no_loss = LossBreakdown(0.0, 0.0, 0.0, 0.0, hp.beta_a, hp.beta_o)
+    d = hp.dim
+    for n in (1, d - 1, d, d + 1, 2 * d + 3):
+        ds = without_positives(TOY, n)
+        clients = result.clients[:n]
+        candidates = [build_eval_candidates(ds, c, negatives, hp.seed) for c in range(n)]
+        got = evaluate_round(clients, result.server, ds, hp, variant, candidates, 0, no_loss)
+        expected = per_client_metrics(clients, result.server, ds, hp, variant, candidates)
+        assert (got.hr_at_k, got.ndcg_at_k, got.rbo, got.clients_evaluated) == expected, n
+        assert got.clients_evaluated == n - (n > 1)
+
+
+@pytest.mark.parametrize("name", list(EVAL_VARIANTS))
+def test_evaluate_round_runs_one_forward_pass_per_client_and_maps_the_table_once(name, monkeypatch):
+    # The benchmark counts `federation.forward_pass` calls: evaluation makes
+    # one per evaluated client. A row map's pass over the server's table is
+    # the same for every client, so it runs once per evaluated round.
+    variant = EVAL_VARIANTS[name]
+    ds = without_positives(TOY, TOY.num_clients)
+    server = init_server(ds, FAST, variant)
+    clients = [init_client(FAST.seed, FAST.dim, ds.num_items, client_id=c) for c in range(ds.num_clients)]
+    for client in clients:
+        if not variant.personal_table:
+            client.personal_table = None
+    candidates = [build_eval_candidates(ds, c, FAST.eval_negatives, FAST.seed) for c in range(ds.num_clients)]
+    calls = {"forward_pass": 0, "table net_pass": 0}
+    real_forward, real_net = federation.forward_pass, model.net_pass
+
+    def counted_forward(*args, **kwargs):
+        calls["forward_pass"] += 1
+        return real_forward(*args, **kwargs)
+
+    def counted_net(net, x, *args, **kwargs):
+        calls["table net_pass"] += x is server.consensus
+        return real_net(net, x, *args, **kwargs)
+
+    monkeypatch.setattr(federation, "forward_pass", counted_forward)
+    monkeypatch.setattr(federation, "net_pass", counted_net)
+    monkeypatch.setattr(model, "net_pass", counted_net)
+    no_loss = LossBreakdown(0.0, 0.0, 0.0, 0.0, FAST.beta_a, FAST.beta_o)
+    evaluate_round(clients, server, ds, FAST, variant, candidates, 0, no_loss)
+    row_map = variant.enhancement_kind in ("consensus-transfer", "unified-transfer")
+    assert calls == {"forward_pass": ds.num_clients - 1, "table net_pass": int(row_map)}
+
+
+def test_federation_binds_every_name_the_benchmark_wraps(monkeypatch):
+    # perfbench/rep.py times the program by replacing the names in its
+    # LAYERS where callers look them up; a name that moves is reported
+    # absent and its layer goes dark. Loading rep.py pins BLAS threads in
+    # the environment and extends sys.path, so both are restored after.
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_rep", Path(__file__).resolve().parents[1] / "perfbench" / "rep.py"
+    )
+    rep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(rep)
+    assert any(module == "fed3cr.federation" for _, module, _ in rep.LAYERS)
+    for name, module, attr in rep.LAYERS:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            assert hasattr(owner, part), (name, module, attr)
+            owner = getattr(owner, part)
+        assert callable(owner), name
