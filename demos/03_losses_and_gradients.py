@@ -19,9 +19,8 @@ from fed3cr import (
     orthogonality_loss,
     rec_loss,
     top_one_distribution,
-    total_loss,
+    total_loss_t,
 )
-from fed3cr.losses import total_loss_t
 from fed3cr.model import init_client_net
 
 print("=== Recommendation BCE ===")
@@ -54,7 +53,7 @@ net = init_client_net(rng, 4, (2, 4), dtype=np.float64)
 positives = np.array([0, 2, 4])
 trace = forward_pass(state, table, net, positives)
 items, labels = np.array([0, 1, 2, 3, 5]), np.array([1, 0, 1, 0, 0])
-parts = total_loss(trace, (items, labels), beta_a=0.5, beta_o=0.5)
+_, parts = total_loss_t(trace, items, labels, beta_a=0.5, beta_o=0.5)
 print(f"rec {parts.l_rec:.4f} + 0.5*consistency {parts.l_a:.4f} + 0.5*orthogonality {parts.l_o:.4f}"
       f" = {parts.total:.4f}")
 

@@ -55,7 +55,7 @@ from .losses import (
     orthogonality_loss,
     rec_loss,
     top_one_distribution,
-    total_loss,
+    total_loss_t,
 )
 from .model import (
     ClientState,
@@ -65,7 +65,7 @@ from .model import (
     init_client,
 )
 from .numerics import GradCheckReport, grad_check
-from .toy import generate_toy_dataset, write_toy_dataset_csv
+from .toy import generate_toy_dataset
 
 __version__ = "0.1.0"
 
@@ -117,9 +117,8 @@ __all__ = [
     "save_server_state",
     "select_clients",
     "top_one_distribution",
-    "total_loss",
+    "total_loss_t",
     "toy_example_report",
     "verify_bound",
     "view_consistency_rbo",
-    "write_toy_dataset_csv",
 ]

@@ -1,20 +1,15 @@
-"""Reverse-mode gradients over closed-form nodes.
+"""Gradients of the client step's objective through one closed-form node.
 
-Every op is a `fused` node whose backward is written in closed form: the
-training step records its whole objective as one such node over the
-trainable leaves (see `losses.total_loss_t`). `backward` walks the
-recorded graph in reverse topological order and sums the contributions a
-tensor receives, so a leaf that feeds several nodes gets the sum of all
-of them.
+A `Tensor` is a leaf (a trainable array, see `parameter`) or the one node
+`fused` records over leaves: the training step's whole objective (see
+`losses.total_loss_t`), whose vjp is written in closed form. `backward`
+calls that vjp once and sets each leaf's `.grad` to the array returned
+for it. A node cannot be a parent, since nothing would carry its
+gradient on to the leaves under it.
 
-Only parents that need a gradient are recorded as edges, so constants
-cost nothing in `backward`. A node's first contribution becomes its
-`.grad` as is and later ones are added into it in place, so a vjp must
-return arrays that no other node holds: new ones, or `Workspace` buffers
-its caller handed in for that one role. During `backward` a `.grad` is
-written only by that accumulation and `.data` never. Once it returns, the
-caller that built the graph may use a leaf's `.grad` as scratch (the
-client step's SGD scales it in place).
+The one ownership rule: no two leaves' gradients may share memory, nor
+share it with any leaf's data, because the client step's SGD scales each
+`.grad` in place before subtracting it.
 """
 
 from __future__ import annotations
@@ -75,76 +70,49 @@ class Workspace:
 
 
 class Tensor:
-    """A numpy array, its gradient, and the node that computed it."""
+    """A leaf array and its gradient, or the objective node over leaves."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_edges", "_vjp")
+    __slots__ = ("data", "grad", "_parents", "_vjp")
 
     def __init__(
         self,
         data: np.ndarray,
-        requires_grad: bool = False,
         _parents: tuple["Tensor", ...] = (),
         _vjp: Callable[[np.ndarray], tuple] | None = None,
     ):
         self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
-        # (parent, position of its gradient in what _vjp returns)
-        self._edges = [(parent, i) for i, parent in enumerate(_parents) if parent.requires_grad]
+        self._parents = _parents
         self._vjp = _vjp
-        self.requires_grad = requires_grad or bool(self._edges)
 
     def item(self) -> float:
         return float(self.data)
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, leaf={self._vjp is None})"
 
     def backward(self) -> None:
-        """Fill `.grad` on every reachable tensor with d(self)/d(tensor)."""
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen or not node.requires_grad:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent, _ in node._edges:
-                stack.append((parent, False))
-
-        self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if not node._edges or node.grad is None:
-                continue
-            grads = node._vjp(node.grad)
-            for parent, i in node._edges:
-                contribution = grads[i]
-                if contribution is None:
-                    continue
-                if parent.grad is None:
-                    parent.grad = np.asarray(contribution, dtype=parent.data.dtype)
-                else:
-                    parent.grad += contribution
+        """Set each leaf's `.grad` to d(self)/d(leaf), in the leaf's dtype,
+        from one call of this node's vjp; a leaf it gives None gets None."""
+        for leaf, grad in zip(self._parents, self._vjp(np.ones_like(self.data))):
+            leaf.grad = None if grad is None else np.asarray(grad, dtype=leaf.data.dtype)
 
 
 def parameter(x: np.ndarray) -> Tensor:
     """Wrap an array as a trainable leaf."""
-    return Tensor(x, requires_grad=True)
+    return Tensor(x)
 
 
-def fused(value: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable[[np.ndarray], tuple]) -> Tensor:
-    """One node for a multi-input op with a closed-form backward.
+def fused(value: np.ndarray, leaves: tuple[Tensor, ...], vjp: Callable[[np.ndarray], tuple]) -> Tensor:
+    """The objective node: `value` over `leaves`, with a closed-form backward.
 
-    `vjp(g)` returns one gradient per parent, or None for a parent it
-    leaves unchanged; each is a new array or a workspace buffer that no
-    other node holds (`backward` may add into it in place). It runs once
-    per backward pass, however many of the parents need a gradient.
+    `vjp(g)` runs once per `backward` and returns one gradient per leaf, or
+    None for a leaf it gives none; no two of them may share memory (see the
+    module docstring). A leaf that is itself a node raises `ValueError`.
     """
-    return Tensor(value, _parents=parents, _vjp=vjp)
+    if any(leaf._vjp is not None for leaf in leaves):
+        raise ValueError("fused takes leaves only; a node parent's own leaves would get no gradient")
+    return Tensor(value, leaves, vjp)
 
 
 def logistic(x: np.ndarray) -> np.ndarray:

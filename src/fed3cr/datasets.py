@@ -266,7 +266,6 @@ class NegativeSampler:
         self.seed = seed
         self.negatives_per_positive = negatives_per_positive
         self._rngs: dict[int, np.random.Generator] = {}
-        self._universe: dict[int, np.ndarray] = {}
 
     def _client_rng(self, client: int) -> np.random.Generator:
         if client not in self._rngs:
@@ -274,10 +273,9 @@ class NegativeSampler:
         return self._rngs[client]
 
     def candidate_universe(self, client: int) -> np.ndarray:
-        """Items the client never interacted with (train positives and test excluded)."""
-        if client not in self._universe:
-            self._universe[client] = _unseen_items(self.dataset, client)
-        return self._universe[client]
+        """Items the client never interacted with (train positives and test
+        excluded), built on each call so that a run keeps no per-client copy."""
+        return _unseen_items(self.dataset, client)
 
     def sample_batch(self, client: int, batch_size: int = 2048) -> tuple[np.ndarray, np.ndarray]:
         """Return (item_ids, labels) interleaving each positive with its negatives."""

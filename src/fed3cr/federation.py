@@ -16,6 +16,7 @@ next client starts, so a round holds no upload beyond the one in training.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -149,6 +150,8 @@ class HyperParams:
         require(0.0 < self.rbo_p < 1.0, "rbo_p", "must lie in (0, 1)")
         require(self.lr > 0.0, "lr", "must be positive")
         require(self.lr_gamma > 0.0, "lr_gamma", "must be positive")
+        for name in ("lr", "lr_gamma", "beta_a", "beta_o", "ace_scale"):
+            require(math.isfinite(getattr(self, name)), name, "must be finite")
         require(self.eq12_mode in EQ12_MODES, "eq12_mode", f"must be one of {EQ12_MODES}")
         require(self.ace_init in ("zero", "identity"), "ace_init", "must be zero or identity")
         require(self.dtype in ("float32", "float64"), "dtype", "must be float32 or float64")
@@ -365,7 +368,7 @@ def local_update(
             np.multiply(grad, lr * scale, out=grad)
             tensor.data -= grad
         breakdowns.append(breakdown)
-        del trace, total  # drop this step's graph before the next one is built
+        del trace, total  # free this step's objective node and trace before the next forward pass
 
     upload = Upload(client_id=state.client_id, consensus=table, transfer_net=net)
     return upload, _mean_breakdown(breakdowns)

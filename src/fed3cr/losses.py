@@ -308,15 +308,3 @@ def total_loss_t(
     )
     return ad.fused(total, tuple(trace.params.values()), vjp), breakdown
 
-
-def total_loss(
-    trace: ForwardTrace,
-    batch: tuple[np.ndarray, np.ndarray],
-    beta_a: float,
-    beta_o: float,
-    **kwargs,
-) -> LossBreakdown:
-    """Evaluate the combined objective for a fresh forward trace."""
-    items, labels = batch
-    _, breakdown = total_loss_t(trace, items, labels, beta_a, beta_o, **kwargs)
-    return breakdown

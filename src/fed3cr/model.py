@@ -174,9 +174,11 @@ class ForwardTrace:
     table V_F: the enhanced global table and the personal view, or a
     federated-MF client's trained table alone. Training scores only the
     batch rows of each view and never builds V_F. `params` holds the
-    trainable leaf tensors. `pullback(grads)` maps gradients w.r.t. these
+    trainable leaves, over which `losses.total_loss_t` records the step's
+    objective as one node. `pullback(grads)` maps gradients w.r.t. these
     arrays and the leaves' own arrays, keyed by `id` of the array, to one
-    gradient per leaf in `params` order (None for a leaf that gets none).
+    gradient per leaf in `params` order (None for a leaf that gets none);
+    no two of them share memory, as that node's backward requires.
     """
 
     p_G: np.ndarray
@@ -287,7 +289,8 @@ def forward_pass(
     shared table `table` and the net `net` (ignored when `enhancement` is
     "none"). Training calls it and gets a `ForwardTrace`; evaluation calls
     it with `tape=False` and gets the client's `ViewScores`, from the same
-    prototypes, W and row-map passes but without building C_E.
+    W or row-map passes but without building C_E (and, but for ACE's W,
+    without the prototypes).
 
     A row map's pass over the global table depends on no private block:
     `global_pass`, when given, is that `net_pass` of `net` over `table`
@@ -318,7 +321,8 @@ def forward_pass(
     single = client.personal_table is None
     own = table if single else client.personal_table  # the personal role
     glob = table if not single or consensus is None else consensus  # the global role
-    p_g, p_p = _prototype(glob, positives), _prototype(own, positives)
+    if tape or enhancement == "ace":  # scoring reads the prototypes only through W
+        p_g, p_p = _prototype(glob, positives), _prototype(own, positives)
     w_mat = c_pass = v_pass = None
     if enhancement == "ace":
         w_mat, fwd = transfer_matrix(net, p_g, p_p, ace_scale, workspace)

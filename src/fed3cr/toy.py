@@ -86,17 +86,3 @@ def generate_toy_dataset(
         item_index={i: k for k, i in enumerate(item_ids)},
     )
 
-
-def write_toy_dataset_csv(path: str, **kwargs) -> InteractionDataset:
-    """Materialize the toy dataset as a CSV usable by the standard loader.
-
-    The loader rebuilds the item universe from observed interactions, so
-    items that no client happened to draw will not survive a round trip.
-    """
-    ds = generate_toy_dataset(**kwargs)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("user,item\n")
-        for client, items in enumerate(ds.client_items):
-            for item in items:
-                fh.write(f"{ds.user_ids[client]},{ds.item_ids[int(item)]}\n")
-    return ds

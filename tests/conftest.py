@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from fed3cr.model import ClientState, init_client_net
+from fed3cr.losses import total_loss_t
+from fed3cr.model import ClientState, forward_pass, init_client, init_client_net
 from fed3cr.numerics import grad_check
 
 
@@ -26,6 +27,19 @@ def _with_block(name, p, client, table, net):
     net = net.copy()
     (net.weights if name[0] == "w" else net.biases)[int(name[1:])] = p
     return client, table, net
+
+
+def build_fed3cr_step(dtype=np.float32, seed=0):
+    """A Fed3CR step at toy shape (96 items, d=16): (objective node, trace)."""
+    m, d = 96, 16
+    state = init_client(seed=seed, d=d, M=m, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    table = rng.normal(0, 0.01, (m, d)).astype(dtype)
+    net = init_client_net(rng, d, (2, 4), dtype=dtype)
+    trace = forward_pass(state, table, net, np.arange(0, m, 12), enhancement="ace")
+    items = np.arange(40)
+    total, _ = total_loss_t(trace, items, (items % 5 == 0).astype(int), beta_a=0.5, beta_o=0.5)
+    return total, trace
 
 
 def sum_views(trace):
@@ -60,6 +74,11 @@ def shared_blocks():
 @pytest.fixture
 def block_grad_check():
     return check_block_gradients
+
+
+@pytest.fixture
+def fed3cr_step():
+    return build_fed3cr_step
 
 
 @pytest.fixture

@@ -29,7 +29,6 @@ from fed3cr.losses import (
     consistency_loss,
     orthogonality_loss,
     rec_loss,
-    total_loss,
     total_loss_t,
 )
 from fed3cr.model import forward_pass, init_client, init_client_net
@@ -139,7 +138,7 @@ def test_criterion_3_loss_unit_values():
     rng = np.random.default_rng(3)
     table = rng.normal(0, 0.01, (6, 4))
     trace = forward_pass(state, table, init_client_net(rng, 4, (2, 4), dtype=np.float64), np.array([0, 1, 2]))
-    b = total_loss(trace, (np.array([0, 3, 4]), np.array([1, 0, 0])), beta_a=1.0, beta_o=1.0)
+    _, b = total_loss_t(trace, np.array([0, 3, 4]), np.array([1, 0, 0]), beta_a=1.0, beta_o=1.0)
     composed = abs(b.total - (b.l_rec + b.l_a + b.l_o))
 
     ok = (

@@ -1,4 +1,4 @@
-"""The gradient engine: `backward` over test-local `fused` nodes, and `add_rows`."""
+"""The gradient engine: one `fused` node's `backward` over its leaves, and `add_rows`."""
 
 import numpy as np
 import pytest
@@ -10,99 +10,6 @@ from fed3cr.numerics import grad_check
 RNG = np.random.default_rng(42)
 
 
-# Closed-form nodes built for these tests. Each vjp returns new arrays, as
-# `fused` requires: `add` copies its gradient for each parent, so a node
-# that names one parent twice (add(a, a)) hands it two separate arrays.
-
-
-def add(a, b):
-    return ad.fused(a.data + b.data, (a, b), lambda g: (g.copy(), g.copy()))
-
-
-def mul(a, b):
-    return ad.fused(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
-
-
-def dot(a, w):
-    """a @ w for a matrix `a` and a constant array `w`."""
-    return ad.fused(a.data @ w, (a,), lambda g: (g @ w.T if w.ndim == 2 else np.outer(g, w),))
-
-
-def total(a):
-    return ad.fused(a.data.sum(), (a,), lambda g: (np.full_like(a.data, g),))
-
-
-def constant(x):
-    return ad.Tensor(np.asarray(x))
-
-
-def check_all_inputs(build, *arrays):
-    """grad_check every input of `build` (tensors in, scalar tensor out) in float64."""
-    params = [ad.parameter(a.copy()) for a in arrays]
-    build(*params).backward()
-    for i, a in enumerate(arrays):
-
-        def f(p, i=i):
-            args = [constant(x) for x in arrays]
-            args[i] = constant(p)
-            return build(*args).item()
-
-        report = grad_check(f, a, params[i].grad)
-        assert report.passed, (i, report)
-    return params
-
-
-def test_diamond_graph_accumulates_both_paths():
-    # y = sum(x * x) + sum(x): dx = 2x + 1; x feeds two paths.
-    x = RNG.normal(size=5)
-    (t,) = check_all_inputs(lambda a: add(total(mul(a, a)), total(a)), x)
-    assert np.allclose(t.grad, 2 * x + 1)
-
-
-def test_leaf_with_three_contributions():
-    x = RNG.normal(size=(2, 3))
-    proj = np.random.default_rng(8).normal(size=(2, 3))
-    w = np.random.default_rng(9).normal(size=3)
-
-    def build(a):
-        return add(add(total(mul(a, constant(proj))), total(dot(a, w))), total(mul(a, a)))
-
-    (t,) = check_all_inputs(build, x)
-    assert np.allclose(t.grad, proj + w + 2 * x)
-
-
-def test_self_add_fan_out():
-    # one node names the same parent twice: both contributions add up
-    x = RNG.normal(size=(3, 4))
-    proj = np.random.default_rng(5).normal(size=(3, 4))
-    (t,) = check_all_inputs(lambda a: total(mul(add(a, a), constant(proj))), x)
-    assert np.allclose(t.grad, 2 * proj)
-
-
-def test_subexpression_feeding_add_and_mul():
-    x, y = RNG.normal(size=5), RNG.normal(size=5)
-    proj = np.random.default_rng(6).normal(size=5)
-
-    def build(a, b):
-        s = mul(a, b)
-        return add(total(mul(add(s, a), constant(proj))), total(mul(s, s)))
-
-    check_all_inputs(build, x, y)
-
-
-def test_constants_do_not_collect_grads():
-    # a parent that needs no gradient gets no edge, and a node over
-    # constants alone needs none itself
-    c = constant(np.ones(3))
-    t = ad.parameter(np.ones(3))
-    product = mul(c, t)
-    assert [parent for parent, _ in product._edges] == [t]
-    assert not mul(c, c).requires_grad and mul(c, c)._edges == []
-    total(product).backward()
-    assert c.grad is None
-    assert np.allclose(t.grad, np.ones(3))
-
-
 def test_vjp_runs_once_per_backward():
     calls = []
     a, b = ad.parameter(RNG.normal(size=3)), ad.parameter(RNG.normal(size=3))
@@ -111,27 +18,33 @@ def test_vjp_runs_once_per_backward():
         calls.append(g)
         return g * b.data, g * a.data
 
-    total(ad.fused(a.data * b.data, (a, b), vjp)).backward()
+    node = ad.fused(np.sum(a.data * b.data), (a, b), vjp)
+    node.backward()
     assert len(calls) == 1
     assert np.allclose(a.grad, b.data) and np.allclose(b.grad, a.data)
+    # a second backward sets the gradients again; nothing adds into the first
+    node.backward()
+    assert len(calls) == 2
+    assert np.allclose(a.grad, b.data) and np.allclose(b.grad, a.data)
+    assert node.grad is None
 
 
 def test_none_contribution_leaves_the_parent_without_one():
     a, b = ad.parameter(np.ones(2)), ad.parameter(np.ones(2))
-    total(ad.fused(a.data + b.data, (a, b), lambda g: (g.copy(), None))).backward()
+    ad.fused(np.sum(a.data + b.data), (a, b), lambda g: (np.full(2, g), None)).backward()
     assert np.array_equal(a.grad, np.ones(2))
     assert b.grad is None
 
 
 def test_dtype_preserved():
-    # the root's seed gradient has the root's dtype, so a float32 graph
-    # hands float32 gradients to its vjps
+    # the seed gradient has the node's dtype, so a float32 objective hands
+    # its vjp a float32 seed; a float64 contribution is cast to its float32 leaf's dtype
     seen = []
     t = ad.parameter(np.ones(3, dtype=np.float32))
 
     def vjp(g):
         seen.append(g.dtype)
-        return (np.full_like(t.data, g),)
+        return (np.full(3, 0.5, dtype=np.float64),)
 
     out = ad.fused(t.data.sum(), (t,), vjp)
     assert out.data.dtype == np.float32
@@ -139,42 +52,28 @@ def test_dtype_preserved():
     assert seen == [np.float32] and t.grad.dtype == np.float32
 
 
-def _fan_out_graph(dtype):
-    x = ad.parameter(RNG.normal(size=(4, 3)).astype(dtype))
-    h = dot(x, RNG.normal(size=(3, 2)).astype(dtype))
-    return add(add(total(mul(h, h)), total(mul(x, x))), total(add(h, h)))
+def test_fused_takes_leaves_only():
+    # a node under a node would leave its own leaves without a gradient
+    a = ad.parameter(RNG.normal(size=3))
+    inner = ad.fused(np.sum(a.data), (a,), lambda g: (np.full(3, g),))
+    with pytest.raises(ValueError):
+        ad.fused(inner.data * 2.0, (inner,), lambda g: (2.0 * g,))
 
 
-def _reachable(root):
-    nodes, stack, seen = [], [root], set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        nodes.append(node)
-        stack.extend(parent for parent, _ in node._edges)
-    return nodes
+def test_backward_never_changes_data(fed3cr_step):
+    total, trace = fed3cr_step(np.float64)
+    arrays = [total.data, *(leaf.data for leaf in trace.params.values()), trace.C_E, trace.p_E, *trace.views]
+    before = [a.copy() for a in arrays]
+    total.backward()
+    for a, b in zip(arrays, before):
+        assert np.array_equal(a, b)
 
 
-def test_backward_never_changes_data():
-    loss = _fan_out_graph(np.float64)
-    nodes = _reachable(loss)
-    before = [node.data.copy() for node in nodes]
-    loss.backward()
-    for node, data in zip(nodes, before):
-        assert np.array_equal(node.data, data)
-
-
-def test_float32_graph_keeps_float32_grads():
-    loss = _fan_out_graph(np.float32)
-    loss.backward()
-    for node in _reachable(loss):
-        assert node.grad.dtype == np.float32
-    # a float64 constant promotes the product, but not its float32 leaf's grad
-    t = ad.parameter(np.ones(3, dtype=np.float32))
-    total(mul(t, constant(np.full(3, 0.5)))).backward()
-    assert t.grad.dtype == np.float32
+def test_float32_graph_keeps_float32_grads(fed3cr_step):
+    total, trace = fed3cr_step(np.float32)
+    total.backward()
+    for name, leaf in trace.params.items():
+        assert leaf.grad.dtype == np.float32, name
 
 
 def test_add_rows_scatter_adds():

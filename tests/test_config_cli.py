@@ -278,6 +278,13 @@ def test_cli_run_and_exit_codes(cfg_path, tmp_path, capsys):
         ("training.lr_gamma", "-1"),
         ("eval.rbo_k", "0"),
         ("eval.rbo_p", "1.5"),
+        # a non-finite float knob would make every client's loss non-finite
+        ("training.beta_a", "nan"),
+        ("training.beta_a", "inf"),
+        ("training.beta_o", "-inf"),
+        ("training.ace_scale", "inf"),
+        ("training.lr", "inf"),
+        ("training.lr_gamma", "inf"),
     ):
         assert main(["run", "--config", cfg_path, f"--{key}", value]) == 2
         assert key in capsys.readouterr().err

@@ -632,6 +632,36 @@ class NoTableSum(np.ndarray):
 
 
 @pytest.mark.parametrize("name", list(EVAL_VARIANTS))
+def test_warm_step_gives_every_leaf_a_gradient_of_its_own(name, monkeypatch):
+    # The client step's SGD scales each leaf's .grad in place, so after a
+    # warm second step through one workspace each leaf has a gradient of its
+    # shape and dtype that shares memory with no other gradient and no leaf.
+    variant = EVAL_VARIANTS[name]
+    steps = []
+    backward = Tensor.backward
+
+    def recording_backward(self):
+        backward(self)
+        steps.append([(leaf.data, leaf.grad) for leaf in self._parents])
+
+    monkeypatch.setattr(Tensor, "backward", recording_backward)
+    hp = dataclasses.replace(FAST, local_iters=2)
+    server = init_server(TOY, hp, variant)
+    state = init_client(0, hp.dim, TOY.num_items, client_id=0)
+    if not variant.personal_table:
+        state.personal_table = None
+    sampler = NegativeSampler(TOY, 0, hp.negatives_per_positive)
+    assert local_update(state, server.consensus, server.theta, sampler, hp, variant, 0, Workspace()) is not None
+    assert len(steps) == 2
+    leaves = steps[-1]
+    for data, grad in leaves:
+        assert grad is not None and grad.shape == data.shape and grad.dtype == data.dtype
+    for i, (_, grad) in enumerate(leaves):
+        assert not any(np.shares_memory(grad, other) for _, other in leaves[:i])
+        assert not any(np.shares_memory(grad, data) for data, _ in leaves)
+
+
+@pytest.mark.parametrize("name", list(EVAL_VARIANTS))
 def test_evaluate_round_matches_the_sort_path(name, monkeypatch, fused_table):
     # Scores per view, summed, and ranks by counting: the same HR, NDCG and
     # RBO as sorting the fused table's rows. evaluate_round builds no tape
@@ -790,7 +820,7 @@ def test_federation_binds_every_name_the_benchmark_wraps(monkeypatch):
     rep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(rep)
     assert any(module == "fed3cr.federation" for _, module, _ in rep.LAYERS)
-    for name, module, attr in rep.LAYERS:
+    for name, module, attr in (*rep.LAYERS, rep.TENSOR_COUNTER):
         owner = importlib.import_module(module)
         for part in attr.split("."):
             assert hasattr(owner, part), (name, module, attr)

@@ -17,7 +17,6 @@ from fed3cr.losses import (
     orthogonality_loss,
     rec_loss,
     top_one_distribution,
-    total_loss,
     total_loss_t,
 )
 from fed3cr.model import forward_pass, init_client, init_client_net
@@ -180,7 +179,7 @@ def make_trace(seed=9, d=4, m=6):
 def test_total_reduces_to_rec_when_betas_zero():
     *_, trace = make_trace()
     items, labels = np.array([0, 1, 2]), np.array([1, 0, 1])
-    breakdown = total_loss(trace, (items, labels), beta_a=0.0, beta_o=0.0)
+    _, breakdown = total_loss_t(trace, items, labels, beta_a=0.0, beta_o=0.0)
     assert breakdown.total == breakdown.l_rec
     assert breakdown.l_a == 0.0
     assert breakdown.l_o == 0.0
@@ -189,7 +188,7 @@ def test_total_reduces_to_rec_when_betas_zero():
 def test_total_is_weighted_component_sum():
     *_, trace = make_trace()
     items, labels = np.array([0, 1, 2, 3, 5]), np.array([1, 0, 1, 0, 0])
-    b = total_loss(trace, (items, labels), beta_a=0.7, beta_o=0.3)
+    _, b = total_loss_t(trace, items, labels, beta_a=0.7, beta_o=0.3)
     assert b.total == pytest.approx(b.l_rec + 0.7 * b.l_a + 0.3 * b.l_o, abs=1e-9)
 
 
@@ -281,30 +280,11 @@ def test_objective_node_gradients_for_every_variant(label, kind, eq12_mode, shar
     block_grad_check(state, table, net, build)
 
 
-def step_graph(seed=0):
-    """A float32 Fed3CR step at toy shape: (total, trace, every tensor its graph reaches)."""
-    m, d = 96, 16
-    state = init_client(seed=seed, d=d, M=m)
-    rng = np.random.default_rng(seed)
-    table = rng.normal(0, 0.01, (m, d)).astype(np.float32)
-    trace = forward_pass(state, table, init_client_net(rng, d, (2, 4)), np.arange(0, m, 12), enhancement="ace")
-    items = np.arange(40)
-    total, _ = total_loss_t(trace, items, (items % 5 == 0).astype(int), beta_a=0.5, beta_o=0.5)
-    seen, stack, nodes = set(), [total], []
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(parent for parent, _ in node._edges)
-    return total, trace, nodes
-
-
-def test_fed3cr_step_graph_holds_no_other_table_sized_tensor():
+def test_fed3cr_step_graph_holds_no_other_table_sized_tensor(fed3cr_step):
     # The step is one node over the leaves: C_E, V_F and the per-term M x d
     # intermediates are arrays of the forward pass, not tensors.
-    total, trace, nodes = step_graph()
-    tables = {id(node) for node in nodes if node.data.shape == (96, 16)}
+    total, trace = fed3cr_step()
+    tables = {id(t) for t in (total, *total._parents) if t.data.shape == (96, 16)}
     assert tables == {id(trace.params["C"]), id(trace.params["V"])}
     total.backward()
     for name, leaf in trace.params.items():
@@ -380,11 +360,12 @@ def test_warm_objective_gathers_the_batch_rows_without_temporaries(kind):
         total_loss_t(trace, np.array([0, m]), np.array([1, 0]), 0.0, 0.0, workspace=workspace)
 
 
-def test_tape_size_of_a_fed3cr_step():
-    total, trace, nodes = step_graph()
-    # the 7 leaves (u, C, V, w0, b0, w1, b1) and the objective
-    assert len(nodes) == 8
-    assert [parent for parent, _ in total._edges] == list(trace.params.values())
+def test_tape_size_of_a_fed3cr_step(fed3cr_step):
+    # the objective's leaves are the trace's params: u, C, V, w0, b0, w1, b1
+    total, trace = fed3cr_step()
+    assert total._parents == tuple(trace.params.values())
+    assert list(trace.params) == ["u", "C", "V", "w0", "b0", "w1", "b1"]
+    assert all(leaf._vjp is None for leaf in total._parents)
 
 
 def test_fused_bce_zero_gradient_when_clamped():

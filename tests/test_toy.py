@@ -3,7 +3,7 @@ import pytest
 
 from fed3cr.datasets import leave_one_out_split, load_dataset
 from fed3cr.errors import ConfigurationError
-from fed3cr.toy import generate_toy_dataset, write_toy_dataset_csv
+from fed3cr.toy import generate_toy_dataset
 
 
 def test_generator_shape_and_determinism():
@@ -46,7 +46,12 @@ def test_invalid_block_division():
 
 def test_csv_round_trip(tmp_path):
     path = str(tmp_path / "toy.csv")
-    ds = write_toy_dataset_csv(path, seed=7)
+    ds = generate_toy_dataset(seed=7)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("user,item\n")
+        for client, items in enumerate(ds.client_items):
+            for item in items:
+                fh.write(f"{ds.user_ids[client]},{ds.item_ids[int(item)]}\n")
     loaded = load_dataset(path, "csv", min_interactions=1)
     assert loaded.num_clients == ds.num_clients
     assert loaded.num_interactions == ds.num_interactions
