@@ -5,7 +5,9 @@ into two preference prototypes, feeds their concatenation through a small
 net to get a d x d transfer matrix W, maps every shared-table row through
 W, adds the personal table, and scores items against the user embedding.
 `forward_pass` returns each of these steps' arrays in its trace, with the
-closed-form pullback that training differentiates them through.
+trainable arrays by name and the closed-form pullback that turns the
+objective's gradients w.r.t. u, C_E, V and the prototypes into one gradient
+per trainable array.
 
 Run: python demos/02_enhancement_forward_pass.py
 """
@@ -34,6 +36,7 @@ print(f"\ntransfer matrix W: shape {w.shape}, |W|_F = {np.linalg.norm(w):.5f}")
 print("(fresh nets start with W near zero, so enhancement begins as a no-op)")
 
 print(f"\nenhanced shared table C_E = C W^T: {trace.C_E.shape}, |C_E|_F = {np.linalg.norm(trace.C_E):.5f}")
+print("trainable arrays:", ", ".join(f"{name} {a.shape}" for name, a in trace.params.items()))
 fused = sum(trace.views[1:], trace.views[0])
 print(f"fused scoring table   V_F = C_E + V: {fused.shape}")
 

@@ -76,9 +76,8 @@ def objective(b):
     return total_loss_t(t, items, labels, beta_a=0.5, beta_o=0.5)[0], t
 
 
-total_tensor, trace = objective(blocks)
-total_tensor.backward()
+total, trace = objective(blocks)
+grads = dict(zip(trace.params, total.backward()))  # one gradient per trainable array, by name
 for name in blocks:
-    tensor = trace.params[name]
-    report = grad_check(lambda p: objective({**blocks, name: p})[0].item(), tensor.data, tensor.grad)
+    report = grad_check(lambda p: float(objective({**blocks, name: p})[0].data), blocks[name], grads[name])
     print(f"  block {name:2s}: {report}")

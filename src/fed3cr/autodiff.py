@@ -1,15 +1,13 @@
-"""Gradients of the client step's objective through one closed-form node.
+"""The client step's objective as a value with a closed-form backward, and
+the array helpers the step shares.
 
-A `Tensor` is a leaf (a trainable array, see `parameter`) or the one node
-`fused` records over leaves: the training step's whole objective (see
-`losses.total_loss_t`), whose vjp is written in closed form. `backward`
-calls that vjp once and sets each leaf's `.grad` to the array returned
-for it. A node cannot be a parent, since nothing would carry its
-gradient on to the leaves under it.
+A `Tensor` is the training step's whole objective (see
+`losses.total_loss_t`): `backward()` calls its vjp once and returns one
+gradient per trainable array, each in that array's dtype.
 
-The one ownership rule: no two leaves' gradients may share memory, nor
-share it with any leaf's data, because the client step's SGD scales each
-`.grad` in place before subtracting it.
+The one ownership rule: no two of those gradients may share memory, nor
+share it with any trainable array, because the client step's SGD scales
+each gradient in place before subtracting it.
 """
 
 from __future__ import annotations
@@ -70,49 +68,19 @@ class Workspace:
 
 
 class Tensor:
-    """A leaf array and its gradient, or the objective node over leaves."""
+    """The client step's objective: its value and the closed-form vjp that
+    returns its gradients."""
 
-    __slots__ = ("data", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "_vjp")
 
-    def __init__(
-        self,
-        data: np.ndarray,
-        _parents: tuple["Tensor", ...] = (),
-        _vjp: Callable[[np.ndarray], tuple] | None = None,
-    ):
+    def __init__(self, data: np.ndarray, vjp: Callable[[np.ndarray], list]):
         self.data = np.asarray(data)
-        self.grad: np.ndarray | None = None
-        self._parents = _parents
-        self._vjp = _vjp
+        self._vjp = vjp
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, leaf={self._vjp is None})"
-
-    def backward(self) -> None:
-        """Set each leaf's `.grad` to d(self)/d(leaf), in the leaf's dtype,
-        from one call of this node's vjp; a leaf it gives None gets None."""
-        for leaf, grad in zip(self._parents, self._vjp(np.ones_like(self.data))):
-            leaf.grad = None if grad is None else np.asarray(grad, dtype=leaf.data.dtype)
-
-
-def parameter(x: np.ndarray) -> Tensor:
-    """Wrap an array as a trainable leaf."""
-    return Tensor(x)
-
-
-def fused(value: np.ndarray, leaves: tuple[Tensor, ...], vjp: Callable[[np.ndarray], tuple]) -> Tensor:
-    """The objective node: `value` over `leaves`, with a closed-form backward.
-
-    `vjp(g)` runs once per `backward` and returns one gradient per leaf, or
-    None for a leaf it gives none; no two of them may share memory (see the
-    module docstring). A leaf that is itself a node raises `ValueError`.
-    """
-    if any(leaf._vjp is not None for leaf in leaves):
-        raise ValueError("fused takes leaves only; a node parent's own leaves would get no gradient")
-    return Tensor(value, leaves, vjp)
+    def backward(self) -> list:
+        """d(self)/d(array) for each trainable array, from one call of the
+        vjp with a seed of ones in this value's dtype."""
+        return self._vjp(np.ones_like(self.data))
 
 
 def logistic(x: np.ndarray) -> np.ndarray:

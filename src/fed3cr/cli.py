@@ -128,20 +128,11 @@ def run_ablation(
 ) -> list[tuple[str, float, float]]:
     """One run per variant label under the shared seed and data split;
     returns (label, final hr, final ndcg) rows."""
-    variants = [VariantConfig.from_label(label) for label in labels]
-    if outdir is not None:
-        _prepare_outdir(outdir, force)
-    rows = []
-    for label, variant in zip(labels, variants):
-        variant_config = dataclasses.replace(config, variant=variant, variant_label=label)
-        sub = os.path.join(outdir, label) if outdir is not None else None
-        record = run_experiment(variant_config, sub, force=force, save_checkpoints=False)
-        final = record.metrics[-1]
-        rows.append((label, final.hr_at_k, final.ndcg_at_k))
-    if outdir is not None:
-        with open(os.path.join(outdir, "ablation.csv"), "w", encoding="utf-8", newline="") as fh:
-            _write_rows(fh, "variant", rows)
-    return rows
+    runs = [
+        (label, dataclasses.replace(config, variant=VariantConfig.from_label(label), variant_label=label))
+        for label in labels
+    ]
+    return _run_grid(runs, outdir, force, "ablation.csv", "variant")
 
 
 def run_sweep(
@@ -156,18 +147,32 @@ def run_sweep(
     be; returns (value, final hr, final ndcg) rows."""
     manifest = config.resolved()
     del manifest["version"]
-    configs = [resolve_manifest(manifest, {param: value}) for value in values]
+    runs = [(str(value), resolve_manifest(manifest, {param: value})) for value in values]
+    return _run_grid(runs, outdir, force, "sweep.csv", param, subdir_prefix=f"{param}_")
+
+
+def _run_grid(
+    runs: list[tuple[str, ExperimentConfig]],
+    outdir: str | None,
+    force: bool,
+    csv_name: str,
+    head: str,
+    subdir_prefix: str = "",
+) -> list[tuple[str, float, float]]:
+    """Run each (name, config) pair without checkpoints, under
+    `outdir/<subdir_prefix><name>` when `outdir` is given, and write the
+    (name, final hr, final ndcg) rows to `outdir/<csv_name>` under the
+    column `head`; returns the rows."""
     if outdir is not None:
         _prepare_outdir(outdir, force)
     rows = []
-    for value, sub_config in zip(values, configs):
-        sub = os.path.join(outdir, f"{param}_{value}") if outdir is not None else None
-        record = run_experiment(sub_config, sub, force=force, save_checkpoints=False)
-        final = record.metrics[-1]
-        rows.append((str(value), final.hr_at_k, final.ndcg_at_k))
+    for name, sub_config in runs:
+        sub = os.path.join(outdir, subdir_prefix + name) if outdir is not None else None
+        final = run_experiment(sub_config, sub, force=force, save_checkpoints=False).metrics[-1]
+        rows.append((name, final.hr_at_k, final.ndcg_at_k))
     if outdir is not None:
-        with open(os.path.join(outdir, "sweep.csv"), "w", encoding="utf-8", newline="") as fh:
-            _write_rows(fh, param, rows)
+        with open(os.path.join(outdir, csv_name), "w", encoding="utf-8", newline="") as fh:
+            _write_rows(fh, head, rows)
     return rows
 
 

@@ -45,7 +45,6 @@ SCHEMA: dict[str, dict] = {
         "toy_blocks": (int, 4),
         "toy_min_positives": (int, 6),
         "toy_max_positives": (int, 10),
-        "toy_own_fraction": (float, 0.75),
         "toy_sharpness": (float, 2.5),
     },
     "training": {},
@@ -89,7 +88,6 @@ class ExperimentConfig:
                 num_blocks=d["toy_blocks"],
                 min_positives=d["toy_min_positives"],
                 max_positives=d["toy_max_positives"],
-                own_block_fraction=d["toy_own_fraction"],
                 sharpness=d["toy_sharpness"],
                 seed=self.hp.seed,
             )

@@ -4,13 +4,14 @@ evaluation, and the variants one training loop runs: the ablation grid and
 federated MF with and without the consensus-enhancement plug-in.
 
 Only the shared table and the transfer-net weights ever leave a client;
-user embeddings and personal tables stay local. Every upload is routed
-through an UploadChannel so that surface is auditable. Between rounds a
-client holds only those private blocks: the shared table and the net live
-once, on the server, plus one working copy in the run's workspace, which
-the client being trained fills. Clients train one after another in id
-order, and each upload is added into the round's running sums before the
-next client starts, so a round holds no upload beyond the one in training.
+user embeddings and personal tables stay local. When `run_training` is
+given an UploadChannel, every upload is sent through it, so that surface
+can be audited. Between rounds a client holds only those private blocks:
+the shared table and the net live once, on the server, plus one working
+copy in the run's workspace, which the client being trained fills.
+Clients train one after another in id order, and each upload is added into
+the round's running sums before the next client starts, so a round holds
+no upload beyond the one in training.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -254,10 +256,12 @@ def aggregate_theta(net: TransferNet, total: TransferNet | None = None) -> Trans
 
 def select_clients(n: int, fraction: float, round: int, seed: int) -> list[int]:
     """ceil(fraction * n) distinct ids, uniform without replacement,
-    deterministic in (seed, round); returned sorted."""
+    deterministic in (seed, round); returned sorted. The product is exact,
+    taken on the shortest decimal that reads back as `fraction`: 0.07 of 100
+    clients is 7, where the float product 7.000000000000001 rounds up to 8."""
     if not 0.0 < fraction <= 1.0:
         raise ConfigurationError(f"fraction must lie in (0, 1], got {fraction}")
-    count = int(np.ceil(fraction * n))
+    count = math.ceil(Fraction(repr(float(fraction))) * n)
     if count >= n:
         return list(range(n))
     rng = seeding.rng(seed, seeding.CLIENT_SELECT, round)
@@ -320,6 +324,12 @@ def local_update(
             [workspace.copy(("local_update", "b", l), b) for l, b in enumerate(theta.biases)],
         )
 
+    # Row-map nets see gradient sums over all M item rows; use the mean
+    # so the shared learning rate stays stable for the baseline kinds.
+    net_scale = 1.0 / download.shape[0] if variant.enhancement_kind in (
+        "consensus-transfer",
+        "unified-transfer",
+    ) else 1.0
     breakdowns = []
     for e in range(hp.local_iters):
         items, labels = sampler.sample_batch(state.client_id, hp.batch_size)
@@ -351,24 +361,14 @@ def local_update(
                 "excluded from aggregation"
             )
             return None
-        total.backward()
         lr = hp.lr * hp.lr_gamma ** (round * hp.local_iters + e)
-        # Row-map nets see gradient sums over all M item rows; use the mean
-        # so the shared learning rate stays stable for the baseline kinds.
-        net_scale = 1.0 / download.shape[0] if variant.enhancement_kind in (
-            "consensus-transfer",
-            "unified-transfer",
-        ) else 1.0
-        for name, tensor in trace.params.items():
-            grad = tensor.grad
-            if grad is None:
-                continue
+        for (name, param), grad in zip(trace.params.items(), total.backward()):
             scale = net_scale if name[0] in ("w", "b") else 1.0
-            # In place, in the gradient's own buffer: no two leaves share one.
+            # In place, in the gradient's own buffer: no two share one.
             np.multiply(grad, lr * scale, out=grad)
-            tensor.data -= grad
+            param -= grad
         breakdowns.append(breakdown)
-        del trace, total  # free this step's objective node and trace before the next forward pass
+        del trace, total  # free this step's objective and trace before the next forward pass
 
     upload = Upload(client_id=state.client_id, consensus=table, transfer_net=net)
     return upload, _mean_breakdown(breakdowns)

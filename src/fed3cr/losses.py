@@ -4,9 +4,9 @@ combined as l_rec + beta_a * l_a + beta_o * l_o.
 
 Each term is a plain numpy function that returns its value and what its
 closed-form gradient needs; the public entry points evaluate them directly.
-The training step records the whole objective as one node over the
-trainable leaves (`total_loss_t`) that composes them, so each item table's
-gradient is built once, in one buffer.
+The training step's objective (`total_loss_t`) composes them with one
+closed-form backward, so each item table's gradient is built once, in one
+buffer.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import DegenerateInputWarning, ShapeError
 from .model import ForwardTrace
 
@@ -43,7 +42,7 @@ class LossBreakdown:
     beta_o: float
 
 
-# -- plain numpy pieces the objective node composes --------------------------------------
+# -- plain numpy pieces the objective composes -------------------------------------------
 
 
 def _bce(p: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,24 +209,24 @@ def total_loss_t(
     orthogonality_enabled: bool = True,
     complementarity_kind: str = "orthogonal",
     workspace: ad.Workspace | None = None,
-) -> tuple[Tensor, LossBreakdown]:
-    """Record l_rec + beta_a * l_a + beta_o * l_o as one node over the
-    trace's leaves; returns (total tensor, breakdown).
+) -> tuple[ad.Tensor, LossBreakdown]:
+    """l_rec + beta_a * l_a + beta_o * l_o over one forward trace; returns
+    (the objective, whose `backward()` returns one gradient per array of
+    `trace.params`, in that order; the breakdown).
 
     l_rec scores the batch rows of the trace's views, so the full scoring
-    table is never built; each auxiliary term that is on reads the two
-    table views (C_E and V) and the prototypes (p_P and p_E). The node's
-    backward builds each table's gradient in one buffer: the l_o term,
-    then the l_a terms, then the batch rows are added in place. It hands
-    the gradients w.r.t. those arrays to `trace.pullback`, which ends at
-    the leaves. The batch rows, the table gradients and their scratch are
-    `workspace` buffers (a fresh one when None), valid until the next call
-    over the same workspace.
+    table is never built; each auxiliary term that is on reads C_E, the
+    personal table V and the prototypes p_P and p_E. The backward builds
+    the gradients w.r.t. C_E and V in one buffer each, the l_o term first
+    and then the l_a terms, and hands them to `trace.pullback` by name,
+    with u's, p_P's, p_E's and the batch rows' gradients; the pullback adds
+    the batch rows, then goes on to the trainable arrays. The batch rows,
+    the table gradients and their scratch are `workspace` buffers (a fresh
+    one when None), valid until the next call over the same workspace.
     """
     if workspace is None:
         workspace = ad.Workspace()
-    u, c_e = trace.params["u"].data, trace.C_E
-    v = trace.params["V"].data if "V" in trace.params else None
+    u, v, c_e = trace.params["u"], trace.params.get("V"), trace.C_E
     items = np.asarray(batch_items)
     first = trace.views[0]
     dtype, (m, d) = first.dtype, first.shape
@@ -255,47 +254,27 @@ def total_loss_t(
             l_o, diff = _distance_push(c_e, v)
         else:
             raise ValueError(f"unknown complementarity kind {complementarity_kind!r}")
-    slots = {id(a): i for i, a in enumerate((*trace.views, c_e, v))}
 
     def vjp(g: np.ndarray) -> list:
-        grads: dict[int, np.ndarray] = {}  # id(array) -> its one gradient buffer
-
-        def buffer(a: np.ndarray, role=None) -> np.ndarray:
-            """The workspace array of a's shape for `role`, by default a's gradient."""
-            return workspace.buffer(("total_loss_t", slots[id(a)] if role is None else role), a.shape, a.dtype)
-
-        def add(a: np.ndarray, contribution: np.ndarray) -> None:
-            if id(a) in grads:
-                grads[id(a)] += contribution
-            else:
-                grads[id(a)] = contribution  # every contribution here is a new array or a's buffer
-
+        d_ce = d_v = d_pp = d_pe = None
+        if with_l_o or with_l_a:
+            d_ce = workspace.buffer(("total_loss_t", "C_E"), c_e.shape, c_e.dtype)
+            d_v = workspace.buffer(("total_loss_t", "V"), v.shape, v.dtype)
         if with_l_o:
             if complementarity_kind == "orthogonal":
                 k = g * beta_o * 2.0 / d
-                add(c_e, np.matmul(v, corr.T * k, out=buffer(c_e)))
-                add(v, np.matmul(c_e, corr * k, out=buffer(v)))
+                np.matmul(v, corr.T * k, out=d_ce)
+                np.matmul(c_e, corr * k, out=d_v)
             else:
                 k = g * beta_o * 2.0 / diff.size
-                add(c_e, np.multiply(diff, -k, out=buffer(c_e)))
-                add(v, np.multiply(diff, k, out=buffer(v)))
+                np.multiply(diff, -k, out=d_ce)
+                np.multiply(diff, k, out=d_v)
         if with_l_a:
-            outs = (grads[id(v)], grads[id(c_e)]) if with_l_o else (buffer(v), buffer(c_e))
-            d_pp, grads[id(v)], d_pe, grads[id(c_e)] = consistency_vjp(
-                g * beta_a, *outs, accumulate=with_l_o, scratch=buffer(v, "scratch")
-            )
-            add(trace.p_P, d_pp)
-            add(trace.p_E, d_pe)
+            scratch = workspace.buffer(("total_loss_t", "scratch"), v.shape, v.dtype)
+            d_pp, d_v, d_pe, d_ce = consistency_vjp(g * beta_a, d_v, d_ce, accumulate=with_l_o, scratch=scratch)
         d_scores = g * d_preds * preds * (1.0 - preds)
-        add(u, rows.T @ d_scores)
         d_rows = np.dot(d_scores[:, None], u[None], out=workspace.buffer(("total_loss_t", "d_rows"), rows.shape, dtype))
-        scratch = workspace.buffer(("total_loss_t", "scatter batch"), rows.shape, dtype)
-        for view in trace.views:
-            if id(view) not in grads:
-                grads[id(view)] = buffer(view)
-                grads[id(view)].fill(0)
-            ad.add_rows(grads[id(view)], items, d_rows, scratch)
-        return trace.pullback(grads)
+        return trace.pullback(items, d_rows, d_u=rows.T @ d_scores, d_ce=d_ce, d_v=d_v, dp_p=d_pp, dp_e=d_pe)
 
     total = l_rec + (l_a * np.asarray(beta_a, dtype=dtype) + l_o * np.asarray(beta_o, dtype=dtype))
     breakdown = LossBreakdown(
@@ -306,5 +285,5 @@ def total_loss_t(
         beta_a=beta_a,
         beta_o=beta_o,
     )
-    return ad.fused(total, tuple(trace.params.values()), vjp), breakdown
+    return ad.Tensor(total, vjp), breakdown
 

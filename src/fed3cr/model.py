@@ -174,11 +174,15 @@ class ForwardTrace:
     table V_F: the enhanced global table and the personal view, or a
     federated-MF client's trained table alone. Training scores only the
     batch rows of each view and never builds V_F. `params` holds the
-    trainable leaves, over which `losses.total_loss_t` records the step's
-    objective as one node. `pullback(grads)` maps gradients w.r.t. these
-    arrays and the leaves' own arrays, keyed by `id` of the array, to one
-    gradient per leaf in `params` order (None for a leaf that gets none);
-    no two of them share memory, as that node's backward requires.
+    trainable arrays by name ("u", "C", "V", "w0", "b0", ...).
+
+    `pullback(items, d_rows, d_u=, d_ce=, d_v=, dp_p=, dp_e=)` maps the
+    objective's gradients w.r.t. u, C_E, the personal table V, p_P and p_E
+    (each None when the objective gives none), and `d_rows`, the gradient
+    w.r.t. the batch rows `items` of the fused table, to one gradient per
+    trainable array in `params` order. Each is in its array's dtype, and
+    none shares memory with another or with any trainable array, since the
+    client step's SGD scales each in place.
     """
 
     p_G: np.ndarray
@@ -188,7 +192,7 @@ class ForwardTrace:
     p_E: np.ndarray
     views: tuple[np.ndarray, ...]
     params: dict = field(repr=False)
-    pullback: Callable[[dict], list] = field(repr=False)
+    pullback: Callable[..., list] = field(repr=False)
 
 
 def init_client(seed: int, d: int, M: int, client_id: int = 0, dtype=np.float32) -> ClientState:
@@ -296,9 +300,9 @@ def forward_pass(
     `global_pass`, when given, is that `net_pass` of `net` over `table`
     already run (evaluation maps the server's table once per round).
 
-    The trace's `params` dict holds the trainable leaf tensors ("u", "C"
-    for `table`, "V" and per-layer "w{l}"/"b{l}"); after a backward pass
-    their `.grad` fields drive the SGD update.
+    The trace's `params` dict holds the trainable arrays themselves ("u",
+    "C" for `table`, "V" and per-layer "w{l}"/"b{l}"); the client step's
+    SGD updates them in place with the gradients the pullback returns.
 
     A client without a personal table trains "u", "C" and the net only. Its
     trained table "C" takes the personal role (V_F = C with no enhancement),
@@ -307,9 +311,11 @@ def forward_pass(
     built; the trace keeps its terms as `views`.
 
     The trace's `pullback` is the closed-form backward of the whole pass:
-    ACE's from C_E and p_E through W and the net to the prototypes, a row
-    map's from its mapped rows to the table and the net, and each
-    prototype's to the positives' rows. C_E, C's gradient through it, the
+    the batch rows into each view's gradient, ACE's from C_E and p_E through
+    W and the net to the prototypes, a row map's from its mapped rows to
+    the table and the net, and each prototype's to the positives' rows.
+    Under "none", C_E is the consensus itself and p_E is p_G, so their
+    gradients are the consensus's and p_G's. C_E, C's gradient through it, the
     passes' activations and the net's table-sized and outer-product
     gradients are `workspace` buffers, so they stay valid only until the
     next pass over the same workspace (a fresh one when None).
@@ -345,13 +351,13 @@ def forward_pass(
         fused = fused_personal if global_view is None else global_view + fused_personal
         return ViewScores(global_view, personal, fused)
 
-    params: dict = {"u": ad.parameter(u), "C": ad.parameter(table)}
+    params: dict = {"u": u, "C": table}
     if not single:
-        params["V"] = ad.parameter(own)
+        params["V"] = own
     if net is not None and enhancement != "none":
         for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-            params[f"w{l}"] = ad.parameter(w)
-            params[f"b{l}"] = ad.parameter(b)
+            params[f"w{l}"] = w
+            params[f"b{l}"] = b
 
     if enhancement == "ace":
         c_e = np.matmul(glob, w_mat.T, out=workspace.buffer(("forward_pass", "C_E"), glob.shape, glob.dtype))
@@ -365,22 +371,37 @@ def forward_pass(
         c_e, p_e = glob, p_g
         views = (own,) if single else (glob, own)
 
-    def mean_rows(out: np.ndarray | None, dp: np.ndarray, of: np.ndarray) -> np.ndarray:
-        """Add dp, the gradient of a mean over the positives' rows of `of`, into
-        those rows of `out`, the gradient w.r.t. `of` so far (zeros when None)."""
-        if out is None:
-            out = np.zeros_like(of)
+    def mean_rows(out: np.ndarray, dp: np.ndarray) -> None:
+        """Add dp, the gradient of a mean over the positives' rows of a
+        table, into those rows of `out`, the table's gradient so far."""
         row = dp * np.asarray(1.0 / positives.size, dtype=out.dtype)
         ad.add_rows(out, positives, np.broadcast_to(row, (positives.size, row.size)))
-        return out
 
-    def pullback(grads: dict) -> list:
-        d_glob, d_own = grads.get(id(glob)), grads.get(id(own))
-        # p_G's own entry is p_E's under "none", where the two are one array
-        dp_g, dp_p, dp_e = grads.get(id(p_g)), grads.get(id(p_p)), grads.get(id(p_e))
+    def pullback(items, d_rows, *, d_u=None, d_ce=None, d_v=None, dp_p=None, dp_e=None) -> list:
+        # The batch rows first: into C_E's and V's gradients where those are
+        # the views, else into a zeroed gradient of the view (a single
+        # table under "none", or unified-transfer's mapped V).
+        scratch = workspace.buffer(("forward_pass", "scatter batch"), d_rows.shape, d_rows.dtype)
+
+        def with_rows(grad: np.ndarray | None, slot: int) -> np.ndarray:
+            if grad is None:
+                view = views[slot]
+                grad = workspace.buffer(("forward_pass", "d view", slot), view.shape, view.dtype)
+                grad.fill(0)
+            ad.add_rows(grad, items, d_rows, scratch)
+            return grad
+
+        if single and enhancement == "none":  # the trained table is the one view
+            d_own = with_rows(None, 0)
+        else:
+            d_ce = with_rows(d_ce, 0)
+            if v_pass is None:
+                d_own = with_rows(d_v, 1)
+            else:
+                d_own, d_mapped = d_v, with_rows(None, 1)
+        dp_g = None
         d_theta: list[np.ndarray] = []
         if enhancement == "ace":
-            d_ce = grads[id(c_e)]
             d_w = (glob.T @ d_ce).T
             if dp_e is not None:
                 d_w += np.dot(dp_e[:, None], p_g[None])  # the outer product; BLAS beats the broadcast
@@ -393,23 +414,24 @@ def forward_pass(
                 d_glob = np.matmul(d_ce, w_mat, out=workspace.buffer(("forward_pass", "C"), glob.shape, glob.dtype))
                 dp_g = dx[:d] if dp_e is None else dx[:d] + w_mat.T @ dp_e
         elif c_pass is not None:
-            d_ce = grads[id(c_e)]
             if dp_e is not None:
-                mean_rows(d_ce, dp_e, c_e)
+                mean_rows(d_ce, dp_e)
             d_glob, *d_theta = net_backward(net, c_pass, d_ce, workspace, "C")
             if v_pass is not None:
-                d_in, *d_theta_v = net_backward(net, v_pass, grads[id(v_pass.out)], workspace, "V")
+                d_in, *d_theta_v = net_backward(net, v_pass, d_mapped, workspace, "V")
                 for block, more in zip(d_theta, d_theta_v):
                     block += more
                 if d_own is None:
                     d_own = d_in
                 else:
                     d_own += d_in
+        else:  # none: C_E is the consensus and p_E is p_G
+            d_glob, dp_g = d_ce, dp_e
         if dp_g is not None and not single:
-            d_glob = mean_rows(d_glob, dp_g, glob)
+            mean_rows(d_glob, dp_g)
         if dp_p is not None:
-            d_own = mean_rows(d_own, dp_p, own)
+            mean_rows(d_own, dp_p)
         table_grads = [d_own] if single else [d_glob, d_own]
-        return [grads.get(id(u)), *table_grads, *d_theta]
+        return [d_u, *table_grads, *d_theta]
 
     return ForwardTrace(p_G=p_g, p_P=p_p, W=w_mat, C_E=c_e, p_E=p_e, views=views, params=params, pullback=pullback)

@@ -1,9 +1,9 @@
 """Deterministic RNG streams keyed by (seed, purpose, ...ids).
 
 Every random decision in the library draws from a stream derived from the
-experiment seed plus integer tags, never from global numpy state. Client
-streams are independent of scheduling, so a parallel round reproduces a
-sequential one bit for bit.
+experiment seed plus integer tags, never from global numpy state. A
+client's streams are keyed by its id, so what it draws does not depend on
+which other clients train or in what order.
 """
 
 from __future__ import annotations

@@ -34,16 +34,15 @@ def generate_toy_dataset(
     num_blocks: int = 4,
     min_positives: int = 6,
     max_positives: int = 10,
-    own_block_fraction: float = 0.75,
     taste_noise: float = 0.4,
     sharpness: float = 2.5,
     seed: int = 0,
 ) -> InteractionDataset:
     """Build the planted-block dataset (unsplit, no timestamps).
 
-    `own_block_fraction` only tunes how concentrated the affinity sampling
-    is (it rescales `sharpness`); the draw itself is probabilistic, so every
-    client mixes mostly-own-block items with cross-block noise.
+    `sharpness` tunes how concentrated the affinity sampling is; the draw
+    itself is probabilistic, so every client mixes mostly-own-block items
+    with cross-block noise.
     """
     if num_blocks < 1 or num_clients % num_blocks or num_items % num_blocks:
         raise ConfigurationError(
@@ -51,21 +50,18 @@ def generate_toy_dataset(
         )
     if not 2 <= min_positives <= max_positives <= num_items:
         raise ConfigurationError("positive counts out of range")
-    if not 0.0 < own_block_fraction <= 1.0:
-        raise ConfigurationError("own_block_fraction must lie in (0, 1]")
 
     shared = seeding.rng(seed, seeding.TOY_DATA, 1_000_000)
     item_vecs = _latent_vectors(shared, num_items, num_items // num_blocks, num_blocks, taste_noise)
     client_vecs = _latent_vectors(
         shared, num_clients, num_clients // num_blocks, num_blocks, taste_noise
     )
-    temp = sharpness * own_block_fraction / 0.75
 
     client_items: list[np.ndarray] = []
     for client in range(num_clients):
         rng = seeding.rng(seed, seeding.TOY_DATA, client)
         affinity = item_vecs @ client_vecs[client]
-        logits = temp * (affinity - affinity.max())
+        logits = sharpness * (affinity - affinity.max())
         probs = np.exp(logits)
         probs /= probs.sum()
         n_pos = int(rng.integers(min_positives, max_positives + 1))

@@ -1,4 +1,4 @@
-"""The gradient engine: one `fused` node's `backward` over its leaves, and `add_rows`."""
+"""The gradient engine: the objective's `backward`, the trace's pullback, and `add_rows`."""
 
 import numpy as np
 import pytest
@@ -10,59 +10,26 @@ from fed3cr.numerics import grad_check
 RNG = np.random.default_rng(42)
 
 
-def test_vjp_runs_once_per_backward():
+def test_backward_returns_one_vjp_call_of_a_seed_of_ones():
+    # the seed has the value's dtype, so a float32 objective hands its vjp
+    # a float32 seed; backward returns what the vjp returns, once per call
     calls = []
-    a, b = ad.parameter(RNG.normal(size=3)), ad.parameter(RNG.normal(size=3))
 
     def vjp(g):
         calls.append(g)
-        return g * b.data, g * a.data
+        return [2.0 * g, None]
 
-    node = ad.fused(np.sum(a.data * b.data), (a, b), vjp)
-    node.backward()
-    assert len(calls) == 1
-    assert np.allclose(a.grad, b.data) and np.allclose(b.grad, a.data)
-    # a second backward sets the gradients again; nothing adds into the first
-    node.backward()
+    total = ad.Tensor(np.float32(3.0), vjp)
+    grads = total.backward()
+    assert len(calls) == 1 and calls[0].dtype == np.float32 and calls[0] == 1.0
+    assert grads[0] == 2.0 and grads[1] is None
+    total.backward()
     assert len(calls) == 2
-    assert np.allclose(a.grad, b.data) and np.allclose(b.grad, a.data)
-    assert node.grad is None
-
-
-def test_none_contribution_leaves_the_parent_without_one():
-    a, b = ad.parameter(np.ones(2)), ad.parameter(np.ones(2))
-    ad.fused(np.sum(a.data + b.data), (a, b), lambda g: (np.full(2, g), None)).backward()
-    assert np.array_equal(a.grad, np.ones(2))
-    assert b.grad is None
-
-
-def test_dtype_preserved():
-    # the seed gradient has the node's dtype, so a float32 objective hands
-    # its vjp a float32 seed; a float64 contribution is cast to its float32 leaf's dtype
-    seen = []
-    t = ad.parameter(np.ones(3, dtype=np.float32))
-
-    def vjp(g):
-        seen.append(g.dtype)
-        return (np.full(3, 0.5, dtype=np.float64),)
-
-    out = ad.fused(t.data.sum(), (t,), vjp)
-    assert out.data.dtype == np.float32
-    out.backward()
-    assert seen == [np.float32] and t.grad.dtype == np.float32
-
-
-def test_fused_takes_leaves_only():
-    # a node under a node would leave its own leaves without a gradient
-    a = ad.parameter(RNG.normal(size=3))
-    inner = ad.fused(np.sum(a.data), (a,), lambda g: (np.full(3, g),))
-    with pytest.raises(ValueError):
-        ad.fused(inner.data * 2.0, (inner,), lambda g: (2.0 * g,))
 
 
 def test_backward_never_changes_data(fed3cr_step):
     total, trace = fed3cr_step(np.float64)
-    arrays = [total.data, *(leaf.data for leaf in trace.params.values()), trace.C_E, trace.p_E, *trace.views]
+    arrays = [total.data, *trace.params.values(), trace.C_E, trace.p_E, *trace.views]
     before = [a.copy() for a in arrays]
     total.backward()
     for a, b in zip(arrays, before):
@@ -71,9 +38,8 @@ def test_backward_never_changes_data(fed3cr_step):
 
 def test_float32_graph_keeps_float32_grads(fed3cr_step):
     total, trace = fed3cr_step(np.float32)
-    total.backward()
-    for name, leaf in trace.params.items():
-        assert leaf.grad.dtype == np.float32, name
+    for name, grad in zip(trace.params, total.backward()):
+        assert grad.dtype == np.float32, name
 
 
 def test_add_rows_scatter_adds():
@@ -107,7 +73,8 @@ def test_gathered_rows_add_into_a_dense_gradient():
                 return trace, np.sum(trace.C_E * proj_c) + trace.p_E @ proj_e
 
             trace, _ = value(table)
-            _, d_c, *_ = trace.pullback({id(trace.C_E): proj_c.copy(), id(trace.p_E): proj_e.copy()})
+            # an empty batch: no batch rows to add
+            _, d_c, *_ = trace.pullback(np.zeros(0, int), np.zeros((0, 3)), d_ce=proj_c.copy(), dp_e=proj_e.copy())
             report = grad_check(lambda c: float(value(c)[1]), table, d_c)
             assert report.passed, (kind, positives, report)
 

@@ -208,7 +208,7 @@ def test_view_rbo_is_bit_identical_to_the_list_reference():
 def view_rbo(state, trace, k_prime, p):
     """RBO of the personal table's scores against C_E's."""
     u = state.user_embedding
-    return view_consistency_rbo(trace.params["V"].data @ u, trace.C_E @ u, k_prime, p)
+    return view_consistency_rbo(trace.params["V"] @ u, trace.C_E @ u, k_prime, p)
 
 
 def test_view_rbo_identical_views(shared_blocks):

@@ -192,6 +192,13 @@ def test_select_clients():
     assert len(set(picked)) == 3
     assert picked == select_clients(10, 0.3, round=2, seed=1)
     assert picked != select_clients(10, 0.3, round=3, seed=1) or True  # usually differs
+    # an exact decimal share of n picks that share, though the float
+    # product 0.07 * 100 is 7.000000000000001
+    for n in (100, 200, 300, 400):
+        assert len(select_clients(n, 0.07, round=0, seed=0)) == 7 * n // 100
+    assert len(select_clients(3, 1 / 3, round=0, seed=0)) == 1
+    # the workloads' counts: 24 of 24, 20 of 200 and 32 of 256
+    assert [len(select_clients(n, f, 0, 0)) for n, f in ((24, 1.0), (200, 0.1), (256, 0.125))] == [24, 20, 32]
 
 
 def test_local_update_lr_zero_is_noop():
@@ -522,7 +529,7 @@ def test_fedmf_plugin_consensus_stays_the_download_across_local_iters(monkeypatc
     assert not np.array_equal(steps[-1][2], steps[0][2])  # the trained table moved
     # the upload is the working table the last step trained, not a second copy,
     # and the download is left as it came
-    assert upload.consensus is traces[-1].params["C"].data
+    assert upload.consensus is traces[-1].params["C"]
     assert np.array_equal(download, held)
 
 
@@ -606,7 +613,7 @@ def sort_path_metrics(clients, server, ds, hp, variant, candidates, fused_table)
         if variant.personal_table:
             every = np.arange(ds.num_items)
             k = min(hp.rbo_k, ds.num_items)
-            personal = ranked(u, trace.params["V"].data, every)[:k]
+            personal = ranked(u, trace.params["V"], every)[:k]
             global_view = ranked(u, trace.C_E, every)[:k]
             rbos.append(rbo_truncated(personal, global_view, hp.rbo_p))
     return float(np.mean(hrs)), float(np.mean(ndcgs)), float(np.mean(rbos)) if rbos else None
@@ -633,17 +640,23 @@ class NoTableSum(np.ndarray):
 
 @pytest.mark.parametrize("name", list(EVAL_VARIANTS))
 def test_warm_step_gives_every_leaf_a_gradient_of_its_own(name, monkeypatch):
-    # The client step's SGD scales each leaf's .grad in place, so after a
-    # warm second step through one workspace each leaf has a gradient of its
-    # shape and dtype that shares memory with no other gradient and no leaf.
+    # The client step's SGD scales each gradient in place, so after a warm
+    # second step through one workspace each trainable array has a gradient
+    # of its shape and dtype that shares memory with no other gradient and
+    # no trainable array.
     variant = EVAL_VARIANTS[name]
-    steps = []
+    traces, steps = [], []
     backward = Tensor.backward
 
-    def recording_backward(self):
-        backward(self)
-        steps.append([(leaf.data, leaf.grad) for leaf in self._parents])
+    def recording_forward_pass(*args, **kwargs):
+        traces.append(forward_pass(*args, **kwargs))
+        return traces[-1]
 
+    def recording_backward(self):
+        steps.append(backward(self))
+        return steps[-1]
+
+    monkeypatch.setattr(federation, "forward_pass", recording_forward_pass)
     monkeypatch.setattr(Tensor, "backward", recording_backward)
     hp = dataclasses.replace(FAST, local_iters=2)
     server = init_server(TOY, hp, variant)
@@ -652,8 +665,8 @@ def test_warm_step_gives_every_leaf_a_gradient_of_its_own(name, monkeypatch):
         state.personal_table = None
     sampler = NegativeSampler(TOY, 0, hp.negatives_per_positive)
     assert local_update(state, server.consensus, server.theta, sampler, hp, variant, 0, Workspace()) is not None
-    assert len(steps) == 2
-    leaves = steps[-1]
+    assert len(steps) == 2 and len(steps[-1]) == len(traces[-1].params)
+    leaves = list(zip(traces[-1].params.values(), steps[-1]))
     for data, grad in leaves:
         assert grad is not None and grad.shape == data.shape and grad.dtype == data.dtype
     for i, (_, grad) in enumerate(leaves):
