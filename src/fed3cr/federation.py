@@ -496,12 +496,12 @@ def run_training(
     if not ds.is_split:
         raise ConfigurationError("dataset must be split before training")
 
-    clients = []
-    for c in range(ds.num_clients):
-        client = init_client(hp.seed, hp.dim, ds.num_items, client_id=c, dtype=hp.np_dtype)
-        if not variant.personal_table:
-            client.personal_table = None
-        clients.append(client)
+    clients = [
+        init_client(
+            hp.seed, hp.dim, ds.num_items, client_id=c, dtype=hp.np_dtype, personal_table=variant.personal_table
+        )
+        for c in range(ds.num_clients)
+    ]
     server = init_server(ds, hp, variant)
     sampler = NegativeSampler(ds, hp.seed, hp.negatives_per_positive)
     candidates = [

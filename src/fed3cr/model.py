@@ -195,15 +195,22 @@ class ForwardTrace:
     pullback: Callable[..., list] = field(repr=False)
 
 
-def init_client(seed: int, d: int, M: int, client_id: int = 0, dtype=np.float32) -> ClientState:
+def init_client(
+    seed: int, d: int, M: int, client_id: int = 0, dtype=np.float32, personal_table: bool = True
+) -> ClientState:
     """Seeded client construction; identical (seed, client_id) gives identical
-    state. Both blocks draw from Normal(0, 0.01)."""
+    state. Both blocks are Normal(0, 0.01), each from a stream of its own: u
+    from (seed, CLIENT_INIT, client_id), V from (seed, CLIENT_INIT,
+    client_id, 1), drawn in `dtype`. So V depends on nothing drawn before it,
+    and its first rows do not depend on M. With `personal_table=False` (a
+    federated-MF client) no V is drawn."""
     if d < 1 or M < 1:
         raise ValueError("d and M must be positive")
-    rng = seeding.rng(seed, seeding.CLIENT_INIT, client_id)
-    u = rng.normal(0.0, 0.01, size=d).astype(dtype)
-    rng.normal(0.0, 0.01, size=(M, d))  # discarded, but V's values (so every seeded output) depend on it
-    v = rng.normal(0.0, 0.01, size=(M, d)).astype(dtype)
+    u = seeding.rng(seed, seeding.CLIENT_INIT, client_id).normal(0.0, 0.01, size=d).astype(dtype)
+    v = None
+    if personal_table:
+        v = seeding.rng(seed, seeding.CLIENT_INIT, client_id, 1).standard_normal((M, d), dtype=dtype)
+        v *= 0.01
     return ClientState(client_id, u, v)
 
 

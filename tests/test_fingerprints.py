@@ -17,19 +17,19 @@ from fed3cr.config import load_config
 TOY_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "toy.cfg")
 
 FINGERPRINTS = {
-    "C0": "b3dace42c0ce5a4256c6023112f2d581ced7b6c8d093737618613c2fb9f2e3d6",
-    "C1": "75bb8b7efb6e99c146f6dc3d8a94aee1aad1fd2b7f3e21fff29c8aede47bb45e",
-    "C2": "25480fee51a649ef0df6cd606b8326480c1bf9ccabe8ea8f6d099575993a89fb",
-    "C3": "5dbdc7c7efd6801266e5b56d1f98ea128170673bd8a4d342d3a6281da13d4d9a",
-    "C4": "bfe6e5a6fdeb2bcbe0c478133e88494722a3e3d6f6b71547aed4561753b65fb1",
-    "C5": "fc91520cb834147fa9a897309a7c985a0372a2cbb179a7bdcd483fe7a569c8fc",
-    "C6": "47cb434fb2bf5cb71402bf382bc24a45f287aee7fb334d60e513a2c51d19f07d",
-    "Fed3CR": "bf1fedc113e2df9dfe6672f8d8ed5737a5cb81f5f64db5bc155f83255902c50a",
+    "C0": "96d8c570bb778d29b6f7aaa200203dfa019c2100fa7d00b2ff3eeaec28fd360e",
+    "C1": "4904d24babc17fae35774a7fbc86454b76a9b6e013913eefd02a29a192ba0a6e",
+    "C2": "dea914aad32cb6df382d852726ac422acdb23e616077bdba0140944e61d7a4a4",
+    "C3": "dc6fb47b81d934b745bd50a28c2df7b3e26720647477413585d2c18e98edc2b4",
+    "C4": "3b9c4cf08df3ca88e2f1cb09690fefa8c0963a2208f585a3031bef80e099aaa6",
+    "C5": "1dfa2e3badaf6e844e0c95f631d1b6fe383bf6089e27d016af1fc3ff10536686",
+    "C6": "c8602d710a278034e667c90b47b8d0ccd1e8beca1e1a5b4a3e2e88ecdadd87ce",
+    "Fed3CR": "2fee21f6a0be76c879722ff1cbed803ecb63933e6e3b6841c4ea937683e5dc19",
     "FedMF": "a33ba24c9e5286eb13775f30297d5dc0a07284f61a7b99705d537bcf0515f664",
     "FedMF+ACE": "0aab893e77d1a8f5e6a8d19edb120ede5ee7c2cff0f0d6ea3de75b2d78ae0484",
     # the row maps, under the config's own label (Fed3CR)
-    "consensus-transfer": "12300fd37560c2a3ef5b6f123ee1a64390deae12810494986fe0ea7a8def9f12",
-    "unified-transfer": "ee47d5266b5a0e85b517bb01f56290499282040ecd4c6461be9d7acb2211984f",
+    "consensus-transfer": "6a396d9b68610de37da68eab03bc0d473dde7175d312942be46f3a872e0e7e19",
+    "unified-transfer": "cab0d93013d572c51a1dc4fc675530b5add545f7a3681f6c634e84a2a62ab692",
 }
 
 

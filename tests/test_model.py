@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fed3cr.autodiff as ad
+from fed3cr import seeding
 from fed3cr.checkpoint import load_client_state, load_server_state, save_client_state, save_server_state
 from fed3cr.errors import DataError, ParseError
 from fed3cr.federation import ServerState
@@ -218,6 +219,29 @@ def test_init_client_shapes():
     net = init_client_net(np.random.default_rng(0), 2, (2, 4))
     assert net.layer_shapes[0][1] == 4
     assert net.layer_shapes[-1][0] == 4
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_client_personal_table_prefix_does_not_depend_on_item_count(dtype):
+    small = init_client(seed=9, d=4, M=5, client_id=3, dtype=dtype)
+    large = init_client(seed=9, d=4, M=12, client_id=3, dtype=dtype)
+    assert small.personal_table.dtype == dtype
+    assert np.array_equal(small.personal_table, large.personal_table[:5])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_client_user_embedding_keeps_its_stream(dtype):
+    state = init_client(seed=9, d=4, M=5, client_id=3, dtype=dtype)
+    expected = seeding.rng(9, seeding.CLIENT_INIT, 3).normal(0.0, 0.01, 4).astype(dtype)
+    assert state.user_embedding.dtype == dtype
+    assert np.array_equal(state.user_embedding, expected)
+
+
+def test_init_client_without_personal_table_draws_none():
+    with_table = init_client(seed=9, d=4, M=5, client_id=3)
+    without = init_client(seed=9, d=4, M=5, client_id=3, personal_table=False)
+    assert without.personal_table is None
+    assert np.array_equal(without.user_embedding, with_table.user_embedding)
 
 
 def test_initial_transfer_matrix_is_small(shared_blocks):
