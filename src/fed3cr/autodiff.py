@@ -17,22 +17,31 @@ from typing import Callable
 import numpy as np
 
 
-def add_rows(out: np.ndarray, idx: np.ndarray, rows: np.ndarray, scratch: np.ndarray | None = None) -> None:
-    """Add row i of `rows` into row idx[i] of `out`, in place.
-
-    Unique indices (batch items, positives) gather their rows into
-    `scratch` (a new array when None), add and scatter back; repeated ones,
-    including two indices that name the same row such as -1 and M-1, fall
-    back to `np.add.at`. The indices must already have been checked against
-    `out` (they gathered its rows forward).
-    """
-    hit = np.zeros(out.shape[0], dtype=bool)
+def distinct_rows(idx: np.ndarray, m: int) -> bool:
+    """Whether the indices `idx`, already checked against an m-row table,
+    name distinct rows; -1 and m-1 name the same row."""
+    hit = np.zeros(m, dtype=bool)
     hit[idx] = True
-    if np.count_nonzero(hit) != idx.size:
+    return np.count_nonzero(hit) == idx.size
+
+
+def add_rows(out: np.ndarray, idx: np.ndarray, rows: np.ndarray, distinct: bool, scratch: np.ndarray | None = None) -> None:
+    """Add row i of `rows` into row idx[i] of `out`, in place; a 1-D `rows`
+    is one row added into every indexed row.
+
+    `distinct` is `distinct_rows(idx, len(out))`, which a caller that scatters
+    the same indices more than once checks once. Distinct indices (batch
+    items, positives) gather their rows into `scratch` (a new array when
+    None), add and scatter back; repeated ones, including two indices that
+    name the same row such as -1 and M-1, fall back to `np.add.at`. The
+    indices must already have been checked against `out` (they gathered its
+    rows forward).
+    """
+    if not distinct:
         np.add.at(out, idx, rows)
         return
     if scratch is None:
-        scratch = np.empty(rows.shape, out.dtype)
+        scratch = np.empty((idx.size, out.shape[1]), out.dtype)
     # "wrap" maps the checked indices as indexing does; "raise" would copy.
     out.take(idx, axis=0, out=scratch, mode="wrap")
     scratch += rows
@@ -63,7 +72,7 @@ class Workspace:
     def copy(self, key, source: np.ndarray) -> np.ndarray:
         """The buffer for `key`, loaded with a copy of `source`."""
         array = self.buffer(key, source.shape, source.dtype)
-        np.copyto(array, source)
+        array[...] = source
         return array
 
 
@@ -79,11 +88,13 @@ class Tensor:
 
     def backward(self) -> list:
         """d(self)/d(array) for each trainable array, from one call of the
-        vjp with a seed of ones in this value's dtype."""
-        return self._vjp(np.ones_like(self.data))
+        vjp with a seed of one: a 0-d array in this scalar value's dtype."""
+        return self._vjp(np.array(1, self.data.dtype))
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function of an array."""
     z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    one_z = 1.0 + z
+    out = np.divide(z, one_z)
+    return np.divide(1.0, one_z, out=out, where=x >= 0)

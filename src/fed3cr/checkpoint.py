@@ -38,7 +38,8 @@ def _write(path: str, meta: dict, blocks: list[tuple[str, np.ndarray]]) -> None:
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
         for _, arr in blocks:
-            fh.write(np.ascontiguousarray(arr).astype(dtype).tobytes())
+            # No copy when the block is already contiguous in the header's dtype.
+            fh.write(np.ascontiguousarray(arr, dtype=dtype))
 
 
 def _read(path: str) -> tuple[dict, dict[str, np.ndarray]]:

@@ -256,7 +256,9 @@ class NegativeSampler:
 
     Each client owns an independent RNG stream derived from
     (seed, client_id), so batch sequences are reproducible regardless of
-    the order clients are visited in.
+    the order clients are visited in. The sampler keeps one negative
+    universe, that of the client last sampled: a client's E steps in a round
+    build it once, and a run keeps no per-client copy.
     """
 
     def __init__(self, dataset: InteractionDataset, seed: int, negatives_per_positive: int = 4):
@@ -266,6 +268,7 @@ class NegativeSampler:
         self.seed = seed
         self.negatives_per_positive = negatives_per_positive
         self._rngs: dict[int, np.random.Generator] = {}
+        self._universe: tuple[int, np.ndarray] | None = None
 
     def _client_rng(self, client: int) -> np.random.Generator:
         if client not in self._rngs:
@@ -274,44 +277,50 @@ class NegativeSampler:
 
     def candidate_universe(self, client: int) -> np.ndarray:
         """Items the client never interacted with (train positives and test
-        excluded), built on each call so that a run keeps no per-client copy."""
-        return _unseen_items(self.dataset, client)
+        excluded), read-only. Only the last client's universe is kept: it is
+        built again when another client's was asked for in between."""
+        cached = self._universe
+        if cached is None or cached[0] != client:
+            universe = _unseen_items(self.dataset, client)
+            universe.flags.writeable = False
+            cached = self._universe = (client, universe)
+        return cached[1]
 
     def sample_batch(self, client: int, batch_size: int = 2048) -> tuple[np.ndarray, np.ndarray]:
         """Return (item_ids, labels) interleaving each positive with its negatives."""
         positives = self.dataset.client_items[client]
-        if len(positives) == 0:
+        n = len(positives)
+        if n == 0:
             raise DataError(f"client {client} has no train positives")
         universe = self.candidate_universe(client)
         rng = self._client_rng(client)
         k = self.negatives_per_positive
 
-        order = rng.permutation(len(positives))
-        needed = len(positives) * k
+        order = rng.permutation(n)
+        needed = n * k
         if len(universe) == 0:
             warnings.warn(
                 f"client {client}: no non-interacted items to sample; batch has positives only",
                 ReplacementSamplingWarning,
             )
-            negatives = np.empty((len(positives), 0), dtype=np.int64)
+            negatives = np.empty((n, 0), dtype=np.int64)
         elif len(universe) < needed:
             warnings.warn(
                 f"client {client}: universe of {len(universe)} smaller than {needed} "
                 "requested negatives; sampling with replacement",
                 ReplacementSamplingWarning,
             )
-            negatives = rng.choice(universe, size=(len(positives), k), replace=True)
+            negatives = rng.choice(universe, size=(n, k), replace=True)
         else:
-            negatives = rng.choice(universe, size=needed, replace=False).reshape(len(positives), k)
+            negatives = rng.choice(universe, size=needed, replace=False).reshape(n, k)
 
-        per_pos = 1 + negatives.shape[1]
-        items = np.empty(len(positives) * per_pos, dtype=np.int64)
-        labels = np.zeros(len(positives) * per_pos, dtype=np.int64)
-        items[::per_pos] = positives[order]
-        labels[::per_pos] = 1
-        for j in range(negatives.shape[1]):
-            items[j + 1 :: per_pos] = negatives[order, j]
-        return items[:batch_size], labels[:batch_size]
+        # One row per positive, its negatives after it; raveled, the rows interleave.
+        items = np.empty((n, 1 + negatives.shape[1]), dtype=np.int64)
+        items[:, 0] = positives[order]
+        items[:, 1:] = negatives[order]
+        labels = np.zeros(items.shape, dtype=np.int64)
+        labels[:, 0] = 1
+        return items.ravel()[:batch_size], labels.ravel()[:batch_size]
 
 
 def build_eval_candidates(

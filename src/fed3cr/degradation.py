@@ -191,8 +191,10 @@ def empirical_heterogeneity_probe(
         grads.append(grad)
 
     stack = np.stack([g.reshape(-1) for g in grads])
-    diffs = stack[:, None, :] - stack[None, :, :]
-    return HeterogeneityProbe(
-        grad_diff_norms=np.linalg.norm(diffs, axis=2),
-        grad_norms=np.linalg.norm(stack, axis=1),
-    )
+    # One row of differences at a time: N x (M d) memory, not N x N x (M d).
+    # Each norm reduces one contiguous row as the stacked form does, so the
+    # bits match it; the Gram form |g_i|^2 + |g_j|^2 - 2<g_i, g_j> cancels.
+    diff_norms = np.empty((len(grads), len(grads)))
+    for i, row in enumerate(stack):
+        diff_norms[i] = np.linalg.norm(row - stack, axis=1)
+    return HeterogeneityProbe(grad_diff_norms=diff_norms, grad_norms=np.linalg.norm(stack, axis=1))

@@ -272,14 +272,11 @@ def select_clients(n: int, fraction: float, round: int, seed: int) -> list[int]:
 
 
 def _mean_breakdown(parts: list[LossBreakdown]) -> LossBreakdown:
-    return LossBreakdown(
-        l_rec=float(np.mean([p.l_rec for p in parts])),
-        l_a=float(np.mean([p.l_a for p in parts])),
-        l_o=float(np.mean([p.l_o for p in parts])),
-        total=float(np.mean([p.total for p in parts])),
-        beta_a=parts[0].beta_a,
-        beta_o=parts[0].beta_o,
-    )
+    """The mean of each loss term over `parts`. One C-contiguous row per term
+    keeps each row's reduction pairwise, as `np.mean` of that term's list."""
+    terms = np.array([[getattr(p, name) for p in parts] for name in ("l_rec", "l_a", "l_o", "total")])
+    l_rec, l_a, l_o, total = np.mean(terms, axis=1).tolist()
+    return LossBreakdown(l_rec=l_rec, l_a=l_a, l_o=l_o, total=total, beta_a=parts[0].beta_a, beta_o=parts[0].beta_o)
 
 
 def local_update(
@@ -355,7 +352,7 @@ def local_update(
             complementarity_kind=variant.complementarity_kind,
             workspace=workspace,
         )
-        if not np.isfinite(breakdown.total):
+        if not math.isfinite(breakdown.total):
             warnings.warn(
                 f"round {round}: client {state.client_id} produced a non-finite loss; "
                 "excluded from aggregation"

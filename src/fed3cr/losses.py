@@ -49,10 +49,11 @@ def _bce(p: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Summed binary cross-entropy of predictions clamped away from {0, 1},
     and its gradient w.r.t. the predictions (zero outside the clamp)."""
     labels = np.asarray(labels, dtype=p.dtype)
-    clamped = np.clip(p, PRED_CLAMP, 1.0 - PRED_CLAMP)
-    loss = -np.sum(np.log(clamped) * labels + np.log(1.0 - clamped) * (1.0 - labels))
+    clamped = np.minimum(np.maximum(p, PRED_CLAMP), 1.0 - PRED_CLAMP)
+    rest, off = 1.0 - clamped, 1.0 - labels
+    loss = -np.add.reduce(np.log(clamped) * labels + np.log(rest) * off, axis=None)
     inside = (p >= PRED_CLAMP) & (p <= 1.0 - PRED_CLAMP)
-    return loss, inside * ((1.0 - labels) / (1.0 - clamped) - labels / clamped)
+    return loss, inside * (off / rest - labels / clamped)
 
 
 def _top_one(prototype: np.ndarray, table: np.ndarray, mode: str) -> tuple[np.ndarray, tuple]:
@@ -66,14 +67,15 @@ def _top_one(prototype: np.ndarray, table: np.ndarray, mode: str) -> tuple[np.nd
         raise ValueError(f"unknown top-one mode {mode!r}")
     dots = table @ prototype
     row_norms = np.sqrt(np.einsum("ij,ij->i", table, table) + NORM_GUARD)
-    p_norm = np.sqrt(np.dot(prototype, prototype) + NORM_GUARD)
-    cos = dots / (row_norms * p_norm)
+    p_norm = np.sqrt(prototype @ prototype + NORM_GUARD)
+    norms = row_norms * p_norm
+    cos = dots / norms
     if mode == "softmax":
-        e = np.exp(cos - cos.max())
-        return e / e.sum(), (cos, row_norms, p_norm, None)
-    clamped = np.clip(cos, COS_CLAMP, 1.0)
-    total = clamped.sum()
-    return clamped / total, (cos, row_norms, p_norm, total)
+        e = np.exp(cos - np.maximum.reduce(cos))
+        return e / np.add.reduce(e), (cos, norms, row_norms, p_norm, None)
+    clamped = np.minimum(np.maximum(cos, COS_CLAMP), 1.0)
+    total = np.add.reduce(clamped)
+    return clamped / total, (cos, norms, row_norms, p_norm, total)
 
 
 def _top_one_vjp(
@@ -91,35 +93,35 @@ def _top_one_vjp(
     written into `out` (a new array when None); `scratch`, when given, holds
     the table-sized products on the way. Returns (prototype gradient, the
     table gradient's array)."""
-    cos, row_norms, p_norm, total = cache
-    centred = d_dist - np.dot(d_dist, dist)
+    cos, norms, row_norms, p_norm, total = cache
+    centred = d_dist - d_dist @ dist
     if total is None:
         d_cos = dist * centred
     else:
         d_cos = centred / total * ((cos >= COS_CLAMP) & (cos <= 1.0))
     # cos_j = dots_j / (row_norms_j * p_norm); a_j is d(loss)/d(dots_j), and
-    # d_table = a p^T - diag(row_scale) table. The one-column BLAS product and
-    # the einsum row scaling time faster than numpy's broadcast products.
-    a = d_cos / (row_norms * p_norm)
+    # d_table = a p^T - diag(row_scale) table. The one-column BLAS product
+    # times faster than numpy's broadcast outer product.
+    a = d_cos / norms
     ac = a * cos
     row_scale = ac * (p_norm / row_norms)
     if accumulate:
-        out -= np.einsum("i,ij->ij", row_scale, table, out=scratch)
+        out -= np.multiply(table, row_scale[:, None], out=scratch)
     else:
-        out = np.einsum("i,ij->ij", -row_scale, table, out=out)
+        out = np.multiply(table, -row_scale[:, None], out=out)
     out += np.dot(a[:, None], prototype[None], out=scratch)
-    d_proto = table.T @ a - (np.dot(ac, row_norms) / p_norm) * prototype
+    d_proto = table.T @ a - (ac @ row_norms / p_norm) * prototype
     return d_proto, out
 
 
-def _consistency(
-    p_personal: np.ndarray, p_global: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Symmetric cross-entropy between two item distributions, plus the logs."""
-    log_g = np.log(np.maximum(p_global, LOG_FLOOR))
-    log_p = np.log(np.maximum(p_personal, LOG_FLOOR))
-    cross = np.sum(p_personal * log_g) + np.sum(p_global * log_p)
-    return cross * -0.5, log_g, log_p
+def _consistency(p_personal: np.ndarray, p_global: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Symmetric cross-entropy between two item distributions, and what its
+    gradient needs: the logs and the distributions floored at LOG_FLOOR."""
+    floor_g = np.maximum(p_global, LOG_FLOOR)
+    floor_p = np.maximum(p_personal, LOG_FLOOR)
+    log_g, log_p = np.log(floor_g), np.log(floor_p)
+    cross = np.add.reduce(p_personal * log_g, axis=None) + np.add.reduce(p_global * log_p, axis=None)
+    return cross * -0.5, (log_g, log_p, floor_g, floor_p)
 
 
 def _consistency_term(
@@ -132,13 +134,13 @@ def _consistency_term(
     table gradients go into `v_out` and `g_out` (see `_top_one_vjp`)."""
     dist_p, cache_p = _top_one(p_personal, v_view, mode)
     dist_g, cache_g = _top_one(p_global, g_view, mode)
-    loss, log_g, log_p = _consistency(dist_p, dist_g)
+    loss, (log_g, log_p, floor_g, floor_p) = _consistency(dist_p, dist_g)
 
     def vjp(scale, v_out=None, g_out=None, accumulate=False, scratch=None) -> tuple[np.ndarray, ...]:
         # The clamp at LOG_FLOOR passes gradient only where the value is kept.
         half = -0.5 * scale
-        d_dist_p = half * (log_g + (dist_p >= LOG_FLOOR) * dist_g / np.maximum(dist_p, LOG_FLOOR))
-        d_dist_g = half * (log_p + (dist_g >= LOG_FLOOR) * dist_p / np.maximum(dist_g, LOG_FLOOR))
+        d_dist_p = half * (log_g + (dist_p >= LOG_FLOOR) * dist_g / floor_p)
+        d_dist_g = half * (log_p + (dist_g >= LOG_FLOOR) * dist_p / floor_g)
         d_pp, d_v = _top_one_vjp(d_dist_p, dist_p, cache_p, p_personal, v_view, v_out, accumulate, scratch)
         d_pg, d_c = _top_one_vjp(d_dist_g, dist_g, cache_g, p_global, g_view, g_out, accumulate, scratch)
         return d_pp, d_v, d_pg, d_c
@@ -151,7 +153,7 @@ def _orthogonality(c_e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     corr = c_e^T v, and corr. Its gradients are (2/d) v corr^T for c_e and
     (2/d) c_e corr for v."""
     corr = c_e.T @ v
-    return np.sum(corr * corr) * np.asarray(1.0 / c_e.shape[1], dtype=corr.dtype), corr
+    return np.add.reduce(corr * corr, axis=None) * np.asarray(1.0 / c_e.shape[1], dtype=corr.dtype), corr
 
 
 def _distance_push(c_e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +161,7 @@ def _distance_push(c_e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     baseline), and diff = c_e - v. Its gradient is -2 diff / (M d) for c_e
     and the negation for v."""
     diff = c_e - v
-    return np.sum(diff * diff) * np.asarray(-1.0 / diff.size, dtype=diff.dtype), diff
+    return np.add.reduce(diff * diff, axis=None) * np.asarray(-1.0 / diff.size, dtype=diff.dtype), diff
 
 
 # -- public numpy surface -------------------------------------------------------------
@@ -230,7 +232,7 @@ def total_loss_t(
     items = np.asarray(batch_items)
     first = trace.views[0]
     dtype, (m, d) = first.dtype, first.shape
-    if items.size and not -m <= items.min() <= items.max() < m:
+    if items.size and not -m <= np.minimum.reduce(items, axis=None) <= np.maximum.reduce(items, axis=None) < m:
         raise IndexError(f"batch items must index the {m} item rows")
     # Checked once, the items gather in "wrap" mode, which maps them as
     # indexing does; "raise" would copy through a temporary first.

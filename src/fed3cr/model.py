@@ -14,6 +14,7 @@ global one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -102,7 +103,8 @@ def net_pass(net: TransferNet, x: np.ndarray, workspace: ad.Workspace, role: str
     h = x
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
         inputs.append(h)
-        out = workspace.buffer((role, "h", l), h.shape[:-1] + w.shape[:1], np.result_type(h, w, b))
+        dtype = h.dtype if h.dtype == w.dtype == b.dtype else np.result_type(h, w, b)
+        out = workspace.buffer((role, "h", l), h.shape[:-1] + w.shape[:1], dtype)
         if h.ndim == 1:
             np.matmul(w, h, out=out)
         else:
@@ -111,7 +113,7 @@ def net_pass(net: TransferNet, x: np.ndarray, workspace: ad.Workspace, role: str
         if l < len(net.weights) - 1:
             mask = np.greater(out, 0, out=workspace.buffer((role, "mask", l), out.shape, bool))
             # np.where(mask, out, 0.0) in place: NaN and -0.0 become 0.0 as well
-            np.copyto(out, 0.0, where=np.logical_not(mask, out=workspace.buffer((role, "off", l), out.shape, bool)))
+            out[np.logical_not(mask, out=workspace.buffer((role, "off", l), out.shape, bool))] = 0.0
             masks.append(mask)
         h = out
     return NetPass(inputs, masks, h)
@@ -133,7 +135,7 @@ def net_backward(net: TransferNet, fwd: NetPass, g: np.ndarray, workspace: ad.Wo
             blocks[:0] = [dw, g.copy()]
             g = w.T @ g
         else:
-            blocks[:0] = [(h.T @ g).T, g.sum(axis=0)]
+            blocks[:0] = [(h.T @ g).T, np.add.reduce(g, axis=0)]
             g = np.matmul(g, w, out=workspace.buffer((role, "dx", l), h.shape, g.dtype))
     return [g, *blocks]
 
@@ -149,9 +151,15 @@ def transfer_matrix(
     return w_mat, fwd
 
 
+@functools.cache
+def _block_names(layers: int) -> tuple[tuple[str, str], ...]:
+    """The `params` names of a net's layers: ("w0", "b0"), ("w1", "b1"), ..."""
+    return tuple((f"w{l}", f"b{l}") for l in range(layers))
+
+
 def _prototype(table: np.ndarray, positives: np.ndarray) -> np.ndarray:
     """Mean of the positives' rows: their sum times 1/|positives| in the table's dtype."""
-    return table[positives].sum(axis=0) * np.asarray(1.0 / positives.size, dtype=table.dtype)
+    return np.add.reduce(table[positives], axis=0) * np.asarray(1.0 / positives.size, dtype=table.dtype)
 
 
 @dataclass
@@ -362,9 +370,9 @@ def forward_pass(
     if not single:
         params["V"] = own
     if net is not None and enhancement != "none":
-        for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-            params[f"w{l}"] = w
-            params[f"b{l}"] = b
+        for (w_name, b_name), w, b in zip(_block_names(len(net.weights)), net.weights, net.biases):
+            params[w_name] = w
+            params[b_name] = b
 
     if enhancement == "ace":
         c_e = np.matmul(glob, w_mat.T, out=workspace.buffer(("forward_pass", "C_E"), glob.shape, glob.dtype))
@@ -378,24 +386,29 @@ def forward_pass(
         c_e, p_e = glob, p_g
         views = (own,) if single else (glob, own)
 
+    positives_distinct = None  # checked on the pass's first mean_rows call
+
     def mean_rows(out: np.ndarray, dp: np.ndarray) -> None:
         """Add dp, the gradient of a mean over the positives' rows of a
         table, into those rows of `out`, the table's gradient so far."""
-        row = dp * np.asarray(1.0 / positives.size, dtype=out.dtype)
-        ad.add_rows(out, positives, np.broadcast_to(row, (positives.size, row.size)))
+        nonlocal positives_distinct
+        if positives_distinct is None:
+            positives_distinct = ad.distinct_rows(positives, out.shape[0])
+        ad.add_rows(out, positives, dp * np.asarray(1.0 / positives.size, dtype=out.dtype), positives_distinct)
 
     def pullback(items, d_rows, *, d_u=None, d_ce=None, d_v=None, dp_p=None, dp_e=None) -> list:
         # The batch rows first: into C_E's and V's gradients where those are
         # the views, else into a zeroed gradient of the view (a single
         # table under "none", or unified-transfer's mapped V).
         scratch = workspace.buffer(("forward_pass", "scatter batch"), d_rows.shape, d_rows.dtype)
+        items_distinct = ad.distinct_rows(items, views[0].shape[0])
 
         def with_rows(grad: np.ndarray | None, slot: int) -> np.ndarray:
             if grad is None:
                 view = views[slot]
                 grad = workspace.buffer(("forward_pass", "d view", slot), view.shape, view.dtype)
                 grad.fill(0)
-            ad.add_rows(grad, items, d_rows, scratch)
+            ad.add_rows(grad, items, d_rows, items_distinct, scratch)
             return grad
 
         if single and enhancement == "none":  # the trained table is the one view

@@ -44,15 +44,21 @@ def test_float32_graph_keeps_float32_grads(fed3cr_step):
 
 def test_add_rows_scatter_adds():
     # a repeated row, and -1 and 4 naming one row, must both accumulate;
-    # unique indices take the gather-add-scatter path, with or without scratch
-    for idx in (np.array([0, 2, 2, 4]), np.array([-1, 4, 1, 0]), np.array([3, 0, 1])):
-        for scratch in (None, np.empty((idx.size, 3))):
-            out = RNG.normal(size=(5, 3))
-            rows = RNG.normal(size=(idx.size, 3))
-            expected = out.copy()
-            np.add.at(expected, idx, rows)
-            ad.add_rows(out, idx, rows, scratch)
-            assert np.allclose(out, expected, rtol=0, atol=1e-15), (idx, scratch is None)
+    # unique indices take the gather-add-scatter path, with or without
+    # scratch; a 1-D row is added into every indexed row. Each case matches
+    # np.add.at bit for bit.
+    cases = ((np.array([0, 2, 2, 4]), False), (np.array([-1, 4, 1, 0]), False), (np.array([3, 0, 1]), True))
+    for dtype in (np.float32, np.float64):
+        for idx, distinct in cases:
+            assert ad.distinct_rows(idx, 5) == distinct, idx
+            for rows_shape in ((idx.size, 3), (3,)):
+                for scratch in (None, np.empty((idx.size, 3), dtype)):
+                    out = RNG.normal(size=(5, 3)).astype(dtype)
+                    rows = RNG.normal(size=rows_shape).astype(dtype)
+                    expected = out.copy()
+                    np.add.at(expected, idx, rows)
+                    ad.add_rows(out, idx, rows, distinct, scratch)
+                    assert out.tobytes() == expected.tobytes(), (dtype, idx, rows.ndim, scratch is None)
 
 
 def test_gathered_rows_add_into_a_dense_gradient():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from fed3cr.errors import (
     ReplacementSamplingWarning,
     SplitError,
 )
+from fed3cr.toy import generate_toy_dataset
 
 
 def write(path, text):
@@ -156,6 +159,56 @@ def test_batch_counts_and_balance():
     items, labels = sampler.sample_batch(client, batch_size=10_000)
     assert len(items) == n_pos * 5
     assert labels.sum() == n_pos
+
+
+# Client calls that switch clients mid-sequence: the first 5 batches of each.
+SAMPLE_ORDER = (0, 0, 1, 1, 0, 1, 0, 0, 1, 1)
+
+
+def sampler_stream_digest(ds, clients, batch_size):
+    """sha256 over the items and labels of the batches SAMPLE_ORDER draws for
+    `clients`, from a sampler at seed 1 with 4 negatives per positive."""
+    sampler = NegativeSampler(ds, seed=1, negatives_per_positive=4)
+    digest = hashlib.sha256()
+    for slot in SAMPLE_ORDER:
+        items, labels = sampler.sample_batch(clients[slot], batch_size)
+        assert items.dtype == labels.dtype == np.int64
+        digest.update(items.tobytes())
+        digest.update(labels.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.filterwarnings("ignore::fed3cr.errors.ReplacementSamplingWarning")
+@pytest.mark.parametrize(
+    "fixture, clients, batch_size, expected",
+    [
+        # universes of 22 and 23 items for 28 and 24 negatives: with replacement
+        ("split", (0, 3), 2048, "f565a2c0917a7024321d3aa2760dbcd55c3f6e604176951c314da525703e06a2"),
+        ("split", (0, 3), 17, "200ef6645b86500e34548a572bbd34c650925546bed744c66d70547746ccb109"),
+        # toy universes of 87 and 86 items for 32 and 36 negatives: without
+        ("toy", (2, 7), 2048, "2c393995890b4f9fb462d7482bca51660c0fcd17557eb0dec7909e0f71844dc4"),
+    ],
+    ids=["split-fixture", "split-fixture-truncated", "toy"],
+)
+def test_sampler_stream_is_pinned(fixture, clients, batch_size, expected):
+    # the batches' bits, taken before the sampler kept one universe per last
+    # client and built each batch as one block: the same draws, in order
+    if fixture == "split":
+        ds = make_split_fixture()
+    else:
+        ds = leave_one_out_split(generate_toy_dataset(seed=0), seed=0)
+    assert sampler_stream_digest(ds, clients, batch_size) == expected
+
+
+def test_candidate_universe_is_kept_for_the_last_client_only():
+    ds = make_split_fixture()
+    sampler = NegativeSampler(ds, seed=1)
+    first = sampler.candidate_universe(0)
+    assert sampler.candidate_universe(0) is first and not first.flags.writeable
+    other = sampler.candidate_universe(3)
+    assert other is not first
+    again = sampler.candidate_universe(0)
+    assert again is not first and np.array_equal(again, first)
 
 
 def test_batch_three_positives_example(tmp_path):

@@ -9,6 +9,7 @@ from fed3cr.degradation import (
     toy_example_report,
     verify_bound,
 )
+from fed3cr import seeding
 from fed3cr.model import init_client
 from fed3cr.toy import generate_toy_dataset
 
@@ -81,6 +82,51 @@ def test_toy_report_most_distant_client_has_lowest_cosine():
     mean_angle = np.rad2deg(np.arctan2(full.mean[1], full.mean[0]))
     distances = [abs(a - mean_angle) for a in (0, 40, 70)]
     assert np.argmin(full.cosines) == np.argmax(distances)
+
+
+def stacked_probe(clients, positives, c_ref, num_negatives=4, seed=0):
+    """The probe's pairwise norms from the stacked N x N x (M d) difference
+    array, with its gradients built as `empirical_heterogeneity_probe` builds
+    them: the reference the row-at-a-time form must match bit for bit."""
+    m = c_ref.shape[0]
+    grads = []
+    for state, pos in zip(clients, positives):
+        pos = np.asarray(pos)
+        rng = seeding.rng(seed, seeding.FIXTURE, state.client_id, 1)
+        universe = np.setdiff1d(np.arange(m, dtype=np.int64), pos)
+        negatives = rng.choice(universe, size=min(num_negatives * len(pos), len(universe)), replace=False)
+        items = np.concatenate([pos, negatives])
+        labels = np.concatenate([np.ones(len(pos)), np.zeros(len(negatives))])
+        u = np.asarray(state.user_embedding, dtype=np.float64)
+        preds = 1.0 / (1.0 + np.exp(-(c_ref[items] @ u)))
+        grad = np.zeros_like(c_ref)
+        np.add.at(grad, items, (preds - labels)[:, None] * u[None, :])
+        grads.append(grad)
+    stack = np.stack([g.reshape(-1) for g in grads])
+    return np.linalg.norm(stack[:, None, :] - stack[None, :, :], axis=2)
+
+
+def probe_fixtures():
+    a = init_client(seed=5, d=4, M=12, dtype=np.float64)
+    b = init_client(seed=5, d=4, M=12, dtype=np.float64)
+    b.client_id = a.client_id
+    pos = np.array([1, 4, 7])
+    yield [a, b], [pos, pos], np.random.default_rng(3).normal(size=(12, 4)), 9
+    clients = [init_client(seed=6, d=3, M=10, client_id=i, dtype=np.float64) for i in range(4)]
+    yield clients, [np.array([i, i + 1, i + 2]) for i in range(4)], np.random.default_rng(4).normal(size=(10, 3)), 0
+    ds = generate_toy_dataset(num_clients=12, num_items=24, num_blocks=2, seed=3)
+    clients = [init_client(seed=7, d=4, M=24, client_id=c, dtype=np.float64) for c in range(12)]
+    for c in clients:
+        c.user_embedding = np.ones(4)
+    yield clients, ds.client_items, np.random.default_rng(5).normal(size=(24, 4)), 8
+
+
+def test_probe_equals_the_stacked_formula_bit_for_bit():
+    for clients, positives, c_ref, seed in probe_fixtures():
+        probe = empirical_heterogeneity_probe(clients, positives, c_ref, seed=seed)
+        expected = stacked_probe(clients, positives, c_ref, seed=seed)
+        assert probe.grad_diff_norms.dtype == expected.dtype
+        assert probe.grad_diff_norms.tobytes() == expected.tobytes()
 
 
 def test_probe_cloned_clients_zero_difference():

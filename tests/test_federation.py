@@ -839,3 +839,17 @@ def test_federation_binds_every_name_the_benchmark_wraps(monkeypatch):
             assert hasattr(owner, part), (name, module, attr)
             owner = getattr(owner, part)
         assert callable(owner), name
+
+
+@pytest.mark.parametrize("n", [3, 11])
+def test_mean_breakdown_is_each_terms_np_mean_bit_for_bit(n):
+    # numpy sums 8 or more values pairwise; one C-contiguous row per term
+    # keeps each term's reduction that of np.mean over its own list
+    rng = np.random.default_rng(n)
+    parts = [LossBreakdown(*rng.normal(size=4).tolist(), beta_a=0.5, beta_o=0.25) for _ in range(n)]
+    mean = federation._mean_breakdown(parts)
+    for name in ("l_rec", "l_a", "l_o", "total"):
+        expected = float(np.mean([getattr(p, name) for p in parts]))
+        assert type(getattr(mean, name)) is float
+        assert np.float64(getattr(mean, name)).tobytes() == np.float64(expected).tobytes(), name
+    assert (mean.beta_a, mean.beta_o) == (0.5, 0.25)

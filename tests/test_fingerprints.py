@@ -1,5 +1,6 @@
 """The bits of `configs/toy.cfg`: the sha256 of `metrics.csv` under every
-variant label and both row maps.
+variant label and both row maps; and of one full-ranking run, which ranks
+every unseen item of 1000, with RBO at k=50 and d=16.
 
 A change meant to keep every metric byte for byte (a refactor, a speed-up)
 must leave these hashes as they are. A change that moves them on purpose
@@ -42,3 +43,45 @@ def test_toy_metrics_csv_is_byte_identical(name, tmp_path, monkeypatch):
     run_experiment(config, str(outdir), save_checkpoints=False)
     digest = hashlib.sha256((outdir / "metrics.csv").read_bytes()).hexdigest()
     assert digest == FINGERPRINTS[name]
+
+
+# Full ranking with RBO at k=50 every round, at training.seed = 1: 200 clients
+# x 1000 items, d=16, one local step, 20 clients a round, 25 rounds.
+FULL_RANK_CFG = """
+[dataset]
+format = toy
+toy_clients = 200
+toy_items = 1000
+toy_blocks = 4
+toy_min_positives = 20
+toy_max_positives = 60
+
+[training]
+seed = 1
+rounds = 25
+local_iters = 1
+dim = 16
+lr = 0.1
+beta_a = 0.5
+beta_o = 0.5
+client_fraction = 0.1
+
+[variant]
+label = Fed3CR
+
+[eval]
+negatives = -1
+rbo_k = 50
+interval = 1
+"""
+FULL_RANK_FINGERPRINT = "fe9ff352e7f143cc5f5874f15e85a995c15c7113241d2d78cbea56672c3d9f6d"
+
+
+def test_full_ranking_metrics_csv_is_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.delenv("FED3CR_SEED", raising=False)
+    path = tmp_path / "full-rank.cfg"
+    path.write_text(FULL_RANK_CFG)
+    outdir = tmp_path / "run"
+    run_experiment(load_config(str(path)), str(outdir), save_checkpoints=False)
+    digest = hashlib.sha256((outdir / "metrics.csv").read_bytes()).hexdigest()
+    assert digest == FULL_RANK_FINGERPRINT

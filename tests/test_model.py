@@ -298,6 +298,25 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert np.array_equal(loaded.personal_table, state.personal_table)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_checkpoint_bytes_are_the_header_then_each_blocks_raw_bytes(tmp_path, shared_blocks, dtype):
+    # the reference layout: the 8-byte little-endian header length, the
+    # header, then tobytes() of each block in header order; a block that is
+    # not C-contiguous (a Fortran-ordered weight here) is written in C order
+    consensus, theta = shared_blocks(8, 4, 6, dtype=dtype)
+    theta.weights[0] = np.asfortranarray(theta.weights[0])
+    assert not theta.weights[0].flags.c_contiguous
+    server = ServerState(consensus=consensus, theta=theta, round=2)
+    path = tmp_path / "server.bin"
+    save_server_state(str(path), server, seed=8)
+    raw = path.read_bytes()
+    header_len = int.from_bytes(raw[:8], "little")
+    blocks = [consensus, theta.weights[0], theta.biases[0], theta.weights[1], theta.biases[1]]
+    expected = raw[: 8 + header_len] + b"".join(np.ascontiguousarray(b).tobytes() for b in blocks)
+    assert raw == expected
+    assert load_server_state(str(path))[1]["dtype"] == np.dtype(dtype).newbyteorder("<").str
+
+
 def test_checkpoint_without_net(tmp_path):
     # the server of a variant without a net writes the consensus table alone
     consensus = np.random.default_rng(1).normal(size=(4, 3)).astype(np.float32)
