@@ -25,12 +25,6 @@ class QuadraticClient:
 
     optimum: np.ndarray
 
-    def loss(self, c: np.ndarray) -> float:
-        return 0.5 * float(np.sum((c - self.optimum) ** 2))
-
-    def gradient(self, c: np.ndarray) -> np.ndarray:
-        return c - self.optimum
-
 
 @dataclass
 class DegradationReport:
@@ -147,12 +141,6 @@ class HeterogeneityProbe:
 
     grad_diff_norms: np.ndarray  # ||g_i - g_j||_F
     grad_norms: np.ndarray  # ||g_i||_F per client
-
-    def to_dict(self) -> dict:
-        return {
-            "grad_diff_norms": self.grad_diff_norms.tolist(),
-            "grad_norms": self.grad_norms.tolist(),
-        }
 
 
 def empirical_heterogeneity_probe(

@@ -44,17 +44,15 @@ def metrics_csv_lines(metrics: list[RoundMetrics]) -> list[str]:
     return lines
 
 
-def rank_candidates(scores: np.ndarray, candidates: np.ndarray, test_item):
+def rank_candidates(scores: np.ndarray, candidates: np.ndarray, test_items: np.ndarray) -> np.ndarray:
     """1-based rank of each row's test item among that row's candidates
     under that row's scores (one score per item id): descending score, ties
     broken by ascending id, NaN scores last. `scores` is (B, M), `candidates`
-    (B, K) and `test_item` (B,), giving B ranks; a 1-D call is a block of one
-    and gives one int. It counts the candidates that order before the test
-    item, so it neither sorts nor builds a list, and a repeat of the test
-    item among its own candidates never orders before it."""
-    if np.ndim(scores) == 1:
-        return int(rank_candidates(scores[None], np.asarray(candidates)[None], np.array([test_item]))[0])
-    cand, test = np.asarray(candidates), np.asarray(test_item)[:, None]
+    (B, K) and `test_items` (B,), giving B ranks. It counts the candidates
+    that order before the test item, so it neither sorts nor builds a list,
+    and a repeat of the test item among its own candidates never orders
+    before it."""
+    cand, test = np.asarray(candidates), np.asarray(test_items)[:, None]
     missing = ~np.any(cand == test, axis=1)
     if missing.any():
         raise ProtocolError(f"test item {test[missing, 0][0]} not among the ranked candidates")
@@ -69,18 +67,16 @@ def rank_candidates(scores: np.ndarray, candidates: np.ndarray, test_item):
     return np.count_nonzero(before, axis=1) + 1
 
 
-def hr_ndcg_at_k(rank, k: int):
-    """Hit indicator and positional discount of 1-based ranks: a miss
-    (rank > k) scores (0, 0.0) and a rank-1 hit scores (1, 1.0). An array
-    of ranks gives an int64 array of hits and a float64 array of discounts;
-    one rank gives (int, float). Each discount is the scalar
+def hr_ndcg_at_k(ranks: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hit indicator and positional discount of each 1-based rank, as an
+    int64 and a float64 array: a miss (rank > k) scores (0, 0.0) and a
+    rank-1 hit scores (1, 1.0). Each discount is the scalar
     `float(1.0 / np.log2(rank + 1))`, which a vectorised log2 may round
     differently."""
-    ranks = np.asarray(rank)
     hits = ranks <= k
     ndcgs = np.zeros(ranks.shape)
     ndcgs[hits] = [float(1.0 / np.log2(r + 1)) for r in ranks[hits].tolist()]
-    return (int(hits), float(ndcgs)) if ranks.ndim == 0 else (hits.astype(np.int64), ndcgs)
+    return hits.astype(np.int64), ndcgs
 
 
 def _rbo(ids_a: np.ndarray, ids_b: np.ndarray, p: float, stride: int) -> np.ndarray:
@@ -127,12 +123,9 @@ def rbo_truncated(list_a, list_b, p: float) -> float:
 def top_k_ids(scores: np.ndarray, k: int, workspace: Workspace | None = None) -> np.ndarray:
     """Each row's top-k item ids by descending score, ties broken by
     ascending id (NaN scores last), as a (B, min(k, M)) int array for (B, M)
-    scores; a 1-D call is a block of one and gives one row. Scores compare
-    by value, so -0.0 ties with 0.0. The partitioned copy and the selection
-    mask are `workspace` buffers, one pair per block shape, when one is
-    given."""
-    if np.ndim(scores) == 1:
-        return top_k_ids(np.asarray(scores)[None], k, workspace)[0]
+    scores. Scores compare by value, so -0.0 ties with 0.0. The partitioned
+    copy and the selection mask are `workspace` buffers, one pair per block
+    shape, when one is given."""
     if workspace is None:
         workspace = Workspace()
     b, m = scores.shape
@@ -167,13 +160,10 @@ def view_consistency_rbo(
     k_prime: int,
     p: float,
     workspace: Workspace | None = None,
-):
+) -> np.ndarray:
     """RBO between each client's top-k' lists under the personal view (its
     scores of the personal table's rows) and the global view (its scores of
-    the enhanced consensus's rows): (B, M) score blocks give B RBOs, and a
-    1-D call is a block of one and gives one float."""
-    if np.ndim(personal_scores) == 1:
-        return float(view_consistency_rbo(personal_scores[None], global_scores[None], k_prime, p, workspace)[0])
+    the enhanced consensus's rows): (B, M) score blocks give B RBOs."""
     top_personal = top_k_ids(personal_scores, k_prime, workspace)
     top_global = top_k_ids(global_scores, k_prime, workspace)
     return _rbo(top_personal, top_global, p, personal_scores.shape[1])

@@ -276,7 +276,7 @@ def _mean_breakdown(parts: list[LossBreakdown]) -> LossBreakdown:
     keeps each row's reduction pairwise, as `np.mean` of that term's list."""
     terms = np.array([[getattr(p, name) for p in parts] for name in ("l_rec", "l_a", "l_o", "total")])
     l_rec, l_a, l_o, total = np.mean(terms, axis=1).tolist()
-    return LossBreakdown(l_rec=l_rec, l_a=l_a, l_o=l_o, total=total, beta_a=parts[0].beta_a, beta_o=parts[0].beta_o)
+    return LossBreakdown(l_rec=l_rec, l_a=l_a, l_o=l_o, total=total)
 
 
 def local_update(

@@ -25,6 +25,7 @@ PRED_CLAMP = 1e-7
 LOG_FLOOR = 1e-12
 COS_CLAMP = 1e-6
 NORM_GUARD = 1e-24  # added under the square root of every norm
+NORM_FLOOR = 1e-20  # a squared norm below it has no direction: cosine 0, no gradient
 
 EQ12_MODES = ("softmax", "literal-ratio")
 COMPLEMENTARITY_KINDS = ("orthogonal", "l2-distance")
@@ -38,8 +39,6 @@ class LossBreakdown:
     l_a: float
     l_o: float
     total: float
-    beta_a: float
-    beta_o: float
 
 
 # -- plain numpy pieces the objective composes -------------------------------------------
@@ -60,22 +59,29 @@ def _top_one(prototype: np.ndarray, table: np.ndarray, mode: str) -> tuple[np.nd
     """Distribution over table rows from prototype-to-row cosine similarities.
 
     'softmax' exponentiates the similarities; 'literal-ratio' clamps them
-    to [1e-6, 1] and normalizes by their sum. Also returns what
+    to [1e-6, 1] and normalizes by their sum. A row, or the prototype,
+    whose squared norm is below NORM_FLOOR counts as a constant cosine of
+    0 with zero gradient, as PRED_CLAMP treats the BCE. Also returns what
     `_top_one_vjp` needs.
     """
     if mode not in EQ12_MODES:
         raise ValueError(f"unknown top-one mode {mode!r}")
     dots = table @ prototype
-    row_norms = np.sqrt(np.einsum("ij,ij->i", table, table) + NORM_GUARD)
-    p_norm = np.sqrt(prototype @ prototype + NORM_GUARD)
+    row_sq, p_sq = np.einsum("ij,ij->i", table, table), prototype @ prototype
+    row_norms = np.sqrt(row_sq + NORM_GUARD)
+    p_norm = np.sqrt(p_sq + NORM_GUARD)
     norms = row_norms * p_norm
     cos = dots / norms
+    flat = None
+    if p_sq < NORM_FLOOR or np.fmin.reduce(row_sq) < NORM_FLOOR:
+        flat = (row_sq < NORM_FLOOR) | (p_sq < NORM_FLOOR)
+        cos[flat] = 0.0
     if mode == "softmax":
         e = np.exp(cos - np.maximum.reduce(cos))
-        return e / np.add.reduce(e), (cos, norms, row_norms, p_norm, None)
+        return e / np.add.reduce(e), (cos, norms, row_norms, p_norm, None, flat)
     clamped = np.minimum(np.maximum(cos, COS_CLAMP), 1.0)
     total = np.add.reduce(clamped)
-    return clamped / total, (cos, norms, row_norms, p_norm, total)
+    return clamped / total, (cos, norms, row_norms, p_norm, total, flat)
 
 
 def _top_one_vjp(
@@ -93,7 +99,7 @@ def _top_one_vjp(
     written into `out` (a new array when None); `scratch`, when given, holds
     the table-sized products on the way. Returns (prototype gradient, the
     table gradient's array)."""
-    cos, norms, row_norms, p_norm, total = cache
+    cos, norms, row_norms, p_norm, total, flat = cache
     centred = d_dist - d_dist @ dist
     if total is None:
         d_cos = dist * centred
@@ -103,6 +109,8 @@ def _top_one_vjp(
     # d_table = a p^T - diag(row_scale) table. The one-column BLAS product
     # times faster than numpy's broadcast outer product.
     a = d_cos / norms
+    if flat is not None:
+        a[flat] = 0.0
     ac = a * cos
     row_scale = ac * (p_norm / row_norms)
     if accumulate:
@@ -279,13 +287,6 @@ def total_loss_t(
         return trace.pullback(items, d_rows, d_u=rows.T @ d_scores, d_ce=d_ce, d_v=d_v, dp_p=d_pp, dp_e=d_pe)
 
     total = l_rec + (l_a * np.asarray(beta_a, dtype=dtype) + l_o * np.asarray(beta_o, dtype=dtype))
-    breakdown = LossBreakdown(
-        l_rec=float(l_rec),
-        l_a=float(l_a),
-        l_o=float(l_o),
-        total=float(total),
-        beta_a=beta_a,
-        beta_o=beta_o,
-    )
+    breakdown = LossBreakdown(l_rec=float(l_rec), l_a=float(l_a), l_o=float(l_o), total=float(total))
     return ad.Tensor(total, vjp), breakdown
 

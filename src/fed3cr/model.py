@@ -25,6 +25,7 @@ from . import seeding
 from .errors import DataError, ShapeError
 
 ENHANCEMENT_KINDS = ("ace", "consensus-transfer", "unified-transfer", "none")
+FINAL_INIT_SCALE = 1e-3  # half-width of the uniform init of a transfer net's output weights
 
 
 @dataclass
@@ -44,9 +45,6 @@ class TransferNet:
     def layer_shapes(self) -> tuple[tuple[int, int], ...]:
         return tuple(w.shape for w in self.weights)
 
-    def copy(self) -> "TransferNet":
-        return TransferNet([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
 
 def init_transfer_net(
     rng: np.random.Generator,
@@ -54,7 +52,6 @@ def init_transfer_net(
     hidden: list[int],
     out_dim: int,
     final_init: str = "zero",
-    final_scale: float = 1e-3,
     dtype=np.float32,
 ) -> TransferNet:
     """Hidden layers get fan-in uniform init; the output layer starts near
@@ -66,7 +63,7 @@ def init_transfer_net(
         fan_in, fan_out = widths[l], widths[l + 1]
         last = l == len(widths) - 2
         if last:
-            w = rng.uniform(-final_scale, final_scale, size=(fan_out, fan_in))
+            w = rng.uniform(-FINAL_INIT_SCALE, FINAL_INIT_SCALE, size=(fan_out, fan_in))
             b = np.zeros(fan_out)
             if final_init == "identity":
                 d = int(round(out_dim**0.5))
@@ -95,6 +92,16 @@ class NetPass:
     out: np.ndarray
 
 
+def _relu(out: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """ReLU in place, bit for bit `out[~mask] = 0.0` with `mask` set to
+    out > 0: NaN and -0.0 become 0.0 as well, since fmax drops NaN and
+    adding 0 turns -0.0 into 0.0. Returns the mask."""
+    np.greater(out, 0, out=mask)
+    np.fmax(out, 0, out=out)
+    out += 0
+    return mask
+
+
 def net_pass(net: TransferNet, x: np.ndarray, workspace: ad.Workspace, role: str) -> NetPass:
     """Run the net on `x`, one input vector or a matrix whose rows are mapped
     independently. Every activation is a `workspace` buffer under `role`,
@@ -111,10 +118,7 @@ def net_pass(net: TransferNet, x: np.ndarray, workspace: ad.Workspace, role: str
             np.matmul(h, w.T, out=out)
         out += b
         if l < len(net.weights) - 1:
-            mask = np.greater(out, 0, out=workspace.buffer((role, "mask", l), out.shape, bool))
-            # np.where(mask, out, 0.0) in place: NaN and -0.0 become 0.0 as well
-            out[np.logical_not(mask, out=workspace.buffer((role, "off", l), out.shape, bool))] = 0.0
-            masks.append(mask)
+            masks.append(_relu(out, workspace.buffer((role, "mask", l), out.shape, bool)))
         h = out
     return NetPass(inputs, masks, h)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fed3cr.losses import total_loss_t
-from fed3cr.model import ClientState, forward_pass, init_client, init_client_net
+from fed3cr.model import ClientState, TransferNet, forward_pass, init_client, init_client_net
 from fed3cr.numerics import grad_check
 
 
@@ -24,7 +24,7 @@ def _with_block(name, p, client, table, net):
         return ClientState(client.client_id, client.user_embedding, p), table, net
     if name == "C":
         return client, p, net
-    net = net.copy()
+    net = TransferNet(list(net.weights), list(net.biases))
     (net.weights if name[0] == "w" else net.biases)[int(name[1:])] = p
     return client, table, net
 

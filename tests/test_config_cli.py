@@ -169,7 +169,7 @@ def test_checkpoints_reload_to_the_last_evaluated_metrics(cfg_path, tmp_path):
         ds = config.build_dataset()
         hp = config.hp
         candidates = [build_eval_candidates(ds, c, hp.eval_negatives, hp.seed) for c in range(ds.num_clients)]
-        no_loss = LossBreakdown(0.0, 0.0, 0.0, 0.0, hp.beta_a, hp.beta_o)
+        no_loss = LossBreakdown(0.0, 0.0, 0.0, 0.0)
         again = evaluate_round(clients, server, ds, hp, config.variant, candidates, hp.rounds - 1, no_loss)
         last = open(os.path.join(out, "metrics.csv")).read().strip().splitlines()[-1]
         # round, HR@10, NDCG@10 and RBO, compared as their exact float reprs

@@ -42,6 +42,30 @@ def test_movielens_dat_malformed_line_number(tmp_path):
         load_dataset(path, "movielens-dat", min_interactions=1)
 
 
+@pytest.mark.parametrize(
+    "fmt, text, line, match",
+    [
+        ("movielens-dat", "1::10::5::100\n::11::5::100\n", 2, "empty user or item id"),
+        ("movielens-dat", "1::10::5::100\n1::::5::100\n", 2, "empty user or item id"),
+        ("movielens-dat", "1::10::five::100\n", 1, "could not convert"),
+        ("movielens-dat", "1::10::5::noon\n", 1, "invalid literal"),
+        ("csv", "", 1, "empty file"),
+        ("csv", "user,rating\nu,5\n", 1, "header must name 'user' and 'item'"),
+        ("csv", "item,rating\ni,5\n", 1, "header must name 'user' and 'item'"),
+        ("csv", "user,item,rating\nu,i,5\nu,j\n", 3, "expected 3 fields, got 2"),
+        ("csv", "user,item\nu,i\n ,j\n", 3, "empty user or item id"),
+        ("tsv", "user\titem\nu\t\n", 2, "empty user or item id"),
+        ("csv", "user,item,rating\nu,i,good\n", 2, "could not convert"),
+        ("tsv", "user\titem\ttimestamp\nu\ti\tnoon\n", 2, "invalid literal"),
+    ],
+)
+def test_malformed_input_raises_parse_error_naming_the_line(tmp_path, fmt, text, line, match):
+    path = write(tmp_path / "bad.txt", text)
+    with pytest.raises(ParseError, match=f"^line {line}: {match}") as info:
+        load_dataset(path, fmt, min_interactions=1)
+    assert info.value.line_number == line
+
+
 def test_empty_after_filter_is_configuration_error(tmp_path):
     path = write(tmp_path / "r.dat", "1::10::5::100\n2::11::5::100\n")
     with pytest.raises(ConfigurationError):
@@ -295,6 +319,16 @@ def test_eval_candidates_replacement_warning():
         cands = build_eval_candidates(ds, 0, num_negatives=50, seed=0)
     assert len(cands) == 51
     assert np.count_nonzero(cands == ds.test_items[0]) == 1
+
+
+def test_eval_candidates_without_unseen_items_warn_and_hold_the_test_item_alone(tmp_path):
+    # 5 items, client holds 4 positives + 1 test: no item is left to rank it against
+    path = write(tmp_path / "d.csv", "user,item\n" + "".join(f"u,{i}\n" for i in range(5)))
+    ds = leave_one_out_split(load_dataset(path, "csv", 1), seed=0)
+    with pytest.warns(ReplacementSamplingWarning, match="client 0: no non-interacted items"):
+        cands = build_eval_candidates(ds, 0, num_negatives=10, seed=0)
+    assert cands.dtype == np.int64
+    assert cands.tolist() == [ds.test_items[0]]
 
 
 def test_split_random_strategy_ignores_timestamps():

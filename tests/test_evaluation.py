@@ -25,14 +25,15 @@ def old_ranked(scores, candidates):
 
 
 def test_rank_single_candidate():
-    scores = np.ones((3, 2)) @ np.ones(2)
-    assert rank_candidates(scores, np.array([1]), 1) == 1
+    scores = np.ones((1, 3, 2)) @ np.ones(2)
+    assert rank_candidates(scores, np.array([[1]]), np.array([1])).tolist() == [1]
 
 
 def test_rank_tie_broken_by_ascending_id():
-    scores = np.zeros((6, 2)) @ np.ones(2)
-    cands = np.array([5, 2])
-    assert [rank_candidates(scores, cands, j) for j in (2, 5)] == [1, 2]
+    # One row per test item, each the same scores and candidates.
+    scores = np.zeros((2, 6, 2)) @ np.ones(2)
+    cands = np.array([[5, 2], [5, 2]])
+    assert rank_candidates(scores, cands, np.array([2, 5])).tolist() == [1, 2]
 
 
 def test_rank_matches_full_sort_oracle():
@@ -41,16 +42,17 @@ def test_rank_matches_full_sort_oracle():
     scores = rng.normal(size=(200, 8)) @ u
     cands = rng.choice(200, size=100, replace=False)
     oracle = sorted(cands, key=lambda j: (-float(scores[j]), j))
-    assert [rank_candidates(scores, cands, j) for j in oracle] == list(range(1, 101))
+    ranks = rank_candidates(np.tile(scores, (100, 1)), np.tile(cands, (100, 1)), np.array(oracle))
+    assert ranks.tolist() == list(range(1, 101))
 
 
 def test_rank_invariant_under_positive_rescaling():
     rng = np.random.default_rng(1)
     u = rng.normal(size=4)
     table = rng.normal(size=(30, 4))
-    cands = np.arange(30)
-    ranks = [rank_candidates(table @ u, cands, j) for j in cands]
-    assert ranks == [rank_candidates(table @ (3.7 * u), cands, j) for j in cands]
+    cands = np.tile(np.arange(30), (30, 1))
+    ranks = rank_candidates(np.tile(table @ u, (30, 1)), cands, cands[0])
+    assert ranks.tolist() == rank_candidates(np.tile(table @ (3.7 * u), (30, 1)), cands, cands[0]).tolist()
 
 
 def test_rank_matches_the_sort_path_on_random_candidates():
@@ -72,38 +74,37 @@ def test_rank_matches_the_sort_path_on_random_candidates():
             negatives = rng.choice(others, size=size, replace=True) if len(others) else others
             cands = np.concatenate(([test], negatives)).astype(np.int64)
         expected = old_ranked(scores, cands).index(test) + 1
-        assert rank_candidates(scores, cands, test) == expected, (scores, cands, test)
-    scores = np.array([np.nan, 1.0, np.nan, 2.0])
-    assert rank_candidates(scores, np.array([2, 0, 3, 1, 3]), 2) == 5
-    assert rank_candidates(scores, np.array([2]), 2) == 1
+        assert rank_candidates(scores[None], cands[None], np.array([test])).tolist() == [expected], (scores, cands, test)
+    scores = np.array([[np.nan, 1.0, np.nan, 2.0]] * 2)
+    assert rank_candidates(scores, np.array([[2, 0, 3, 1, 3], [2, 2, 2, 2, 2]]), np.array([2, 2])).tolist() == [5, 1]
     with pytest.raises(ProtocolError):
-        rank_candidates(scores, np.array([0, 1, 3]), 2)
+        rank_candidates(scores[:1], np.array([[0, 1, 3]]), np.array([2]))
 
 
 def test_hr_ndcg_perfect_rank():
-    assert hr_ndcg_at_k(1, k=10) == (1, 1.0)
+    hits, ndcgs = hr_ndcg_at_k(np.array([1]), k=10)
+    assert (hits.tolist(), ndcgs.tolist()) == ([1], [1.0])
 
 
 def test_hr_ndcg_rank_ten():
-    hr, ndcg = hr_ndcg_at_k(10, k=10)
-    assert hr == 1
-    assert ndcg == pytest.approx(1 / np.log2(11), abs=1e-4)
+    hits, ndcgs = hr_ndcg_at_k(np.array([10]), k=10)
+    assert hits.tolist() == [1]
+    assert ndcgs[0] == pytest.approx(1 / np.log2(11), abs=1e-4)
 
 
 def test_hr_ndcg_miss():
-    assert hr_ndcg_at_k(11, k=10) == (0, 0.0)
+    hits, ndcgs = hr_ndcg_at_k(np.array([11]), k=10)
+    assert (hits.tolist(), ndcgs.tolist()) == ([0], [0.0])
 
 
 def test_hr_ndcg_absent_item_raises():
     with pytest.raises(ProtocolError):
-        rank_candidates(np.zeros(10), np.array([1, 2, 3]), 9)
+        rank_candidates(np.zeros((1, 10)), np.array([[1, 2, 3]]), np.array([9]))
 
 
 def test_ndcg_never_exceeds_hr():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        hr, ndcg = hr_ndcg_at_k(int(rng.integers(1, 31)), k=10)
-        assert ndcg <= hr
+    hits, ndcgs = hr_ndcg_at_k(np.random.default_rng(2).integers(1, 31, size=50), k=10)
+    assert np.all(ndcgs <= hits)
 
 
 def test_rbo_identical_lists():
@@ -201,14 +202,14 @@ def test_view_rbo_is_bit_identical_to_the_list_reference():
         personal = rng.integers(0, levels, m) / levels
         global_view = np.where(rng.random(m) < 0.5, personal, rng.integers(0, levels, m) / levels)
         expected = list_rbo(list_top_k(personal, k), list_top_k(global_view, k), p)
-        assert view_consistency_rbo(personal, global_view, k, p) == expected, (trial, m, k, p)
+        assert view_consistency_rbo(personal[None], global_view[None], k, p).tolist() == [expected], (trial, m, k, p)
         assert rbo_truncated(list_top_k(personal, k), list_top_k(global_view, k), p) == expected
 
 
 def view_rbo(state, trace, k_prime, p):
     """RBO of the personal table's scores against C_E's."""
     u = state.user_embedding
-    return view_consistency_rbo(trace.params["V"] @ u, trace.C_E @ u, k_prime, p)
+    return view_consistency_rbo((trace.params["V"] @ u)[None], (trace.C_E @ u)[None], k_prime, p)[0]
 
 
 def test_view_rbo_identical_views(shared_blocks):
@@ -260,8 +261,8 @@ def test_top_k_ids_matches_full_lexsort_oracle():
     oracle = [int(i) for i in np.lexsort((np.arange(40), -scores))]
     assert len(set(scores[~np.isnan(scores)])) < 38
     for k in (1, 3, 5, 20, 38, 39, 40, 41, 100):
-        assert top_k_ids(scores, k).tolist() == oracle[:k], k
-    assert top_k_ids(scores, 40)[-2:].tolist() == [7, 30]
+        assert top_k_ids(scores[None], k).tolist() == [oracle[:k]], k
+    assert top_k_ids(scores[None], 40)[0, -2:].tolist() == [7, 30]
 
 
 def random_block(rng, b, m):
@@ -278,7 +279,7 @@ def random_block(rng, b, m):
 
 def test_block_functions_match_the_one_row_references_on_random_blocks():
     # Each block row must give what the list/lexsort references give for
-    # that row alone, and what a 1-D call (a block of one) gives.
+    # that row alone.
     rng = np.random.default_rng(31)
     for trial in range(400):
         b, m = int(rng.integers(1, 9)), int(rng.integers(1, 80))
@@ -297,19 +298,17 @@ def test_block_functions_match_the_one_row_references_on_random_blocks():
         ranks = rank_candidates(scores, cands, tests)
         expected = [old_ranked(scores[r], cands[r]).index(tests[r]) + 1 for r in range(b)]
         assert ranks.tolist() == expected, trial
-        assert [rank_candidates(scores[r], cands[r], tests[r]) for r in range(b)] == expected
 
         hits, ndcgs = hr_ndcg_at_k(ranks, k)
-        assert list(zip(hits.tolist(), ndcgs.tolist())) == [hr_ndcg_at_k(r, k) for r in expected]
+        assert hits.tolist() == [int(r <= k) for r in expected]
+        assert ndcgs.tolist() == [float(1.0 / np.log2(r + 1)) if r <= k else 0.0 for r in expected]
 
         top = top_k_ids(scores, k)
         assert top.tolist() == [list_top_k(scores[r], k) for r in range(b)], trial
-        assert [top_k_ids(scores[r], k).tolist() for r in range(b)] == top.tolist()
 
         rbos = view_consistency_rbo(scores, other, k, p)
         lists = [(list_top_k(scores[r], k), list_top_k(other[r], k)) for r in range(b)]
         assert rbos.tolist() == [list_rbo(a, o, p) for a, o in lists], trial
-        assert [view_consistency_rbo(scores[r], other[r], k, p) for r in range(b)] == rbos.tolist()
 
     scores = np.zeros((3, 5))
     cands = np.array([[0, 1, 2], [3, 4, 4], [1, 1, 2]])

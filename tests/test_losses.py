@@ -9,8 +9,8 @@ from fed3cr.errors import DegenerateInputWarning, ShapeError
 from fed3cr.federation import VARIANT_LABELS, VariantConfig
 from fed3cr.losses import (
     LOG_FLOOR,
+    NORM_FLOOR,
     PRED_CLAMP,
-    LossBreakdown,
     _bce,
     _consistency_term,
     consistency_loss,
@@ -192,13 +192,6 @@ def test_total_is_weighted_component_sum():
     assert b.total == pytest.approx(b.l_rec + 0.7 * b.l_a + 0.3 * b.l_o, abs=1e-9)
 
 
-def test_component_sum_arithmetic():
-    parts = LossBreakdown(l_rec=0.7, l_a=0.6931, l_o=0.5, total=0.0, beta_a=1.0, beta_o=1.0)
-    assert parts.l_rec + parts.beta_a * parts.l_a + parts.beta_o * parts.l_o == pytest.approx(
-        1.8931, abs=1e-4
-    )
-
-
 @pytest.mark.parametrize("eq12_mode", ["softmax", "literal-ratio"])
 @pytest.mark.parametrize("complementarity", ["orthogonal", "l2-distance"])
 def test_total_gradients_pass_grad_check(eq12_mode, complementarity, block_grad_check):
@@ -333,6 +326,48 @@ def test_fused_consistency_op_at_log_floor():
     dist = top_one_distribution(blocks[0], v, mode="literal-ratio")
     assert dist[:floored].max() < LOG_FLOOR
     check_consistency_op(blocks, "literal-ratio", check=(0, 2))
+
+
+@pytest.mark.parametrize("eq12_mode", ["softmax", "literal-ratio"])
+@pytest.mark.parametrize("side", [4.0, 0.25])
+def test_cosine_guard_on_each_side_of_the_norm_floor(eq12_mode, side):
+    # One personal-table row and the global prototype, scaled to `side`
+    # times NORM_FLOOR in squared norm. Above the floor they keep their
+    # gradients; below it each is a constant cosine of 0, as a zero vector
+    # is, with zero gradient. Their central differences step by 1e-3 of
+    # their norm, so no step crosses the floor.
+    rng = np.random.default_rng(12)
+    blocks = [rng.normal(size=4), rng.normal(size=(7, 4)), rng.normal(size=4), rng.normal(size=(7, 4))]
+    small = np.sqrt(side * NORM_FLOOR)
+    blocks[1][2] *= small / np.linalg.norm(blocks[1][2])
+    blocks[2] *= small / np.linalg.norm(blocks[2])
+    loss, vjp = _consistency_term(*blocks, mode=eq12_mode)
+    grads = vjp(1.0)
+
+    def f_row(p):
+        v = blocks[1].copy()
+        v[2] = p
+        return float(_consistency_term(blocks[0], v, *blocks[2:], mode=eq12_mode)[0])
+
+    def f(i):
+        return lambda p: float(_consistency_term(*blocks[:i], p, *blocks[i + 1 :], mode=eq12_mode)[0])
+
+    checks = [
+        grad_check(f_row, blocks[1][2], grads[1][2], eps=1e-3 * small),
+        grad_check(f(2), blocks[2], grads[2], eps=1e-3 * small),
+        grad_check(f(0), blocks[0], grads[0]),
+        grad_check(f(3), blocks[3], grads[3]),
+    ]
+    assert all(report.passed for report in checks), checks
+    if side > 1.0:
+        assert checks[0].checked == checks[1].checked == 4
+    else:
+        assert not grads[1][2].any() and not grads[2].any() and not grads[3].any()
+        zeroed = [blocks[0], blocks[1].copy(), np.zeros(4), blocks[3]]
+        zeroed[1][2] = 0.0
+        zero_loss, zero_vjp = _consistency_term(*zeroed, mode=eq12_mode)
+        assert zero_loss == loss
+        assert all(np.array_equal(a, b) for a, b in zip(zero_vjp(1.0), grads))
 
 
 @pytest.mark.parametrize("kind", ["none", "ace"])

@@ -7,7 +7,7 @@ from fed3cr.checkpoint import load_client_state, load_server_state, save_client_
 from fed3cr.errors import DataError, ParseError
 from fed3cr.federation import ServerState
 from fed3cr.losses import total_loss_t
-from fed3cr.model import TransferNet, forward_pass, init_client, init_client_net
+from fed3cr.model import TransferNet, _relu, forward_pass, init_client, init_client_net
 
 def rigged_net(matrix):
     """Net whose output is the flattened `matrix` regardless of input."""
@@ -134,6 +134,23 @@ def test_net_node_gradients(kind, schedule, ace_init, ace_scale, block_grad_chec
 
     grads, _ = block_grad_check(state, table, net, build)
     assert sorted(grads) == sorted(["u", "C", "V"] + [f"{b}{l}" for l in range(len(net.weights)) for b in "wb"])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_relu_matches_the_masked_store_bit_for_bit(dtype, rows):
+    # NaN of either sign, both zeros, both infinities, subnormals and
+    # ordinary values: every unit not above 0 becomes +0.0 in place, with
+    # the bytes the boolean-mask store out[~(out > 0)] = 0.0 gives.
+    tiny = np.finfo(dtype).smallest_subnormal
+    values = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1.5, -2.0, 3e-30, -3e-30], dtype=dtype)
+    x = values if rows is None else np.stack([np.roll(values, r) for r in range(rows)])
+    expected = x.copy()
+    expected[~(x > 0)] = 0.0
+    out, mask = x.copy(), np.empty(x.shape, dtype=bool)
+    assert _relu(out, mask) is mask
+    assert out.tobytes() == expected.tobytes()
+    assert np.array_equal(mask, x > 0)
 
 
 def test_enhance_identity_and_scaling(shared_blocks):
