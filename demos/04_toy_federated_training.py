@@ -12,7 +12,7 @@ import numpy as np
 
 from fed3cr import HyperParams, UploadChannel, VariantConfig, run_training
 from fed3cr.datasets import leave_one_out_split
-from fed3cr.evaluation import metrics_csv_lines
+from fed3cr.evaluation import TOP_K, metrics_csv_lines
 from fed3cr.toy import generate_toy_dataset
 
 ds = leave_one_out_split(generate_toy_dataset(seed=0), seed=0)
@@ -36,10 +36,10 @@ channel = UploadChannel()
 result = run_training(ds, hp, VariantConfig.from_label("Fed3CR"), channel=channel)
 
 print("round-by-round metrics:")
-for line in metrics_csv_lines(result.metrics):
+for line in metrics_csv_lines(result.metrics, hp.rbo_k):
     print(" ", line)
 
-random_hr = hp.top_k / (hp.eval_negatives + 1)
+random_hr = TOP_K / (hp.eval_negatives + 1)
 final = result.metrics[-1]
 print(f"\nfinal HR@10 {final.hr_at_k:.3f} vs random-ranking baseline {random_hr:.3f}")
 

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .config import VERSION, ExperimentConfig, load_config, resolve_manifest
 from .datasets import load_dataset
 from .degradation import QuadraticClient, bound_sweep, verify_bound
 from .errors import ConfigurationError, DataError, ParseError
-from .evaluation import RoundMetrics, metrics_csv_lines
+from .evaluation import TOP_K, RoundMetrics, metrics_csv_lines
 from .federation import ABLATION_LABELS, VariantConfig, run_training
 from .checkpoint import save_client_state, save_server_state
 from .toy import generate_toy_dataset
@@ -39,7 +39,7 @@ class ExperimentRecord:
 
     config: dict
     metrics: list[RoundMetrics]
-    wall_clock_per_round: list[float] = field(default_factory=list)
+    wall_clock_total: float = 0.0  # seconds in `run_training`
     best_hr: float = 0.0
     best_hr_round: int = -1
     best_ndcg: float = 0.0
@@ -52,7 +52,7 @@ class ExperimentRecord:
             "best_ndcg": self.best_ndcg,
             "best_ndcg_round": self.best_ndcg_round,
             "rounds_evaluated": len(self.metrics),
-            "wall_clock_total": sum(self.wall_clock_per_round),
+            "wall_clock_total": self.wall_clock_total,
         }
 
 
@@ -81,19 +81,10 @@ def run_experiment(
             fh.write("\n")
 
     ds = config.build_dataset()
-    round_times: list[float] = []
-    last = time.perf_counter()
-
-    def tick(_round: int) -> None:
-        nonlocal last
-        now = time.perf_counter()
-        round_times.append(now - last)
-        last = now
-
-    result = run_training(ds, config.hp, config.variant, on_round=tick)
-
-    record = ExperimentRecord(config=config.resolved(), metrics=result.metrics)
-    record.wall_clock_per_round = round_times
+    start = time.perf_counter()
+    result = run_training(ds, config.hp, config.variant)
+    seconds = time.perf_counter() - start
+    record = ExperimentRecord(config=config.resolved(), metrics=result.metrics, wall_clock_total=seconds)
     if result.metrics:
         hr_best = max(result.metrics, key=lambda m: m.hr_at_k)
         ndcg_best = max(result.metrics, key=lambda m: m.ndcg_at_k)
@@ -102,7 +93,7 @@ def run_experiment(
 
     if outdir is not None:
         with open(os.path.join(outdir, "metrics.csv"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(metrics_csv_lines(result.metrics)) + "\n")
+            fh.write("\n".join(metrics_csv_lines(result.metrics, config.hp.rbo_k)) + "\n")
         with open(os.path.join(outdir, "record.json"), "w", encoding="utf-8") as fh:
             json.dump(record.summary(), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -177,9 +168,10 @@ def _run_grid(
 
 
 def _write_rows(fh, head: str, rows: list[tuple[str, float, float]]) -> None:
-    """CSV of (head, hr10, ndcg10) rows; a value holding a comma is quoted."""
+    """CSV of (head, hr10, ndcg10) rows, the cut-off being `TOP_K`; a value
+    holding a comma is quoted."""
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow([head, "hr10", "ndcg10"])
+    writer.writerow([head, f"hr{TOP_K}", f"ndcg{TOP_K}"])
     writer.writerows((value, repr(hr), repr(ndcg)) for value, hr, ndcg in rows)
 
 

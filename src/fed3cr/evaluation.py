@@ -26,16 +26,18 @@ class RoundMetrics:
     clients_evaluated: int
 
 
-CSV_HEADER = "round,hr10,ndcg10,rbo50,loss_rec,loss_a,loss_o,clients_evaluated"
+TOP_K = 10  # the cut-off of HR@K and NDCG@K
+RBO_P = 0.99  # the persistence of the view RBO
 
 
-def metrics_csv_lines(metrics: list[RoundMetrics]) -> list[str]:
-    """Render rounds as CSV lines (stable shortest-repr floats), header first."""
+def metrics_csv_lines(metrics: list[RoundMetrics], rbo_k: int) -> list[str]:
+    """Render rounds as CSV lines (stable shortest-repr floats), header
+    first; the header names the cut-off `TOP_K` and the RBO depth `rbo_k`."""
 
     def fmt(x: float | None) -> str:
         return "" if x is None else repr(float(x))
 
-    lines = [CSV_HEADER]
+    lines = [f"round,hr{TOP_K},ndcg{TOP_K},rbo{rbo_k},loss_rec,loss_a,loss_o,clients_evaluated"]
     for m in metrics:
         lines.append(
             f"{m.round},{fmt(m.hr_at_k)},{fmt(m.ndcg_at_k)},{fmt(m.rbo)},"

@@ -28,7 +28,7 @@ from . import seeding
 from .autodiff import Workspace
 from .datasets import InteractionDataset, NegativeSampler, build_eval_candidates
 from .errors import AggregationError, ConfigurationError, ShapeError
-from .evaluation import RoundMetrics, hr_ndcg_at_k, rank_candidates, view_consistency_rbo
+from .evaluation import RBO_P, TOP_K, RoundMetrics, hr_ndcg_at_k, rank_candidates, view_consistency_rbo
 from .losses import COMPLEMENTARITY_KINDS, EQ12_MODES, LossBreakdown, total_loss_t
 from .model import ENHANCEMENT_KINDS, ClientState, TransferNet, forward_pass, init_client, init_client_net, net_pass
 
@@ -125,7 +125,6 @@ class HyperParams:
     beta_a: float = 0.5
     beta_o: float = 0.5
     ace_init: str = "zero"
-    ace_scale: float = 1.0
     eq12_mode: str = "softmax"
     eval_negatives: int = field(default=99, metadata={"config": "eval.negatives"})
     seed: int = 0
@@ -133,9 +132,7 @@ class HyperParams:
     transfer_schedule: tuple[int, ...] = field(default=(2, 4), metadata={"config": "training.transfer_layers"})
     dtype: str = "float32"
     eval_interval: int = field(default=1, metadata={"config": "eval.interval"})
-    top_k: int = field(default=10, metadata={"config": "eval.top_k"})
     rbo_k: int = field(default=50, metadata={"config": "eval.rbo_k"})
-    rbo_p: float = field(default=0.99, metadata={"config": "eval.rbo_p"})
 
     def validate(self) -> None:
         """Reject an out-of-range knob, naming it by its config key."""
@@ -145,14 +142,13 @@ class HyperParams:
                 key = config_key(self.__dataclass_fields__[name], "training")
                 raise ConfigurationError(f"{key} {rule}, got {getattr(self, name)!r}")
 
-        for name in ("rounds", "local_iters", "dim", "batch_size", "eval_interval", "top_k", "rbo_k"):
+        for name in ("rounds", "local_iters", "dim", "batch_size", "eval_interval", "rbo_k"):
             require(getattr(self, name) >= 1, name, "must be >= 1")
         require(self.negatives_per_positive >= 0, "negatives_per_positive", "must be >= 0")
         require(0.0 < self.client_fraction <= 1.0, "client_fraction", "must lie in (0, 1]")
-        require(0.0 < self.rbo_p < 1.0, "rbo_p", "must lie in (0, 1)")
         require(self.lr > 0.0, "lr", "must be positive")
         require(self.lr_gamma > 0.0, "lr_gamma", "must be positive")
-        for name in ("lr", "lr_gamma", "beta_a", "beta_o", "ace_scale"):
+        for name in ("lr", "lr_gamma", "beta_a", "beta_o"):
             require(math.isfinite(getattr(self, name)), name, "must be finite")
         require(self.eq12_mode in EQ12_MODES, "eq12_mode", f"must be one of {EQ12_MODES}")
         require(self.ace_init in ("zero", "identity"), "ace_init", "must be zero or identity")
@@ -336,7 +332,6 @@ def local_update(
             net,
             positives,
             enhancement=variant.enhancement_kind,
-            ace_scale=hp.ace_scale,
             consensus=download,
             workspace=workspace,
         )
@@ -409,7 +404,7 @@ def evaluate_round(
     workspace: Workspace | None = None,
 ) -> RoundMetrics:
     """Score every client with positives against the server's blocks and
-    average HR@K, NDCG@K and (with a personal table) the view RBO.
+    average HR and NDCG at `TOP_K` and (with a personal table) the view RBO.
 
     Each client scores as it would after downloading the freshest shared
     blocks. Scoring only reads them, so every client reads the server's,
@@ -441,7 +436,6 @@ def evaluate_round(
                 server.theta,
                 ds.client_items[client.client_id],
                 enhancement=variant.enhancement_kind,
-                ace_scale=hp.ace_scale,
                 workspace=workspace,
                 tape=False,
                 global_pass=global_pass,
@@ -456,10 +450,10 @@ def evaluate_round(
             cands[row, : len(own)] = own
             cands[row, len(own) :] = tests[row]
         done = slice(start, start + n)
-        hits[done], ndcgs[done] = hr_ndcg_at_k(rank_candidates(blocks["fused"], cands, tests), hp.top_k)
+        hits[done], ndcgs[done] = hr_ndcg_at_k(rank_candidates(blocks["fused"], cands, tests), TOP_K)
         if variant.personal_table:
             k = min(hp.rbo_k, ds.num_items)
-            rbos[done] = view_consistency_rbo(blocks["personal"], blocks["global_view"], k, hp.rbo_p, workspace)
+            rbos[done] = view_consistency_rbo(blocks["personal"], blocks["global_view"], k, RBO_P, workspace)
     return RoundMetrics(
         round=round,
         hr_at_k=float(np.mean(hits)),
@@ -477,7 +471,6 @@ def run_training(
     hp: HyperParams,
     variant: VariantConfig = VariantConfig(),
     channel: UploadChannel | None = None,
-    on_round=None,
 ) -> TrainingResult:
     """Full federated run: T rounds of select / local update / aggregate /
     evaluate. The selected clients train in id order through one workspace,
@@ -486,8 +479,7 @@ def run_training(
     uploads. For a fixed (config, seed) the run, and so `metrics.csv`, is
     byte-reproducible only at a fixed BLAS thread count: BLAS may sum a
     product in another order on another count, which changes low bits
-    that training then carries into the metrics. `on_round(round)` fires
-    after each completed round (timing hooks and progress reporting)."""
+    that training then carries into the metrics."""
     hp.validate()
     variant.validate()
     if not ds.is_split:
@@ -549,6 +541,4 @@ def run_training(
                     workspace=workspace,
                 )
             )
-        if on_round is not None:
-            on_round(round)
     return TrainingResult(server=server, metrics=metrics, clients=clients)

@@ -144,17 +144,6 @@ def net_backward(net: TransferNet, fwd: NetPass, g: np.ndarray, workspace: ad.Wo
     return [g, *blocks]
 
 
-def transfer_matrix(
-    net: TransferNet, p_G: np.ndarray, p_P: np.ndarray, ace_scale: float, workspace: ad.Workspace
-) -> tuple[np.ndarray, NetPass]:
-    """ACE's d x d transfer matrix W = ace_scale * net([p_G, p_P]), and the pass."""
-    fwd = net_pass(net, np.concatenate([p_G, p_P]), workspace, "transfer")
-    w_mat = fwd.out.reshape(p_G.shape[0], p_G.shape[0])
-    if ace_scale != 1.0:
-        w_mat = w_mat * np.asarray(ace_scale, dtype=w_mat.dtype)
-    return w_mat, fwd
-
-
 @functools.cache
 def _block_names(layers: int) -> tuple[tuple[str, str], ...]:
     """The `params` names of a net's layers: ("w0", "b0"), ("w1", "b1"), ..."""
@@ -302,7 +291,6 @@ def forward_pass(
     positives: np.ndarray,
     *,
     enhancement: str = "ace",
-    ace_scale: float = 1.0,
     consensus: np.ndarray | None = None,
     workspace: ad.Workspace | None = None,
     tape: bool = True,
@@ -350,7 +338,9 @@ def forward_pass(
         p_g, p_p = _prototype(glob, positives), _prototype(own, positives)
     w_mat = c_pass = v_pass = None
     if enhancement == "ace":
-        w_mat, fwd = transfer_matrix(net, p_g, p_p, ace_scale, workspace)
+        # ACE's d x d transfer matrix W = net([p_G, p_P])
+        fwd = net_pass(net, np.concatenate([p_g, p_p]), workspace, "transfer")
+        w_mat = fwd.out.reshape(p_g.size, p_g.size)
     elif enhancement != "none":
         c_pass = net_pass(net, glob, workspace, "C") if global_pass is None else global_pass
         if enhancement == "unified-transfer":
@@ -429,8 +419,6 @@ def forward_pass(
             d_w = (glob.T @ d_ce).T
             if dp_e is not None:
                 d_w += np.dot(dp_e[:, None], p_g[None])  # the outer product; BLAS beats the broadcast
-            if ace_scale != 1.0:
-                d_w = d_w * np.asarray(ace_scale, dtype=d_w.dtype)
             dx, *d_theta = net_backward(net, fwd, d_w.reshape(-1), workspace, "transfer")
             d = p_g.size
             dp_p = dx[d:] if dp_p is None else dx[d:] + dp_p

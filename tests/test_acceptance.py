@@ -18,7 +18,7 @@ import pytest
 from fed3cr.cli import main
 from fed3cr.datasets import leave_one_out_split, load_dataset
 from fed3cr.degradation import QuadraticClient, bound_sweep, verify_bound
-from fed3cr.evaluation import correlation_matrix, rbo_truncated
+from fed3cr.evaluation import TOP_K, correlation_matrix, rbo_truncated
 from fed3cr.federation import (
     HyperParams,
     UploadChannel,
@@ -180,7 +180,7 @@ def test_criterion_5_ablation_direction_and_random_baseline():
     hr = {}
     for label in ("C0", "C1", "Fed3CR"):
         hr[label] = trained(label, VariantConfig.from_label(label)).metrics[-1].hr_at_k
-    random_baseline = ACCEPT_HP.top_k / (ACCEPT_HP.eval_negatives + 1)
+    random_baseline = TOP_K / (ACCEPT_HP.eval_negatives + 1)
     elapsed = time.perf_counter() - t0
     ok = (
         hr["Fed3CR"] >= hr["C1"] >= hr["C0"]

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import pytest
 
@@ -61,6 +62,36 @@ def test_unknown_section_rejected(tmp_path):
     path.write_text("[extras]\nfoo = 1\n")
     with pytest.raises(ConfigurationError, match="extras"):
         load_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[variant]\nconsistency = maybe\n", "bad value for variant.consistency: not a boolean: 'maybe'"),
+        ("[training]\nrounds 3\n", "bad.cfg:2: expected key = value, got 'rounds 3'"),
+        ("rounds = 3\n[training]\n", "bad.cfg:1: key outside of any [section]"),
+    ],
+    ids=["bad-boolean", "no-equals", "no-section"],
+)
+def test_malformed_config_line_is_named(text, message, tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        load_config(str(path))
+
+
+def test_non_integer_env_seed_rejected(cfg_path, monkeypatch):
+    monkeypatch.setenv("FED3CR_SEED", "seven")
+    with pytest.raises(ConfigurationError, match="FED3CR_SEED must be an integer, got 'seven'"):
+        load_config(cfg_path)
+
+
+def test_file_backed_format_needs_a_path(tmp_path):
+    path = tmp_path / "nopath.cfg"
+    path.write_text("[dataset]\nformat = csv\n")
+    config = load_config(str(path))
+    with pytest.raises(ConfigurationError, match="dataset.path is required"):
+        config.build_dataset()
 
 
 def test_dotted_override(cfg_path):
@@ -173,7 +204,7 @@ def test_checkpoints_reload_to_the_last_evaluated_metrics(cfg_path, tmp_path):
         again = evaluate_round(clients, server, ds, hp, config.variant, candidates, hp.rounds - 1, no_loss)
         last = open(os.path.join(out, "metrics.csv")).read().strip().splitlines()[-1]
         # round, HR@10, NDCG@10 and RBO, compared as their exact float reprs
-        assert metrics_csv_lines([again])[1].split(",")[:4] == last.split(",")[:4]
+        assert metrics_csv_lines([again], hp.rbo_k)[1].split(",")[:4] == last.split(",")[:4]
 
 
 def test_rerun_refuses_without_force(cfg_path, tmp_path):
@@ -223,7 +254,7 @@ def test_sweep_layer_counts(cfg_path, tmp_path):
 
 def test_single_value_sweep_equals_run(cfg_path):
     config = load_config(cfg_path)
-    for param, value in (("training.beta_a", "0.5"), ("variant.label", "C0"), ("eval.top_k", "5")):
+    for param, value in (("training.beta_a", "0.5"), ("variant.label", "C0"), ("eval.rbo_k", "5")):
         rows = run_sweep(config, param, [value])
         record = run_experiment(load_config(cfg_path, {param: value}))
         assert rows[0][1] == record.metrics[-1].hr_at_k
@@ -251,6 +282,8 @@ def test_cli_run_and_exit_codes(cfg_path, tmp_path, capsys):
     assert main(["run", "--config", cfg_path, "--out", out]) == 0
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert "best_hr" in summary
+    assert isinstance(summary["wall_clock_total"], float) and summary["wall_clock_total"] > 0
+    assert json.load(open(os.path.join(out, "record.json"))) == summary
 
     # rerun without --force -> config error exit code
     assert main(["run", "--config", cfg_path, "--out", out]) == 2
@@ -272,17 +305,14 @@ def test_cli_run_and_exit_codes(cfg_path, tmp_path, capsys):
         ("training.dim", "0"),
         ("eval.interval", "0"),
         ("training.transfer_layers", "3,4"),
-        ("eval.top_k", "0"),
         ("training.batch_size", "0"),
         ("training.negatives_per_positive", "-1"),
         ("training.lr_gamma", "-1"),
         ("eval.rbo_k", "0"),
-        ("eval.rbo_p", "1.5"),
         # a non-finite float knob would make every client's loss non-finite
         ("training.beta_a", "nan"),
         ("training.beta_a", "inf"),
         ("training.beta_o", "-inf"),
-        ("training.ace_scale", "inf"),
         ("training.lr", "inf"),
         ("training.lr_gamma", "inf"),
     ):
@@ -299,6 +329,62 @@ def test_cli_override_flags(cfg_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key", ["training.ace_scale", "eval.top_k", "eval.rbo_p"])
+def test_removed_knob_is_an_unknown_key(key, cfg_path, tmp_path, capsys):
+    # W is the net's output, and HR/NDCG at TOP_K and the RBO's persistence
+    # are constants: a config, a manifest or an override naming a removed
+    # key exits 2 and names it
+    section, name = key.split(".")
+    value = {"ace_scale": "1.0", "top_k": "10", "rbo_p": "0.99"}[name]
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(TOY_CFG.replace(f"[{section}]\n", f"[{section}]\n{name} = {value}\n"))
+    manifest = tmp_path / "manifest.json"
+    snapshot = load_config(cfg_path).resolved()
+    snapshot[section][name] = float(value)
+    manifest.write_text(json.dumps(snapshot))
+    for argv in (
+        ["run", "--config", str(cfg)],
+        ["run", "--config", str(manifest)],
+        ["run", "--config", cfg_path, f"--{key}", value],
+    ):
+        assert main(argv) == 2
+        assert f"unknown key {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["stray"], "unexpected argument 'stray'"),
+        (["--training.rounds"], "override '--training.rounds' is missing a value"),
+        (["--rounds", "1"], "override 'rounds' must be section.key"),
+        (["--rounds=1"], "override 'rounds' must be section.key"),
+    ],
+    ids=["stray-token", "no-value", "no-section", "no-section-inline"],
+)
+def test_malformed_override_exits_2_naming_the_token(extra, message, cfg_path, capsys):
+    assert main(["run", "--config", cfg_path] + extra) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["dataset", "stats", "--format", "toy"], ["degradation", "--fixtures", "1"]],
+    ids=["dataset-stats", "degradation"],
+)
+def test_subcommands_without_a_config_refuse_overrides(argv, capsys):
+    assert main(argv + ["--training.rounds", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "takes no config overrides" in captured.err and captured.out == ""
+
+
+def test_cli_runtime_failure_exits_4(cfg_path, capsys):
+    # at lr 1e30 every client's loss turns non-finite in round 0, so the
+    # round has no upload to aggregate
+    with pytest.warns(UserWarning, match="non-finite loss"):
+        assert main(["run", "--config", cfg_path, "--training.lr", "1e30"]) == 4
+    assert "runtime failure: round 0: every selected client failed" in capsys.readouterr().err
+
+
 def test_cli_dataset_stats(tmp_path, capsys):
     data = tmp_path / "d.csv"
     data.write_text("user,item\nu1,a\nu1,b\nu2,a\nu2,b\n")
@@ -312,6 +398,13 @@ def test_cli_dataset_stats(tmp_path, capsys):
         "items": 2,
         "sparsity": 0.0,
     }
+
+
+def test_cli_dataset_stats_of_the_bundled_generator(capsys):
+    from fed3cr.toy import generate_toy_dataset
+
+    assert main(["dataset", "stats", "--format", "toy"]) == 0
+    assert json.loads(capsys.readouterr().out) == generate_toy_dataset().stats()
 
 
 def test_cli_ablate(cfg_path, tmp_path, capsys):
@@ -352,6 +445,14 @@ def test_cli_degradation(tmp_path, capsys):
     assert report["sweep"]["violations"] == 0
     assert report["worked_example"]["all_satisfied"] is True
     assert len(open(delta).read().strip().splitlines()) == 3
+
+
+def test_cli_degradation_out_writes_the_json_it_prints(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["degradation", "--fixtures", "5", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert out.read_text() == printed
+    assert json.loads(printed)["sweep"]["fixtures"] == 5
 
 
 def test_bundled_toy_config_completes_quickly(tmp_path):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from fed3cr.cli import run_experiment
+from fed3cr.config import load_config
 from fed3cr.errors import ProtocolError, ShapeError
 from fed3cr.evaluation import (
+    TOP_K,
     RoundMetrics,
     correlation_matrix,
     export_correlation_matrix,
@@ -354,7 +357,18 @@ def test_metrics_csv_format():
         RoundMetrics(0, 0.5, 0.25, 0.75, 1.0, 2.0, 3.0, 24),
         RoundMetrics(1, 0.6, 0.3, None, 0.9, 1.9, 2.9, 24),
     ]
-    lines = metrics_csv_lines(rows)
+    lines = metrics_csv_lines(rows, 50)
     assert lines[0] == "round,hr10,ndcg10,rbo50,loss_rec,loss_a,loss_o,clients_evaluated"
     assert lines[1] == "0,0.5,0.25,0.75,1.0,2.0,3.0,24"
     assert lines[2] == "1,0.6,0.3,,0.9,1.9,2.9,24"
+
+
+@pytest.mark.parametrize("rbo_k", [20, 50])
+def test_metrics_csv_header_names_the_configured_rbo_depth(rbo_k, tmp_path):
+    # the header labels the RBO column with the depth the run configured,
+    # and HR and NDCG with TOP_K
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[dataset]\nformat = toy\n[training]\nrounds = 1\nlocal_iters = 1\ndim = 4\n[eval]\nnegatives = 20\nrbo_k = {rbo_k}\n")
+    run_experiment(load_config(str(cfg)), str(tmp_path / "run"), save_checkpoints=False)
+    header = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[0]
+    assert header == f"round,hr{TOP_K},ndcg{TOP_K},rbo{rbo_k},loss_rec,loss_a,loss_o,clients_evaluated"

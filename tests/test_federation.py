@@ -15,7 +15,7 @@ from fed3cr.autodiff import Tensor, Workspace
 from fed3cr.config import load_config
 from fed3cr.datasets import NegativeSampler, build_eval_candidates, leave_one_out_split
 from fed3cr.errors import AggregationError, ConfigurationError, ShapeError
-from fed3cr.evaluation import metrics_csv_lines, rbo_truncated
+from fed3cr.evaluation import RBO_P, TOP_K, metrics_csv_lines, rbo_truncated
 from fed3cr.federation import (
     VARIANT_LABELS,
     HyperParams,
@@ -361,7 +361,7 @@ def test_run_training_deterministic_across_runs():
     hp = FAST
     variant = VariantConfig.from_label("Fed3CR")
     runs = [run_training(TOY, hp, variant).metrics for _ in range(2)]
-    csvs = ["\n".join(metrics_csv_lines(m)) for m in runs]
+    csvs = ["\n".join(metrics_csv_lines(m, hp.rbo_k)) for m in runs]
     assert csvs[0] == csvs[1]  # same config, same bytes
 
 
@@ -664,18 +664,17 @@ def sort_path_metrics(clients, server, ds, hp, variant, candidates, fused_table)
             server.theta,
             ds.client_items[client.client_id],
             enhancement=variant.enhancement_kind,
-            ace_scale=hp.ace_scale,
         )
         u = client.user_embedding
         rank = ranked(u, fused_table(trace), candidates[client.client_id]).index(ds.test_items[client.client_id]) + 1
-        hrs.append(int(rank <= hp.top_k))
-        ndcgs.append(float(1.0 / np.log2(rank + 1)) if rank <= hp.top_k else 0.0)
+        hrs.append(int(rank <= TOP_K))
+        ndcgs.append(float(1.0 / np.log2(rank + 1)) if rank <= TOP_K else 0.0)
         if variant.personal_table:
             every = np.arange(ds.num_items)
             k = min(hp.rbo_k, ds.num_items)
             personal = ranked(u, trace.params["V"], every)[:k]
             global_view = ranked(u, trace.C_E, every)[:k]
-            rbos.append(rbo_truncated(personal, global_view, hp.rbo_p))
+            rbos.append(rbo_truncated(personal, global_view, RBO_P))
     return float(np.mean(hrs)), float(np.mean(ndcgs)), float(np.mean(rbos)) if rbos else None
 
 
@@ -813,14 +812,14 @@ def per_client_metrics(clients, server, ds, hp, variant, candidates):
         if len(positives) == 0:
             continue
         scores = forward_pass(
-            client, server.consensus, server.theta, positives, enhancement=variant.enhancement_kind, ace_scale=hp.ace_scale, tape=False
+            client, server.consensus, server.theta, positives, enhancement=variant.enhancement_kind, tape=False
         )
         rank = old_ranked(scores.fused, candidates[client.client_id]).index(ds.test_items[client.client_id]) + 1
-        hits.append(int(rank <= hp.top_k))
-        ndcgs.append(float(1.0 / np.log2(rank + 1)) if rank <= hp.top_k else 0.0)
+        hits.append(int(rank <= TOP_K))
+        ndcgs.append(float(1.0 / np.log2(rank + 1)) if rank <= TOP_K else 0.0)
         if variant.personal_table:
             k = min(hp.rbo_k, ds.num_items)
-            rbos.append(list_rbo(list_top_k(scores.personal, k), list_top_k(scores.global_view, k), hp.rbo_p))
+            rbos.append(list_rbo(list_top_k(scores.personal, k), list_top_k(scores.global_view, k), RBO_P))
     return float(np.mean(hits)), float(np.mean(ndcgs)), float(np.mean(rbos)) if rbos else None, len(hits)
 
 
@@ -830,10 +829,11 @@ def test_evaluate_round_matches_the_per_client_reference_at_every_block_edge(nam
     # Evaluation ranks blocks of d clients: 1, d - 1, d, d + 1 and 2d + 3
     # clients fill one block in part or in full, or spill into a last
     # partial one. Client 1 has no positives and is skipped; under full
-    # ranking the candidate rows differ in length and are padded. With
-    # top_k at half the items, NDCG reads most ranks exactly.
+    # ranking the candidate rows differ in length and are padded. With 20
+    # negatives about half the clients rank their test item within TOP_K,
+    # so NDCG reads those ranks exactly.
     variant = EVAL_VARIANTS[name]
-    hp = dataclasses.replace(FAST, rounds=1, eval_negatives=negatives, rbo_k=30, top_k=TOY.num_items // 2)
+    hp = dataclasses.replace(FAST, rounds=1, eval_negatives=negatives, rbo_k=30)
     result = run_training(TOY, hp, variant)
     no_loss = LossBreakdown(0.0, 0.0, 0.0, 0.0)
     d = hp.dim

@@ -18,19 +18,19 @@ from fed3cr.config import load_config
 TOY_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "toy.cfg")
 
 FINGERPRINTS = {
-    "C0": "96d8c570bb778d29b6f7aaa200203dfa019c2100fa7d00b2ff3eeaec28fd360e",
-    "C1": "4904d24babc17fae35774a7fbc86454b76a9b6e013913eefd02a29a192ba0a6e",
-    "C2": "dea914aad32cb6df382d852726ac422acdb23e616077bdba0140944e61d7a4a4",
-    "C3": "dc6fb47b81d934b745bd50a28c2df7b3e26720647477413585d2c18e98edc2b4",
-    "C4": "3b9c4cf08df3ca88e2f1cb09690fefa8c0963a2208f585a3031bef80e099aaa6",
-    "C5": "1dfa2e3badaf6e844e0c95f631d1b6fe383bf6089e27d016af1fc3ff10536686",
-    "C6": "c8602d710a278034e667c90b47b8d0ccd1e8beca1e1a5b4a3e2e88ecdadd87ce",
-    "Fed3CR": "2fee21f6a0be76c879722ff1cbed803ecb63933e6e3b6841c4ea937683e5dc19",
-    "FedMF": "a33ba24c9e5286eb13775f30297d5dc0a07284f61a7b99705d537bcf0515f664",
-    "FedMF+ACE": "0aab893e77d1a8f5e6a8d19edb120ede5ee7c2cff0f0d6ea3de75b2d78ae0484",
+    "C0": "321183a2758d2ece4cbaebeeb5e144d84e835c1dc1479c39d0f43ad44d33fa4e",
+    "C1": "d46543e7667a7ff195420c65d75a91df7886a66de59f6dbf0f5db5544bc97867",
+    "C2": "dc956e2ee4de89bd75985f7a36cd9442ce6c1fb7908e1f48aba5b75ddba601b5",
+    "C3": "941af2498c78147371a1ae562d1498c0c5172e9ea4d0648bba0d694510c7159e",
+    "C4": "d2478625eebeef8d1354e65d7c04ea08c71092d3eaec8e3349cdc03341f4876e",
+    "C5": "1483cfdfff4593fb37b2eef17efe09a144ca2c318645b040498d6ff5d8be564e",
+    "C6": "119c0590ceeed96706da91554eb2010dd51a03ca84bcba8d7d78c71a590f463b",
+    "Fed3CR": "4fa0a390d2e440bd0062c8ef9d4ad12de59a6a82ffe249a51c7bdc5dfb1e8906",
+    "FedMF": "cfec2d09f646dd5639dd59c0053d6417642c2fdbf348d297704e1cb2d8939931",
+    "FedMF+ACE": "46b1f4b033f917fbdb99536cf55d3b7c5a321a11ffb86b6ead401a1dc71970ee",
     # the row maps, under the config's own label (Fed3CR)
-    "consensus-transfer": "6a396d9b68610de37da68eab03bc0d473dde7175d312942be46f3a872e0e7e19",
-    "unified-transfer": "cab0d93013d572c51a1dc4fc675530b5add545f7a3681f6c634e84a2a62ab692",
+    "consensus-transfer": "7f89de0674af923f2deb685aaa8b62245576bbc9ccecac94aeb2ffc24cc3167f",
+    "unified-transfer": "d30bf87abebbb8325d05fd4027d3952aace9824b9b29ed16117401bc03a55e2a",
 }
 
 

@@ -101,24 +101,21 @@ def test_transfer_matrix_gradient_wrt_theta(shared_blocks, block_grad_check):
     assert grads["u"] is None
 
 
-# (enhancement, transfer_layers, ace_init, ace_scale): ACE's net node at every
-# schedule, final-layer init and scale; each row map's at the hidden width each
-# schedule gives it (its init and W's scale do not apply).
+# (enhancement, transfer_layers, ace_init): ACE's net node at every schedule
+# and final-layer init; each row map's at the hidden width each schedule
+# gives it (its init does not apply).
 NET_NODE_CASES = [
-    ("ace", schedule, ace_init, ace_scale)
-    for schedule in ((2,), (2, 4), (2, 4, 2))
-    for ace_init in ("zero", "identity")
-    for ace_scale in (1.0, 2.0)
-] + [(kind, schedule, "zero", 1.0) for kind in ("consensus-transfer", "unified-transfer") for schedule in ((2,), (2, 4), (2, 4, 2))]
+    ("ace", schedule, ace_init) for schedule in ((2,), (2, 4), (2, 4, 2)) for ace_init in ("zero", "identity")
+] + [(kind, schedule, "zero") for kind in ("consensus-transfer", "unified-transfer") for schedule in ((2,), (2, 4), (2, 4, 2))]
 
 
-@pytest.mark.parametrize("kind, schedule, ace_init, ace_scale", NET_NODE_CASES)
-def test_net_node_gradients(kind, schedule, ace_init, ace_scale, block_grad_check):
+@pytest.mark.parametrize("kind, schedule, ace_init", NET_NODE_CASES)
+def test_net_node_gradients(kind, schedule, ace_init, block_grad_check):
     # Every theta block, and C and V, whose prototypes (ACE) or rows (row
     # maps) enter the net node, against central differences of the full
     # Fed3CR objective in float64.
     d, m = 3, 7
-    rng = np.random.default_rng(len(schedule) + int(10 * ace_scale))
+    rng = np.random.default_rng(len(schedule) + 10)
     state = init_client(seed=1, d=d, M=m, dtype=np.float64)
     state.user_embedding = rng.normal(0, 0.5, d)
     state.personal_table = rng.normal(0, 0.5, (m, d))
@@ -129,7 +126,7 @@ def test_net_node_gradients(kind, schedule, ace_init, ace_scale, block_grad_chec
     items, labels = np.array([0, 2, 3, 6]), np.array([1, 0, 1, 0])
 
     def build(client, table, net):
-        trace = forward_pass(client, table, net, np.array([1, 3]), enhancement=kind, ace_scale=ace_scale)
+        trace = forward_pass(client, table, net, np.array([1, 3]), enhancement=kind)
         return total_loss_t(trace, items, labels, beta_a=0.7, beta_o=0.4)[0], trace
 
     grads, _ = block_grad_check(state, table, net, build)
@@ -153,12 +150,11 @@ def test_relu_matches_the_masked_store_bit_for_bit(dtype, rows):
     assert np.array_equal(mask, x > 0)
 
 
-def test_enhance_identity_and_scaling(shared_blocks):
+def test_enhance_identity(shared_blocks):
     state = init_client(seed=0, d=3, M=4, dtype=np.float64)
     c, _ = shared_blocks(0, 3, 4)
     net = rigged_identity_net(3)
     assert np.allclose(forward_pass(state, c, net, np.array([1])).C_E, c)
-    assert np.allclose(forward_pass(state, c, net, np.array([1]), ace_scale=2.0).C_E, 2 * c)
 
 
 def test_enhance_matches_per_row_matvec_oracle(shared_blocks):
@@ -283,16 +279,6 @@ def test_identity_rigged_net_reduces_to_additive_fusion(shared_blocks, fused_tab
     assert np.allclose(trace.p_E, trace.p_G)
 
 
-def test_ace_scale_multiplies_matrix(shared_blocks):
-    state = init_client(seed=2, d=3, M=4, dtype=np.float64)
-    table, net = shared_blocks(2, 3, 4)
-    net.weights[-1] = np.random.default_rng(0).normal(0, 0.5, (9, 12))
-    pos = np.array([0, 1])
-    t1 = forward_pass(state, table, net, pos, enhancement="ace", ace_scale=1.0)
-    t2 = forward_pass(state, table, net, pos, enhancement="ace", ace_scale=2.5)
-    assert np.allclose(t2.W, 2.5 * t1.W)
-
-
 def test_forward_p_e_is_mapped_global_prototype(shared_blocks):
     state = init_client(seed=3, d=4, M=6, dtype=np.float64)
     table, net = shared_blocks(3, 4, 6)
@@ -399,4 +385,17 @@ def test_checkpoint_cut_short_or_with_trailing_bytes_is_rejected(tmp_path, cut, 
     with open(path, "wb") as fh:
         fh.write(cut(raw))
     with pytest.raises(ParseError, match=match):
+        load_client_state(path)
+
+
+@pytest.mark.parametrize("first", [b"x", b"\xff"], ids=["not-json", "not-utf8"])
+def test_checkpoint_whose_header_is_not_json_is_rejected(tmp_path, first):
+    path = str(tmp_path / "client.bin")
+    save_client_state(path, init_client(seed=0, d=2, M=3), seed=0, round=0)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    assert raw[8:9] == b"{"
+    with open(path, "wb") as fh:
+        fh.write(raw[:8] + first + raw[9:])
+    with pytest.raises(ParseError, match="unreadable checkpoint header"):
         load_client_state(path)
