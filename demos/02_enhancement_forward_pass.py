@@ -15,7 +15,7 @@ Run: python demos/02_enhancement_forward_pass.py
 import numpy as np
 
 from fed3cr import forward_pass, init_client
-from fed3cr.model import init_client_net
+from fed3cr.model import TransferNet, init_client_net
 
 d, num_items = 8, 12
 state = init_client(seed=42, d=d, M=num_items, client_id=0, dtype=np.float64)
@@ -45,9 +45,11 @@ scores = fused @ state.user_embedding
 for j in range(4):
     print(f"  item {j}: {1.0 / (1.0 + np.exp(-scores[j])):.4f}")
 
-print("\nWith the net's output layer started at the identity, W starts near I")
-print("and every enhanced row near its shared-table row:")
-near_identity = init_client_net(rng, d, (2, 4), ace_init="identity", dtype=np.float64)
-trace_i = forward_pass(state, table, near_identity, positives)
+print("\nA net rigged to output the identity (zero output weights, the output bias")
+print("the flattened I) gives W = I, so C_E = C and fusion is plain C + V:")
+rigged = TransferNet(
+    net.weights[:-1] + [np.zeros_like(net.weights[-1])], net.biases[:-1] + [np.eye(d).reshape(-1)]
+)
+trace_i = forward_pass(state, table, rigged, positives)
 print(f"|W - I|_F = {np.linalg.norm(trace_i.W - np.eye(d)):.5f}")
 print("max |C_E - C| =", float(np.abs(trace_i.C_E - table).max()))

@@ -93,7 +93,7 @@ def run_experiment(
 
     if outdir is not None:
         with open(os.path.join(outdir, "metrics.csv"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(metrics_csv_lines(result.metrics, config.hp.rbo_k)) + "\n")
+            fh.write("\n".join(metrics_csv_lines(result.metrics, config.hp.rbo_depth(ds.num_items))) + "\n")
         with open(os.path.join(outdir, "record.json"), "w", encoding="utf-8") as fh:
             json.dump(record.summary(), fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -39,7 +39,6 @@ SCHEMA: dict[str, dict] = {
         "path": (str, ""),
         "format": (str, "toy"),
         "min_interactions": (int, 10),
-        "holdout": (str, "timestamp"),
         "toy_clients": (int, 24),
         "toy_items": (int, 96),
         "toy_blocks": (int, 4),
@@ -95,7 +94,7 @@ class ExperimentConfig:
             if not d["path"]:
                 raise ConfigurationError("dataset.path is required for file-backed formats")
             ds = load_dataset(d["path"], d["format"], d["min_interactions"])
-        return leave_one_out_split(ds, self.hp.seed, holdout=d["holdout"])
+        return leave_one_out_split(ds, self.hp.seed)
 
 
 def _knob_fields() -> dict[tuple[str, str], tuple[str, str]]:

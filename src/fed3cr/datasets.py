@@ -203,20 +203,12 @@ def load_dataset(path: str, format: str, min_interactions: int = 10) -> Interact
 # -- leave-one-out split ------------------------------------------------------------
 
 
-def leave_one_out_split(
-    ds: InteractionDataset, seed: int, holdout: str = "timestamp"
-) -> InteractionDataset:
-    """Hold out one positive per client.
-
-    With the default 'timestamp' strategy the latest-timestamp item is held
-    out (ties broken by larger dense id), falling back to a seeded-uniform
-    choice when the source had no timestamps; 'random' forces the seeded
-    choice even when timestamps exist.
-    """
+def leave_one_out_split(ds: InteractionDataset, seed: int) -> InteractionDataset:
+    """Hold out one positive per client: the latest-timestamp item (ties
+    broken by larger dense id), or a seeded-uniform choice when the source
+    had no timestamps."""
     if ds.is_split:
         raise DataError("dataset already split")
-    if holdout not in ("timestamp", "random"):
-        raise ConfigurationError(f"unknown holdout strategy {holdout!r}")
     train_items: list[np.ndarray] = []
     train_ts: list[np.ndarray] | None = [] if ds.timestamps is not None else None
     test_items: list[int] = []
@@ -225,9 +217,8 @@ def leave_one_out_split(
             raise SplitError(
                 f"client {client} ({ds.user_ids[client]!r}) has {len(items)} positive(s); need at least 2"
             )
-        if ds.timestamps is not None and holdout == "timestamp":
-            ts = ds.timestamps[client]
-            pick = int(np.lexsort((items, ts))[-1])
+        if ds.timestamps is not None:
+            pick = int(np.lexsort((items, ds.timestamps[client]))[-1])
         else:
             pick = int(seeding.rng(seed, seeding.SPLIT, client).integers(len(items)))
         test_items.append(int(items[pick]))

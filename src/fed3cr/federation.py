@@ -124,7 +124,6 @@ class HyperParams:
     lr_gamma: float = 0.999
     beta_a: float = 0.5
     beta_o: float = 0.5
-    ace_init: str = "zero"
     eq12_mode: str = "softmax"
     eval_negatives: int = field(default=99, metadata={"config": "eval.negatives"})
     seed: int = 0
@@ -150,8 +149,9 @@ class HyperParams:
         require(self.lr_gamma > 0.0, "lr_gamma", "must be positive")
         for name in ("lr", "lr_gamma", "beta_a", "beta_o"):
             require(math.isfinite(getattr(self, name)), name, "must be finite")
+        for name in ("beta_a", "beta_o"):
+            require(getattr(self, name) >= 0.0, name, "must be >= 0")
         require(self.eq12_mode in EQ12_MODES, "eq12_mode", f"must be one of {EQ12_MODES}")
-        require(self.ace_init in ("zero", "identity"), "ace_init", "must be zero or identity")
         require(self.dtype in ("float32", "float64"), "dtype", "must be float32 or float64")
         require(
             self.eval_negatives >= 1 or self.eval_negatives == -1,
@@ -164,6 +164,10 @@ class HyperParams:
             "transfer_schedule",
             "must list positive widths in multiples of d, starting at 2",
         )
+
+    def rbo_depth(self, num_items: int) -> int:
+        """The depth the view RBO is taken at: `eval.rbo_k`, capped at the item count."""
+        return min(self.rbo_k, num_items)
 
     @property
     def np_dtype(self):
@@ -385,7 +389,6 @@ def init_server(ds: InteractionDataset, hp: HyperParams, variant: VariantConfig)
             seeding.rng(hp.seed, seeding.SERVER_INIT, 1),
             hp.dim,
             hp.transfer_schedule,
-            ace_init=hp.ace_init,
             enhancement=variant.enhancement_kind,
             dtype=hp.np_dtype,
         )
@@ -452,7 +455,7 @@ def evaluate_round(
         done = slice(start, start + n)
         hits[done], ndcgs[done] = hr_ndcg_at_k(rank_candidates(blocks["fused"], cands, tests), TOP_K)
         if variant.personal_table:
-            k = min(hp.rbo_k, ds.num_items)
+            k = hp.rbo_depth(ds.num_items)
             rbos[done] = view_consistency_rbo(blocks["personal"], blocks["global_view"], k, RBO_P, workspace)
     return RoundMetrics(
         round=round,

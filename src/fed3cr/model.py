@@ -51,12 +51,11 @@ def init_transfer_net(
     in_dim: int,
     hidden: list[int],
     out_dim: int,
-    final_init: str = "zero",
     dtype=np.float32,
 ) -> TransferNet:
-    """Hidden layers get fan-in uniform init; the output layer starts near
-    zero ('zero') or near a flattened identity ('identity') so the generated
-    transfer matrix begins at ~0 or ~I respectively."""
+    """Hidden layers get fan-in uniform init; the output layer starts at
+    zero bias and weights within +-FINAL_INIT_SCALE, so the generated
+    transfer matrix begins at ~0."""
     widths = [in_dim] + list(hidden) + [out_dim]
     weights, biases = [], []
     for l in range(len(widths) - 1):
@@ -65,13 +64,6 @@ def init_transfer_net(
         if last:
             w = rng.uniform(-FINAL_INIT_SCALE, FINAL_INIT_SCALE, size=(fan_out, fan_in))
             b = np.zeros(fan_out)
-            if final_init == "identity":
-                d = int(round(out_dim**0.5))
-                if d * d != out_dim:
-                    raise ShapeError(f"identity init needs a square output, got {out_dim}")
-                b = np.eye(d).reshape(-1)
-            elif final_init != "zero":
-                raise ValueError(f"unknown final_init {final_init!r}")
         else:
             bound = 1.0 / np.sqrt(fan_in)
             w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
@@ -219,7 +211,6 @@ def init_client_net(
     rng: np.random.Generator,
     d: int,
     schedule: tuple[int, ...],
-    ace_init: str = "zero",
     enhancement: str = "ace",
     dtype=np.float32,
 ) -> TransferNet | None:
@@ -234,7 +225,7 @@ def init_client_net(
         if not schedule or schedule[0] != 2:
             raise ShapeError(f"transfer-net schedule must start at width 2*d, got {schedule}")
         hidden = [m * d for m in schedule[1:]]
-        return init_transfer_net(rng, 2 * d, hidden, d * d, final_init=ace_init, dtype=dtype)
+        return init_transfer_net(rng, 2 * d, hidden, d * d, dtype=dtype)
     # Row-enhancement baselines map item rows d -> d through one hidden layer.
     hidden = max(schedule[-1] * d if len(schedule) > 1 else 4 * d, 2 * d)
     return init_row_net(rng, d, hidden, dtype=dtype)

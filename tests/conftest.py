@@ -8,12 +8,12 @@ from fed3cr.model import ClientState, TransferNet, forward_pass, init_client, in
 from fed3cr.numerics import grad_check
 
 
-def draw_shared_blocks(seed, d, M, enhancement="ace", ace_init="zero", dtype=np.float64):
+def draw_shared_blocks(seed, d, M, enhancement="ace", dtype=np.float64):
     """A seeded shared table (Normal(0, 0.01), as the server draws it) and
     the server's net for `enhancement` (None for "none")."""
     rng = np.random.default_rng(seed)
     table = rng.normal(0.0, 0.01, size=(M, d)).astype(dtype)
-    return table, init_client_net(rng, d, (2, 4), ace_init=ace_init, enhancement=enhancement, dtype=dtype)
+    return table, init_client_net(rng, d, (2, 4), enhancement=enhancement, dtype=dtype)
 
 
 def _with_block(name, p, client, table, net):

@@ -177,9 +177,9 @@ def test_criterion_4_degradation_bound():
 
 def test_criterion_5_ablation_direction_and_random_baseline():
     t0 = time.perf_counter()
-    hr = {}
-    for label in ("C0", "C1", "Fed3CR"):
-        hr[label] = trained(label, VariantConfig.from_label(label)).metrics[-1].hr_at_k
+    labels = ("C0", "C1", "Fed3CR")
+    last = {label: trained(label, VariantConfig.from_label(label)).metrics[-1] for label in labels}
+    hr = {label: m.hr_at_k for label, m in last.items()}
     random_baseline = TOP_K / (ACCEPT_HP.eval_negatives + 1)
     elapsed = time.perf_counter() - t0
     ok = (
@@ -191,7 +191,8 @@ def test_criterion_5_ablation_direction_and_random_baseline():
         5,
         ok,
         f"HR@10 Fed3CR={hr['Fed3CR']:.3f} >= C1={hr['C1']:.3f} >= C0={hr['C0']:.3f}; "
-        f"random={random_baseline:.3f} (factor {hr['Fed3CR'] / random_baseline:.1f}) in {elapsed:.0f}s",
+        f"random={random_baseline:.3f} (factor {hr['Fed3CR'] / random_baseline:.1f}) in {elapsed:.0f}s; "
+        f"NDCG@10 Fed3CR={last['Fed3CR'].ndcg_at_k:.3f} C1={last['C1'].ndcg_at_k:.3f} C0={last['C0'].ndcg_at_k:.3f}",
     )
 
 
@@ -241,9 +242,15 @@ def test_criterion_7_complementarity_direction():
 
 
 def test_criterion_8_ace_plugin_direction():
-    plain = trained("mf_plain", VariantConfig.from_label("FedMF")).metrics[-1].hr_at_k
-    plugin = trained("mf_plugin", VariantConfig.from_label("FedMF+ACE")).metrics[-1].hr_at_k
-    report(8, plugin >= plain, f"federated-MF HR@10: plugin={plugin:.3f} >= plain={plain:.3f}")
+    plain_last = trained("mf_plain", VariantConfig.from_label("FedMF")).metrics[-1]
+    plugin_last = trained("mf_plugin", VariantConfig.from_label("FedMF+ACE")).metrics[-1]
+    plain, plugin = plain_last.hr_at_k, plugin_last.hr_at_k
+    report(
+        8,
+        plugin >= plain,
+        f"federated-MF HR@10: plugin={plugin:.3f} >= plain={plain:.3f}; "
+        f"NDCG@10 plugin={plugin_last.ndcg_at_k:.3f} plain={plain_last.ndcg_at_k:.3f}",
+    )
 
 
 def test_criterion_9_determinism_across_runs(tmp_path):

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from fed3cr.cli import main, run_ablation, run_experiment, run_sweep
-from fed3cr.config import load_config
+from fed3cr.config import SCHEMA, load_config
 from fed3cr.errors import ConfigurationError
 from fed3cr.federation import VARIANT_LABELS, HyperParams, VariantConfig, config_key
 
@@ -315,6 +315,9 @@ def test_cli_run_and_exit_codes(cfg_path, tmp_path, capsys):
         ("training.beta_o", "-inf"),
         ("training.lr", "inf"),
         ("training.lr_gamma", "inf"),
+        # a negative loss weight would reward the two views for disagreeing
+        ("training.beta_a", "-0.5"),
+        ("training.beta_o", "-0.5"),
     ):
         assert main(["run", "--config", cfg_path, f"--{key}", value]) == 2
         assert key in capsys.readouterr().err
@@ -329,23 +332,26 @@ def test_cli_override_flags(cfg_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("key", ["training.ace_scale", "eval.top_k", "eval.rbo_p"])
+@pytest.mark.parametrize(
+    "key", ["training.ace_scale", "eval.top_k", "eval.rbo_p", "training.ace_init", "dataset.holdout"]
+)
 def test_removed_knob_is_an_unknown_key(key, cfg_path, tmp_path, capsys):
-    # W is the net's output, and HR/NDCG at TOP_K and the RBO's persistence
-    # are constants: a config, a manifest or an override naming a removed
-    # key exits 2 and names it
+    # W is the net's output and starts near zero, HR/NDCG at TOP_K and the
+    # RBO's persistence are constants, and the split always holds out the
+    # latest item: a config, a manifest or an override naming a removed key
+    # exits 2 and names it
     section, name = key.split(".")
-    value = {"ace_scale": "1.0", "top_k": "10", "rbo_p": "0.99"}[name]
+    value = {"ace_scale": 1.0, "top_k": 10, "rbo_p": 0.99, "ace_init": "identity", "holdout": "random"}[name]
     cfg = tmp_path / "old.cfg"
     cfg.write_text(TOY_CFG.replace(f"[{section}]\n", f"[{section}]\n{name} = {value}\n"))
     manifest = tmp_path / "manifest.json"
     snapshot = load_config(cfg_path).resolved()
-    snapshot[section][name] = float(value)
+    snapshot[section][name] = value
     manifest.write_text(json.dumps(snapshot))
     for argv in (
         ["run", "--config", str(cfg)],
         ["run", "--config", str(manifest)],
-        ["run", "--config", cfg_path, f"--{key}", value],
+        ["run", "--config", cfg_path, f"--{key}", str(value)],
     ):
         assert main(argv) == 2
         assert f"unknown key {key}" in capsys.readouterr().err
@@ -464,6 +470,25 @@ def test_bundled_toy_config_completes_quickly(tmp_path):
     assert time.perf_counter() - t0 < 60.0
 
 
+def test_metrics_header_names_the_rbo_depth_the_run_used(tmp_path):
+    # RBO ranks at most every item, so an eval.rbo_k past the 96 toy items
+    # is labelled with the depth it was taken at
+    bundled = os.path.join(os.path.dirname(__file__), "..", "configs", "toy.cfg")
+    out = tmp_path / "deep_rbo"
+    argv = ["run", "--config", bundled, "--out", str(out), "--training.rounds", "1", "--eval.rbo_k", "500"]
+    assert main(argv) == 0
+    header = (out / "metrics.csv").read_text().splitlines()[0]
+    assert header.split(",")[3] == "rbo96"
+
+
+def test_readme_documents_every_config_key():
+    # README's key table lists each key once: a new key must be documented,
+    # and a retired key must leave it
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+    table = re.findall(rf"^\| `((?:{'|'.join(SCHEMA)})\.\w+)` \|", readme, re.M)
+    assert sorted(table) == sorted(f"{section}.{key}" for section, keys in SCHEMA.items() for key in keys)
+
+
 def test_manifest_json_loadable_as_config(cfg_path, tmp_path):
     config = load_config(cfg_path)
     manifest = tmp_path / "manifest.json"
@@ -501,7 +526,6 @@ def test_manifest_override_of_the_label_matches_the_cfg_override(tmp_path):
 
 # valid non-default values for the str knobs; the other types derive theirs
 STR_KNOB_VALUES = {
-    "ace_init": "identity",
     "eq12_mode": "literal-ratio",
     "dtype": "float64",
     "enhancement_kind": "consensus-transfer",

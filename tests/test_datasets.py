@@ -331,19 +331,6 @@ def test_eval_candidates_without_unseen_items_warn_and_hold_the_test_item_alone(
     assert cands.tolist() == [ds.test_items[0]]
 
 
-def test_split_random_strategy_ignores_timestamps():
-    records = [
-        RawInteraction("1", i, None, t) for i, t in [("a", 1), ("b", 9), ("c", 5), ("d", 2)]
-    ]
-    ds = build_dataset(records, min_interactions=1)
-    # over several seeds the random holdout must pick something other than
-    # the latest-timestamp item at least once
-    picks = {leave_one_out_split(ds, seed=s, holdout="random").test_items[0] for s in range(10)}
-    assert len(picks) > 1
-    with pytest.raises(ConfigurationError):
-        leave_one_out_split(ds, seed=0, holdout="latest")
-
-
 def test_eval_candidates_full_ranking_mode():
     ds = make_split_fixture()
     for client in range(ds.num_clients):

@@ -101,16 +101,17 @@ def test_transfer_matrix_gradient_wrt_theta(shared_blocks, block_grad_check):
     assert grads["u"] is None
 
 
-# (enhancement, transfer_layers, ace_init): ACE's net node at every schedule
-# and final-layer init; each row map's at the hidden width each schedule
-# gives it (its init does not apply).
+# (enhancement, transfer_layers): ACE's net node at every schedule, and each
+# row map's at the hidden width each schedule gives it.
 NET_NODE_CASES = [
-    ("ace", schedule, ace_init) for schedule in ((2,), (2, 4), (2, 4, 2)) for ace_init in ("zero", "identity")
-] + [(kind, schedule, "zero") for kind in ("consensus-transfer", "unified-transfer") for schedule in ((2,), (2, 4), (2, 4, 2))]
+    (kind, schedule)
+    for kind in ("ace", "consensus-transfer", "unified-transfer")
+    for schedule in ((2,), (2, 4), (2, 4, 2))
+]
 
 
-@pytest.mark.parametrize("kind, schedule, ace_init", NET_NODE_CASES)
-def test_net_node_gradients(kind, schedule, ace_init, block_grad_check):
+@pytest.mark.parametrize("kind, schedule", NET_NODE_CASES)
+def test_net_node_gradients(kind, schedule, block_grad_check):
     # Every theta block, and C and V, whose prototypes (ACE) or rows (row
     # maps) enter the net node, against central differences of the full
     # Fed3CR objective in float64.
@@ -120,7 +121,7 @@ def test_net_node_gradients(kind, schedule, ace_init, block_grad_check):
     state.user_embedding = rng.normal(0, 0.5, d)
     state.personal_table = rng.normal(0, 0.5, (m, d))
     table = rng.normal(0, 0.5, (m, d))
-    net = init_client_net(rng, d, schedule, ace_init=ace_init, enhancement=kind, dtype=np.float64)
+    net = init_client_net(rng, d, schedule, enhancement=kind, dtype=np.float64)
     # unit-scale weights: every ReLU pre-activation sits well clear of its kink
     net.weights = [rng.normal(0, 0.5, w.shape) for w in net.weights]
     items, labels = np.array([0, 2, 3, 6]), np.array([1, 0, 1, 0])
@@ -261,12 +262,6 @@ def test_initial_transfer_matrix_is_small(shared_blocks):
     state = init_client(seed=13, d=32, M=10, dtype=np.float64)
     table, net = shared_blocks(13, 32, 10)
     assert np.linalg.norm(forward_pass(state, table, net, np.arange(5)).W) < 0.1
-
-
-def test_identity_init_starts_near_identity(shared_blocks):
-    state = init_client(seed=13, d=8, M=10, dtype=np.float64)
-    table, net = shared_blocks(13, 8, 10, ace_init="identity")
-    assert np.linalg.norm(forward_pass(state, table, net, np.arange(4)).W - np.eye(8)) < 0.1
 
 
 def test_identity_rigged_net_reduces_to_additive_fusion(shared_blocks, fused_table):
