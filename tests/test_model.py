@@ -101,17 +101,17 @@ def test_transfer_matrix_gradient_wrt_theta(shared_blocks, block_grad_check):
     assert grads["u"] is None
 
 
-# (enhancement, transfer_layers): ACE's net node at every schedule, and each
-# row map's at the hidden width each schedule gives it.
+# (enhancement, transfer_layers, final_bias): ACE's net node at every
+# schedule, with its output bias at zero and at a flattened identity (W near
+# I, the additive-fusion point); each row map's at the hidden width each
+# schedule gives it (its bias is left as drawn).
 NET_NODE_CASES = [
-    (kind, schedule)
-    for kind in ("ace", "consensus-transfer", "unified-transfer")
-    for schedule in ((2,), (2, 4), (2, 4, 2))
-]
+    ("ace", schedule, final_bias) for schedule in ((2,), (2, 4), (2, 4, 2)) for final_bias in ("zero", "identity")
+] + [(kind, schedule, "zero") for kind in ("consensus-transfer", "unified-transfer") for schedule in ((2,), (2, 4), (2, 4, 2))]
 
 
-@pytest.mark.parametrize("kind, schedule", NET_NODE_CASES)
-def test_net_node_gradients(kind, schedule, block_grad_check):
+@pytest.mark.parametrize("kind, schedule, final_bias", NET_NODE_CASES)
+def test_net_node_gradients(kind, schedule, final_bias, block_grad_check):
     # Every theta block, and C and V, whose prototypes (ACE) or rows (row
     # maps) enter the net node, against central differences of the full
     # Fed3CR objective in float64.
@@ -124,6 +124,8 @@ def test_net_node_gradients(kind, schedule, block_grad_check):
     net = init_client_net(rng, d, schedule, enhancement=kind, dtype=np.float64)
     # unit-scale weights: every ReLU pre-activation sits well clear of its kink
     net.weights = [rng.normal(0, 0.5, w.shape) for w in net.weights]
+    if final_bias == "identity":
+        net.biases[-1] = np.eye(d).reshape(-1)
     items, labels = np.array([0, 2, 3, 6]), np.array([1, 0, 1, 0])
 
     def build(client, table, net):
