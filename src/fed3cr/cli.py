@@ -4,10 +4,11 @@ Subcommands: `run` (one training run), `ablate` (variant grid under a shared
 seed and split), `sweep` (one config key over a value list), `dataset
 stats` (ingestion statistics as JSON), and `degradation` (consensus-drift
 bound verification on synthetic fixtures). Exit codes: 0 ok, 2 configuration
-error, 3 data error, 4 runtime failure. The environment variable FED3CR_SEED
-overrides the seed in a config file, but not the seed of a manifest.json
-given as the config; a `--training.seed` override or a `sweep` value for
-`training.seed` overrides both.
+error, 3 data error, 4 runtime failure. A run picks its variant by
+`variant.label` alone: C0-C6 and Fed3CR (the ablation grid), FedMF and
+FedMF+ACE, or consensus-transfer and unified-transfer (the row maps, under
+Fed3CR's losses). It picks its seed by `training.seed` alone. A
+`--section.key` override beats the config file or manifest.json.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import VERSION, ExperimentConfig, load_config, resolve_manifest
+from .config import VERSION, ExperimentConfig, load_config, resolve_config
 from .datasets import load_dataset
 from .degradation import QuadraticClient, bound_sweep, verify_bound
 from .errors import ConfigurationError, DataError, ParseError
 from .evaluation import TOP_K, RoundMetrics, metrics_csv_lines
-from .federation import ABLATION_LABELS, VariantConfig, run_training
+from .federation import ABLATION_LABELS, run_training
 from .checkpoint import save_client_state, save_server_state
 from .toy import generate_toy_dataset
 
@@ -118,11 +119,9 @@ def run_ablation(
     force: bool = False,
 ) -> list[tuple[str, float, float]]:
     """One run per variant label under the shared seed and data split;
-    returns (label, final hr, final ndcg) rows."""
-    runs = [
-        (label, dataclasses.replace(config, variant=VariantConfig.from_label(label), variant_label=label))
-        for label in labels
-    ]
+    returns (label, final hr, final ndcg) rows. An unknown label fails
+    before the first run."""
+    runs = [(label, dataclasses.replace(config, variant_label=label)) for label in labels]
     return _run_grid(runs, outdir, force, "ablation.csv", "variant")
 
 
@@ -138,7 +137,7 @@ def run_sweep(
     be; returns (value, final hr, final ndcg) rows."""
     manifest = config.resolved()
     del manifest["version"]
-    runs = [(str(value), resolve_manifest(manifest, {param: value})) for value in values]
+    runs = [(str(value), resolve_config(manifest, {param: value})) for value in values]
     return _run_grid(runs, outdir, force, "sweep.csv", param, subdir_prefix=f"{param}_")
 
 
@@ -298,6 +297,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args, extra = parser.parse_known_args(argv)
     try:
+        if args.command in ("run", "ablate", "sweep") and "FED3CR_SEED" in os.environ:
+            raise ConfigurationError("FED3CR_SEED is no longer read; pass the seed as --training.seed")
         overrides = _split_overrides(extra)
         if args.command == "run":
             return _cmd_run(args, overrides)

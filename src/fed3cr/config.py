@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import typing
 from dataclasses import dataclass, field
 
@@ -16,15 +15,6 @@ from .federation import HyperParams, VariantConfig, config_key
 from .toy import generate_toy_dataset
 
 VERSION = "fed3cr-0.1.0"
-
-def _parse_bool(s: str) -> bool:
-    s = str(s).lower()
-    if s in ("1", "true", "yes", "on"):
-        return True
-    if s in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
 
 def _parse_int_tuple(s) -> tuple[int, ...]:
     if isinstance(s, (list, tuple)):
@@ -51,29 +41,28 @@ SCHEMA: dict[str, dict] = {
     "eval": {},
 }
 
-_CASTERS = {int: int, float: float, str: str, bool: _parse_bool, tuple[int, ...]: _parse_int_tuple}
+_CASTERS = {int: int, float: float, str: str, tuple[int, ...]: _parse_int_tuple}
 
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved experiment description."""
+    """Fully resolved experiment description. The variant is the one its
+    label names, so an unknown label fails on construction."""
 
     dataset: dict = field(default_factory=dict)
     hp: HyperParams = field(default_factory=HyperParams)
-    variant: VariantConfig = field(default_factory=VariantConfig)
     variant_label: str = field(default="Fed3CR", metadata={"config": "variant.label"})
+    variant: VariantConfig = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.variant = VariantConfig.from_label(self.variant_label)
 
     def resolved(self) -> dict:
-        """Snapshot of every knob, defaults included, as plain JSON data. A
-        variant flag equal to its label's preset is written as None, so the
-        snapshot loaded with another label takes that label's flags."""
-        preset = VariantConfig.from_label(self.variant_label)
+        """Snapshot of every knob, defaults included, as plain JSON data."""
         out = {"version": VERSION, **{section: {} for section in SCHEMA}}
         out["dataset"] = dict(self.dataset)
         for (section, key), (holder, name) in _FIELDS.items():
             value = getattr(getattr(self, holder) if holder else self, name)
-            if holder == "variant" and value == getattr(preset, name):
-                value = None
             out[section][key] = list(value) if isinstance(value, tuple) else value
         return out
 
@@ -98,23 +87,18 @@ class ExperimentConfig:
 
 
 def _knob_fields() -> dict[tuple[str, str], tuple[str, str]]:
-    """Add every knob field to SCHEMA: `variant.label` of ExperimentConfig,
-    each field of HyperParams and the flags of VariantConfig, which default
-    to None ("the label's preset"). Returns (section, key) -> (the
+    """Add every knob field to SCHEMA: `variant.label` of ExperimentConfig
+    and each field of HyperParams. Returns (section, key) -> (the
     ExperimentConfig attribute that holds the field, "" for the config
     itself; the field's name)."""
     knobs = {}
-    for holder, cls, section in (
-        ("", ExperimentConfig, None),
-        ("hp", HyperParams, "training"),
-        ("variant", VariantConfig, "variant"),
-    ):
+    for holder, cls, section in (("", ExperimentConfig, None), ("hp", HyperParams, "training")):
         types = typing.get_type_hints(cls)
         for f in dataclasses.fields(cls):
             dotted = f.metadata.get("config") if section is None else config_key(f, section)
             if dotted:
                 key = tuple(dotted.split("."))
-                SCHEMA[key[0]][key[1]] = (_CASTERS[types[f.name]], None if holder == "variant" else f.default)
+                SCHEMA[key[0]][key[1]] = (_CASTERS[types[f.name]], f.default)
                 knobs[key] = (holder, f.name)
     return knobs
 
@@ -144,18 +128,12 @@ def _read_sectioned(path: str) -> dict[str, dict[str, str]]:
 
 
 def resolve_config(values: dict[str, dict], overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Merge the seed in FED3CR_SEED and then the dotted overrides into
-    `values`, so an explicit override beats the environment, which beats
-    the file. Cast and check every key, fill in the defaults, and build the
-    typed config. A string is parsed by its key's caster, a list turned into
-    a tuple, and any other value (as a manifest holds) taken as it is."""
+    """Merge the dotted overrides into `values` (a file's or a manifest's),
+    so an override beats the file. Cast and check every key, fill in the
+    defaults, and build the typed config. A string is parsed by its key's
+    caster, a list turned into a tuple, and any other value (as a manifest
+    holds) taken as it is."""
     raw = {section: dict(entries) for section, entries in values.items()}
-    env_seed = os.environ.get("FED3CR_SEED")
-    if env_seed is not None:
-        try:
-            raw.setdefault("training", {})["seed"] = int(env_seed)
-        except ValueError as exc:
-            raise ConfigurationError(f"FED3CR_SEED must be an integer, got {env_seed!r}") from exc
     for dotted, value in (overrides or {}).items():
         section, dot, key = dotted.partition(".")
         if not dot:
@@ -175,24 +153,12 @@ def resolve_config(values: dict[str, dict], overrides: dict[str, str] | None = N
             except (ValueError, TypeError) as exc:
                 raise ConfigurationError(f"bad value for {section}.{key}: {exc}") from exc
 
-    kwargs: dict[str, dict] = {"": {}, "hp": {}, "variant": {}}
+    kwargs: dict[str, dict] = {"": {}, "hp": {}}
     for (section, key), (holder, name) in _FIELDS.items():
         kwargs[holder][name] = full[section][key]
     hp = HyperParams(**kwargs["hp"])
     hp.validate()
-    flags = {name: value for name, value in kwargs["variant"].items() if value is not None}
-    variant = dataclasses.replace(VariantConfig.from_label(kwargs[""]["variant_label"]), **flags)
-    variant.validate()
-    return ExperimentConfig(dataset=full["dataset"], hp=hp, variant=variant, **kwargs[""])
-
-
-def resolve_manifest(manifest: dict[str, dict], overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """`resolve_config` for the values of a manifest: its seed beats
-    FED3CR_SEED, so it replays the run it records, and an explicit
-    `training.seed` override still beats it."""
-    if "seed" in manifest.get("training", {}):
-        overrides = {"training.seed": manifest["training"]["seed"], **(overrides or {})}
-    return resolve_config(manifest, overrides)
+    return ExperimentConfig(dataset=full["dataset"], hp=hp, **kwargs[""])
 
 
 def load_config(path: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
@@ -203,5 +169,5 @@ def load_config(path: str, overrides: dict[str, str] | None = None) -> Experimen
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         data.pop("version", None)
-        return resolve_manifest(data, overrides)
+        return resolve_config(data, overrides)
     return resolve_config(_read_sectioned(path), overrides)

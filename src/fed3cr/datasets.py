@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,8 +51,6 @@ class InteractionDataset:
     test_items: list[int] | None
     user_ids: list[str]
     item_ids: list[str]
-    user_index: dict[str, int] = field(repr=False)
-    item_index: dict[str, int] = field(repr=False)
 
     @property
     def is_split(self) -> bool:
@@ -158,7 +156,6 @@ def build_dataset(records: list[RawInteraction], min_interactions: int) -> Inter
 
     user_ids = _dense_order(set(kept))
     item_ids = _dense_order({i for items in kept.values() for i in items})
-    user_index = {u: k for k, u in enumerate(user_ids)}
     item_index = {i: k for k, i in enumerate(item_ids)}
 
     has_timestamps = any(ts is not None for items in kept.values() for ts in items.values())
@@ -178,8 +175,6 @@ def build_dataset(records: list[RawInteraction], min_interactions: int) -> Inter
         test_items=None,
         user_ids=user_ids,
         item_ids=item_ids,
-        user_index=user_index,
-        item_index=item_index,
     )
 
 

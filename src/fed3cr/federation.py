@@ -36,7 +36,8 @@ from .model import ENHANCEMENT_KINDS, ClientState, TransferNet, forward_pass, in
 # additive fusion, C1 adds the enhancement, C2/C3/C4 add only the auxiliary
 # losses, C5/C6 combine the enhancement with one loss each, Fed3CR enables
 # everything. FedMF trains one shared table, and FedMF+ACE plugs the
-# enhancement into it.
+# enhancement into it. The two row maps swap ACE for a transfer of the
+# consensus or of both tables, under Fed3CR's losses.
 VARIANT_LABELS = {
     "C0": ("none", False, False, True),
     "C1": ("ace", False, False, True),
@@ -48,30 +49,32 @@ VARIANT_LABELS = {
     "Fed3CR": ("ace", True, True, True),
     "FedMF": ("none", False, False, False),
     "FedMF+ACE": ("ace", False, False, False),
+    "consensus-transfer": ("consensus-transfer", True, True, True),
+    "unified-transfer": ("unified-transfer", True, True, True),
 }
 
 # The default grid of `fed3cr ablate`.
 ABLATION_LABELS = ("C0", "C1", "C2", "C3", "C4", "C5", "C6", "Fed3CR")
 
 
-def config_key(f: dataclasses.Field, section: str) -> str | None:
-    """The dotted config key of a HyperParams or VariantConfig field:
-    `section.<field name>`, unless the field's metadata "config" names
-    another key, or None for a field that is no config key."""
+def config_key(f: dataclasses.Field, section: str) -> str:
+    """The dotted config key of a HyperParams field: `section.<field
+    name>`, unless the field's metadata "config" names another key."""
     return f.metadata.get("config", f"{section}.{f.name}")
 
 
 @dataclass(frozen=True)
 class VariantConfig:
     """Which enhancement path and which auxiliary losses a run uses. The
-    defaults are Fed3CR's flags; `from_label` gives any label's."""
+    defaults are Fed3CR's flags; `from_label` gives any label's. A config
+    picks a variant by its label only."""
 
-    enhancement_kind: str = field(default="ace", metadata={"config": "variant.enhancement"})
-    consistency_enabled: bool = field(default=True, metadata={"config": "variant.consistency"})
-    orthogonality_enabled: bool = field(default=True, metadata={"config": "variant.orthogonality"})
-    complementarity_kind: str = field(default="orthogonal", metadata={"config": "variant.complementarity"})
-    # False: one trained shared table (federated MF); set by the label only
-    personal_table: bool = field(default=True, metadata={"config": None})
+    enhancement_kind: str = "ace"
+    consistency_enabled: bool = True
+    orthogonality_enabled: bool = True
+    complementarity_kind: str = "orthogonal"
+    # False: one trained shared table (federated MF)
+    personal_table: bool = True
 
     @property
     def has_net(self) -> bool:

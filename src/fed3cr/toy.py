@@ -68,17 +68,13 @@ def generate_toy_dataset(
         chosen = rng.choice(num_items, size=n_pos, replace=False, p=probs)
         client_items.append(np.sort(chosen).astype(np.int64))
 
-    user_ids = [str(c) for c in range(num_clients)]
-    item_ids = [str(i) for i in range(num_items)]
     return InteractionDataset(
         num_clients=num_clients,
         num_items=num_items,
         client_items=client_items,
         timestamps=None,
         test_items=None,
-        user_ids=user_ids,
-        item_ids=item_ids,
-        user_index={u: k for k, u in enumerate(user_ids)},
-        item_index={i: k for k, i in enumerate(item_ids)},
+        user_ids=[str(c) for c in range(num_clients)],
+        item_ids=[str(i) for i in range(num_items)],
     )
 

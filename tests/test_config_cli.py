@@ -67,23 +67,17 @@ def test_unknown_section_rejected(tmp_path):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("[variant]\nconsistency = maybe\n", "bad value for variant.consistency: not a boolean: 'maybe'"),
+        ("[training]\nrounds = many\n", "bad value for training.rounds: invalid literal for int() with base 10: 'many'"),
         ("[training]\nrounds 3\n", "bad.cfg:2: expected key = value, got 'rounds 3'"),
         ("rounds = 3\n[training]\n", "bad.cfg:1: key outside of any [section]"),
     ],
-    ids=["bad-boolean", "no-equals", "no-section"],
+    ids=["bad-number", "no-equals", "no-section"],
 )
 def test_malformed_config_line_is_named(text, message, tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         load_config(str(path))
-
-
-def test_non_integer_env_seed_rejected(cfg_path, monkeypatch):
-    monkeypatch.setenv("FED3CR_SEED", "seven")
-    with pytest.raises(ConfigurationError, match="FED3CR_SEED must be an integer, got 'seven'"):
-        load_config(cfg_path)
 
 
 def test_file_backed_format_needs_a_path(tmp_path):
@@ -106,51 +100,35 @@ def test_override_unknown_key_rejected(cfg_path):
         load_config(cfg_path, overrides={"training.nope": "1"})
 
 
-def test_env_seed_override(cfg_path, monkeypatch):
-    monkeypatch.setenv("FED3CR_SEED", "99")
-    assert load_config(cfg_path).hp.seed == 99
-    monkeypatch.delenv("FED3CR_SEED")
-    assert load_config(cfg_path).hp.seed == 3
-
-
-def test_explicit_seed_override_beats_env_seed(cfg_path, tmp_path, monkeypatch, capsys):
-    # file < FED3CR_SEED < --training.seed
-    monkeypatch.setenv("FED3CR_SEED", "5")
+def test_seed_override_beats_the_file_and_the_manifest(cfg_path, tmp_path, capsys):
+    # file or manifest < --training.seed; a manifest replays its own seed
     assert load_config(cfg_path, {"training.seed": "1"}).hp.seed == 1
     out = str(tmp_path / "run")
     assert main(["run", "--config", cfg_path, "--out", out, "--training.seed", "1"]) == 0
-    assert json.load(open(os.path.join(out, "manifest.json")))["training"]["seed"] == 1
-
-
-def test_sweep_over_seed_beats_env_seed(cfg_path, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FED3CR_SEED", "5")
+    manifest = os.path.join(out, "manifest.json")
+    assert json.load(open(manifest))["training"]["seed"] == 1
+    assert load_config(manifest).hp.seed == 1
+    assert load_config(manifest, {"training.seed": "7"}).hp.seed == 7
     out = str(tmp_path / "sw")
-    argv = ["sweep", "--config", cfg_path, "--param", "training.seed", "--values", "1", "2", "--out", out]
+    argv = ["sweep", "--config", manifest, "--param", "training.seed", "--values", "2", "3", "--out", out]
     assert main(argv) == 0
-    for value in (1, 2):
-        manifest = json.load(open(os.path.join(out, f"training.seed_{value}", "manifest.json")))
-        assert manifest["training"]["seed"] == value
+    for value in (2, 3):
+        swept = json.load(open(os.path.join(out, f"training.seed_{value}", "manifest.json")))
+        assert swept["training"]["seed"] == value
 
 
-def test_manifest_seed_beats_env_seed(cfg_path, tmp_path, monkeypatch):
-    # A manifest replays its own seed: FED3CR_SEED < manifest < --training.seed
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps(load_config(cfg_path).resolved()))
+@pytest.mark.parametrize("command", ["run", "ablate", "sweep"])
+def test_env_seed_is_refused(command, cfg_path, tmp_path, monkeypatch, capsys):
+    # the seed is set by training.seed alone; the old environment variable
+    # is refused rather than silently ignored
     monkeypatch.setenv("FED3CR_SEED", "5")
-    assert load_config(str(manifest)).hp.seed == 3
-    assert load_config(str(manifest), {"training.seed": "7"}).hp.seed == 7
-    out = str(tmp_path / "sw")
-    argv = ["sweep", "--config", str(manifest), "--param", "training.lr", "--values", "0.05", "--out", out]
-    assert main(argv) == 0
-    assert json.load(open(os.path.join(out, "training.lr_0.05", "manifest.json")))["training"]["seed"] == 3
-
-
-def test_variant_explicit_flags_override_label(tmp_path):
-    path = tmp_path / "v.cfg"
-    path.write_text("[variant]\nlabel = Fed3CR\ncomplementarity = l2-distance\n")
-    config = load_config(str(path))
-    assert config.variant.complementarity_kind == "l2-distance"
-    assert config.variant.consistency_enabled
+    out = tmp_path / "run"
+    argv = [command, "--config", cfg_path, "--out", str(out)]
+    if command == "sweep":
+        argv += ["--param", "training.lr", "--values", "0.05"]
+    assert main(argv) == 2
+    assert "--training.seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_writes_outputs_and_is_reproducible(cfg_path, tmp_path):
@@ -295,11 +273,6 @@ def test_cli_run_and_exit_codes(cfg_path, tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 3
     capsys.readouterr()
 
-    # a variant with one item view cannot turn on a term that compares two
-    argv = ["run", "--config", cfg_path, "--variant.label", "FedMF", "--variant.consistency", "true"]
-    assert main(argv) == 2
-    assert "personal table" in capsys.readouterr().err
-
     # an out-of-range knob is a configuration error that names its key
     for key, value in (
         ("training.dim", "0"),
@@ -332,16 +305,28 @@ def test_cli_override_flags(cfg_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize(
-    "key", ["training.ace_scale", "eval.top_k", "eval.rbo_p", "training.ace_init", "dataset.holdout"]
-)
+REMOVED_KNOBS = {
+    "training.ace_scale": 1.0,
+    "eval.top_k": 10,
+    "eval.rbo_p": 0.99,
+    "training.ace_init": "identity",
+    "dataset.holdout": "random",
+    "variant.enhancement": "none",
+    "variant.consistency": False,
+    "variant.orthogonality": False,
+    "variant.complementarity": "l2-distance",
+}
+
+
+@pytest.mark.parametrize("key", list(REMOVED_KNOBS))
 def test_removed_knob_is_an_unknown_key(key, cfg_path, tmp_path, capsys):
     # W is the net's output and starts near zero, HR/NDCG at TOP_K and the
-    # RBO's persistence are constants, and the split always holds out the
-    # latest item: a config, a manifest or an override naming a removed key
-    # exits 2 and names it
+    # RBO's persistence are constants, the split always holds out the latest
+    # item, and variant.label alone picks a variant: a config, a manifest
+    # (an older one that carries variant flags among them) or an override
+    # naming a removed key exits 2 and names it
     section, name = key.split(".")
-    value = {"ace_scale": 1.0, "top_k": 10, "rbo_p": 0.99, "ace_init": "identity", "holdout": "random"}[name]
+    value = REMOVED_KNOBS[key]
     cfg = tmp_path / "old.cfg"
     cfg.write_text(TOY_CFG.replace(f"[{section}]\n", f"[{section}]\n{name} = {value}\n"))
     manifest = tmp_path / "manifest.json"
@@ -424,7 +409,14 @@ def test_cli_ablate(cfg_path, tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert [line.split(",")[0] for line in lines] == ["variant", "FedMF", "FedMF+ACE"]
     manifest = json.load(open(os.path.join(out, "FedMF+ACE", "manifest.json")))
-    assert manifest["variant"]["label"] == "FedMF+ACE"
+    assert manifest["variant"] == {"label": "FedMF+ACE"}
+
+
+def test_cli_ablate_checks_every_label_before_the_first_run(cfg_path, tmp_path, capsys):
+    out = tmp_path / "ab"
+    assert main(["ablate", "--config", cfg_path, "--variants", "C0,Nope", "--out", str(out)]) == 2
+    assert "Nope" in capsys.readouterr().err
+    assert not (out / "C0").exists()
 
 
 def test_cli_runs_fedmf_labels_with_checkpoints(cfg_path, tmp_path, capsys):
@@ -498,46 +490,24 @@ def test_manifest_json_loadable_as_config(cfg_path, tmp_path):
 
 
 def test_manifest_override_of_the_label_matches_the_cfg_override(tmp_path):
-    # the manifest writes a variant flag only where it leaves its label's
-    # preset, so a new label gets that label's flags, as on the .cfg
+    # the label is the manifest's whole variant, so a new label gives that
+    # label's variant, as on the .cfg
     bundled = os.path.join(os.path.dirname(__file__), "..", "configs", "toy.cfg")
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(load_config(bundled).resolved()))
     for label in VARIANT_LABELS:
-        assert load_config(str(manifest), {"variant.label": label}) == load_config(
-            bundled, {"variant.label": label}
-        )
-    # a manifest that spells out every flag still loads to the same config
-    for label in ("C0", "FedMF+ACE"):
-        config = load_config(bundled, {"variant.label": label, "variant.complementarity": "l2-distance"})
-        snapshot = config.resolved()
-        assert snapshot["variant"]["consistency"] is None
-        assert snapshot["variant"]["complementarity"] == "l2-distance"
-        v = config.variant
-        snapshot["variant"].update(
-            enhancement=v.enhancement_kind,
-            consistency=v.consistency_enabled,
-            orthogonality=v.orthogonality_enabled,
-            complementarity=v.complementarity_kind,
-        )
-        manifest.write_text(json.dumps(snapshot))
-        assert load_config(str(manifest)) == config
+        config = load_config(str(manifest), {"variant.label": label})
+        assert config == load_config(bundled, {"variant.label": label})
+        assert config.variant == VariantConfig.from_label(label)
 
 
 # valid non-default values for the str knobs; the other types derive theirs
-STR_KNOB_VALUES = {
-    "eq12_mode": "literal-ratio",
-    "dtype": "float64",
-    "enhancement_kind": "consensus-transfer",
-    "complementarity_kind": "l2-distance",
-}
+STR_KNOB_VALUES = {"eq12_mode": "literal-ratio", "dtype": "float64"}
 
 
 def _non_default(f):
     if f.name in STR_KNOB_VALUES:
         return STR_KNOB_VALUES[f.name]
-    if isinstance(f.default, bool):
-        return str(not f.default).lower()
     if isinstance(f.default, tuple):
         return ",".join(map(str, f.default + (2 * f.default[-1],)))
     if isinstance(f.default, float):
@@ -546,22 +516,13 @@ def _non_default(f):
 
 
 def test_every_knob_round_trips_through_the_manifest(cfg_path, tmp_path):
-    # a field of HyperParams or VariantConfig that missed the schema, the
-    # manifest or resolve_config would fail here
-    owners = [("hp", f, "training") for f in dataclasses.fields(HyperParams)]
-    owners += [("variant", f, "variant") for f in dataclasses.fields(VariantConfig)]
+    # a field of HyperParams that missed the schema, the manifest or
+    # resolve_config would fail here
     base = load_config(cfg_path)
-    checked = 0
-    for holder, f, section in owners:
-        key = config_key(f, section)
-        if key is None:
-            continue
+    for f in dataclasses.fields(HyperParams):
+        key = config_key(f, "training")
         config = load_config(cfg_path, {key: _non_default(f)})
-        value = getattr(getattr(config, holder), f.name)
-        assert value != getattr(getattr(base, holder), f.name), key
+        assert getattr(config.hp, f.name) != getattr(base.hp, f.name), key
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(config.resolved(), indent=2, sort_keys=True))
         assert load_config(str(manifest)) == config, key
-        checked += 1
-    # every HyperParams field, and every VariantConfig field but personal_table
-    assert checked == len(dataclasses.fields(HyperParams)) + 4

@@ -106,10 +106,10 @@ def test_duplicates_collapse(tmp_path):
 def test_remapping_round_trips():
     records = [RawInteraction(u, i) for u, i in [("9", "b"), ("9", "a"), ("10", "a"), ("10", "c")]]
     ds = build_dataset(records, min_interactions=1)
-    for external, dense in ds.user_index.items():
-        assert ds.user_ids[dense] == external
-    for external, dense in ds.item_index.items():
-        assert ds.item_ids[dense] == external
+    assert set(ds.user_ids) == {"9", "10"} and set(ds.item_ids) == {"a", "b", "c"}
+    for user, items in (("9", {"a", "b"}), ("10", {"a", "c"})):
+        dense = ds.user_ids.index(user)
+        assert {ds.item_ids[k] for k in ds.client_items[dense]} == items
 
 
 def test_numeric_ids_sort_numerically():
@@ -122,15 +122,15 @@ def test_split_latest_timestamp_wins():
     records = [RawInteraction("1", "a", None, 1), RawInteraction("1", "b", None, 9)]
     ds = build_dataset(records, min_interactions=1)
     split = leave_one_out_split(ds, seed=0)
-    assert split.test_items[0] == ds.item_index["b"]
-    assert list(split.client_items[0]) == [ds.item_index["a"]]
+    assert split.test_items[0] == ds.item_ids.index("b")
+    assert list(split.client_items[0]) == [ds.item_ids.index("a")]
 
 
 def test_split_timestamp_tie_breaks_by_larger_id():
     records = [RawInteraction("1", "a", None, 5), RawInteraction("1", "b", None, 5)]
     ds = build_dataset(records, min_interactions=1)
     split = leave_one_out_split(ds, seed=0)
-    assert split.test_items[0] == max(ds.item_index.values())
+    assert split.test_items[0] == max(ds.item_ids.index("a"), ds.item_ids.index("b"))
 
 
 def test_split_without_timestamps_is_seeded():
@@ -241,7 +241,7 @@ def test_batch_three_positives_example(tmp_path):
         "user,item\n" + "".join(f"u,{i}\n" for i in range(4)) + "".join(f"v,{i}\n" for i in range(30)),
     )
     ds = leave_one_out_split(load_dataset(path, "csv", 1), seed=0)
-    client = ds.user_index["u"]
+    client = ds.user_ids.index("u")
     assert len(ds.client_items[client]) == 3
     sampler = NegativeSampler(ds, seed=0, negatives_per_positive=4)
     items, labels = sampler.sample_batch(client)

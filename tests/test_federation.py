@@ -87,7 +87,10 @@ def test_variant_labels_map_to_flags():
         "Fed3CR": ("ace", True, True, True),
         "FedMF": ("none", False, False, False),
         "FedMF+ACE": ("ace", False, False, False),
+        "consensus-transfer": ("consensus-transfer", True, True, True),
+        "unified-transfer": ("unified-transfer", True, True, True),
     }
+    assert set(grid) == set(VARIANT_LABELS)
     for label, (kind, la, lo, personal) in grid.items():
         v = VariantConfig.from_label(label)
         v.validate()
@@ -226,8 +229,6 @@ def test_local_update_single_item_matches_one_step_sgd_oracle():
         test_items=[1],
         user_ids=["u"],
         item_ids=["a", "b"],
-        user_index={"u": 0},
-        item_index={"a": 0, "b": 1},
     )
     hp = HyperParams(rounds=1, local_iters=1, dim=3, lr=0.5, lr_gamma=1.0, seed=0, dtype="float64")
     state = init_client(0, 3, 2, dtype=np.float64)
@@ -679,7 +680,6 @@ def sort_path_metrics(clients, server, ds, hp, variant, candidates, fused_table)
 
 
 EVAL_VARIANTS = {label: VariantConfig.from_label(label) for label in VARIANT_LABELS}
-EVAL_VARIANTS.update({kind: VariantConfig(kind) for kind in ("consensus-transfer", "unified-transfer")})
 
 
 class TableSumError(AssertionError):

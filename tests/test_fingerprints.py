@@ -1,5 +1,5 @@
 """The bits of `configs/toy.cfg`: the sha256 of `metrics.csv` under every
-variant label and both row maps; and of one full-ranking run, which ranks
+variant label the CLI can run; and of one full-ranking run, which ranks
 every unseen item of 1000, with RBO at k=50 and d=16.
 
 A change meant to keep every metric byte for byte (a refactor, a speed-up)
@@ -14,6 +14,7 @@ import pytest
 
 from fed3cr.cli import run_experiment
 from fed3cr.config import load_config
+from fed3cr.federation import VARIANT_LABELS
 
 TOY_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "toy.cfg")
 
@@ -28,17 +29,18 @@ FINGERPRINTS = {
     "Fed3CR": "4fa0a390d2e440bd0062c8ef9d4ad12de59a6a82ffe249a51c7bdc5dfb1e8906",
     "FedMF": "cfec2d09f646dd5639dd59c0053d6417642c2fdbf348d297704e1cb2d8939931",
     "FedMF+ACE": "46b1f4b033f917fbdb99536cf55d3b7c5a321a11ffb86b6ead401a1dc71970ee",
-    # the row maps, under the config's own label (Fed3CR)
     "consensus-transfer": "7f89de0674af923f2deb685aaa8b62245576bbc9ccecac94aeb2ffc24cc3167f",
     "unified-transfer": "d30bf87abebbb8325d05fd4027d3952aace9824b9b29ed16117401bc03a55e2a",
 }
 
 
+def test_every_runnable_label_is_pinned():
+    assert set(FINGERPRINTS) == set(VARIANT_LABELS)
+
+
 @pytest.mark.parametrize("name", list(FINGERPRINTS))
-def test_toy_metrics_csv_is_byte_identical(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("FED3CR_SEED", raising=False)
-    key = "variant.enhancement" if name.endswith("-transfer") else "variant.label"
-    config = load_config(TOY_CFG, overrides={key: name})
+def test_toy_metrics_csv_is_byte_identical(name, tmp_path):
+    config = load_config(TOY_CFG, overrides={"variant.label": name})
     outdir = tmp_path / "run"
     run_experiment(config, str(outdir), save_checkpoints=False)
     digest = hashlib.sha256((outdir / "metrics.csv").read_bytes()).hexdigest()
@@ -77,8 +79,7 @@ interval = 1
 FULL_RANK_FINGERPRINT = "fe9ff352e7f143cc5f5874f15e85a995c15c7113241d2d78cbea56672c3d9f6d"
 
 
-def test_full_ranking_metrics_csv_is_byte_identical(tmp_path, monkeypatch):
-    monkeypatch.delenv("FED3CR_SEED", raising=False)
+def test_full_ranking_metrics_csv_is_byte_identical(tmp_path):
     path = tmp_path / "full-rank.cfg"
     path.write_text(FULL_RANK_CFG)
     outdir = tmp_path / "run"

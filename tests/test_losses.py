@@ -214,8 +214,8 @@ def test_total_gradients_pass_grad_check(eq12_mode, complementarity, block_grad_
 
 
 # (label, enhancement kind, eq12 mode, shared workspace, complementarity):
-# every label with its own flags, once more with the other auxiliary-loss
-# options where it has l_a or l_o, and the two row-map kinds. With a shared
+# every label with its own flags (the two row maps among them), once more
+# with the other auxiliary-loss options where it has l_a or l_o. With a shared
 # workspace, every pass of the check (the traced one and each finite
 # difference) reuses one Workspace, as a client's steps do: the leaves'
 # gradients must not sit in a buffer a later forward pass overwrites.
@@ -224,10 +224,6 @@ OBJECTIVE_CASES = [
     for label, (kind, l_a, l_o, _) in VARIANT_LABELS.items()
     for case in [(label, kind, "softmax", False, "orthogonal")]
     + ([(label, kind, "literal-ratio", True, "l2-distance")] if l_a or l_o else [])
-] + [
-    ("Fed3CR", kind, mode, shared, complementarity)
-    for kind in ("consensus-transfer", "unified-transfer")
-    for mode, shared, complementarity in (("softmax", False, "orthogonal"), ("literal-ratio", True, "l2-distance"))
 ]
 
 
