@@ -30,7 +30,16 @@ from .datasets import InteractionDataset, NegativeSampler, build_eval_candidates
 from .errors import AggregationError, ConfigurationError, ShapeError
 from .evaluation import RBO_P, TOP_K, RoundMetrics, hr_ndcg_at_k, rank_candidates, view_consistency_rbo
 from .losses import COMPLEMENTARITY_KINDS, EQ12_MODES, LossBreakdown, total_loss_t
-from .model import ENHANCEMENT_KINDS, ClientState, TransferNet, forward_pass, init_client, init_client_net, net_pass
+from .model import (
+    ENHANCEMENT_KINDS,
+    ClientState,
+    TransferNet,
+    draw_personal_tables,
+    forward_pass,
+    init_client,
+    init_client_net,
+    net_pass,
+)
 
 # label -> (enhancement kind, l_a on, l_o on, personal table). C0 is bare
 # additive fusion, C1 adds the enhancement, C2/C3/C4 add only the auxiliary
@@ -492,11 +501,13 @@ def run_training(
         raise ConfigurationError("dataset must be split before training")
 
     clients = [
-        init_client(
-            hp.seed, hp.dim, ds.num_items, client_id=c, dtype=hp.np_dtype, personal_table=variant.personal_table
-        )
+        init_client(hp.seed, hp.dim, ds.num_items, client_id=c, dtype=hp.np_dtype, personal_table=False)
         for c in range(ds.num_clients)
     ]
+    if variant.personal_table:
+        tables = draw_personal_tables(hp.seed, hp.dim, ds.num_items, range(ds.num_clients), hp.np_dtype)
+        for client, table in zip(clients, tables):
+            client.personal_table = table
     server = init_server(ds, hp, variant)
     sampler = NegativeSampler(ds, hp.seed, hp.negatives_per_positive)
     candidates = [

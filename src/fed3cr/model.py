@@ -15,8 +15,11 @@ global one.
 from __future__ import annotations
 
 import functools
+import os
+import queue
+import threading
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,6 +29,11 @@ from .errors import DataError, ShapeError
 
 ENHANCEMENT_KINDS = ("ace", "consensus-transfer", "unified-transfer", "none")
 FINAL_INIT_SCALE = 1e-3  # half-width of the uniform init of a transfer net's output weights
+# The fewest personal-table values worth a fill worker of their own. On a
+# 2-core x86-64 host, a fresh process with BLAS on one thread took 0.45-0.7 ms
+# to start its first thread, the time of 35,000-40,000 float32 normals at
+# 11.5-18 ns each, so a worker pays for itself well before 2**16 values.
+VALUES_PER_WORKER = 1 << 16
 
 
 @dataclass
@@ -188,22 +196,80 @@ class ForwardTrace:
     pullback: Callable[..., list] = field(repr=False)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def draw_personal_tables(
+    seed: int, d: int, M: int, client_ids: Sequence[int], dtype=np.float32
+) -> list[np.ndarray]:
+    """The M x d personal tables of `client_ids`, in that order. Each is
+    Normal(0, 0.01) in `dtype` from the stream (seed, CLIENT_INIT,
+    client_id, 1), so it depends on nothing drawn before it, its first rows
+    do not depend on M, and its bits do not depend on the thread that fills
+    it.
+
+    The calling thread allocates every table, then builds the generators in
+    order and fills table i itself when i % workers == 0, handing each other
+    table to worker thread i % workers. There is at most one worker per
+    usable CPU and per VALUES_PER_WORKER values, the caller included, so a
+    small draw starts no thread. An exception a fill raises is raised here,
+    once every fill has stopped."""
+    n = len(client_ids)
+    workers = max(1, min(_usable_cpus(), n, n * M * d // VALUES_PER_WORKER))
+    tables = [np.empty((M, d), dtype=dtype) for _ in range(n)]
+    queues = [queue.SimpleQueue() for _ in range(workers - 1)]
+    failures = []
+
+    def fill(gen, v):
+        gen.standard_normal(out=v, dtype=dtype)
+        v *= 0.01
+
+    def work(jobs):
+        try:
+            while (job := jobs.get()) is not None:
+                fill(*job)
+        except BaseException as exc:  # raised on the calling thread once every fill has stopped
+            failures.append(exc)
+
+    threads = [threading.Thread(target=work, args=(jobs,)) for jobs in queues]
+    for t in threads:
+        t.start()
+    try:
+        for i, (c, v) in enumerate(zip(client_ids, tables)):
+            # Built just before its fill: a generator holds about 1 KB that
+            # stays resident once freed, so building all 6040 of the paper
+            # shape first would add 4 MB to peak RSS.
+            gen = seeding.rng(seed, seeding.CLIENT_INIT, c, 1)
+            if i % workers:
+                queues[i % workers - 1].put((gen, v))
+            else:
+                fill(gen, v)
+    finally:
+        for jobs in queues:
+            jobs.put(None)
+        for t in threads:
+            t.join()
+    if failures:
+        raise failures[0]
+    return tables
+
+
 def init_client(
     seed: int, d: int, M: int, client_id: int = 0, dtype=np.float32, personal_table: bool = True
 ) -> ClientState:
     """Seeded client construction; identical (seed, client_id) gives identical
     state. Both blocks are Normal(0, 0.01), each from a stream of its own: u
-    from (seed, CLIENT_INIT, client_id), V from (seed, CLIENT_INIT,
-    client_id, 1), drawn in `dtype`. So V depends on nothing drawn before it,
-    and its first rows do not depend on M. With `personal_table=False` (a
-    federated-MF client) no V is drawn."""
+    from (seed, CLIENT_INIT, client_id) and V from `draw_personal_tables`.
+    With `personal_table=False` (a federated-MF client, or a run that draws
+    every table at once) no V is drawn."""
     if d < 1 or M < 1:
         raise ValueError("d and M must be positive")
     u = seeding.rng(seed, seeding.CLIENT_INIT, client_id).normal(0.0, 0.01, size=d).astype(dtype)
-    v = None
-    if personal_table:
-        v = seeding.rng(seed, seeding.CLIENT_INIT, client_id, 1).standard_normal((M, d), dtype=dtype)
-        v *= 0.01
+    v = draw_personal_tables(seed, d, M, [client_id], dtype)[0] if personal_table else None
     return ClientState(client_id, u, v)
 
 
