@@ -36,9 +36,8 @@ from .toy import generate_toy_dataset
 
 @dataclass
 class ExperimentRecord:
-    """Everything needed to audit and reproduce one run."""
+    """What one run scored and how long it trained."""
 
-    config: dict
     metrics: list[RoundMetrics]
     wall_clock_total: float = 0.0  # seconds in `run_training`
     best_hr: float = 0.0
@@ -85,7 +84,7 @@ def run_experiment(
     start = time.perf_counter()
     result = run_training(ds, config.hp, config.variant)
     seconds = time.perf_counter() - start
-    record = ExperimentRecord(config=config.resolved(), metrics=result.metrics, wall_clock_total=seconds)
+    record = ExperimentRecord(metrics=result.metrics, wall_clock_total=seconds)
     if result.metrics:
         hr_best = max(result.metrics, key=lambda m: m.hr_at_k)
         ndcg_best = max(result.metrics, key=lambda m: m.ndcg_at_k)

@@ -16,14 +16,9 @@ from .toy import generate_toy_dataset
 
 VERSION = "fed3cr-0.1.0"
 
-def _parse_int_tuple(s) -> tuple[int, ...]:
-    if isinstance(s, (list, tuple)):
-        return tuple(int(x) for x in s)
-    return tuple(int(x) for x in str(s).split(",") if x.strip())
-
-
-# section -> key -> (caster, default). The [dataset] keys are listed here;
-# the other sections are filled in below from the dataclass fields.
+# section -> key -> (type, default), where the type also casts a string
+# value. The [dataset] keys are listed here; the other sections are filled
+# in below from the dataclass fields.
 SCHEMA: dict[str, dict] = {
     "dataset": {
         "path": (str, ""),
@@ -40,8 +35,6 @@ SCHEMA: dict[str, dict] = {
     "variant": {},
     "eval": {},
 }
-
-_CASTERS = {int: int, float: float, str: str, tuple[int, ...]: _parse_int_tuple}
 
 
 @dataclass
@@ -62,8 +55,7 @@ class ExperimentConfig:
         out = {"version": VERSION, **{section: {} for section in SCHEMA}}
         out["dataset"] = dict(self.dataset)
         for (section, key), (holder, name) in _FIELDS.items():
-            value = getattr(getattr(self, holder) if holder else self, name)
-            out[section][key] = list(value) if isinstance(value, tuple) else value
+            out[section][key] = getattr(getattr(self, holder) if holder else self, name)
         return out
 
     def build_dataset(self) -> InteractionDataset:
@@ -98,7 +90,7 @@ def _knob_fields() -> dict[tuple[str, str], tuple[str, str]]:
             dotted = f.metadata.get("config") if section is None else config_key(f, section)
             if dotted:
                 key = tuple(dotted.split("."))
-                SCHEMA[key[0]][key[1]] = (_CASTERS[types[f.name]], f.default)
+                SCHEMA[key[0]][key[1]] = (types[f.name], f.default)
                 knobs[key] = (holder, f.name)
     return knobs
 
@@ -131,8 +123,8 @@ def resolve_config(values: dict[str, dict], overrides: dict[str, str] | None = N
     """Merge the dotted overrides into `values` (a file's or a manifest's),
     so an override beats the file. Cast and check every key, fill in the
     defaults, and build the typed config. A string is parsed by its key's
-    caster, a list turned into a tuple, and any other value (as a manifest
-    holds) taken as it is."""
+    caster. Any other value (as a manifest holds) must already have the
+    key's type: an int also serves a float key, and a bool serves none."""
     raw = {section: dict(entries) for section, entries in values.items()}
     for dotted, value in (overrides or {}).items():
         section, dot, key = dotted.partition(".")
@@ -148,9 +140,12 @@ def resolve_config(values: dict[str, dict], overrides: dict[str, str] | None = N
             if key not in SCHEMA[section]:
                 raise ConfigurationError(f"unknown key {section}.{key}")
             caster, _ = SCHEMA[section][key]
+            accepted = (int, float) if caster is float else caster
+            if not isinstance(value, str) and (isinstance(value, bool) or not isinstance(value, accepted)):
+                raise ConfigurationError(f"bad value for {section}.{key}: expected {caster.__name__}, got {value!r}")
             try:
-                full[section][key] = caster(value) if isinstance(value, (str, list, tuple)) else value
-            except (ValueError, TypeError) as exc:
+                full[section][key] = caster(value)
+            except ValueError as exc:
                 raise ConfigurationError(f"bad value for {section}.{key}: {exc}") from exc
 
     kwargs: dict[str, dict] = {"": {}, "hp": {}}

@@ -65,6 +65,10 @@ VARIANT_LABELS = {
 # The default grid of `fed3cr ablate`.
 ABLATION_LABELS = ("C0", "C1", "C2", "C3", "C4", "C5", "C6", "Fed3CR")
 
+# The server's transfer-net layer widths in multiples of d, from the input
+# width 2d; `init_client_net` appends the output layer.
+TRANSFER_SCHEDULE = (2, 4)
+
 
 def config_key(f: dataclasses.Field, section: str) -> str:
     """The dotted config key of a HyperParams field: `section.<field
@@ -139,8 +143,6 @@ class HyperParams:
     eq12_mode: str = "softmax"
     eval_negatives: int = field(default=99, metadata={"config": "eval.negatives"})
     seed: int = 0
-    # transfer-net layer widths in multiples of d, from the input width 2*d
-    transfer_schedule: tuple[int, ...] = field(default=(2, 4), metadata={"config": "training.transfer_layers"})
     dtype: str = "float32"
     eval_interval: int = field(default=1, metadata={"config": "eval.interval"})
     rbo_k: int = field(default=50, metadata={"config": "eval.rbo_k"})
@@ -169,12 +171,6 @@ class HyperParams:
             self.eval_negatives >= 1 or self.eval_negatives == -1,
             "eval_negatives",
             "must be positive (or -1 for full ranking)",
-        )
-        schedule = self.transfer_schedule
-        require(
-            len(schedule) >= 1 and schedule[0] == 2 and min(schedule) >= 1,
-            "transfer_schedule",
-            "must list positive widths in multiples of d, starting at 2",
         )
 
     def rbo_depth(self, num_items: int) -> int:
@@ -400,7 +396,7 @@ def init_server(ds: InteractionDataset, hp: HyperParams, variant: VariantConfig)
         theta = init_client_net(
             seeding.rng(hp.seed, seeding.SERVER_INIT, 1),
             hp.dim,
-            hp.transfer_schedule,
+            TRANSFER_SCHEDULE,
             enhancement=variant.enhancement_kind,
             dtype=hp.np_dtype,
         )

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import os
-import queue
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -212,47 +211,33 @@ def draw_personal_tables(
     do not depend on M, and its bits do not depend on the thread that fills
     it.
 
-    The calling thread allocates every table, then builds the generators in
-    order and fills table i itself when i % workers == 0, handing each other
-    table to worker thread i % workers. There is at most one worker per
-    usable CPU and per VALUES_PER_WORKER values, the caller included, so a
-    small draw starts no thread. An exception a fill raises is raised here,
-    once every fill has stopped."""
+    The calling thread allocates every table. Worker w, the caller being
+    worker 0, then fills tables w, w + workers, and so on. There is at most
+    one worker per usable CPU and per VALUES_PER_WORKER values, the caller
+    included, so a small draw starts no thread. An exception a fill raises
+    is raised here, once every fill has stopped."""
     n = len(client_ids)
     workers = max(1, min(_usable_cpus(), n, n * M * d // VALUES_PER_WORKER))
     tables = [np.empty((M, d), dtype=dtype) for _ in range(n)]
-    queues = [queue.SimpleQueue() for _ in range(workers - 1)]
     failures = []
 
-    def fill(gen, v):
-        gen.standard_normal(out=v, dtype=dtype)
-        v *= 0.01
-
-    def work(jobs):
+    def work(w):
         try:
-            while (job := jobs.get()) is not None:
-                fill(*job)
+            for c, v in zip(client_ids[w::workers], tables[w::workers]):
+                # Built just before its fill: a generator holds about 1 KB that
+                # stays resident once freed, so building all 6040 of the paper
+                # shape first would add 4 MB to peak RSS.
+                seeding.rng(seed, seeding.CLIENT_INIT, c, 1).standard_normal(out=v, dtype=dtype)
+                v *= 0.01
         except BaseException as exc:  # raised on the calling thread once every fill has stopped
             failures.append(exc)
 
-    threads = [threading.Thread(target=work, args=(jobs,)) for jobs in queues]
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
     for t in threads:
         t.start()
-    try:
-        for i, (c, v) in enumerate(zip(client_ids, tables)):
-            # Built just before its fill: a generator holds about 1 KB that
-            # stays resident once freed, so building all 6040 of the paper
-            # shape first would add 4 MB to peak RSS.
-            gen = seeding.rng(seed, seeding.CLIENT_INIT, c, 1)
-            if i % workers:
-                queues[i % workers - 1].put((gen, v))
-            else:
-                fill(gen, v)
-    finally:
-        for jobs in queues:
-            jobs.put(None)
-        for t in threads:
-            t.join()
+    work(0)
+    for t in threads:
+        t.join()
     if failures:
         raise failures[0]
     return tables

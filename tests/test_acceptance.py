@@ -264,7 +264,7 @@ def test_criterion_9_determinism_across_runs(tmp_path):
         out = str(tmp_path / f"run{i}")
         code = main(["run", "--config", str(cfg), "--out", out])
         assert code == 0
-        csvs.append(open(os.path.join(out, "metrics.csv"), "rb").read())
+        csvs.append((tmp_path / f"run{i}" / "metrics.csv").read_bytes())
     ok = csvs[0] == csvs[1]
     report(9, ok, f"2 runs produced byte-identical metrics CSVs ({len(csvs[0])} bytes)")
 

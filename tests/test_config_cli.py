@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -106,14 +107,14 @@ def test_seed_override_beats_the_file_and_the_manifest(cfg_path, tmp_path, capsy
     out = str(tmp_path / "run")
     assert main(["run", "--config", cfg_path, "--out", out, "--training.seed", "1"]) == 0
     manifest = os.path.join(out, "manifest.json")
-    assert json.load(open(manifest))["training"]["seed"] == 1
+    assert json.loads(Path(manifest).read_text())["training"]["seed"] == 1
     assert load_config(manifest).hp.seed == 1
     assert load_config(manifest, {"training.seed": "7"}).hp.seed == 7
     out = str(tmp_path / "sw")
     argv = ["sweep", "--config", manifest, "--param", "training.seed", "--values", "2", "3", "--out", out]
     assert main(argv) == 0
     for value in (2, 3):
-        swept = json.load(open(os.path.join(out, f"training.seed_{value}", "manifest.json")))
+        swept = json.loads(Path(out, f"training.seed_{value}", "manifest.json").read_text())
         assert swept["training"]["seed"] == value
 
 
@@ -135,8 +136,8 @@ def test_run_writes_outputs_and_is_reproducible(cfg_path, tmp_path):
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
     run_experiment(load_config(cfg_path), out1)
     run_experiment(load_config(cfg_path), out2)
-    csv1 = open(os.path.join(out1, "metrics.csv"), "rb").read()
-    csv2 = open(os.path.join(out2, "metrics.csv"), "rb").read()
+    csv1 = Path(out1, "metrics.csv").read_bytes()
+    csv2 = Path(out2, "metrics.csv").read_bytes()
     assert csv1 == csv2
     assert os.path.exists(os.path.join(out1, "manifest.json"))
     assert os.listdir(os.path.join(out1, "checkpoints"))
@@ -152,10 +153,7 @@ def test_manifest_round_trips_to_identical_run(cfg_path, tmp_path):
         replayed = load_config(manifest)
         assert replayed.variant_label == label
         run_experiment(replayed, out2)
-        assert (
-            open(os.path.join(out1, "metrics.csv"), "rb").read()
-            == open(os.path.join(out2, "metrics.csv"), "rb").read()
-        )
+        assert Path(out1, "metrics.csv").read_bytes() == Path(out2, "metrics.csv").read_bytes()
 
 
 def test_checkpoints_reload_to_the_last_evaluated_metrics(cfg_path, tmp_path):
@@ -180,7 +178,7 @@ def test_checkpoints_reload_to_the_last_evaluated_metrics(cfg_path, tmp_path):
         candidates = [build_eval_candidates(ds, c, hp.eval_negatives, hp.seed) for c in range(ds.num_clients)]
         no_loss = LossBreakdown(0.0, 0.0, 0.0, 0.0)
         again = evaluate_round(clients, server, ds, hp, config.variant, candidates, hp.rounds - 1, no_loss)
-        last = open(os.path.join(out, "metrics.csv")).read().strip().splitlines()[-1]
+        last = Path(out, "metrics.csv").read_text().strip().splitlines()[-1]
         # round, HR@10, NDCG@10 and RBO, compared as their exact float reprs
         assert metrics_csv_lines([again], hp.rbo_k)[1].split(",")[:4] == last.split(",")[:4]
 
@@ -196,7 +194,7 @@ def test_rerun_refuses_without_force(cfg_path, tmp_path):
 def test_ablation_rows_share_split(cfg_path, tmp_path):
     rows = run_ablation(load_config(cfg_path), ["C0", "C1"], str(tmp_path / "ab"))
     assert [r[0] for r in rows] == ["C0", "C1"]
-    text = open(os.path.join(tmp_path, "ab", "ablation.csv")).read()
+    text = Path(tmp_path, "ab", "ablation.csv").read_text()
     assert text.startswith("variant,hr10,ndcg10\nC0,")
 
 
@@ -209,18 +207,16 @@ def test_sweep_beta_a_standard_grid(cfg_path, tmp_path):
     values = ["0.1", "0.3", "0.5", "0.7", "1"]
     rows = run_sweep(load_config(cfg_path), "training.beta_a", values, str(tmp_path / "sw"))
     assert [r[0] for r in rows] == values
-    lines = open(os.path.join(tmp_path, "sw", "sweep.csv")).read().strip().splitlines()
+    lines = Path(tmp_path, "sw", "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 6
     assert lines[0] == "training.beta_a,hr10,ndcg10"
 
 
-def test_sweep_layer_counts(cfg_path, tmp_path):
-    schedules = ["2,4", "2,4,8", "2,4,8,16"]
-    rows = run_sweep(load_config(cfg_path), "training.transfer_layers", schedules)
-    assert [r[0] for r in rows] == schedules
+def test_sweep_checks_every_value_before_the_first_run(cfg_path, tmp_path):
     # a bad value fails before any run, through the checks an override gets
     for param, values in (
-        ("training.transfer_layers", ["2,4", "3,4"]),
+        ("training.dim", ["8", "0"]),
+        ("training.local_iters", ["2", "two"]),
         ("training.nope", ["1"]),
         ("beta_a", ["0.5"]),
     ):
@@ -241,14 +237,14 @@ def test_single_value_sweep_equals_run(cfg_path):
 
 def test_cli_sweep_takes_a_dotted_key_and_one_value_per_token(cfg_path, tmp_path, capsys):
     out = str(tmp_path / "sw")
-    argv = ["sweep", "--config", cfg_path, "--param", "training.transfer_layers", "--values", "2,4", "2,4,8"]
+    argv = ["sweep", "--config", cfg_path, "--param", "training.local_iters", "--values", "1", "3"]
     assert main(argv + ["--out", out, "--training.rounds", "1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "training.transfer_layers,hr10,ndcg10"
-    assert [line.split('",')[0] for line in lines[1:]] == ['"2,4', '"2,4,8']
-    assert open(os.path.join(out, "sweep.csv")).read().strip().splitlines() == lines
-    manifest = json.load(open(os.path.join(out, "training.transfer_layers_2,4,8", "manifest.json")))
-    assert manifest["training"]["transfer_layers"] == [2, 4, 8]
+    assert lines[0] == "training.local_iters,hr10,ndcg10"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "3"]
+    assert Path(out, "sweep.csv").read_text().strip().splitlines() == lines
+    manifest = json.loads(Path(out, "training.local_iters_3", "manifest.json").read_text())
+    assert manifest["training"]["local_iters"] == 3
     assert manifest["training"]["rounds"] == 1
 
     assert main(["sweep", "--config", cfg_path, "--param", "training.nope", "--values", "1"]) == 2
@@ -261,7 +257,7 @@ def test_cli_run_and_exit_codes(cfg_path, tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert "best_hr" in summary
     assert isinstance(summary["wall_clock_total"], float) and summary["wall_clock_total"] > 0
-    assert json.load(open(os.path.join(out, "record.json"))) == summary
+    assert json.loads(Path(out, "record.json").read_text()) == summary
 
     # rerun without --force -> config error exit code
     assert main(["run", "--config", cfg_path, "--out", out]) == 2
@@ -277,7 +273,6 @@ def test_cli_run_and_exit_codes(cfg_path, tmp_path, capsys):
     for key, value in (
         ("training.dim", "0"),
         ("eval.interval", "0"),
-        ("training.transfer_layers", "3,4"),
         ("training.batch_size", "0"),
         ("training.negatives_per_positive", "-1"),
         ("training.lr_gamma", "-1"),
@@ -315,6 +310,7 @@ REMOVED_KNOBS = {
     "variant.consistency": False,
     "variant.orthogonality": False,
     "variant.complementarity": "l2-distance",
+    "training.transfer_layers": [2, 4],
 }
 
 
@@ -322,9 +318,10 @@ REMOVED_KNOBS = {
 def test_removed_knob_is_an_unknown_key(key, cfg_path, tmp_path, capsys):
     # W is the net's output and starts near zero, HR/NDCG at TOP_K and the
     # RBO's persistence are constants, the split always holds out the latest
-    # item, and variant.label alone picks a variant: a config, a manifest
-    # (an older one that carries variant flags among them) or an override
-    # naming a removed key exits 2 and names it
+    # item, variant.label alone picks a variant, and the transfer net has one
+    # shape: a config, a manifest (an older one that carries variant flags or
+    # net widths among them) or an override naming a removed key exits 2 and
+    # names it
     section, name = key.split(".")
     value = REMOVED_KNOBS[key]
     cfg = tmp_path / "old.cfg"
@@ -340,6 +337,52 @@ def test_removed_knob_is_an_unknown_key(key, cfg_path, tmp_path, capsys):
     ):
         assert main(argv) == 2
         assert f"unknown key {key}" in capsys.readouterr().err
+
+
+def _manifest_with(cfg_path, path, key, value):
+    section, name = key.split(".")
+    snapshot = load_config(cfg_path).resolved()
+    snapshot[section][name] = value
+    path.write_text(json.dumps(snapshot))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("training.rounds", 2.5),
+        ("training.rounds", True),
+        ("training.lr", False),
+        ("training.eq12_mode", 1),
+        ("dataset.path", None),
+        ("eval.negatives", {"n": 20}),
+    ],
+    ids=["float-for-int", "bool-for-int", "bool-for-float", "int-for-str", "null", "object"],
+)
+def test_manifest_value_of_the_wrong_type_exits_2_naming_its_key(key, value, cfg_path, tmp_path, capsys):
+    manifest = _manifest_with(cfg_path, tmp_path / "manifest.json", key, value)
+    out = tmp_path / "run"
+    assert main(["run", "--config", manifest, "--out", str(out)]) == 2
+    assert f"configuration error: bad value for {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_list_is_the_wrong_type_for_every_key(cfg_path, tmp_path):
+    for section, keys in SCHEMA.items():
+        for key, (_, default) in keys.items():
+            manifest = _manifest_with(cfg_path, tmp_path / "manifest.json", f"{section}.{key}", [default])
+            with pytest.raises(ConfigurationError, match=re.escape(f"bad value for {section}.{key}: ")):
+                load_config(manifest)
+
+
+def test_manifest_takes_a_string_or_a_value_of_its_keys_type(cfg_path, tmp_path):
+    # an int serves for a float key, and is stored as the float it stands for
+    snapshot = load_config(cfg_path).resolved()
+    snapshot["training"].update(lr=1, rounds="3")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(snapshot))
+    hp = load_config(str(manifest)).hp
+    assert (hp.lr, type(hp.lr), hp.rounds) == (1.0, float, 3)
 
 
 @pytest.mark.parametrize(
@@ -408,7 +451,7 @@ def test_cli_ablate(cfg_path, tmp_path, capsys):
     assert main(["ablate", "--config", cfg_path, "--variants", "FedMF,FedMF+ACE", "--out", out]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert [line.split(",")[0] for line in lines] == ["variant", "FedMF", "FedMF+ACE"]
-    manifest = json.load(open(os.path.join(out, "FedMF+ACE", "manifest.json")))
+    manifest = json.loads(Path(out, "FedMF+ACE", "manifest.json").read_text())
     assert manifest["variant"] == {"label": "FedMF+ACE"}
 
 
@@ -425,7 +468,7 @@ def test_cli_runs_fedmf_labels_with_checkpoints(cfg_path, tmp_path, capsys):
     for label in ("FedMF", "FedMF+ACE"):
         out = str(tmp_path / label)
         assert main(["run", "--config", cfg_path, "--variant.label", label, "--out", out]) == 0
-        rows = open(os.path.join(out, "metrics.csv")).read().strip().splitlines()[1:]
+        rows = Path(out, "metrics.csv").read_text().strip().splitlines()[1:]
         assert all(row.split(",")[3] == "" for row in rows)  # no RBO with one item view
         ckpts = sorted(os.listdir(os.path.join(out, "checkpoints")))
         state, header = load_client_state(os.path.join(out, "checkpoints", ckpts[0]))
@@ -442,7 +485,7 @@ def test_cli_degradation(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["sweep"]["violations"] == 0
     assert report["worked_example"]["all_satisfied"] is True
-    assert len(open(delta).read().strip().splitlines()) == 3
+    assert len(Path(delta).read_text().strip().splitlines()) == 3
 
 
 def test_cli_degradation_out_writes_the_json_it_prints(tmp_path, capsys):
@@ -476,7 +519,7 @@ def test_metrics_header_names_the_rbo_depth_the_run_used(tmp_path):
 def test_readme_documents_every_config_key():
     # README's key table lists each key once: a new key must be documented,
     # and a retired key must leave it
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+    readme = Path(__file__).parent.joinpath("..", "README.md").read_text(encoding="utf-8")
     table = re.findall(rf"^\| `((?:{'|'.join(SCHEMA)})\.\w+)` \|", readme, re.M)
     assert sorted(table) == sorted(f"{section}.{key}" for section, keys in SCHEMA.items() for key in keys)
 
@@ -508,8 +551,6 @@ STR_KNOB_VALUES = {"eq12_mode": "literal-ratio", "dtype": "float64"}
 def _non_default(f):
     if f.name in STR_KNOB_VALUES:
         return STR_KNOB_VALUES[f.name]
-    if isinstance(f.default, tuple):
-        return ",".join(map(str, f.default + (2 * f.default[-1],)))
     if isinstance(f.default, float):
         return repr(f.default / 2)
     return str(f.default + 1)

@@ -330,10 +330,10 @@ def test_block_ndcg_discount_is_the_scalar_one_at_every_rank():
 def test_correlation_export_orthogonal_pair_all_zero(tmp_path):
     c_e = np.array([[1.0, 2.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
     v = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 1.0], [1.0, -2.0]])
-    path = str(tmp_path / "corr.csv")
-    out = export_correlation_matrix(c_e, v, path)
+    path = tmp_path / "corr.csv"
+    out = export_correlation_matrix(c_e, v, str(path))
     assert np.array_equal(out, np.zeros((2, 2)))
-    rows = open(path).read().strip().split("\n")
+    rows = path.read_text().strip().split("\n")
     assert rows == ["0,0", "0,0"]
 
 

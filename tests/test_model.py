@@ -356,12 +356,11 @@ def test_server_checkpoint_round_trip_bit_exact(tmp_path, shared_blocks):
 
 
 def test_checkpoint_of_another_format_version_is_rejected(tmp_path):
-    path = str(tmp_path / "client.bin")
-    save_client_state(path, init_client(seed=0, d=2, M=3), seed=0, round=0)
-    raw = open(path, "rb").read()
-    open(path, "wb").write(raw.replace(b'"version": 2', b'"version": 1'))
+    path = tmp_path / "client.bin"
+    save_client_state(str(path), init_client(seed=0, d=2, M=3), seed=0, round=0)
+    path.write_bytes(path.read_bytes().replace(b'"version": 2', b'"version": 1'))
     with pytest.raises(ParseError, match="version 1"):
-        load_client_state(path)
+        load_client_state(str(path))
 
 
 @pytest.mark.parametrize(
