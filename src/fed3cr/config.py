@@ -145,7 +145,7 @@ def resolve_config(values: dict[str, dict], overrides: dict[str, str] | None = N
                 raise ConfigurationError(f"bad value for {section}.{key}: expected {caster.__name__}, got {value!r}")
             try:
                 full[section][key] = caster(value)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # an int too large for a float key overflows
                 raise ConfigurationError(f"bad value for {section}.{key}: {exc}") from exc
 
     kwargs: dict[str, dict] = {"": {}, "hp": {}}

@@ -247,6 +247,14 @@ def test_cli_sweep_takes_a_dotted_key_and_one_value_per_token(cfg_path, tmp_path
     assert manifest["training"]["local_iters"] == 3
     assert manifest["training"]["rounds"] == 1
 
+    # a value holding a comma is quoted; the toy format ignores dataset.path
+    out = str(tmp_path / "sw_path")
+    argv = ["sweep", "--config", cfg_path, "--param", "dataset.path", "--values", "a,b", "c"]
+    assert main(argv + ["--out", out, "--training.rounds", "1"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.rsplit(",", 2)[0] for line in lines[1:]] == ['"a,b"', "c"]
+    assert Path(out, "sweep.csv").read_text().strip().splitlines() == lines
+
     assert main(["sweep", "--config", cfg_path, "--param", "training.nope", "--values", "1"]) == 2
     assert "training.nope" in capsys.readouterr().err
 
@@ -356,8 +364,9 @@ def _manifest_with(cfg_path, path, key, value):
         ("training.eq12_mode", 1),
         ("dataset.path", None),
         ("eval.negatives", {"n": 20}),
+        ("training.lr", 10**400),
     ],
-    ids=["float-for-int", "bool-for-int", "bool-for-float", "int-for-str", "null", "object"],
+    ids=["float-for-int", "bool-for-int", "bool-for-float", "int-for-str", "null", "object", "int-too-large-for-float"],
 )
 def test_manifest_value_of_the_wrong_type_exits_2_naming_its_key(key, value, cfg_path, tmp_path, capsys):
     manifest = _manifest_with(cfg_path, tmp_path / "manifest.json", key, value)

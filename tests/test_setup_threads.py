@@ -78,29 +78,20 @@ def per_client_draw(seed, d, M, client_id, dtype):
     return v
 
 
+# ids that are not their positions catch a fill that keys a stream by the
+# table's position
+@pytest.mark.parametrize("ids", [range(7), (4, 0, 9, 2, 7, 5, 1)], ids=["positions", "shuffled"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_tables_are_bit_identical_at_any_worker_count(n, dtype, workers):
+def test_tables_are_bit_identical_at_any_worker_count(n, dtype, ids, workers):
     started = workers(n)
-    tables = draw_personal_tables(5, 4, 9, range(7), dtype)
+    tables = draw_personal_tables(5, 4, 9, ids, dtype)
     assert len(started) == n - 1
-    for c, table in enumerate(tables):
+    for c, table in zip(ids, tables, strict=True):
         expected = per_client_draw(5, 4, 9, c, dtype)
         assert table.dtype == dtype and table.shape == (9, 4)
         assert table.tobytes() == expected.tobytes()
         assert table.tobytes() == init_client(5, 4, 9, client_id=c, dtype=dtype).personal_table.tobytes()
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_each_table_comes_from_its_own_id_not_its_position(n, workers):
-    # ids that are not their positions: a fill that keyed a stream by the
-    # table's position would draw another client's table
-    ids = (4, 0, 9, 2, 7, 5, 1)
-    started = workers(n)
-    tables = draw_personal_tables(5, 4, 9, ids, np.float32)
-    assert len(started) == n - 1
-    for c, table in zip(ids, tables, strict=True):
-        assert table.tobytes() == per_client_draw(5, 4, 9, c, np.float32).tobytes()
 
 
 def test_metrics_csv_does_not_depend_on_the_worker_count(workers, tmp_path):
