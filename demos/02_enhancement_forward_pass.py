@@ -22,7 +22,7 @@ state = init_client(seed=42, d=d, M=num_items, client_id=0, dtype=np.float64)
 # the server's blocks: the shared table and the transfer net
 rng = np.random.default_rng(42)
 table = rng.normal(0.0, 0.01, size=(num_items, d))
-net = init_client_net(rng, d, (2, 4), dtype=np.float64)
+net = init_client_net(rng, d, dtype=np.float64)
 positives = np.array([0, 3, 5, 9])
 
 print(f"client with {num_items} items, dimension {d}, positives {positives.tolist()}\n")

@@ -49,7 +49,7 @@ print("\n=== Weighted total on a live forward pass ===")
 state = init_client(seed=5, d=4, M=6, dtype=np.float64)
 rng = np.random.default_rng(5)
 table = rng.normal(0, 0.01, (6, 4))  # the server's shared table and net
-net = init_client_net(rng, 4, (2, 4), dtype=np.float64)
+net = init_client_net(rng, 4, dtype=np.float64)
 positives = np.array([0, 2, 4])
 trace = forward_pass(state, table, net, positives)
 items, labels = np.array([0, 1, 2, 3, 5]), np.array([1, 0, 1, 0, 0])

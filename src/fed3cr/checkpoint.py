@@ -14,6 +14,7 @@ last evaluation scored.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -55,16 +56,25 @@ def _read(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(raw[8:offset].decode("utf-8"))
     except ValueError as exc:  # bad UTF-8 or bad JSON
         raise ParseError(f"unreadable checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ParseError(f"checkpoint header is not a JSON object: {header!r}")
     if header.get("version") != FORMAT_VERSION:
         raise ParseError(f"unsupported checkpoint version {header.get('version')}")
-    dtype = np.dtype(header["dtype"])
+    try:
+        dtype = np.dtype(str(header["dtype"]))  # str: np.dtype(None) would read as float64
+        blocks = [(block["name"], tuple(block["shape"])) for block in header["blocks"]]
+    except (KeyError, TypeError, ValueError) as exc:  # a missing entry, or one of the wrong type
+        raise ParseError(f"malformed checkpoint header: {exc!r}") from exc
+    if dtype.kind not in "biufc":
+        raise ParseError(f"checkpoint dtype {dtype.str!r} is not numeric")
     arrays: dict[str, np.ndarray] = {}
-    for block in header["blocks"]:
-        shape = tuple(block["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for name, shape in blocks:
+        if not isinstance(name, str) or not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise ParseError(f"malformed checkpoint block {name!r} of shape {shape}")
+        count = math.prod(shape)
         if offset + count * dtype.itemsize > len(raw):
-            raise ParseError(f"truncated payload for block {block['name']}")
-        arrays[block["name"]] = np.frombuffer(raw, dtype, count, offset).reshape(shape).copy()
+            raise ParseError(f"truncated payload for block {name}")
+        arrays[name] = np.frombuffer(raw, dtype, count, offset).reshape(shape).copy()
         offset += count * dtype.itemsize
     if offset != len(raw):
         raise ParseError(f"{len(raw) - offset} trailing bytes after the last block")

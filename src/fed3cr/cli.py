@@ -232,8 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dg_p = sub.add_parser("degradation", help="verify the consensus-drift bound on fixtures")
     dg_p.add_argument("--fixtures", type=int, default=1000)
     dg_p.add_argument("--seed", type=int, default=0)
-    dg_p.add_argument("--max-clients", type=int, default=20)
-    dg_p.add_argument("--max-dim", type=int, default=8)
     dg_p.add_argument("--out", default=None)
     dg_p.add_argument("--delta-csv", default=None)
     return parser
@@ -271,7 +269,7 @@ def _cmd_dataset_stats(args) -> int:
 
 
 def _cmd_degradation(args) -> int:
-    summary = bound_sweep(args.fixtures, args.seed, args.max_clients, args.max_dim)
+    summary = bound_sweep(args.fixtures, args.seed)
     worked = verify_bound(
         [
             QuadraticClient(np.array([1.0, 0.0])),

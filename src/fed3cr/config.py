@@ -125,6 +125,9 @@ def resolve_config(values: dict[str, dict], overrides: dict[str, str] | None = N
     defaults, and build the typed config. A string is parsed by its key's
     caster. Any other value (as a manifest holds) must already have the
     key's type: an int also serves a float key, and a bool serves none."""
+    for section, entries in values.items():
+        if not isinstance(entries, dict):
+            raise ConfigurationError(f"config section {section!r} must be an object of keys, got {entries!r}")
     raw = {section: dict(entries) for section, entries in values.items()}
     for dotted, value in (overrides or {}).items():
         section, dot, key = dotted.partition(".")
@@ -162,7 +165,10 @@ def load_config(path: str, overrides: dict[str, str] | None = None) -> Experimen
         head = fh.read(1)
     if head == "{":
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise ConfigurationError(f"{path}: not a valid manifest JSON: {exc}") from exc
         data.pop("version", None)
         return resolve_config(data, overrides)
     return resolve_config(_read_sectioned(path), overrides)

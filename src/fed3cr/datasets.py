@@ -24,6 +24,8 @@ from .errors import (
     SplitError,
 )
 
+NEGATIVES_PER_POSITIVE = 4  # training negatives sampled per positive
+
 
 @dataclass
 class RawInteraction:
@@ -247,12 +249,11 @@ class NegativeSampler:
     build it once, and a run keeps no per-client copy.
     """
 
-    def __init__(self, dataset: InteractionDataset, seed: int, negatives_per_positive: int = 4):
+    def __init__(self, dataset: InteractionDataset, seed: int):
         if not dataset.is_split:
             raise DataError("sampler requires a split dataset (test items assigned)")
         self.dataset = dataset
         self.seed = seed
-        self.negatives_per_positive = negatives_per_positive
         self._rngs: dict[int, np.random.Generator] = {}
         self._universe: tuple[int, np.ndarray] | None = None
 
@@ -280,7 +281,7 @@ class NegativeSampler:
             raise DataError(f"client {client} has no train positives")
         universe = self.candidate_universe(client)
         rng = self._client_rng(client)
-        k = self.negatives_per_positive
+        k = NEGATIVES_PER_POSITIVE
 
         order = rng.permutation(n)
         needed = n * k

@@ -76,21 +76,21 @@ def verify_bound(clients: list[QuadraticClient]) -> DegradationReport:
     )
 
 
-def random_fixture(rng: np.random.Generator, max_clients: int = 20, max_dim: int = 8) -> list[QuadraticClient]:
-    """Random quadratic fixture: 2..max_clients clients with matrix optima."""
-    n = int(rng.integers(2, max_clients + 1))
-    rows = int(rng.integers(1, max_dim + 1))
-    cols = int(rng.integers(1, max_dim + 1))
+def random_fixture(rng: np.random.Generator) -> list[QuadraticClient]:
+    """Random quadratic fixture: 2..20 clients with matrix optima of up to 8 x 8."""
+    n = int(rng.integers(2, 21))
+    rows = int(rng.integers(1, 9))
+    cols = int(rng.integers(1, 9))
     return [QuadraticClient(rng.normal(0.0, 2.0, size=(rows, cols))) for _ in range(n)]
 
 
-def bound_sweep(num_fixtures: int, seed: int, max_clients: int = 20, max_dim: int = 8) -> dict:
+def bound_sweep(num_fixtures: int, seed: int) -> dict:
     """Run verify_bound over seeded random fixtures; returns a violation summary."""
     rng = seeding.rng(seed, seeding.FIXTURE)
     violations = 0
     max_gap = -np.inf
     for _ in range(num_fixtures):
-        report = verify_bound(random_fixture(rng, max_clients, max_dim))
+        report = verify_bound(random_fixture(rng))
         if not report.all_satisfied:
             violations += 1
         max_gap = max(max_gap, float((report.distances - report.deltas).max()))

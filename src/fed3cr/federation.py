@@ -32,6 +32,7 @@ from .evaluation import RBO_P, TOP_K, RoundMetrics, hr_ndcg_at_k, rank_candidate
 from .losses import COMPLEMENTARITY_KINDS, EQ12_MODES, LossBreakdown, total_loss_t
 from .model import (
     ENHANCEMENT_KINDS,
+    ROW_MAP_KINDS,
     ClientState,
     TransferNet,
     draw_personal_tables,
@@ -65,9 +66,8 @@ VARIANT_LABELS = {
 # The default grid of `fed3cr ablate`.
 ABLATION_LABELS = ("C0", "C1", "C2", "C3", "C4", "C5", "C6", "Fed3CR")
 
-# The server's transfer-net layer widths in multiples of d, from the input
-# width 2d; `init_client_net` appends the output layer.
-TRANSFER_SCHEDULE = (2, 4)
+# The step size decays by this factor per local step across the whole run.
+LR_DECAY = 0.999
 
 
 def config_key(f: dataclasses.Field, section: str) -> str:
@@ -101,7 +101,7 @@ class VariantConfig:
         if not self.personal_table and (
             self.consistency_enabled
             or self.orthogonality_enabled
-            or self.enhancement_kind not in ("ace", "none")
+            or self.enhancement_kind in ROW_MAP_KINDS
         ):
             # l_a, l_o and the row maps compare or map two item views.
             raise ConfigurationError(
@@ -133,11 +133,8 @@ class HyperParams:
     rounds: int = 100
     local_iters: int = 10
     dim: int = 32
-    batch_size: int = 2048
-    negatives_per_positive: int = 4
     client_fraction: float = 1.0
     lr: float = 0.1
-    lr_gamma: float = 0.999
     beta_a: float = 0.5
     beta_o: float = 0.5
     eq12_mode: str = "softmax"
@@ -155,13 +152,11 @@ class HyperParams:
                 key = config_key(self.__dataclass_fields__[name], "training")
                 raise ConfigurationError(f"{key} {rule}, got {getattr(self, name)!r}")
 
-        for name in ("rounds", "local_iters", "dim", "batch_size", "eval_interval", "rbo_k"):
+        for name in ("rounds", "local_iters", "dim", "eval_interval", "rbo_k"):
             require(getattr(self, name) >= 1, name, "must be >= 1")
-        require(self.negatives_per_positive >= 0, "negatives_per_positive", "must be >= 0")
         require(0.0 < self.client_fraction <= 1.0, "client_fraction", "must lie in (0, 1]")
         require(self.lr > 0.0, "lr", "must be positive")
-        require(self.lr_gamma > 0.0, "lr_gamma", "must be positive")
-        for name in ("lr", "lr_gamma", "beta_a", "beta_o"):
+        for name in ("lr", "beta_a", "beta_o"):
             require(math.isfinite(getattr(self, name)), name, "must be finite")
         for name in ("beta_a", "beta_o"):
             require(getattr(self, name) >= 0.0, name, "must be >= 0")
@@ -256,7 +251,7 @@ def aggregate_theta(net: TransferNet, total: TransferNet | None = None) -> Trans
     if total is None:
         total = TransferNet([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases])
     elif net.layer_shapes != total.layer_shapes:
-        raise ConfigurationError(f"transfer-net schedules differ: {total.layer_shapes} vs {net.layer_shapes}")
+        raise ConfigurationError(f"transfer-net layer shapes differ: {total.layer_shapes} vs {net.layer_shapes}")
     for block_sum, block in zip(total.weights + total.biases, net.weights + net.biases):
         block_sum += block
     return total
@@ -300,7 +295,7 @@ def local_update(
     """Download the shared blocks, run E SGD iterations, return the upload.
 
     The learning rate decays per local iteration across the whole run:
-    lr * gamma^(round * E + e). A non-finite loss aborts the client for the
+    lr * LR_DECAY^(round * E + e). A non-finite loss aborts the client for the
     round (it is excluded from aggregation) with a warning naming it.
 
     The working table and net, and every large array of a step, are
@@ -331,13 +326,10 @@ def local_update(
 
     # Row-map nets see gradient sums over all M item rows; use the mean
     # so the shared learning rate stays stable for the baseline kinds.
-    net_scale = 1.0 / download.shape[0] if variant.enhancement_kind in (
-        "consensus-transfer",
-        "unified-transfer",
-    ) else 1.0
+    net_scale = 1.0 / download.shape[0] if variant.enhancement_kind in ROW_MAP_KINDS else 1.0
     breakdowns = []
     for e in range(hp.local_iters):
-        items, labels = sampler.sample_batch(state.client_id, hp.batch_size)
+        items, labels = sampler.sample_batch(state.client_id)
         trace = forward_pass(
             state,
             table,
@@ -365,7 +357,7 @@ def local_update(
                 "excluded from aggregation"
             )
             return None
-        lr = hp.lr * hp.lr_gamma ** (round * hp.local_iters + e)
+        lr = hp.lr * LR_DECAY ** (round * hp.local_iters + e)
         for (name, param), grad in zip(trace.params.items(), total.backward()):
             scale = net_scale if name[0] in ("w", "b") else 1.0
             # In place, in the gradient's own buffer: no two share one.
@@ -396,7 +388,6 @@ def init_server(ds: InteractionDataset, hp: HyperParams, variant: VariantConfig)
         theta = init_client_net(
             seeding.rng(hp.seed, seeding.SERVER_INIT, 1),
             hp.dim,
-            TRANSFER_SCHEDULE,
             enhancement=variant.enhancement_kind,
             dtype=hp.np_dtype,
         )
@@ -429,7 +420,7 @@ def evaluate_round(
         workspace = Workspace()
     evaluated = [c for c in clients if len(ds.client_items[c.client_id])]
     global_pass = None
-    if variant.enhancement_kind in ("consensus-transfer", "unified-transfer"):
+    if variant.enhancement_kind in ROW_MAP_KINDS:
         global_pass = net_pass(server.theta, server.consensus, workspace, "C")
     width = max((len(candidates[c.client_id]) for c in evaluated), default=1)
     views = ("fused", "personal", "global_view") if variant.personal_table else ("fused",)
@@ -505,7 +496,7 @@ def run_training(
         for client, table in zip(clients, tables):
             client.personal_table = table
     server = init_server(ds, hp, variant)
-    sampler = NegativeSampler(ds, hp.seed, hp.negatives_per_positive)
+    sampler = NegativeSampler(ds, hp.seed)
     candidates = [
         build_eval_candidates(ds, c, hp.eval_negatives, hp.seed) for c in range(ds.num_clients)
     ]

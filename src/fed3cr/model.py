@@ -24,9 +24,11 @@ import numpy as np
 
 from . import autodiff as ad
 from . import seeding
-from .errors import DataError, ShapeError
+from .errors import DataError
 
-ENHANCEMENT_KINDS = ("ace", "consensus-transfer", "unified-transfer", "none")
+# The row-enhancement baselines: a d -> d net maps each item row.
+ROW_MAP_KINDS = ("consensus-transfer", "unified-transfer")
+ENHANCEMENT_KINDS = ("ace", *ROW_MAP_KINDS, "none")
 FINAL_INIT_SCALE = 1e-3  # half-width of the uniform init of a transfer net's output weights
 # The fewest personal-table values worth a fill worker of their own. On a
 # 2-core x86-64 host, a fresh process with BLAS on one thread took 0.45-0.7 ms
@@ -263,25 +265,16 @@ def init_client(
 def init_client_net(
     rng: np.random.Generator,
     d: int,
-    schedule: tuple[int, ...],
     enhancement: str = "ace",
     dtype=np.float32,
 ) -> TransferNet | None:
-    """The server's transfer net for an enhancement kind (None for "none").
-
-    `schedule` lists layer widths as multiples of d starting at the mandatory
-    input width 2*d; the output layer (d*d units) is appended automatically.
-    """
+    """The server's transfer net for an enhancement kind (None for "none"):
+    ACE maps 2d -> 4d -> d*d, and a row map d -> 4d -> d."""
     if enhancement == "none":
         return None
     if enhancement == "ace":
-        if not schedule or schedule[0] != 2:
-            raise ShapeError(f"transfer-net schedule must start at width 2*d, got {schedule}")
-        hidden = [m * d for m in schedule[1:]]
-        return init_transfer_net(rng, 2 * d, hidden, d * d, dtype=dtype)
-    # Row-enhancement baselines map item rows d -> d through one hidden layer.
-    hidden = max(schedule[-1] * d if len(schedule) > 1 else 4 * d, 2 * d)
-    return init_row_net(rng, d, hidden, dtype=dtype)
+        return init_transfer_net(rng, 2 * d, [4 * d], d * d, dtype=dtype)
+    return init_row_net(rng, d, 4 * d, dtype=dtype)
 
 
 def init_row_net(rng: np.random.Generator, d: int, hidden: int, dtype=np.float32) -> TransferNet:

@@ -13,7 +13,7 @@ def draw_shared_blocks(seed, d, M, enhancement="ace", dtype=np.float64):
     the server's net for `enhancement` (None for "none")."""
     rng = np.random.default_rng(seed)
     table = rng.normal(0.0, 0.01, size=(M, d)).astype(dtype)
-    return table, init_client_net(rng, d, (2, 4), enhancement=enhancement, dtype=dtype)
+    return table, init_client_net(rng, d, enhancement=enhancement, dtype=dtype)
 
 
 def _with_block(name, p, client, table, net):
@@ -35,7 +35,7 @@ def build_fed3cr_step(dtype=np.float32, seed=0):
     state = init_client(seed=seed, d=d, M=m, dtype=dtype)
     rng = np.random.default_rng(seed)
     table = rng.normal(0, 0.01, (m, d)).astype(dtype)
-    net = init_client_net(rng, d, (2, 4), dtype=dtype)
+    net = init_client_net(rng, d, dtype=dtype)
     trace = forward_pass(state, table, net, np.arange(0, m, 12), enhancement="ace")
     items = np.arange(40)
     total, _ = total_loss_t(trace, items, (items % 5 == 0).astype(int), beta_a=0.5, beta_o=0.5)

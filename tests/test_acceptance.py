@@ -43,7 +43,6 @@ ACCEPT_HP = HyperParams(
     eval_negatives=59,
     seed=SEED,
     lr=0.1,
-    lr_gamma=0.999,
     beta_a=0.5,
     beta_o=0.5,
     rbo_k=20,
@@ -113,7 +112,7 @@ def test_criterion_2_gradient_correctness(block_grad_check):
     state.user_embedding = rng.normal(0, 0.5, 4)
     table = rng.normal(0, 0.5, (6, 4))
     state.personal_table = rng.normal(0, 0.5, (6, 4))
-    net = init_client_net(rng, 4, (2, 4), dtype=np.float64)
+    net = init_client_net(rng, 4, dtype=np.float64)
     net.weights[-1] = rng.normal(0, 0.3, net.weights[-1].shape)
     net.biases[-1] = rng.normal(0, 0.3, net.biases[-1].shape)
     positives = np.array([0, 2, 4])
@@ -137,7 +136,7 @@ def test_criterion_3_loss_unit_values():
     state = init_client(seed=3, d=4, M=6, dtype=np.float64)
     rng = np.random.default_rng(3)
     table = rng.normal(0, 0.01, (6, 4))
-    trace = forward_pass(state, table, init_client_net(rng, 4, (2, 4), dtype=np.float64), np.array([0, 1, 2]))
+    trace = forward_pass(state, table, init_client_net(rng, 4, dtype=np.float64), np.array([0, 1, 2]))
     _, b = total_loss_t(trace, np.array([0, 3, 4]), np.array([1, 0, 0]), beta_a=1.0, beta_o=1.0)
     composed = abs(b.total - (b.l_rec + b.l_a + b.l_o))
 

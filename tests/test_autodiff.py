@@ -68,7 +68,7 @@ def test_gathered_rows_add_into_a_dense_gradient():
     # and p_E, against central differences.
     state = init_client(seed=2, d=3, M=5, dtype=np.float64)
     table = RNG.normal(0, 0.5, (5, 3))
-    net = init_client_net(np.random.default_rng(3), 3, (2, 4), dtype=np.float64)
+    net = init_client_net(np.random.default_rng(3), 3, dtype=np.float64)
     net.weights = [np.random.default_rng(4).normal(0, 0.5, w.shape) for w in net.weights]
     proj_c, proj_e = RNG.normal(size=(5, 3)), RNG.normal(size=3)
     for kind in ("ace", "none"):

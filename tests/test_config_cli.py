@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from fed3cr.cli import main, run_ablation, run_experiment, run_sweep
-from fed3cr.config import SCHEMA, load_config
+from fed3cr.config import SCHEMA, _read_sectioned, load_config
 from fed3cr.errors import ConfigurationError
 from fed3cr.federation import VARIANT_LABELS, HyperParams, VariantConfig, config_key
 
@@ -43,11 +43,11 @@ def cfg_path(tmp_path):
 def test_config_defaults_applied(cfg_path):
     config = load_config(cfg_path)
     assert config.hp.rounds == 2
-    assert config.hp.batch_size == 2048  # default recorded
+    assert config.hp.client_fraction == 1.0  # default recorded
     assert config.hp.eval_negatives == 20
     assert config.variant.enhancement_kind == "ace"
     snapshot = config.resolved()
-    assert snapshot["training"]["batch_size"] == 2048
+    assert snapshot["training"]["client_fraction"] == 1.0
     assert snapshot["dataset"]["toy_items"] == 48
 
 
@@ -281,16 +281,12 @@ def test_cli_run_and_exit_codes(cfg_path, tmp_path, capsys):
     for key, value in (
         ("training.dim", "0"),
         ("eval.interval", "0"),
-        ("training.batch_size", "0"),
-        ("training.negatives_per_positive", "-1"),
-        ("training.lr_gamma", "-1"),
         ("eval.rbo_k", "0"),
         # a non-finite float knob would make every client's loss non-finite
         ("training.beta_a", "nan"),
         ("training.beta_a", "inf"),
         ("training.beta_o", "-inf"),
         ("training.lr", "inf"),
-        ("training.lr_gamma", "inf"),
         # a negative loss weight would reward the two views for disagreeing
         ("training.beta_a", "-0.5"),
         ("training.beta_o", "-0.5"),
@@ -319,6 +315,9 @@ REMOVED_KNOBS = {
     "variant.orthogonality": False,
     "variant.complementarity": "l2-distance",
     "training.transfer_layers": [2, 4],
+    "training.batch_size": 2048,
+    "training.negatives_per_positive": 4,
+    "training.lr_gamma": 0.999,
 }
 
 
@@ -326,10 +325,11 @@ REMOVED_KNOBS = {
 def test_removed_knob_is_an_unknown_key(key, cfg_path, tmp_path, capsys):
     # W is the net's output and starts near zero, HR/NDCG at TOP_K and the
     # RBO's persistence are constants, the split always holds out the latest
-    # item, variant.label alone picks a variant, and the transfer net has one
-    # shape: a config, a manifest (an older one that carries variant flags or
-    # net widths among them) or an override naming a removed key exits 2 and
-    # names it
+    # item, variant.label alone picks a variant, the transfer net has one
+    # shape, and the batch size, negatives per positive and step-size decay
+    # are constants: a config, a manifest (an older one that carries variant
+    # flags or net widths among them) or an override naming a removed key
+    # exits 2 and names it
     section, name = key.split(".")
     value = REMOVED_KNOBS[key]
     cfg = tmp_path / "old.cfg"
@@ -373,6 +373,25 @@ def test_manifest_value_of_the_wrong_type_exits_2_naming_its_key(key, value, cfg
     out = tmp_path / "run"
     assert main(["run", "--config", manifest, "--out", str(out)]) == 2
     assert f"configuration error: bad value for {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"training": ', "manifest.json"),
+        ('{"training": 5}', "'training'"),
+        ('{"training": [["rounds", 2]]}', "'training'"),
+    ],
+    ids=["not-json", "section-not-an-object", "section-of-pairs"],
+)
+def test_broken_manifest_exits_2_naming_the_file_or_section(text, named, tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and named in err
     assert not out.exists()
 
 
@@ -497,6 +516,13 @@ def test_cli_degradation(tmp_path, capsys):
     assert len(Path(delta).read_text().strip().splitlines()) == 3
 
 
+@pytest.mark.parametrize("flag", ["--max-clients", "--max-dim"])
+def test_degradation_has_no_size_flags(flag, capsys):
+    # the sweep always draws 2..20 clients of up to 8 x 8
+    assert main(["degradation", "--fixtures", "1", flag, "5"]) == 2
+    assert f"configuration error: override {flag[2:]!r}" in capsys.readouterr().err
+
+
 def test_cli_degradation_out_writes_the_json_it_prints(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["degradation", "--fixtures", "5", "--out", str(out)]) == 0
@@ -531,6 +557,28 @@ def test_readme_documents_every_config_key():
     readme = Path(__file__).parent.joinpath("..", "README.md").read_text(encoding="utf-8")
     table = re.findall(rf"^\| `((?:{'|'.join(SCHEMA)})\.\w+)` \|", readme, re.M)
     assert sorted(table) == sorted(f"{section}.{key}" for section, keys in SCHEMA.items() for key in keys)
+
+
+# The SCHEMA keys that no committed config or benchmark workload sets, each
+# kept settable for the reason beside it. A key no file sets and no reason
+# holds is a constant.
+UNSET_KEYS = {
+    "dataset.path",  # file-backed data: names the ratings file
+    "dataset.min_interactions",  # file-backed data: drops sparse users on ingestion
+    "dataset.toy_sharpness",  # the toy generator's dial between uniform and block-planted draws
+    "training.eq12_mode",  # `literal-ratio` stays until a leak-free run with a stable ACE step tests it
+    "training.dtype",  # float64 runs for the tests
+}
+
+
+def test_every_config_key_is_set_by_a_committed_file_or_listed_with_a_reason():
+    root = Path(__file__).parent.parent
+    paths = sorted(root.glob("configs/*.cfg")) + sorted(root.glob("perfbench/workloads/*.cfg"))
+    assert paths
+    files = [_read_sectioned(str(path)) for path in paths]
+    set_keys = {f"{section}.{key}" for sections in files for section, keys in sections.items() for key in keys}
+    schema = {f"{section}.{key}" for section, keys in SCHEMA.items() for key in keys}
+    assert sorted(schema - set_keys) == sorted(UNSET_KEYS)
 
 
 def test_manifest_json_loadable_as_config(cfg_path, tmp_path):

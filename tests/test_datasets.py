@@ -179,7 +179,7 @@ def test_batch_counts_and_balance():
     ds = make_split_fixture()
     client = 0
     n_pos = len(ds.client_items[client])
-    sampler = NegativeSampler(ds, seed=1, negatives_per_positive=4)
+    sampler = NegativeSampler(ds, seed=1)
     items, labels = sampler.sample_batch(client, batch_size=10_000)
     assert len(items) == n_pos * 5
     assert labels.sum() == n_pos
@@ -192,7 +192,7 @@ SAMPLE_ORDER = (0, 0, 1, 1, 0, 1, 0, 0, 1, 1)
 def sampler_stream_digest(ds, clients, batch_size):
     """sha256 over the items and labels of the batches SAMPLE_ORDER draws for
     `clients`, from a sampler at seed 1 with 4 negatives per positive."""
-    sampler = NegativeSampler(ds, seed=1, negatives_per_positive=4)
+    sampler = NegativeSampler(ds, seed=1)
     digest = hashlib.sha256()
     for slot in SAMPLE_ORDER:
         items, labels = sampler.sample_batch(clients[slot], batch_size)
@@ -243,7 +243,7 @@ def test_batch_three_positives_example(tmp_path):
     ds = leave_one_out_split(load_dataset(path, "csv", 1), seed=0)
     client = ds.user_ids.index("u")
     assert len(ds.client_items[client]) == 3
-    sampler = NegativeSampler(ds, seed=0, negatives_per_positive=4)
+    sampler = NegativeSampler(ds, seed=0)
     items, labels = sampler.sample_batch(client)
     assert len(items) == 15
     assert labels.sum() == 3

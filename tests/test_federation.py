@@ -31,7 +31,7 @@ from fed3cr.federation import (
     select_clients,
 )
 from fed3cr.losses import LossBreakdown
-from fed3cr.model import ClientState, TransferNet, forward_pass, init_client, init_client_net
+from fed3cr.model import ClientState, TransferNet, forward_pass, init_client, init_client_net, init_transfer_net
 from fed3cr.toy import generate_toy_dataset
 from tests.test_evaluation import list_rbo, list_top_k, old_ranked
 
@@ -58,8 +58,8 @@ def flat(net):
     return np.concatenate([a.ravel() for a in net_arrays(net)])
 
 
-def make_net(seed, d, schedule=(2, 4), dtype=np.float32):
-    return init_client_net(np.random.default_rng(seed), d, schedule, dtype=dtype)
+def make_net(seed, d, dtype=np.float32):
+    return init_client_net(np.random.default_rng(seed), d, dtype=dtype)
 
 
 FAST = HyperParams(
@@ -165,8 +165,8 @@ def test_aggregate_theta_matches_flat_mean_oracle():
 
 
 def test_aggregate_theta_schedule_mismatch():
-    a = make_net(0, 4, (2, 4))
-    b = make_net(0, 4, (2, 4, 8))
+    a = make_net(0, 4)
+    b = init_transfer_net(np.random.default_rng(0), 8, [16, 32], 16)
     with pytest.raises(ConfigurationError):
         aggregate_theta(b, aggregate_theta(a))
 
@@ -230,7 +230,7 @@ def test_local_update_single_item_matches_one_step_sgd_oracle():
         user_ids=["u"],
         item_ids=["a", "b"],
     )
-    hp = HyperParams(rounds=1, local_iters=1, dim=3, lr=0.5, lr_gamma=1.0, seed=0, dtype="float64")
+    hp = HyperParams(rounds=1, local_iters=1, dim=3, lr=0.5, seed=0, dtype="float64")
     state = init_client(0, 3, 2, dtype=np.float64)
     u0 = state.user_embedding.copy()
     v0 = state.personal_table.copy()
@@ -387,7 +387,7 @@ def test_warm_client_step_allocates_less_than_one_table():
         state = init_client(0, hp.dim, ds.num_items, client_id=0)
         if not variant.personal_table:
             state.personal_table = None
-        sampler = NegativeSampler(ds, 0, hp.negatives_per_positive)
+        sampler = NegativeSampler(ds, 0)
         workspace = Workspace()
         local_update(state, server.consensus, server.theta, sampler, hp, variant, 0, workspace)
         tracemalloc.start()
@@ -722,7 +722,7 @@ def test_warm_step_gives_every_leaf_a_gradient_of_its_own(name, monkeypatch):
     state = init_client(0, hp.dim, TOY.num_items, client_id=0)
     if not variant.personal_table:
         state.personal_table = None
-    sampler = NegativeSampler(TOY, 0, hp.negatives_per_positive)
+    sampler = NegativeSampler(TOY, 0)
     assert local_update(state, server.consensus, server.theta, sampler, hp, variant, 0, Workspace()) is not None
     assert len(steps) == 2 and len(steps[-1]) == len(traces[-1].params)
     leaves = list(zip(traces[-1].params.values(), steps[-1]))

@@ -169,7 +169,7 @@ def make_trace(seed=9, d=4, m=6):
     state.user_embedding = rng.normal(0, 0.5, d)
     table = rng.normal(0, 0.5, (m, d))
     state.personal_table = rng.normal(0, 0.5, (m, d))
-    net = init_client_net(rng, d, (2, 4), dtype=np.float64)
+    net = init_client_net(rng, d, dtype=np.float64)
     net.weights[-1] = rng.normal(0, 0.3, net.weights[-1].shape)
     net.biases[-1] = rng.normal(0, 0.3, net.biases[-1].shape)
     positives = np.array([0, 2, 4])
@@ -241,7 +241,7 @@ def test_objective_node_gradients_for_every_variant(label, kind, eq12_mode, shar
         # a row-map net, drawn at unit scale: its near-identity init puts hidden
         # pre-activations within a finite-difference step of the ReLU kink
         rng = np.random.default_rng(7)
-        net = init_client_net(rng, 4, (2, 4), enhancement=kind, dtype=np.float64)
+        net = init_client_net(rng, 4, enhancement=kind, dtype=np.float64)
         net.weights = [rng.normal(0, 0.5, w.shape) for w in net.weights]
         net.biases = [rng.normal(0, 0.5, b.shape) for b in net.biases]
     if not variant.personal_table:
@@ -376,7 +376,7 @@ def test_warm_objective_gathers_the_batch_rows_without_temporaries(kind):
     state = init_client(0, d, m)
     table = rng.normal(0, 0.01, (m, d)).astype(np.float32)
     workspace = Workspace()
-    net = init_client_net(rng, d, (2, 4))
+    net = init_client_net(rng, d)
     trace = forward_pass(state, table, net, rng.choice(m, 177, replace=False), enhancement=kind, workspace=workspace)
     items, labels = rng.choice(m, 885), (np.arange(885) < 177).astype(int)
     total_loss_t(trace, items, labels, 0.0, 0.0, workspace=workspace)
