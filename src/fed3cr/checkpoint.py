@@ -69,7 +69,7 @@ def _read(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         raise ParseError(f"checkpoint dtype {dtype.str!r} is not numeric")
     arrays: dict[str, np.ndarray] = {}
     for name, shape in blocks:
-        if not isinstance(name, str) or not all(isinstance(n, int) and n >= 0 for n in shape):
+        if not isinstance(name, str) or not all(type(n) is int and n >= 0 for n in shape):
             raise ParseError(f"malformed checkpoint block {name!r} of shape {shape}")
         count = math.prod(shape)
         if offset + count * dtype.itemsize > len(raw):

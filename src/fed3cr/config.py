@@ -29,7 +29,6 @@ SCHEMA: dict[str, dict] = {
         "toy_blocks": (int, 4),
         "toy_min_positives": (int, 6),
         "toy_max_positives": (int, 10),
-        "toy_sharpness": (float, 2.5),
     },
     "training": {},
     "variant": {},
@@ -68,7 +67,6 @@ class ExperimentConfig:
                 num_blocks=d["toy_blocks"],
                 min_positives=d["toy_min_positives"],
                 max_positives=d["toy_max_positives"],
-                sharpness=d["toy_sharpness"],
                 seed=self.hp.seed,
             )
         else:

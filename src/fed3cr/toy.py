@@ -3,7 +3,7 @@
 Clients and items are partitioned into aligned blocks in a latent taste
 space: every item vector is its block's center plus noise, every client is
 its block's center plus idiosyncratic taste, and a client's positives are
-drawn without replacement in proportion to softmax(sharpness * affinity).
+drawn without replacement in proportion to softmax(SHARPNESS * affinity).
 Aggregating such clients mixes the block signals, so the shared table is
 measurably degraded for every client, which is exactly the regime the
 enhancement machinery is meant to exercise. The held-out item is a genuine
@@ -17,6 +17,8 @@ import numpy as np
 from . import seeding
 from .datasets import InteractionDataset
 from .errors import ConfigurationError
+
+SHARPNESS = 2.5  # how strongly a client's draws favour its own block
 
 
 def _latent_vectors(
@@ -35,15 +37,9 @@ def generate_toy_dataset(
     min_positives: int = 6,
     max_positives: int = 10,
     taste_noise: float = 0.4,
-    sharpness: float = 2.5,
     seed: int = 0,
 ) -> InteractionDataset:
-    """Build the planted-block dataset (unsplit, no timestamps).
-
-    `sharpness` tunes how concentrated the affinity sampling is; the draw
-    itself is probabilistic, so every client mixes mostly-own-block items
-    with cross-block noise.
-    """
+    """Build the planted-block dataset (unsplit, no timestamps)."""
     if num_blocks < 1 or num_clients % num_blocks or num_items % num_blocks:
         raise ConfigurationError(
             f"blocks must evenly divide clients and items, got {num_clients}/{num_items}/{num_blocks}"
@@ -61,7 +57,7 @@ def generate_toy_dataset(
     for client in range(num_clients):
         rng = seeding.rng(seed, seeding.TOY_DATA, client)
         affinity = item_vecs @ client_vecs[client]
-        logits = sharpness * (affinity - affinity.max())
+        logits = SHARPNESS * (affinity - affinity.max())
         probs = np.exp(logits)
         probs /= probs.sum()
         n_pos = int(rng.integers(min_positives, max_positives + 1))

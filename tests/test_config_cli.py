@@ -318,6 +318,7 @@ REMOVED_KNOBS = {
     "training.batch_size": 2048,
     "training.negatives_per_positive": 4,
     "training.lr_gamma": 0.999,
+    "dataset.toy_sharpness": 2.5,
 }
 
 
@@ -326,10 +327,10 @@ def test_removed_knob_is_an_unknown_key(key, cfg_path, tmp_path, capsys):
     # W is the net's output and starts near zero, HR/NDCG at TOP_K and the
     # RBO's persistence are constants, the split always holds out the latest
     # item, variant.label alone picks a variant, the transfer net has one
-    # shape, and the batch size, negatives per positive and step-size decay
-    # are constants: a config, a manifest (an older one that carries variant
-    # flags or net widths among them) or an override naming a removed key
-    # exits 2 and names it
+    # shape, and the batch size, negatives per positive, step-size decay and
+    # the toy's sharpness are constants: a config, a manifest (an older one
+    # that carries variant flags or net widths among them) or an override
+    # naming a removed key exits 2 and names it
     section, name = key.split(".")
     value = REMOVED_KNOBS[key]
     cfg = tmp_path / "old.cfg"
@@ -565,7 +566,6 @@ def test_readme_documents_every_config_key():
 UNSET_KEYS = {
     "dataset.path",  # file-backed data: names the ratings file
     "dataset.min_interactions",  # file-backed data: drops sparse users on ingestion
-    "dataset.toy_sharpness",  # the toy generator's dial between uniform and block-planted draws
     "training.eq12_mode",  # `literal-ratio` stays until a leak-free run with a stable ACE step tests it
     "training.dtype",  # float64 runs for the tests
 }

@@ -164,7 +164,7 @@ def test_aggregate_theta_matches_flat_mean_oracle():
     assert np.allclose(flat(merged), oracle, atol=1e-7)
 
 
-def test_aggregate_theta_schedule_mismatch():
+def test_aggregate_theta_layer_shape_mismatch():
     a = make_net(0, 4)
     b = init_transfer_net(np.random.default_rng(0), 8, [16, 32], 16)
     with pytest.raises(ConfigurationError):

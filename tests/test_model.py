@@ -424,8 +424,9 @@ def test_checkpoint_whose_header_is_not_json_is_rejected(tmp_path, first):
         (lambda header: {**header, "dtype": "zz"}, "malformed checkpoint header"),
         (lambda header: {**header, "dtype": "|O"}, "dtype '|O' is not numeric"),
         (lambda header: {**header, "blocks": [{"name": "user_embedding", "shape": [-1, -1]}]}, "shape \\(-1, -1\\)"),
+        (lambda header: {**header, "blocks": [{"name": "user_embedding", "shape": [True, 2]}]}, "shape \\(True, 2\\)"),
     ],
-    ids=["list", "no-blocks", "unknown-dtype", "object-dtype", "negative-shape"],
+    ids=["list", "no-blocks", "unknown-dtype", "object-dtype", "negative-shape", "bool-shape"],
 )
 def test_checkpoint_with_a_malformed_header_is_rejected(tmp_path, edit, match):
     path = tmp_path / "client.bin"
