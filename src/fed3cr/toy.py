@@ -19,14 +19,13 @@ from .datasets import InteractionDataset
 from .errors import ConfigurationError
 
 SHARPNESS = 2.5  # how strongly a client's draws favour its own block
+TASTE_NOISE = 0.4  # spread of every latent vector around its block's center
 
 
-def _latent_vectors(
-    rng: np.random.Generator, count: int, per_block: int, num_blocks: int, noise: float
-) -> np.ndarray:
+def _latent_vectors(rng: np.random.Generator, count: int, per_block: int, num_blocks: int) -> np.ndarray:
     """Block one-hot centers plus Gaussian noise, one row per entity."""
     blocks = np.repeat(np.arange(num_blocks), per_block)
-    vecs = np.eye(num_blocks)[blocks] + rng.normal(0.0, noise, size=(count, num_blocks))
+    vecs = np.eye(num_blocks)[blocks] + rng.normal(0.0, TASTE_NOISE, size=(count, num_blocks))
     return vecs
 
 
@@ -36,7 +35,6 @@ def generate_toy_dataset(
     num_blocks: int = 4,
     min_positives: int = 6,
     max_positives: int = 10,
-    taste_noise: float = 0.4,
     seed: int = 0,
 ) -> InteractionDataset:
     """Build the planted-block dataset (unsplit, no timestamps)."""
@@ -48,10 +46,8 @@ def generate_toy_dataset(
         raise ConfigurationError("positive counts out of range")
 
     shared = seeding.rng(seed, seeding.TOY_DATA, 1_000_000)
-    item_vecs = _latent_vectors(shared, num_items, num_items // num_blocks, num_blocks, taste_noise)
-    client_vecs = _latent_vectors(
-        shared, num_clients, num_clients // num_blocks, num_blocks, taste_noise
-    )
+    item_vecs = _latent_vectors(shared, num_items, num_items // num_blocks, num_blocks)
+    client_vecs = _latent_vectors(shared, num_clients, num_clients // num_blocks, num_blocks)
 
     client_items: list[np.ndarray] = []
     for client in range(num_clients):
