@@ -15,10 +15,11 @@ from fed3cr.datasets import leave_one_out_split
 from fed3cr.evaluation import TOP_K, metrics_csv_lines
 from fed3cr.toy import generate_toy_dataset
 
-ds = leave_one_out_split(generate_toy_dataset(seed=0), seed=0)
+ds = generate_toy_dataset(seed=0)
 stats = ds.stats()
 print(f"dataset: {stats['clients']} clients x {stats['items']} items, "
       f"{stats['interactions']} interactions (sparsity {stats['sparsity']:.2%})\n")
+train, held = leave_one_out_split(ds, seed=0)  # one test item per client held out
 
 hp = HyperParams(
     rounds=20,
@@ -33,7 +34,7 @@ hp = HyperParams(
     seed=0,
 )
 channel = UploadChannel()
-result = run_training(ds, hp, VariantConfig.from_label("Fed3CR"), channel=channel)
+result = run_training(train, held, hp, VariantConfig.from_label("Fed3CR"), channel=channel)
 
 print("round-by-round metrics:")
 for line in metrics_csv_lines(result.metrics, hp.rbo_k):

@@ -23,7 +23,7 @@ from fed3cr.evaluation import rbo_truncated
 from fed3cr.model import forward_pass
 from fed3cr.toy import generate_toy_dataset
 
-ds = leave_one_out_split(generate_toy_dataset(seed=0), seed=0)
+train, held = leave_one_out_split(generate_toy_dataset(seed=0), seed=0)
 hp = HyperParams(
     rounds=30, local_iters=5, dim=16, lr=0.1, beta_a=0.5, beta_o=0.5,
     eval_negatives=59, rbo_k=20, eval_interval=30, seed=0,
@@ -35,8 +35,8 @@ print("disjoint lists  :", rbo_truncated([1, 2, 3], [4, 5, 6], p=0.99))
 print("one swap, p=0.5 :", round(rbo_truncated([1, 2, 3], [1, 3, 2], p=0.5), 4))
 
 print("\n=== Consistency loss raises cross-view agreement ===")
-with_term = run_training(ds, hp, VariantConfig.from_label("Fed3CR"))
-without_term = run_training(ds, dataclasses.replace(hp, beta_a=0.0), VariantConfig.from_label("Fed3CR"))
+with_term = run_training(train, held, hp, VariantConfig.from_label("Fed3CR"))
+without_term = run_training(train, held, dataclasses.replace(hp, beta_a=0.0), VariantConfig.from_label("Fed3CR"))
 print(f"mean top-20 RBO with the consistency term   : {with_term.metrics[-1].rbo:.4f}")
 print(f"mean top-20 RBO without it (beta_a = 0)     : {without_term.metrics[-1].rbo:.4f}")
 
@@ -45,7 +45,7 @@ l2_variant = VariantConfig(
     enhancement_kind="ace", consistency_enabled=True,
     orthogonality_enabled=True, complementarity_kind="l2-distance",
 )
-with_l2 = run_training(ds, hp, l2_variant)
+with_l2 = run_training(train, held, hp, l2_variant)
 
 
 def surviving_entries(result, variant, client_id):
@@ -54,7 +54,7 @@ def surviving_entries(result, variant, client_id):
         client,
         result.server.consensus,
         result.server.theta,
-        ds.client_items[client_id],
+        train.client_items[client_id],
         enhancement=variant.enhancement_kind,
     )
     path = os.path.join(tempfile.mkdtemp(), f"corr_{client_id}.csv")

@@ -12,6 +12,7 @@ table drifts from any single client's optimum.
 from .checkpoint import load_client_state, load_server_state, save_client_state, save_server_state
 from .config import ExperimentConfig, load_config, resolve_config
 from .datasets import (
+    HeldOut,
     InteractionDataset,
     NegativeSampler,
     RawInteraction,
@@ -75,6 +76,7 @@ __all__ = [
     "ExperimentConfig",
     "ForwardTrace",
     "GradCheckReport",
+    "HeldOut",
     "HyperParams",
     "InteractionDataset",
     "LossBreakdown",

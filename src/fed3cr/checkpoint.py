@@ -92,8 +92,10 @@ def save_client_state(path: str, state: ClientState, seed: int, round: int) -> N
 def load_client_state(path: str) -> tuple[ClientState, dict]:
     """Read a client checkpoint; returns (state, header)."""
     header, arrays = _read(path)
-    state = ClientState(header["client_id"], arrays["user_embedding"], arrays.get("personal_table"))
-    return state, header
+    try:
+        return ClientState(header["client_id"], arrays["user_embedding"], arrays.get("personal_table")), header
+    except KeyError as exc:
+        raise ParseError(f"client checkpoint lacks {exc}") from None
 
 
 def save_server_state(path: str, server: ServerState, seed: int) -> None:
@@ -110,9 +112,12 @@ def load_server_state(path: str) -> tuple[ServerState, dict]:
     """Read a server checkpoint; returns (server state, header)."""
     header, arrays = _read(path)
     weights, biases, l = [], [], 0
-    while f"net_w{l}" in arrays:
-        weights.append(arrays[f"net_w{l}"])
-        biases.append(arrays[f"net_b{l}"])
-        l += 1
-    theta = TransferNet(weights, biases) if weights else None
-    return ServerState(consensus=arrays["consensus"], theta=theta, round=header["round"]), header
+    try:
+        while f"net_w{l}" in arrays:
+            weights.append(arrays[f"net_w{l}"])
+            biases.append(arrays[f"net_b{l}"])
+            l += 1
+        theta = TransferNet(weights, biases) if weights else None
+        return ServerState(consensus=arrays["consensus"], theta=theta, round=header["round"]), header
+    except KeyError as exc:
+        raise ParseError(f"server checkpoint lacks {exc}") from None

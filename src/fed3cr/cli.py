@@ -80,9 +80,9 @@ def run_experiment(
             json.dump(config.resolved(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    ds = config.build_dataset()
+    train, held = config.build_dataset()
     start = time.perf_counter()
-    result = run_training(ds, config.hp, config.variant)
+    result = run_training(train, held, config.hp, config.variant)
     seconds = time.perf_counter() - start
     record = ExperimentRecord(metrics=result.metrics, wall_clock_total=seconds)
     if result.metrics:
@@ -93,7 +93,7 @@ def run_experiment(
 
     if outdir is not None:
         with open(os.path.join(outdir, "metrics.csv"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(metrics_csv_lines(result.metrics, config.hp.rbo_depth(ds.num_items))) + "\n")
+            fh.write("\n".join(metrics_csv_lines(result.metrics, config.hp.rbo_depth(train.num_items))) + "\n")
         with open(os.path.join(outdir, "record.json"), "w", encoding="utf-8") as fh:
             json.dump(record.summary(), fh, indent=2, sort_keys=True)
             fh.write("\n")

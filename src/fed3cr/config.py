@@ -9,7 +9,7 @@ import json
 import typing
 from dataclasses import dataclass, field
 
-from .datasets import InteractionDataset, leave_one_out_split, load_dataset
+from .datasets import HeldOut, InteractionDataset, leave_one_out_split, load_dataset
 from .errors import ConfigurationError
 from .federation import HyperParams, VariantConfig, config_key
 from .toy import generate_toy_dataset
@@ -57,8 +57,8 @@ class ExperimentConfig:
             out[section][key] = getattr(getattr(self, holder) if holder else self, name)
         return out
 
-    def build_dataset(self) -> InteractionDataset:
-        """Materialize and split the configured dataset."""
+    def build_dataset(self) -> tuple[InteractionDataset, HeldOut]:
+        """Materialize and split the configured dataset: (train, held out)."""
         d = self.dataset
         if d["format"] == "toy":
             ds = generate_toy_dataset(

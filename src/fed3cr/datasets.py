@@ -2,9 +2,9 @@
 
 Raw logs (MovieLens ``.dat``, TSV or CSV) are binarized into per-client
 positive item sets, filtered by activity, remapped to dense contiguous ids,
-and split leave-one-out: one held-out test item per client, the rest kept
-for training. Negative sampling for training batches and fixed evaluation
-candidate lists live here too.
+and split leave-one-out into a train dataset and a `HeldOut` record: one
+test item per client, the rest kept for training. Negative sampling for
+training batches and fixed evaluation candidate lists live here too.
 """
 
 from __future__ import annotations
@@ -41,29 +41,21 @@ class RawInteraction:
 class InteractionDataset:
     """Per-client implicit interactions with dense ids.
 
-    `client_items[i]` holds client i's train positives once a split has been
-    performed, or all positives before it. `timestamps[i]` is aligned with
-    `client_items[i]` and None when the source had no timestamps.
+    `client_items[i]` holds client i's positives, less any a split held
+    out. `timestamps[i]` is aligned with `client_items[i]` and None when
+    the source had no timestamps.
     """
 
     num_clients: int
     num_items: int
     client_items: list[np.ndarray]
     timestamps: list[np.ndarray] | None
-    test_items: list[int] | None
     user_ids: list[str]
     item_ids: list[str]
 
     @property
-    def is_split(self) -> bool:
-        return self.test_items is not None
-
-    @property
     def num_interactions(self) -> int:
-        total = sum(len(items) for items in self.client_items)
-        if self.is_split:
-            total += self.num_clients
-        return total
+        return sum(len(items) for items in self.client_items)
 
     def stats(self) -> dict:
         k = self.num_interactions
@@ -174,7 +166,6 @@ def build_dataset(records: list[RawInteraction], min_interactions: int) -> Inter
         num_items=len(item_ids),
         client_items=client_items,
         timestamps=timestamps,
-        test_items=None,
         user_ids=user_ids,
         item_ids=item_ids,
     )
@@ -200,12 +191,18 @@ def load_dataset(path: str, format: str, min_interactions: int = 10) -> Interact
 # -- leave-one-out split ------------------------------------------------------------
 
 
-def leave_one_out_split(ds: InteractionDataset, seed: int) -> InteractionDataset:
+@dataclass(frozen=True)
+class HeldOut:
+    """The positives a split keeps out of training; `test_items[i]` is client i's."""
+
+    test_items: tuple[int, ...]
+
+
+def leave_one_out_split(ds: InteractionDataset, seed: int) -> tuple[InteractionDataset, HeldOut]:
     """Hold out one positive per client: the latest-timestamp item (ties
     broken by larger dense id), or a seeded-uniform choice when the source
-    had no timestamps."""
-    if ds.is_split:
-        raise DataError("dataset already split")
+    had no timestamps. Returns (train, held out); splitting a train dataset
+    again holds out one more item per client."""
     train_items: list[np.ndarray] = []
     train_ts: list[np.ndarray] | None = [] if ds.timestamps is not None else None
     test_items: list[int] = []
@@ -219,23 +216,21 @@ def leave_one_out_split(ds: InteractionDataset, seed: int) -> InteractionDataset
         else:
             pick = int(seeding.rng(seed, seeding.SPLIT, client).integers(len(items)))
         test_items.append(int(items[pick]))
-        keep = np.ones(len(items), dtype=bool)
-        keep[pick] = False
-        train_items.append(items[keep])
+        train_items.append(np.delete(items, pick))
         if train_ts is not None:
-            train_ts.append(ds.timestamps[client][keep])
-    return replace(ds, client_items=train_items, timestamps=train_ts, test_items=test_items)
+            train_ts.append(np.delete(ds.timestamps[client], pick))
+    return replace(ds, client_items=train_items, timestamps=train_ts), HeldOut(tuple(test_items))
 
 
 # -- sampling --------------------------------------------------------------------
 
 
-def _unseen_items(ds: InteractionDataset, client: int) -> np.ndarray:
+def _unseen_items(train: InteractionDataset, client: int, held_out_item: int) -> np.ndarray:
     """The ascending int64 ids of every item the client never interacted
-    with: all but its train positives and its test item."""
-    unseen = np.ones(ds.num_items, dtype=bool)
-    unseen[ds.client_items[client]] = False
-    unseen[ds.test_items[client]] = False
+    with: all but its train positives and `held_out_item`."""
+    unseen = np.ones(train.num_items, dtype=bool)
+    unseen[train.client_items[client]] = False
+    unseen[held_out_item] = False
     return np.flatnonzero(unseen).astype(np.int64, copy=False)
 
 
@@ -246,21 +241,17 @@ class NegativeSampler:
     (seed, client_id), so batch sequences are reproducible regardless of
     the order clients are visited in. The sampler keeps one negative
     universe, that of the client last sampled: a client's E steps in a round
-    build it once, and a run keeps no per-client copy.
+    build it once, and a run keeps no per-client copy. The test items reach
+    training only through `leaked_test_items`, which keeps each client's
+    test item out of its negatives: a leak (ROADMAP item 1).
     """
 
-    def __init__(self, dataset: InteractionDataset, seed: int):
-        if not dataset.is_split:
-            raise DataError("sampler requires a split dataset (test items assigned)")
+    def __init__(self, dataset: InteractionDataset, seed: int, *, leaked_test_items: tuple[int, ...]):
         self.dataset = dataset
         self.seed = seed
+        self.leaked_test_items = leaked_test_items
         self._rngs: dict[int, np.random.Generator] = {}
         self._universe: tuple[int, np.ndarray] | None = None
-
-    def _client_rng(self, client: int) -> np.random.Generator:
-        if client not in self._rngs:
-            self._rngs[client] = seeding.rng(self.seed, seeding.TRAIN_BATCH, client)
-        return self._rngs[client]
 
     def candidate_universe(self, client: int) -> np.ndarray:
         """Items the client never interacted with (train positives and test
@@ -268,7 +259,7 @@ class NegativeSampler:
         built again when another client's was asked for in between."""
         cached = self._universe
         if cached is None or cached[0] != client:
-            universe = _unseen_items(self.dataset, client)
+            universe = _unseen_items(self.dataset, client, self.leaked_test_items[client])
             universe.flags.writeable = False
             cached = self._universe = (client, universe)
         return cached[1]
@@ -280,7 +271,9 @@ class NegativeSampler:
         if n == 0:
             raise DataError(f"client {client} has no train positives")
         universe = self.candidate_universe(client)
-        rng = self._client_rng(client)
+        if client not in self._rngs:
+            self._rngs[client] = seeding.rng(self.seed, seeding.TRAIN_BATCH, client)
+        rng = self._rngs[client]
         k = NEGATIVES_PER_POSITIVE
 
         order = rng.permutation(n)
@@ -311,7 +304,7 @@ class NegativeSampler:
 
 
 def build_eval_candidates(
-    ds: InteractionDataset, client: int, num_negatives: int, seed: int
+    train: InteractionDataset, held: HeldOut, client: int, num_negatives: int, seed: int
 ) -> np.ndarray:
     """Fixed evaluation candidates: the test item first, then sampled
     negatives, as one int64 array.
@@ -320,10 +313,8 @@ def build_eval_candidates(
     client's train positives or its test item. `num_negatives=-1` selects
     full ranking: every non-interacted item becomes a candidate.
     """
-    if not ds.is_split:
-        raise DataError("evaluation candidates require a split dataset")
-    test = ds.test_items[client]
-    universe = _unseen_items(ds, client)
+    test = held.test_items[client]
+    universe = _unseen_items(train, client, test)
     if num_negatives == -1:
         negatives = universe
     elif len(universe) == 0:

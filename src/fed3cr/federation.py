@@ -26,7 +26,7 @@ import numpy as np
 
 from . import seeding
 from .autodiff import Workspace
-from .datasets import InteractionDataset, NegativeSampler, build_eval_candidates
+from .datasets import HeldOut, InteractionDataset, NegativeSampler, build_eval_candidates
 from .errors import AggregationError, ConfigurationError, ShapeError
 from .evaluation import RBO_P, TOP_K, RoundMetrics, hr_ndcg_at_k, rank_candidates, view_consistency_rbo
 from .losses import COMPLEMENTARITY_KINDS, EQ12_MODES, LossBreakdown, total_loss_t
@@ -397,7 +397,8 @@ def init_server(ds: InteractionDataset, hp: HyperParams, variant: VariantConfig)
 def evaluate_round(
     clients: list[ClientState],
     server: ServerState,
-    ds: InteractionDataset,
+    train: InteractionDataset,
+    held: HeldOut,
     hp: HyperParams,
     variant: VariantConfig,
     candidates: list[np.ndarray],
@@ -418,7 +419,7 @@ def evaluate_round(
     ranking, top-k and RBO functions run once per block."""
     if workspace is None:
         workspace = Workspace()
-    evaluated = [c for c in clients if len(ds.client_items[c.client_id])]
+    evaluated = [c for c in clients if len(train.client_items[c.client_id])]
     global_pass = None
     if variant.enhancement_kind in ROW_MAP_KINDS:
         global_pass = net_pass(server.theta, server.consensus, workspace, "C")
@@ -430,13 +431,13 @@ def evaluate_round(
         chunk = evaluated[start : start + block]
         n = len(chunk)
         cands = workspace.buffer(("evaluate_round", "candidates"), (block, width), np.int64)[:n]
-        tests = np.array([ds.test_items[c.client_id] for c in chunk], dtype=np.int64)
+        tests = np.array([held.test_items[c.client_id] for c in chunk], dtype=np.int64)
         for row, client in enumerate(chunk):
             scores = forward_pass(
                 client,
                 server.consensus,
                 server.theta,
-                ds.client_items[client.client_id],
+                train.client_items[client.client_id],
                 enhancement=variant.enhancement_kind,
                 workspace=workspace,
                 tape=False,
@@ -454,7 +455,7 @@ def evaluate_round(
         done = slice(start, start + n)
         hits[done], ndcgs[done] = hr_ndcg_at_k(rank_candidates(blocks["fused"], cands, tests), TOP_K)
         if variant.personal_table:
-            k = hp.rbo_depth(ds.num_items)
+            k = hp.rbo_depth(train.num_items)
             rbos[done] = view_consistency_rbo(blocks["personal"], blocks["global_view"], k, RBO_P, workspace)
     return RoundMetrics(
         round=round,
@@ -469,42 +470,43 @@ def evaluate_round(
 
 
 def run_training(
-    ds: InteractionDataset,
+    train: InteractionDataset,
+    held: HeldOut,
     hp: HyperParams,
     variant: VariantConfig = VariantConfig(),
     channel: UploadChannel | None = None,
 ) -> TrainingResult:
     """Full federated run: T rounds of select / local update / aggregate /
-    evaluate. The selected clients train in id order through one workspace,
-    and each upload is added into the round's running sums as it arrives;
-    the server's new blocks are those sums divided by the number of
-    uploads. For a fixed (config, seed) the run, and so `metrics.csv`, is
-    byte-reproducible only at a fixed BLAS thread count: BLAS may sum a
-    product in another order on another count, which changes low bits
-    that training then carries into the metrics."""
+    evaluate. The selected clients train on `train` in id order through one
+    workspace, and each upload is added into the round's running sums as it
+    arrives; the server's new blocks are those sums divided by the number of
+    uploads. Evaluation ranks each client's `held` item. For a fixed (config,
+    seed) the run, and so `metrics.csv`, is byte-reproducible only at a fixed
+    BLAS thread count: BLAS may sum a product in another order on another
+    count, which changes low bits that training then carries into the metrics."""
     hp.validate()
     variant.validate()
-    if not ds.is_split:
-        raise ConfigurationError("dataset must be split before training")
+    if len(held.test_items) != train.num_clients:
+        raise ConfigurationError(f"{len(held.test_items)} test items for {train.num_clients} clients")
 
     clients = [
-        init_client(hp.seed, hp.dim, ds.num_items, client_id=c, dtype=hp.np_dtype, personal_table=False)
-        for c in range(ds.num_clients)
+        init_client(hp.seed, hp.dim, train.num_items, client_id=c, dtype=hp.np_dtype, personal_table=False)
+        for c in range(train.num_clients)
     ]
     if variant.personal_table:
-        tables = draw_personal_tables(hp.seed, hp.dim, ds.num_items, range(ds.num_clients), hp.np_dtype)
+        tables = draw_personal_tables(hp.seed, hp.dim, train.num_items, range(train.num_clients), hp.np_dtype)
         for client, table in zip(clients, tables):
             client.personal_table = table
-    server = init_server(ds, hp, variant)
-    sampler = NegativeSampler(ds, hp.seed)
+    server = init_server(train, hp, variant)
+    sampler = NegativeSampler(train, hp.seed, leaked_test_items=held.test_items)
     candidates = [
-        build_eval_candidates(ds, c, hp.eval_negatives, hp.seed) for c in range(ds.num_clients)
+        build_eval_candidates(train, held, c, hp.eval_negatives, hp.seed) for c in range(train.num_clients)
     ]
     workspace = Workspace()
 
     metrics: list[RoundMetrics] = []
     for round in range(hp.rounds):
-        selected = select_clients(ds.num_clients, hp.client_fraction, round, hp.seed)
+        selected = select_clients(train.num_clients, hp.client_fraction, round, hp.seed)
         table_sum, theta_sum, losses = None, None, []
         for cid in selected:
             result = local_update(
@@ -536,7 +538,8 @@ def run_training(
                 evaluate_round(
                     clients,
                     server,
-                    ds,
+                    train,
+                    held,
                     hp,
                     variant,
                     candidates,

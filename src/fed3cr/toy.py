@@ -65,7 +65,6 @@ def generate_toy_dataset(
         num_items=num_items,
         client_items=client_items,
         timestamps=None,
-        test_items=None,
         user_ids=[str(c) for c in range(num_clients)],
         item_ids=[str(i) for i in range(num_items)],
     )

@@ -53,6 +53,7 @@ _cache: dict = {}
 
 
 def toy_split():
+    """The acceptance split: (train, held out)."""
     if "ds" not in _cache:
         _cache["ds"] = leave_one_out_split(generate_toy_dataset(seed=SEED), seed=SEED)
     return _cache["ds"]
@@ -61,7 +62,7 @@ def toy_split():
 def trained(key, variant=None, hp=None, channel=None):
     if key not in _cache:
         _cache[key] = run_training(
-            toy_split(),
+            *toy_split(),
             hp or ACCEPT_HP,
             variant or VariantConfig.from_label("Fed3CR"),
             channel=channel,
@@ -213,7 +214,7 @@ def test_criterion_6_consistency_metric_direction():
 
 
 def _large_correlation_entries(result, variant):
-    ds = toy_split()
+    ds, _ = toy_split()
     total = 0
     for client in result.clients:
         trace = forward_pass(
@@ -271,7 +272,7 @@ def test_criterion_9_determinism_across_runs(tmp_path):
 def test_criterion_10_privacy_upload_surface():
     channel = UploadChannel(capture_bytes=True)
     result = trained("privacy", VariantConfig.from_label("Fed3CR"), channel=channel)
-    ds = toy_split()
+    ds, _ = toy_split()
     expected_records = ACCEPT_HP.rounds * ds.num_clients
     names_ok = all(
         record["blocks"][0][0] == "consensus"

@@ -173,11 +173,11 @@ def test_checkpoints_reload_to_the_last_evaluated_metrics(cfg_path, tmp_path):
         assert header["round"] == server.round == config.hp.rounds
         ckpt_dir = os.path.join(out, "checkpoints")
         clients = [load_client_state(os.path.join(ckpt_dir, f))[0] for f in sorted(os.listdir(ckpt_dir))]
-        ds = config.build_dataset()
+        ds, held = config.build_dataset()
         hp = config.hp
-        candidates = [build_eval_candidates(ds, c, hp.eval_negatives, hp.seed) for c in range(ds.num_clients)]
+        candidates = [build_eval_candidates(ds, held, c, hp.eval_negatives, hp.seed) for c in range(ds.num_clients)]
         no_loss = LossBreakdown(0.0, 0.0, 0.0, 0.0)
-        again = evaluate_round(clients, server, ds, hp, config.variant, candidates, hp.rounds - 1, no_loss)
+        again = evaluate_round(clients, server, ds, held, hp, config.variant, candidates, hp.rounds - 1, no_loss)
         last = Path(out, "metrics.csv").read_text().strip().splitlines()[-1]
         # round, HR@10, NDCG@10 and RBO, compared as their exact float reprs
         assert metrics_csv_lines([again], hp.rbo_k)[1].split(",")[:4] == last.split(",")[:4]

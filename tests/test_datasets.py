@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from fed3cr import seeding
 from fed3cr.datasets import (
     NegativeSampler,
     build_dataset,
@@ -121,24 +122,22 @@ def test_numeric_ids_sort_numerically():
 def test_split_latest_timestamp_wins():
     records = [RawInteraction("1", "a", None, 1), RawInteraction("1", "b", None, 9)]
     ds = build_dataset(records, min_interactions=1)
-    split = leave_one_out_split(ds, seed=0)
-    assert split.test_items[0] == ds.item_ids.index("b")
-    assert list(split.client_items[0]) == [ds.item_ids.index("a")]
+    train, held = leave_one_out_split(ds, seed=0)
+    assert held.test_items == (ds.item_ids.index("b"),)
+    assert list(train.client_items[0]) == [ds.item_ids.index("a")]
 
 
 def test_split_timestamp_tie_breaks_by_larger_id():
     records = [RawInteraction("1", "a", None, 5), RawInteraction("1", "b", None, 5)]
     ds = build_dataset(records, min_interactions=1)
-    split = leave_one_out_split(ds, seed=0)
-    assert split.test_items[0] == max(ds.item_ids.index("a"), ds.item_ids.index("b"))
+    _, held = leave_one_out_split(ds, seed=0)
+    assert held.test_items[0] == max(ds.item_ids.index("a"), ds.item_ids.index("b"))
 
 
 def test_split_without_timestamps_is_seeded():
     records = [RawInteraction("1", i) for i in "abcde"] + [RawInteraction("2", i) for i in "abc"]
     ds = build_dataset(records, min_interactions=1)
-    a = leave_one_out_split(ds, seed=3)
-    b = leave_one_out_split(ds, seed=3)
-    assert a.test_items == b.test_items
+    assert leave_one_out_split(ds, seed=3)[1] == leave_one_out_split(ds, seed=3)[1]
 
 
 def test_split_single_positive_names_client():
@@ -156,12 +155,13 @@ def test_interaction_count_invariant_after_split():
             records.append(RawInteraction(str(u), str(i)))
     ds = build_dataset(records, min_interactions=1)
     before = ds.num_interactions
-    split = leave_one_out_split(ds, seed=0)
-    assert sum(len(t) for t in split.client_items) + split.num_clients == before
-    assert split.num_interactions == before
+    train, held = leave_one_out_split(ds, seed=0)
+    assert sum(len(t) for t in train.client_items) + train.num_clients == before
+    assert train.num_interactions + len(held.test_items) == before
 
 
 def make_split_fixture(num_users=6, num_items=30, seed=5):
+    """A split of a seeded dataset without timestamps: (train, held out)."""
     rng = np.random.default_rng(seed)
     records = []
     for u in range(num_users):
@@ -174,12 +174,17 @@ def make_split_fixture(num_users=6, num_items=30, seed=5):
     return leave_one_out_split(ds, seed=seed)
 
 
+def sampler_of(split, seed):
+    train, held = split
+    return NegativeSampler(train, seed, leaked_test_items=held.test_items)
+
+
 @pytest.mark.filterwarnings("ignore::fed3cr.errors.ReplacementSamplingWarning")
 def test_batch_counts_and_balance():
-    ds = make_split_fixture()
+    split = make_split_fixture()
     client = 0
-    n_pos = len(ds.client_items[client])
-    sampler = NegativeSampler(ds, seed=1)
+    n_pos = len(split[0].client_items[client])
+    sampler = sampler_of(split, 1)
     items, labels = sampler.sample_batch(client, batch_size=10_000)
     assert len(items) == n_pos * 5
     assert labels.sum() == n_pos
@@ -189,10 +194,10 @@ def test_batch_counts_and_balance():
 SAMPLE_ORDER = (0, 0, 1, 1, 0, 1, 0, 0, 1, 1)
 
 
-def sampler_stream_digest(ds, clients, batch_size):
+def sampler_stream_digest(split, clients, batch_size):
     """sha256 over the items and labels of the batches SAMPLE_ORDER draws for
     `clients`, from a sampler at seed 1 with 4 negatives per positive."""
-    sampler = NegativeSampler(ds, seed=1)
+    sampler = sampler_of(split, 1)
     digest = hashlib.sha256()
     for slot in SAMPLE_ORDER:
         items, labels = sampler.sample_batch(clients[slot], batch_size)
@@ -218,15 +223,14 @@ def test_sampler_stream_is_pinned(fixture, clients, batch_size, expected):
     # the batches' bits, taken before the sampler kept one universe per last
     # client and built each batch as one block: the same draws, in order
     if fixture == "split":
-        ds = make_split_fixture()
+        split = make_split_fixture()
     else:
-        ds = leave_one_out_split(generate_toy_dataset(seed=0), seed=0)
-    assert sampler_stream_digest(ds, clients, batch_size) == expected
+        split = leave_one_out_split(generate_toy_dataset(seed=0), seed=0)
+    assert sampler_stream_digest(split, clients, batch_size) == expected
 
 
 def test_candidate_universe_is_kept_for_the_last_client_only():
-    ds = make_split_fixture()
-    sampler = NegativeSampler(ds, seed=1)
+    sampler = sampler_of(make_split_fixture(), 1)
     first = sampler.candidate_universe(0)
     assert sampler.candidate_universe(0) is first and not first.flags.writeable
     other = sampler.candidate_universe(3)
@@ -240,10 +244,10 @@ def test_batch_three_positives_example(tmp_path):
         tmp_path / "d.csv",
         "user,item\n" + "".join(f"u,{i}\n" for i in range(4)) + "".join(f"v,{i}\n" for i in range(30)),
     )
-    ds = leave_one_out_split(load_dataset(path, "csv", 1), seed=0)
-    client = ds.user_ids.index("u")
-    assert len(ds.client_items[client]) == 3
-    sampler = NegativeSampler(ds, seed=0)
+    split = leave_one_out_split(load_dataset(path, "csv", 1), seed=0)
+    client = split[0].user_ids.index("u")
+    assert len(split[0].client_items[client]) == 3
+    sampler = sampler_of(split, 0)
     items, labels = sampler.sample_batch(client)
     assert len(items) == 15
     assert labels.sum() == 3
@@ -255,27 +259,26 @@ def test_exhausted_universe_warns(tmp_path):
         tmp_path / "d.csv",
         "user,item\n" + "".join(f"u,{i}\n" for i in range(5)),
     )
-    ds = leave_one_out_split(load_dataset(path, "csv", 1), seed=0)
-    sampler = NegativeSampler(ds, seed=0)
+    sampler = sampler_of(leave_one_out_split(load_dataset(path, "csv", 1), seed=0), 0)
     with pytest.warns(ReplacementSamplingWarning):
         items, labels = sampler.sample_batch(0)
     assert labels.sum() == len(labels)  # positives only
 
 
 def test_batches_deterministic_across_runs():
-    ds = make_split_fixture()
-    a = NegativeSampler(ds, seed=9).sample_batch(1)
-    b = NegativeSampler(ds, seed=9).sample_batch(1)
+    split = make_split_fixture()
+    a = sampler_of(split, 9).sample_batch(1)
+    b = sampler_of(split, 9).sample_batch(1)
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
 
 
 @pytest.mark.filterwarnings("ignore::fed3cr.errors.ReplacementSamplingWarning")
 def test_negatives_never_collide_with_positives_or_test():
-    ds = make_split_fixture()
-    sampler = NegativeSampler(ds, seed=2)
+    ds, held = make_split_fixture()
+    sampler = sampler_of((ds, held), 2)
     for client in range(ds.num_clients):
-        blocked = set(ds.client_items[client]) | {ds.test_items[client]}
+        blocked = set(ds.client_items[client]) | {held.test_items[client]}
         for _ in range(5):
             items, labels = sampler.sample_batch(client)
             for item, label in zip(items, labels):
@@ -283,66 +286,113 @@ def test_negatives_never_collide_with_positives_or_test():
                     assert item not in blocked
 
 
+def test_training_universe_excludes_exactly_the_named_item():
+    # The sampler reads the train positives from the train dataset and the
+    # test item from its one named argument only: name another unseen item
+    # and that item, not the test item, leaves the universe. Evaluation's
+    # full candidate list is the same set as the sampler's universe.
+    train, held = make_split_fixture()
+    every = set(range(train.num_items))
+    for client, test in enumerate(held.test_items):
+        unseen = every - set(train.client_items[client].tolist())
+        assert set(sampler_of((train, held), 0).candidate_universe(client).tolist()) == unseen - {test}
+        other = min(unseen - {test})
+        named = list(held.test_items)
+        named[client] = other
+        universe = NegativeSampler(train, 0, leaked_test_items=tuple(named)).candidate_universe(client)
+        assert set(universe.tolist()) == unseen - {other}
+        cands = build_eval_candidates(train, held, client, num_negatives=-1, seed=0)
+        assert cands[0] == test and set(cands[1:].tolist()) == unseen - {test}
+        sampled = build_eval_candidates(train, held, client, num_negatives=15, seed=3)
+        assert set(sampled[1:].tolist()) <= unseen - {test}
+
+
+def test_splitting_a_train_dataset_again_holds_out_the_next_latest_item():
+    rng = np.random.default_rng(2)
+    records = [
+        RawInteraction(str(u), str(i), None, int(ts))
+        for u in range(5)
+        for i, ts in zip(rng.choice(40, size=6, replace=False), rng.choice(1000, size=6, replace=False))
+    ]
+    ds = build_dataset(records, min_interactions=1)
+    train, first = leave_one_out_split(ds, seed=0)
+    again, second = leave_one_out_split(train, seed=0)
+    for client, (items, stamps) in enumerate(zip(ds.client_items, ds.timestamps)):
+        latest = items[np.argsort(stamps)]
+        assert (first.test_items[client], second.test_items[client]) == (latest[-1], latest[-2])
+        assert np.array_equal(np.sort(again.client_items[client]), np.sort(latest[:-2]))
+        order = {int(i): int(t) for i, t in zip(items, stamps)}
+        assert [order[int(i)] for i in again.client_items[client]] == again.timestamps[client].tolist()
+
+
+def test_splitting_a_train_dataset_again_holds_out_a_seeded_choice():
+    train, _ = make_split_fixture(seed=5)
+    again, second = leave_one_out_split(train, seed=5)
+    for client, items in enumerate(train.client_items):
+        pick = int(seeding.rng(5, seeding.SPLIT, client).integers(len(items)))
+        assert second.test_items[client] == items[pick]
+        assert np.array_equal(again.client_items[client], np.delete(items, pick))
+
+
 @pytest.mark.filterwarnings("ignore::fed3cr.errors.ReplacementSamplingWarning")
 def test_batch_truncation():
-    ds = make_split_fixture()
-    items, labels = NegativeSampler(ds, seed=0).sample_batch(0, batch_size=7)
+    items, labels = sampler_of(make_split_fixture(), 0).sample_batch(0, batch_size=7)
     assert len(items) == 7
     assert len(labels) == 7
 
 
 def test_eval_candidates_cardinality_and_test_presence():
-    ds = make_split_fixture(num_items=150)
-    cands = build_eval_candidates(ds, 2, num_negatives=99, seed=4)
+    ds, held = make_split_fixture(num_items=150)
+    cands = build_eval_candidates(ds, held, 2, num_negatives=99, seed=4)
     assert cands.dtype == np.int64
     assert len(cands) == 100
-    assert np.count_nonzero(cands == ds.test_items[2]) == 1
-    assert cands[0] == ds.test_items[2]
+    assert np.count_nonzero(cands == held.test_items[2]) == 1
+    assert cands[0] == held.test_items[2]
 
 
 def test_eval_candidates_deterministic():
-    ds = make_split_fixture()
-    assert np.array_equal(build_eval_candidates(ds, 1, 20, seed=8), build_eval_candidates(ds, 1, 20, seed=8))
+    ds, held = make_split_fixture()
+    assert np.array_equal(build_eval_candidates(ds, held, 1, 20, seed=8), build_eval_candidates(ds, held, 1, 20, seed=8))
 
 
 def test_eval_candidates_never_intersect_train_positives():
-    ds = make_split_fixture()
+    ds, held = make_split_fixture()
     for client in range(ds.num_clients):
-        cands = build_eval_candidates(ds, client, 15, seed=3)
+        cands = build_eval_candidates(ds, held, client, 15, seed=3)
         train = set(ds.client_items[client])
         assert not (set(cands[1:]) & train)
 
 
 def test_eval_candidates_replacement_warning():
-    ds = make_split_fixture(num_items=12)
+    ds, held = make_split_fixture(num_items=12)
     with pytest.warns(ReplacementSamplingWarning):
-        cands = build_eval_candidates(ds, 0, num_negatives=50, seed=0)
+        cands = build_eval_candidates(ds, held, 0, num_negatives=50, seed=0)
     assert len(cands) == 51
-    assert np.count_nonzero(cands == ds.test_items[0]) == 1
+    assert np.count_nonzero(cands == held.test_items[0]) == 1
 
 
 def test_eval_candidates_without_unseen_items_warn_and_hold_the_test_item_alone(tmp_path):
     # 5 items, client holds 4 positives + 1 test: no item is left to rank it against
     path = write(tmp_path / "d.csv", "user,item\n" + "".join(f"u,{i}\n" for i in range(5)))
-    ds = leave_one_out_split(load_dataset(path, "csv", 1), seed=0)
+    ds, held = leave_one_out_split(load_dataset(path, "csv", 1), seed=0)
     with pytest.warns(ReplacementSamplingWarning, match="client 0: no non-interacted items"):
-        cands = build_eval_candidates(ds, 0, num_negatives=10, seed=0)
+        cands = build_eval_candidates(ds, held, 0, num_negatives=10, seed=0)
     assert cands.dtype == np.int64
-    assert cands.tolist() == [ds.test_items[0]]
+    assert cands.tolist() == [held.test_items[0]]
 
 
 def test_eval_candidates_full_ranking_mode():
-    ds = make_split_fixture()
+    ds, held = make_split_fixture()
     for client in range(ds.num_clients):
-        cands = build_eval_candidates(ds, client, num_negatives=-1, seed=0)
+        cands = build_eval_candidates(ds, held, client, num_negatives=-1, seed=0)
         expected = ds.num_items - len(ds.client_items[client])
         assert len(cands) == expected
-        assert cands[0] == ds.test_items[client]
+        assert cands[0] == held.test_items[client]
         assert len(set(cands)) == len(cands)
 
 
 def test_stats_fields():
-    ds = make_split_fixture()
+    ds, _ = make_split_fixture()
     stats = ds.stats()
     assert stats["clients"] == ds.num_clients
     assert stats["items"] == ds.num_items

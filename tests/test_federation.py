@@ -13,7 +13,7 @@ import pytest
 from fed3cr import federation, model
 from fed3cr.autodiff import Tensor, Workspace
 from fed3cr.config import load_config
-from fed3cr.datasets import NegativeSampler, build_eval_candidates, leave_one_out_split
+from fed3cr.datasets import HeldOut, NegativeSampler, build_eval_candidates, leave_one_out_split
 from fed3cr.errors import AggregationError, ConfigurationError, ShapeError
 from fed3cr.evaluation import RBO_P, TOP_K, metrics_csv_lines, rbo_truncated
 from fed3cr.federation import (
@@ -35,7 +35,7 @@ from fed3cr.model import ClientState, TransferNet, forward_pass, init_client, in
 from fed3cr.toy import generate_toy_dataset
 from tests.test_evaluation import list_rbo, list_top_k, old_ranked
 
-TOY = leave_one_out_split(generate_toy_dataset(seed=0), seed=0)
+TOY, TOY_HELD = leave_one_out_split(generate_toy_dataset(seed=0), seed=0)
 
 
 class KeepingChannel(UploadChannel):
@@ -208,7 +208,7 @@ def test_select_clients():
 def test_local_update_lr_zero_is_noop():
     hp = dataclasses.replace(FAST, lr=1e-300)  # effectively zero; validate() wants lr > 0
     state = init_client(0, hp.dim, TOY.num_items, client_id=0)
-    sampler = NegativeSampler(TOY, seed=0)
+    sampler = NegativeSampler(TOY, 0, leaked_test_items=TOY_HELD.test_items)
     consensus = np.random.default_rng(2).normal(0, 0.01, (TOY.num_items, hp.dim)).astype(np.float32)
     theta = make_net(1, hp.dim)
     upload, _ = local_update(state, consensus, theta, sampler, hp, VariantConfig.from_label("Fed3CR"))
@@ -226,7 +226,6 @@ def test_local_update_single_item_matches_one_step_sgd_oracle():
         num_items=2,
         client_items=[np.array([0])],
         timestamps=None,
-        test_items=[1],
         user_ids=["u"],
         item_ids=["a", "b"],
     )
@@ -235,7 +234,7 @@ def test_local_update_single_item_matches_one_step_sgd_oracle():
     u0 = state.user_embedding.copy()
     v0 = state.personal_table.copy()
     consensus = np.random.default_rng(5).normal(0, 0.01, (2, 3))
-    sampler = NegativeSampler(ds, seed=0)
+    sampler = NegativeSampler(ds, seed=0, leaked_test_items=(1,))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -256,7 +255,7 @@ def test_local_update_single_item_matches_one_step_sgd_oracle():
 
 
 def test_identical_clients_consensus_equals_single_upload():
-    sampler = NegativeSampler(TOY, seed=0)
+    sampler = NegativeSampler(TOY, 0, leaked_test_items=TOY_HELD.test_items)
     hp = FAST
     variant = VariantConfig.from_label("Fed3CR")
     consensus = np.random.default_rng(0).normal(0, 0.01, (TOY.num_items, hp.dim)).astype(np.float32)
@@ -264,7 +263,7 @@ def test_identical_clients_consensus_equals_single_upload():
     uploads = []
     for _ in range(3):  # same client id -> same data, same init, same rng stream
         state = init_client(0, hp.dim, TOY.num_items, client_id=0)
-        sampler_clone = NegativeSampler(TOY, seed=0)
+        sampler_clone = NegativeSampler(TOY, 0, leaked_test_items=TOY_HELD.test_items)
         upload, _ = local_update(state, consensus, theta, sampler_clone, hp, variant)
         uploads.append(upload.consensus)
     merged = mean_table(uploads)
@@ -278,7 +277,7 @@ def test_consecutive_local_updates_stay_distinct():
     variant = VariantConfig.from_label("Fed3CR")
     consensus = np.random.default_rng(0).normal(0, 0.01, (TOY.num_items, hp.dim)).astype(np.float32)
     theta = make_net(1, hp.dim)
-    sampler = NegativeSampler(TOY, seed=0)
+    sampler = NegativeSampler(TOY, 0, leaked_test_items=TOY_HELD.test_items)
     first, _ = local_update(init_client(0, hp.dim, TOY.num_items, client_id=0), consensus, theta, sampler, hp, variant)
     held = [a.copy() for a in [first.consensus] + net_arrays(first.transfer_net)]
     second, _ = local_update(init_client(0, hp.dim, TOY.num_items, client_id=1), consensus, theta, sampler, hp, variant)
@@ -294,7 +293,7 @@ def test_run_training_round_is_the_stacked_mean_of_its_payloads():
     # of the payloads the channel captured, and those payloads stay distinct.
     channel = UploadChannel(capture_bytes=True)
     hp = dataclasses.replace(FAST, rounds=1)
-    result = run_training(TOY, hp, VariantConfig.from_label("Fed3CR"), channel=channel)
+    result = run_training(TOY, TOY_HELD, hp, VariantConfig.from_label("Fed3CR"), channel=channel)
     net = result.server.theta
     # in payload order: the table, then each layer's weights and biases
     server = [result.server.consensus] + [a for w, b in zip(net.weights, net.biases) for a in (w, b)]
@@ -311,12 +310,12 @@ def test_run_training_round_is_the_stacked_mean_of_its_payloads():
 
 @pytest.mark.filterwarnings("ignore::fed3cr.errors.ReplacementSamplingWarning")
 def test_run_training_single_client_consensus_is_upload():
-    ds = leave_one_out_split(
+    ds, held = leave_one_out_split(
         generate_toy_dataset(num_clients=1, num_items=24, num_blocks=1, seed=1), seed=1
     )
     hp = dataclasses.replace(FAST, rounds=1, eval_negatives=10)
     channel = KeepingChannel()
-    result = run_training(ds, hp, VariantConfig.from_label("Fed3CR"), channel=channel)
+    result = run_training(ds, held, hp, VariantConfig.from_label("Fed3CR"), channel=channel)
     assert len(channel.uploads) == 1
     upload = channel.uploads[0]
     assert np.allclose(result.server.consensus, upload.consensus, atol=1e-7)
@@ -328,7 +327,7 @@ def test_clients_keep_only_private_blocks_after_run_training(label):
     # the type holds no slot for a shared block
     assert {f.name for f in dataclasses.fields(ClientState)} == {"client_id", "user_embedding", "personal_table"}
     variant = VariantConfig.from_label(label)
-    result = run_training(TOY, dataclasses.replace(FAST, rounds=1), variant)
+    result = run_training(TOY, TOY_HELD, dataclasses.replace(FAST, rounds=1), variant)
     for client in result.clients:
         assert client.user_embedding is not None
         assert (client.personal_table is not None) == variant.personal_table
@@ -348,7 +347,7 @@ def test_uploads_never_share_memory_with_the_servers_blocks(label, monkeypatch):
         return result
 
     monkeypatch.setattr(federation, "local_update", recording_local_update)
-    result = run_training(TOY, dataclasses.replace(FAST, rounds=2), VariantConfig.from_label(label))
+    result = run_training(TOY, TOY_HELD, dataclasses.replace(FAST, rounds=2), VariantConfig.from_label(label))
     assert len(calls) == 2 * TOY.num_clients
     final = [result.server.consensus] + net_arrays(result.server.theta)
     for consensus, theta, upload in calls:
@@ -361,13 +360,14 @@ def test_uploads_never_share_memory_with_the_servers_blocks(label, monkeypatch):
 def test_run_training_deterministic_across_runs():
     hp = FAST
     variant = VariantConfig.from_label("Fed3CR")
-    runs = [run_training(TOY, hp, variant).metrics for _ in range(2)]
+    runs = [run_training(TOY, TOY_HELD, hp, variant).metrics for _ in range(2)]
     csvs = ["\n".join(metrics_csv_lines(m, hp.rbo_k)) for m in runs]
     assert csvs[0] == csvs[1]  # same config, same bytes
 
 
 def ml1m_shape_pair():
-    """Two toy clients over ML-1M's 3706 items, with 150-200 positives each."""
+    """Two toy clients over ML-1M's 3706 items, with 150-200 positives each:
+    (train, held out)."""
     return leave_one_out_split(
         generate_toy_dataset(num_clients=2, num_items=3706, num_blocks=2, min_positives=150, max_positives=200, seed=0),
         seed=0,
@@ -378,7 +378,7 @@ def test_warm_client_step_allocates_less_than_one_table():
     # After a warm-up call, a two-step local update at ML-1M shape draws every
     # table-sized array from the workspace: its traced allocations peak
     # below one M x d float32 table, for every variant label and row map.
-    ds = ml1m_shape_pair()
+    ds, held = ml1m_shape_pair()
     hp = HyperParams(rounds=1, local_iters=2, dim=32, lr=0.01, seed=0)
     table_bytes = ds.num_items * hp.dim * 4
     peaks = {}
@@ -387,7 +387,7 @@ def test_warm_client_step_allocates_less_than_one_table():
         state = init_client(0, hp.dim, ds.num_items, client_id=0)
         if not variant.personal_table:
             state.personal_table = None
-        sampler = NegativeSampler(ds, 0)
+        sampler = NegativeSampler(ds, 0, leaked_test_items=held.test_items)
         workspace = Workspace()
         local_update(state, server.consensus, server.theta, sampler, hp, variant, 0, workspace)
         tracemalloc.start()
@@ -399,16 +399,17 @@ def test_warm_client_step_allocates_less_than_one_table():
     assert all(peak < table_bytes for peak in peaks.values()), (table_bytes, peaks)
 
 
-def test_run_training_requires_split():
-    raw = generate_toy_dataset(seed=0)
-    with pytest.raises(ConfigurationError):
-        run_training(raw, FAST, VariantConfig.from_label("C0"))
+def test_run_training_rejects_held_out_items_of_another_client_count():
+    # The one input check on a split: one held-out item per train client.
+    for test_items in (TOY_HELD.test_items[:-1], TOY_HELD.test_items + (0,)):
+        with pytest.raises(ConfigurationError, match=f"{len(test_items)} test items for 24 clients"):
+            run_training(TOY, HeldOut(test_items), FAST, VariantConfig.from_label("C0"))
 
 
 def test_upload_channel_sees_only_shared_blocks():
     channel = UploadChannel(capture_bytes=True)
     hp = dataclasses.replace(FAST, rounds=2)
-    result = run_training(TOY, hp, VariantConfig.from_label("Fed3CR"), channel=channel)
+    result = run_training(TOY, TOY_HELD, hp, VariantConfig.from_label("Fed3CR"), channel=channel)
     assert len(channel.records) == 2 * TOY.num_clients
     for record in channel.records:
         names = [b[0] for b in record["blocks"]]
@@ -430,7 +431,7 @@ def test_upload_dataclass_has_exactly_shared_fields():
 
 def test_c0_uploads_carry_no_net():
     channel = UploadChannel()
-    run_training(TOY, dataclasses.replace(FAST, rounds=1), VariantConfig.from_label("C0"), channel=channel)
+    run_training(TOY, TOY_HELD, dataclasses.replace(FAST, rounds=1), VariantConfig.from_label("C0"), channel=channel)
     for record in channel.records:
         assert [b[0] for b in record["blocks"]] == ["consensus"]
 
@@ -438,7 +439,7 @@ def test_c0_uploads_carry_no_net():
 def test_client_fraction_selects_subset():
     hp = dataclasses.replace(FAST, client_fraction=0.25, rounds=2)
     channel = UploadChannel()
-    run_training(TOY, hp, VariantConfig.from_label("C1"), channel=channel)
+    run_training(TOY, TOY_HELD, hp, VariantConfig.from_label("C1"), channel=channel)
     per_round = {}
     for r in channel.records:
         per_round.setdefault(r["round"], []).append(r["client_id"])
@@ -449,7 +450,7 @@ def test_enhancement_kinds_preserve_shapes():
     for kind in ("consensus-transfer", "unified-transfer"):
         variant = VariantConfig(enhancement_kind=kind, consistency_enabled=False, orthogonality_enabled=False)
         hp = dataclasses.replace(FAST, rounds=1)
-        result = run_training(TOY, hp, variant)
+        result = run_training(TOY, TOY_HELD, hp, variant)
         assert result.server.consensus.shape == (TOY.num_items, hp.dim)
         assert result.server.theta.layer_shapes[0][1] == hp.dim
         assert result.server.theta.layer_shapes[-1][0] == hp.dim
@@ -473,8 +474,8 @@ def test_identity_rigged_row_net_reduces_to_additive_fusion(fused_table):
 
 def test_fedmf_plain_and_plugin_shapes():
     hp = dataclasses.replace(FAST, rounds=2)
-    plain = run_training(TOY, hp, VariantConfig.from_label("FedMF"))
-    plugin = run_training(TOY, hp, VariantConfig.from_label("FedMF+ACE"))
+    plain = run_training(TOY, TOY_HELD, hp, VariantConfig.from_label("FedMF"))
+    plugin = run_training(TOY, TOY_HELD, hp, VariantConfig.from_label("FedMF+ACE"))
     assert plain.server.theta is None
     assert plugin.server.theta is not None
     assert len(plain.metrics) == 2
@@ -523,7 +524,7 @@ def test_fedmf_plugin_consensus_stays_the_download_across_local_iters(monkeypatc
     state.personal_table = None
     download = np.random.default_rng(6).normal(0, 0.1, (TOY.num_items, hp.dim)).astype(np.float32)
     theta = make_net(1, hp.dim)
-    sampler = NegativeSampler(TOY, seed=0)
+    sampler = NegativeSampler(TOY, 0, leaked_test_items=TOY_HELD.test_items)
     held = download.copy()
     upload, _ = local_update(state, download, theta, sampler, hp, VariantConfig.from_label("FedMF+ACE"))
     assert len(steps) == 3
@@ -538,8 +539,8 @@ def test_fedmf_plugin_consensus_stays_the_download_across_local_iters(monkeypatc
 def test_fedmf_channel_carries_table_and_optional_net():
     hp = dataclasses.replace(FAST, rounds=1)
     ch_plain, ch_plug = UploadChannel(), UploadChannel()
-    run_training(TOY, hp, VariantConfig.from_label("FedMF"), channel=ch_plain)
-    run_training(TOY, hp, VariantConfig.from_label("FedMF+ACE"), channel=ch_plug)
+    run_training(TOY, TOY_HELD, hp, VariantConfig.from_label("FedMF"), channel=ch_plain)
+    run_training(TOY, TOY_HELD, hp, VariantConfig.from_label("FedMF+ACE"), channel=ch_plug)
     assert all([b[0] for b in r["blocks"]] == ["consensus"] for r in ch_plain.records)
     assert all(any(b[0].startswith("transfer_net") for b in r["blocks"]) for r in ch_plug.records)
 
@@ -548,7 +549,7 @@ def test_fedmf_channel_carries_table_and_optional_net():
 def test_nonfinite_loss_aborts_client_with_warning():
     hp = dataclasses.replace(FAST, rounds=1, local_iters=3, lr=1e30)
     state = init_client(0, hp.dim, TOY.num_items, client_id=0)
-    sampler = NegativeSampler(TOY, seed=0)
+    sampler = NegativeSampler(TOY, 0, leaked_test_items=TOY_HELD.test_items)
     consensus = np.random.default_rng(0).normal(0, 0.01, (TOY.num_items, hp.dim)).astype(np.float32)
     theta = make_net(1, hp.dim)
     with pytest.warns(UserWarning, match="non-finite"):
@@ -560,7 +561,7 @@ def test_client_without_train_positives_is_skipped_with_a_warning(monkeypatch):
     # Client 1 is selected but has nothing to train on: the warning names the
     # round and the client, no upload of its reaches the round's sums, and
     # the round's loss means average only the clients that trained.
-    ds = without_positives(TOY, TOY.num_clients)
+    ds, held = without_positives(TOY.num_clients)
     hp = dataclasses.replace(FAST, rounds=1)
     results = {}
 
@@ -571,7 +572,7 @@ def test_client_without_train_positives_is_skipped_with_a_warning(monkeypatch):
     monkeypatch.setattr(federation, "local_update", recorded_update)
     channel = UploadChannel(capture_bytes=True)
     with pytest.warns(UserWarning, match="round 0: client 1 has no positives; skipped"):
-        result = run_training(ds, hp, VariantConfig.from_label("Fed3CR"), channel=channel)
+        result = run_training(ds, held, hp, VariantConfig.from_label("Fed3CR"), channel=channel)
     assert sorted(results) == list(range(ds.num_clients)) and results[1] is None
     assert [record["client_id"] for record in channel.records] == [c for c in range(ds.num_clients) if c != 1]
     size = result.server.consensus.size
@@ -591,9 +592,9 @@ def literal_ratio_toy_run():
         str(Path(__file__).resolve().parents[1] / "configs" / "toy.cfg"),
         overrides={"training.eq12_mode": "literal-ratio", "training.lr": "0.01", "training.rounds": "3"},
     )
-    ds = config.build_dataset()
+    ds, held = config.build_dataset()
     channel = UploadChannel()
-    result = run_training(ds, config.hp, config.variant, channel=channel)
+    result = run_training(ds, held, config.hp, config.variant, channel=channel)
     return ds, result, [(r["round"], r["client_id"]) for r in channel.records]
 
 
@@ -608,7 +609,7 @@ def test_literal_ratio_trains_the_toy_config_at_a_small_lr():
     assert all(np.isfinite([metrics.loss_rec, metrics.loss_a, metrics.loss_o, metrics.hr_at_k]))
 
 
-@pytest.mark.xfail(strict=True, reason="ACE's step under the literal ratio diverges for clients 8 and 14 in rounds 1-2 (ROADMAP item 4)")
+@pytest.mark.xfail(strict=True, reason="ACE's step under the literal ratio diverges for clients 8 and 14 in rounds 1-2 (ROADMAP item 5)")
 @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore:round:UserWarning")
 def test_literal_ratio_keeps_every_client_uploading_at_a_small_lr():
     ds, _, uploads = literal_ratio_toy_run()
@@ -620,7 +621,7 @@ def test_all_clients_failing_aborts_run():
     hp = dataclasses.replace(FAST, rounds=1, local_iters=3, lr=1e30)
     with pytest.warns(UserWarning):
         with pytest.raises(AggregationError, match="round 0"):
-            run_training(TOY, hp, VariantConfig.from_label("Fed3CR"))
+            run_training(TOY, TOY_HELD, hp, VariantConfig.from_label("Fed3CR"))
 
 
 def test_ace_not_worse_than_row_enhancement_baselines():
@@ -629,7 +630,7 @@ def test_ace_not_worse_than_row_enhancement_baselines():
     def final_hr(kind):
         # C1-style: auxiliary losses off, so only the enhancement differs
         variant = VariantConfig(kind, consistency_enabled=False, orthogonality_enabled=False)
-        return run_training(TOY, hp, variant).metrics[-1].hr_at_k
+        return run_training(TOY, TOY_HELD, hp, variant).metrics[-1].hr_at_k
 
     hr_ace = final_hr("ace")
     hr_ct = final_hr("consensus-transfer")
@@ -648,7 +649,7 @@ def test_aggregation_order_invariance_via_sorted_ids():
     assert np.array_equal(in_order, resorted)
 
 
-def sort_path_metrics(clients, server, ds, hp, variant, candidates, fused_table):
+def sort_path_metrics(clients, server, ds, held, hp, variant, candidates, fused_table):
     """Client-mean HR, NDCG and RBO as evaluation computed them before it
     ranked by counting: the fused table V_F, a lexsort of its candidate
     rows and list.index, and top-k lists sorted from each full table."""
@@ -667,7 +668,7 @@ def sort_path_metrics(clients, server, ds, hp, variant, candidates, fused_table)
             enhancement=variant.enhancement_kind,
         )
         u = client.user_embedding
-        rank = ranked(u, fused_table(trace), candidates[client.client_id]).index(ds.test_items[client.client_id]) + 1
+        rank = ranked(u, fused_table(trace), candidates[client.client_id]).index(held.test_items[client.client_id]) + 1
         hrs.append(int(rank <= TOP_K))
         ndcgs.append(float(1.0 / np.log2(rank + 1)) if rank <= TOP_K else 0.0)
         if variant.personal_table:
@@ -722,7 +723,7 @@ def test_warm_step_gives_every_leaf_a_gradient_of_its_own(name, monkeypatch):
     state = init_client(0, hp.dim, TOY.num_items, client_id=0)
     if not variant.personal_table:
         state.personal_table = None
-    sampler = NegativeSampler(TOY, 0)
+    sampler = NegativeSampler(TOY, 0, leaked_test_items=TOY_HELD.test_items)
     assert local_update(state, server.consensus, server.theta, sampler, hp, variant, 0, Workspace()) is not None
     assert len(steps) == 2 and len(steps[-1]) == len(traces[-1].params)
     leaves = list(zip(traces[-1].params.values(), steps[-1]))
@@ -741,9 +742,9 @@ def test_evaluate_round_matches_the_sort_path(name, monkeypatch, fused_table):
     # to be added to one another).
     variant = EVAL_VARIANTS[name]
     hp = dataclasses.replace(FAST, rounds=2, rbo_k=30)
-    result = run_training(TOY, hp, variant)
-    candidates = [build_eval_candidates(TOY, c, hp.eval_negatives, hp.seed) for c in range(TOY.num_clients)]
-    expected = sort_path_metrics(result.clients, result.server, TOY, hp, variant, candidates, fused_table)
+    result = run_training(TOY, TOY_HELD, hp, variant)
+    candidates = [build_eval_candidates(TOY, TOY_HELD, c, hp.eval_negatives, hp.seed) for c in range(TOY.num_clients)]
+    expected = sort_path_metrics(result.clients, result.server, TOY, TOY_HELD, hp, variant, candidates, fused_table)
 
     server = dataclasses.replace(result.server, consensus=result.server.consensus.view(NoTableSum))
     clients = [
@@ -758,7 +759,7 @@ def test_evaluate_round_matches_the_sort_path(name, monkeypatch, fused_table):
 
     monkeypatch.setattr(Tensor, "__init__", no_tensor)
     no_loss = LossBreakdown(0.0, 0.0, 0.0, 0.0)
-    got = evaluate_round(clients, server, TOY, hp, variant, candidates, hp.rounds - 1, no_loss)
+    got = evaluate_round(clients, server, TOY, TOY_HELD, hp, variant, candidates, hp.rounds - 1, no_loss)
     monkeypatch.undo()
     assert (got.hr_at_k, got.ndcg_at_k, got.rbo) == expected
     assert (got.hr_at_k, got.ndcg_at_k, got.rbo) == (
@@ -773,9 +774,9 @@ def test_warm_evaluate_round_allocates_less_than_one_table():
     # (full ranking, RBO at k=50) allocates less than one M x d float32
     # table, for every variant label and row map: no C_E, no fused table,
     # and the net's activations are workspace buffers.
-    ds = ml1m_shape_pair()
+    ds, held = ml1m_shape_pair()
     hp = HyperParams(rounds=1, dim=32, eval_negatives=-1, rbo_k=50, seed=0)
-    candidates = [build_eval_candidates(ds, c, hp.eval_negatives, hp.seed) for c in range(2)]
+    candidates = [build_eval_candidates(ds, held, c, hp.eval_negatives, hp.seed) for c in range(2)]
     no_loss = LossBreakdown(0.0, 0.0, 0.0, 0.0)
     peaks = {}
     for name, variant in EVAL_VARIANTS.items():
@@ -785,24 +786,25 @@ def test_warm_evaluate_round_allocates_less_than_one_table():
             if not variant.personal_table:
                 client.personal_table = None
         workspace = Workspace()
-        evaluate_round(clients, server, ds, hp, variant, candidates, 0, no_loss, workspace=workspace)
+        evaluate_round(clients, server, ds, held, hp, variant, candidates, 0, no_loss, workspace=workspace)
         tracemalloc.start()
         try:
-            evaluate_round(clients, server, ds, hp, variant, candidates, 0, no_loss, workspace=workspace)
+            evaluate_round(clients, server, ds, held, hp, variant, candidates, 0, no_loss, workspace=workspace)
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert all(peak < ds.num_items * hp.dim * 4 for peak in peaks.values()), peaks
 
 
-def without_positives(ds, n, client=1):
-    """The first n clients of `ds`, with `client` (when among them) left
-    without train positives."""
-    items = [ds.client_items[c][: 0 if c == client else None] for c in range(n)]
-    return dataclasses.replace(ds, num_clients=n, client_items=items, test_items=ds.test_items[:n], user_ids=ds.user_ids[:n])
+def without_positives(n, client=1):
+    """The first n clients of the toy split, with `client` (when among them)
+    left without train positives: (train, held out)."""
+    items = [TOY.client_items[c][: 0 if c == client else None] for c in range(n)]
+    train = dataclasses.replace(TOY, num_clients=n, client_items=items, user_ids=TOY.user_ids[:n])
+    return train, HeldOut(TOY_HELD.test_items[:n])
 
 
-def per_client_metrics(clients, server, ds, hp, variant, candidates):
+def per_client_metrics(clients, server, ds, held, hp, variant, candidates):
     """HR, NDCG and RBO means and the clients evaluated, one client at a
     time: its own forward pass (a row map maps the server's table in it)
     and the list/lexsort references of the ranking functions."""
@@ -814,7 +816,7 @@ def per_client_metrics(clients, server, ds, hp, variant, candidates):
         scores = forward_pass(
             client, server.consensus, server.theta, positives, enhancement=variant.enhancement_kind, tape=False
         )
-        rank = old_ranked(scores.fused, candidates[client.client_id]).index(ds.test_items[client.client_id]) + 1
+        rank = old_ranked(scores.fused, candidates[client.client_id]).index(held.test_items[client.client_id]) + 1
         hits.append(int(rank <= TOP_K))
         ndcgs.append(float(1.0 / np.log2(rank + 1)) if rank <= TOP_K else 0.0)
         if variant.personal_table:
@@ -834,15 +836,15 @@ def test_evaluate_round_matches_the_per_client_reference_at_every_block_edge(nam
     # so NDCG reads those ranks exactly.
     variant = EVAL_VARIANTS[name]
     hp = dataclasses.replace(FAST, rounds=1, eval_negatives=negatives, rbo_k=30)
-    result = run_training(TOY, hp, variant)
+    result = run_training(TOY, TOY_HELD, hp, variant)
     no_loss = LossBreakdown(0.0, 0.0, 0.0, 0.0)
     d = hp.dim
     for n in (1, d - 1, d, d + 1, 2 * d + 3):
-        ds = without_positives(TOY, n)
+        ds, held = without_positives(n)
         clients = result.clients[:n]
-        candidates = [build_eval_candidates(ds, c, negatives, hp.seed) for c in range(n)]
-        got = evaluate_round(clients, result.server, ds, hp, variant, candidates, 0, no_loss)
-        expected = per_client_metrics(clients, result.server, ds, hp, variant, candidates)
+        candidates = [build_eval_candidates(ds, held, c, negatives, hp.seed) for c in range(n)]
+        got = evaluate_round(clients, result.server, ds, held, hp, variant, candidates, 0, no_loss)
+        expected = per_client_metrics(clients, result.server, ds, held, hp, variant, candidates)
         assert (got.hr_at_k, got.ndcg_at_k, got.rbo, got.clients_evaluated) == expected, n
         assert got.clients_evaluated == n - (n > 1)
 
@@ -853,13 +855,13 @@ def test_evaluate_round_runs_one_forward_pass_per_client_and_maps_the_table_once
     # one per evaluated client. A row map's pass over the server's table is
     # the same for every client, so it runs once per evaluated round.
     variant = EVAL_VARIANTS[name]
-    ds = without_positives(TOY, TOY.num_clients)
+    ds, held = without_positives(TOY.num_clients)
     server = init_server(ds, FAST, variant)
     clients = [init_client(FAST.seed, FAST.dim, ds.num_items, client_id=c) for c in range(ds.num_clients)]
     for client in clients:
         if not variant.personal_table:
             client.personal_table = None
-    candidates = [build_eval_candidates(ds, c, FAST.eval_negatives, FAST.seed) for c in range(ds.num_clients)]
+    candidates = [build_eval_candidates(ds, held, c, FAST.eval_negatives, FAST.seed) for c in range(ds.num_clients)]
     calls = {"forward_pass": 0, "table net_pass": 0}
     real_forward, real_net = federation.forward_pass, model.net_pass
 
@@ -875,7 +877,7 @@ def test_evaluate_round_runs_one_forward_pass_per_client_and_maps_the_table_once
     monkeypatch.setattr(federation, "net_pass", counted_net)
     monkeypatch.setattr(model, "net_pass", counted_net)
     no_loss = LossBreakdown(0.0, 0.0, 0.0, 0.0)
-    evaluate_round(clients, server, ds, FAST, variant, candidates, 0, no_loss)
+    evaluate_round(clients, server, ds, held, FAST, variant, candidates, 0, no_loss)
     row_map = variant.enhancement_kind in ("consensus-transfer", "unified-transfer")
     assert calls == {"forward_pass": ds.num_clients - 1, "table net_pass": int(row_map)}
 

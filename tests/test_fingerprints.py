@@ -1,6 +1,7 @@
 """The bits of `configs/toy.cfg`: the sha256 of `metrics.csv` under every
-variant label the CLI can run; and of one full-ranking run, which ranks
-every unseen item of 1000, with RBO at k=50 and d=16.
+variant label the CLI can run; of one full-ranking run, which ranks every
+unseen item of 1000, with RBO at k=50 and d=16; and of one run at
+MovieLens-1M's item count and d=32, with BLAS pinned to one thread.
 
 A change meant to keep every metric byte for byte (a refactor, a speed-up)
 must leave these hashes as they are. A change that moves them on purpose
@@ -9,6 +10,8 @@ updates them here and says why in CHANGES.md.
 
 import hashlib
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -86,3 +89,59 @@ def test_full_ranking_metrics_csv_is_byte_identical(tmp_path):
     run_experiment(load_config(str(path)), str(outdir), save_checkpoints=False)
     digest = hashlib.sha256((outdir / "metrics.csv").read_bytes()).hexdigest()
     assert digest == FULL_RANK_FINGERPRINT
+
+
+# The benchmark's `ml1m-shape` workload at training.seed = 1: 256 clients x
+# 3706 items, d=32, 32 clients a round, 25 rounds. Its BLAS kernels differ
+# from the shapes above, and its bits depend on the BLAS thread count, so it
+# runs in a process with BLAS pinned to one thread.
+ML1M_SHAPE_CFG = """
+[dataset]
+format = toy
+toy_clients = 256
+toy_items = 3706
+toy_blocks = 2
+toy_min_positives = 100
+toy_max_positives = 200
+
+[training]
+seed = 1
+rounds = 25
+local_iters = 2
+dim = 32
+lr = 0.01
+beta_a = 0.5
+beta_o = 0.5
+client_fraction = 0.125
+
+[variant]
+label = Fed3CR
+
+[eval]
+negatives = 99
+rbo_k = 20
+interval = 10
+"""
+ML1M_SHAPE_FINGERPRINT = "5a48d9459512da2d337b257391f0b2aaef3117f58b5edb3a88c113ef9b1c12e2"
+BLAS_PIN = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_ml1m_shape_metrics_csv_is_byte_identical_on_one_blas_thread(tmp_path):
+    path = tmp_path / "ml1m-shape.cfg"
+    path.write_text(ML1M_SHAPE_CFG)
+    outdir = tmp_path / "run"
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, **{name: "1" for name in BLAS_PIN}}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from fed3cr.cli import run_experiment\n"
+        "from fed3cr.config import load_config\n"
+        "run_experiment(load_config(sys.argv[1]), sys.argv[2], save_checkpoints=False)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path), str(outdir)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256((outdir / "metrics.csv").read_bytes()).hexdigest()
+    assert digest == ML1M_SHAPE_FINGERPRINT

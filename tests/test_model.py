@@ -416,24 +416,57 @@ def test_checkpoint_whose_header_is_not_json_is_rejected(tmp_path, first):
         load_client_state(path)
 
 
+def renamed_block(old, new):
+    """A header edit that renames block `old` to `new`, leaving the payload as it is."""
+    return lambda header: {
+        **header,
+        "blocks": [{**block, "name": new if block["name"] == old else block["name"]} for block in header["blocks"]],
+    }
+
+
+def without(key):
+    return lambda header: {k: v for k, v in header.items() if k != key}
+
+
 @pytest.mark.parametrize(
-    "edit, match",
+    "kind, edit, match",
     [
-        (lambda header: [header], "not a JSON object"),
-        (lambda header: {k: v for k, v in header.items() if k != "blocks"}, "malformed checkpoint header"),
-        (lambda header: {**header, "dtype": "zz"}, "malformed checkpoint header"),
-        (lambda header: {**header, "dtype": "|O"}, "dtype '|O' is not numeric"),
-        (lambda header: {**header, "blocks": [{"name": "user_embedding", "shape": [-1, -1]}]}, "shape \\(-1, -1\\)"),
-        (lambda header: {**header, "blocks": [{"name": "user_embedding", "shape": [True, 2]}]}, "shape \\(True, 2\\)"),
+        ("client", lambda header: [header], "not a JSON object"),
+        ("client", without("blocks"), "malformed checkpoint header"),
+        ("client", lambda header: {**header, "dtype": "zz"}, "malformed checkpoint header"),
+        ("client", lambda header: {**header, "dtype": "|O"}, "dtype '|O' is not numeric"),
+        ("client", lambda header: {**header, "blocks": [{"name": "user_embedding", "shape": [-1, -1]}]}, "shape \\(-1, -1\\)"),
+        ("client", lambda header: {**header, "blocks": [{"name": "user_embedding", "shape": [True, 2]}]}, "shape \\(True, 2\\)"),
+        ("client", without("client_id"), "client checkpoint lacks 'client_id'"),
+        ("client", renamed_block("user_embedding", "user"), "client checkpoint lacks 'user_embedding'"),
+        ("server", without("round"), "server checkpoint lacks 'round'"),
+        ("server", renamed_block("consensus", "table"), "server checkpoint lacks 'consensus'"),
+        ("server", renamed_block("net_b0", "bias"), "server checkpoint lacks 'net_b0'"),
     ],
-    ids=["list", "no-blocks", "unknown-dtype", "object-dtype", "negative-shape", "bool-shape"],
+    ids=[
+        "list",
+        "no-blocks",
+        "unknown-dtype",
+        "object-dtype",
+        "negative-shape",
+        "bool-shape",
+        "no-client-id",
+        "no-user-embedding",
+        "no-round",
+        "no-consensus",
+        "no-net-bias",
+    ],
 )
-def test_checkpoint_with_a_malformed_header_is_rejected(tmp_path, edit, match):
-    path = tmp_path / "client.bin"
-    save_client_state(str(path), init_client(seed=0, d=2, M=3), seed=0, round=0)
+def test_checkpoint_with_a_malformed_header_is_rejected(tmp_path, kind, edit, match):
+    path = tmp_path / f"{kind}.bin"
+    if kind == "client":
+        save_client_state(str(path), init_client(seed=0, d=2, M=3), seed=0, round=0)
+    else:
+        net = TransferNet([np.ones((4, 2)), np.ones((2, 4))], [np.ones(4), np.ones(2)])
+        save_server_state(str(path), ServerState(np.ones((3, 2)), net, round=1), seed=0)
     raw = path.read_bytes()
     offset = 8 + int.from_bytes(raw[:8], "little")
     header = json.dumps(edit(json.loads(raw[8:offset]))).encode("utf-8")
     path.write_bytes(len(header).to_bytes(8, "little") + header + raw[offset:])
     with pytest.raises(ParseError, match=match):
-        load_client_state(str(path))
+        (load_client_state if kind == "client" else load_server_state)(str(path))

@@ -25,7 +25,7 @@ from fed3cr.model import draw_personal_tables, init_client
 from fed3cr.toy import generate_toy_dataset
 
 TOY_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "toy.cfg")
-TOY = leave_one_out_split(generate_toy_dataset(seed=0), seed=0)
+TOY_SPLIT = leave_one_out_split(generate_toy_dataset(seed=0), seed=0)  # (train, held out)
 TINY = HyperParams(rounds=2, local_iters=1, dim=8, eval_negatives=20, seed=0, rbo_k=10)
 
 # Every (owner, attribute) the benchmark's tracer wraps that run_training
@@ -131,7 +131,7 @@ def test_a_failing_fill_stops_the_run_before_any_client_trains(client, on_main, 
     for name in ("local_update", "evaluate_round"):
         monkeypatch.setattr(fed3cr.federation, name, lambda *a, name=name, **k: used.append(name))
     with pytest.raises(RuntimeError, match="fill failed"):
-        run_training(TOY, TINY, VariantConfig.from_label("Fed3CR"))
+        run_training(*TOY_SPLIT, TINY, VariantConfig.from_label("Fed3CR"))
     assert (failing.thread is threading.main_thread()) == on_main
     assert used == []
 
@@ -160,7 +160,7 @@ def test_traced_functions_run_on_the_main_thread_only(workers, monkeypatch):
     for owner, attr in TRACED:
         name = f"{owner.__name__}.{attr}"
         monkeypatch.setattr(owner, attr, on_entry(name, getattr(owner, attr)))
-    run_training(TOY, TINY, VariantConfig.from_label("Fed3CR"))
+    run_training(*TOY_SPLIT, TINY, VariantConfig.from_label("Fed3CR"))
     assert started, "the personal tables were filled without a worker thread"
     assert len(entered) == len(TRACED)
     assert {name: threads for name, threads in entered.items() if threads != {threading.main_thread()}} == {}

@@ -34,9 +34,9 @@ def test_block_preference_dominates():
 
 
 def test_splittable():
-    ds = leave_one_out_split(generate_toy_dataset(seed=3), seed=3)
-    assert ds.is_split
-    assert all(t not in set(items) for t, items in zip(ds.test_items, ds.client_items))
+    train, held = leave_one_out_split(generate_toy_dataset(seed=3), seed=3)
+    assert len(held.test_items) == train.num_clients
+    assert all(t not in set(items) for t, items in zip(held.test_items, train.client_items))
 
 
 def test_invalid_block_division():
