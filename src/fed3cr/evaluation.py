@@ -48,19 +48,19 @@ def metrics_csv_lines(metrics: list[RoundMetrics], rbo_k: int) -> list[str]:
 
 def rank_candidates(scores: np.ndarray, candidates: np.ndarray, test_items: np.ndarray) -> np.ndarray:
     """1-based rank of each row's test item among that row's candidates
-    under that row's scores (one score per item id): descending score, ties
-    broken by ascending id, NaN scores last. `scores` is (B, M), `candidates`
-    (B, K) and `test_items` (B,), giving B ranks. It counts the candidates
-    that order before the test item, so it neither sorts nor builds a list,
-    and a repeat of the test item among its own candidates never orders
-    before it."""
+    under that row's scores of them: descending score, ties broken by
+    ascending id, NaN scores last. `scores` and `candidates` are (B, K),
+    score j of a row being its score of its candidate j, and `test_items`
+    (B,), giving B ranks. It counts the candidates that order before the
+    test item, so it neither sorts nor builds a list, and a repeat of the
+    test item among its own candidates never orders before it."""
     cand, test = np.asarray(candidates), np.asarray(test_items)[:, None]
-    missing = ~np.any(cand == test, axis=1)
+    is_test = cand == test
+    missing = ~np.any(is_test, axis=1)
     if missing.any():
         raise ProtocolError(f"test item {test[missing, 0][0]} not among the ranked candidates")
-    # Gathered by flat index: np.take is several times faster than take_along_axis.
-    rows = np.arange(len(cand))[:, None] * scores.shape[1]
-    s, t = np.take(scores, cand + rows), np.take(scores, test + rows)
+    s = np.asarray(scores)
+    t = s[np.arange(len(s)), np.argmax(is_test, axis=1)][:, None]
     before = (s > t) | ((s == t) & (cand < test))
     for r in np.flatnonzero(np.isnan(t[:, 0])):
         # A NaN test score orders after every number and ties with NaN.
@@ -157,18 +157,15 @@ def top_k_ids(scores: np.ndarray, k: int, workspace: Workspace | None = None) ->
 
 
 def view_consistency_rbo(
-    personal_scores: np.ndarray,
-    global_scores: np.ndarray,
-    k_prime: int,
-    p: float,
-    workspace: Workspace | None = None,
+    top_personal: np.ndarray, global_scores: np.ndarray, p: float, workspace: Workspace | None = None
 ) -> np.ndarray:
-    """RBO between each client's top-k' lists under the personal view (its
-    scores of the personal table's rows) and the global view (its scores of
-    the enhanced consensus's rows): (B, M) score blocks give B RBOs."""
-    top_personal = top_k_ids(personal_scores, k_prime, workspace)
-    top_global = top_k_ids(global_scores, k_prime, workspace)
-    return _rbo(top_personal, top_global, p, personal_scores.shape[1])
+    """RBO between each client's top-k' list under the personal view (its
+    scores of the personal table's rows), given as the (B, k') ids
+    `top_k_ids` returns, and its top-k' list under the global view, taken
+    here from the (B, M) block of its scores of the enhanced consensus's
+    rows: B RBOs."""
+    top_global = top_k_ids(global_scores, top_personal.shape[1], workspace)
+    return _rbo(top_personal, top_global, p, global_scores.shape[1])
 
 
 def correlation_matrix(c_e: np.ndarray, v: np.ndarray, clip: float = 0.003) -> np.ndarray:

@@ -28,7 +28,7 @@ from . import seeding
 from .autodiff import Workspace
 from .datasets import HeldOut, InteractionDataset, NegativeSampler, build_eval_candidates
 from .errors import AggregationError, ConfigurationError, ShapeError
-from .evaluation import RBO_P, TOP_K, RoundMetrics, hr_ndcg_at_k, rank_candidates, view_consistency_rbo
+from .evaluation import RBO_P, TOP_K, RoundMetrics, hr_ndcg_at_k, rank_candidates, top_k_ids, view_consistency_rbo
 from .losses import COMPLEMENTARITY_KINDS, EQ12_MODES, LossBreakdown, total_loss_t
 from .model import (
     ENHANCEMENT_KINDS,
@@ -394,6 +394,41 @@ def init_server(ds: InteractionDataset, hp: HyperParams, variant: VariantConfig)
     return ServerState(consensus=consensus, theta=theta, round=0)
 
 
+@dataclass
+class EvalRecord:
+    """What evaluation reads of each client's private blocks alone, kept
+    between evaluated rounds; row c is client c's. `candidates` holds its
+    candidates, padded to one width with its test item `tests[c]` (which
+    never orders before itself). `personal` holds the personal term of its
+    fused scores at those candidates, `top` its top-k' ids under the
+    personal view and `p_p` ACE's p_P. Where `valid[c]` is set they still
+    hold: the personal term is V u, and the client has not been selected
+    to train since they were scored."""
+
+    candidates: np.ndarray
+    tests: np.ndarray
+    personal: np.ndarray
+    top: np.ndarray
+    p_p: np.ndarray
+    valid: np.ndarray
+
+    @classmethod
+    def build(cls, candidates: list[np.ndarray], held: HeldOut, hp: HyperParams, num_items: int) -> "EvalRecord":
+        """A record of each client's `candidates` with every entry stale."""
+        tests = np.array(held.test_items, dtype=np.int64)
+        padded = np.repeat(tests[:, None], max(map(len, candidates), default=1), axis=1)
+        for row, own in zip(padded, candidates):
+            row[: len(own)] = own
+        return cls(
+            candidates=padded,
+            tests=tests,
+            personal=np.empty(padded.shape, hp.np_dtype),
+            top=np.empty((len(tests), hp.rbo_depth(num_items)), np.intp),
+            p_p=np.empty((len(tests), hp.dim), hp.np_dtype),
+            valid=np.zeros(len(tests), bool),
+        )
+
+
 def evaluate_round(
     clients: list[ClientState],
     server: ServerState,
@@ -401,7 +436,7 @@ def evaluate_round(
     held: HeldOut,
     hp: HyperParams,
     variant: VariantConfig,
-    candidates: list[np.ndarray],
+    candidates: list[np.ndarray] | EvalRecord,
     round: int,
     loss_means: LossBreakdown,
     workspace: Workspace | None = None,
@@ -412,51 +447,71 @@ def evaluate_round(
     Each client scores as it would after downloading the freshest shared
     blocks. Scoring only reads them, so every client reads the server's,
     through one forward pass with `tape=False`; a row map's pass over the
-    server's table is the same for every client, so it runs once here. The
-    clients go in blocks of d: each one's score vectors are copied into
-    rows of (d, M) `workspace` blocks and its candidates into a (d, K) one,
-    padded with its test item (which never orders before itself), and the
+    server's table is the same for every client, so it runs once here.
+
+    `candidates` is the run's `EvalRecord`, or each client's candidates, of
+    which a fresh one is built. A client whose entry is valid skips its
+    personal view, which the record holds; any other scores it into the
+    record. The clients go in blocks of d: each one's global view is copied
+    into a row of a (d, M) `workspace` block, its fused scores are that
+    view's at its candidates plus the record's personal term, and the
     ranking, top-k and RBO functions run once per block."""
     if workspace is None:
         workspace = Workspace()
-    evaluated = [c for c in clients if len(train.client_items[c.client_id])]
+    if not isinstance(candidates, EvalRecord):
+        candidates = EvalRecord.build(candidates, held, hp, train.num_items)
+    record, evaluated = candidates, [c for c in clients if len(train.client_items[c.client_id])]
     global_pass = None
     if variant.enhancement_kind in ROW_MAP_KINDS:
         global_pass = net_pass(server.theta, server.consensus, workspace, "C")
-    width = max((len(candidates[c.client_id]) for c in evaluated), default=1)
-    views = ("fused", "personal", "global_view") if variant.personal_table else ("fused",)
-    block = hp.dim
+    # V u, the personal term of every fused score but unified-transfer's, depends on the client's blocks alone.
+    keep = variant.personal_table and variant.enhancement_kind != "unified-transfer"
+    block, m, (_, width), dtype = hp.dim, train.num_items, record.candidates.shape, record.personal.dtype
+    views = ("global_view", "personal") if variant.personal_table else ("global_view",)
+    blocks = {view: workspace.buffer(("evaluate_round", view), (block, m), dtype) for view in views}
     hits, ndcgs, rbos = (np.empty(len(evaluated), dtype) for dtype in (np.int64, np.float64, np.float64))
     for start in range(0, len(evaluated), block):
         chunk = evaluated[start : start + block]
-        n = len(chunk)
-        cands = workspace.buffer(("evaluate_round", "candidates"), (block, width), np.int64)[:n]
-        tests = np.array([held.test_items[c.client_id] for c in chunk], dtype=np.int64)
+        n, ids, missed = len(chunk), np.array([c.client_id for c in chunk], dtype=np.intp), []
         for row, client in enumerate(chunk):
+            cid = client.client_id
+            hit = bool(record.valid[cid])
             scores = forward_pass(
                 client,
                 server.consensus,
                 server.theta,
-                train.client_items[client.client_id],
+                train.client_items[cid],
                 enhancement=variant.enhancement_kind,
                 workspace=workspace,
                 tape=False,
                 global_pass=global_pass,
+                personal=not hit,
+                p_p=record.p_p[cid] if hit else None,
             )
-            if row == 0:
-                shape, dtype = (block, scores.fused.size), scores.fused.dtype
-                blocks = {view: workspace.buffer(("evaluate_round", view), shape, dtype)[:n] for view in views}
-            # The personal view is the raw table V, which unified-transfer maps before fusing.
-            for view in views:
-                blocks[view][row] = getattr(scores, view)
-            own = candidates[client.client_id]
-            cands[row, : len(own)] = own
-            cands[row, len(own) :] = tests[row]
-        done = slice(start, start + n)
-        hits[done], ndcgs[done] = hr_ndcg_at_k(rank_candidates(blocks["fused"], cands, tests), TOP_K)
+            if scores.global_view is not None:  # FedMF alone has none
+                blocks["global_view"][row] = scores.global_view
+            if not hit:
+                np.take(scores.fused_personal, record.candidates[cid], out=record.personal[cid])
+                if scores.p_P is not None:
+                    record.p_p[cid] = scores.p_P
+                if variant.personal_table:  # missed rows go first: the personal top-k' runs on theirs alone
+                    blocks["personal"][len(missed)] = scores.personal
+                    missed.append(cid)
+                record.valid[cid] = keep
+        done, global_view = slice(start, start + n), blocks["global_view"][:n]
+        cands = workspace.buffer(("evaluate_round", "candidates"), (block, width), np.int64)[:n]
+        fused = workspace.buffer(("evaluate_round", "fused"), (block, width), dtype)[:n]
+        np.take(record.candidates, ids, axis=0, out=cands)
+        np.take(record.personal, ids, axis=0, out=fused)
+        if scores.global_view is not None:
+            fused += np.take(global_view, cands + np.arange(n)[:, None] * m)
+        hits[done], ndcgs[done] = hr_ndcg_at_k(rank_candidates(fused, cands, record.tests[ids]), TOP_K)
         if variant.personal_table:
-            k = hp.rbo_depth(train.num_items)
-            rbos[done] = view_consistency_rbo(blocks["personal"], blocks["global_view"], k, RBO_P, workspace)
+            if missed:
+                # top_k_ids keys its workspace buffers by row count: a part-missed block goes without.
+                own = blocks["personal"][: len(missed)]
+                record.top[missed] = top_k_ids(own, record.top.shape[1], workspace if len(missed) == n else None)
+            rbos[done] = view_consistency_rbo(record.top[ids], global_view, RBO_P, workspace)
     return RoundMetrics(
         round=round,
         hr_at_k=float(np.mean(hits)),
@@ -499,14 +554,18 @@ def run_training(
             client.personal_table = table
     server = init_server(train, hp, variant)
     sampler = NegativeSampler(train, hp.seed, leaked_test_items=held.test_items)
-    candidates = [
-        build_eval_candidates(train, held, c, hp.eval_negatives, hp.seed) for c in range(train.num_clients)
-    ]
+    record = EvalRecord.build(
+        [build_eval_candidates(train, held, c, hp.eval_negatives, hp.seed) for c in range(train.num_clients)],
+        held,
+        hp,
+        train.num_items,
+    )
     workspace = Workspace()
 
     metrics: list[RoundMetrics] = []
     for round in range(hp.rounds):
         selected = select_clients(train.num_clients, hp.client_fraction, round, hp.seed)
+        record.valid[selected] = False  # stale before it trains, so a client that then fails is rescored too
         table_sum, theta_sum, losses = None, None, []
         for cid in selected:
             result = local_update(
@@ -542,7 +601,7 @@ def run_training(
                     held,
                     hp,
                     variant,
-                    candidates,
+                    record,
                     round,
                     _mean_breakdown(losses),
                     workspace=workspace,

@@ -313,12 +313,17 @@ def _checked_positives(client: ClientState, positives: np.ndarray, enhancement: 
 class ViewScores:
     """One client's score of every item under each view: `global_view` (the
     enhanced consensus; None for a federated-MF client without the
-    enhancement), `personal` (the client's own table as it stands) and
-    `fused` (the sum of the views, which ranks the items)."""
+    enhancement) and `personal` (the client's own table as it stands), and
+    `fused_personal`, the personal term of the fused score global_view +
+    fused_personal that ranks the items: `personal` itself except under
+    unified-transfer, which maps V before fusing. Both are None when the
+    caller kept them from an earlier pass. `p_P` is ACE's personal
+    prototype (None for the other kinds)."""
 
     global_view: np.ndarray | None
-    personal: np.ndarray
-    fused: np.ndarray
+    personal: np.ndarray | None
+    fused_personal: np.ndarray | None
+    p_P: np.ndarray | None
 
 
 def forward_pass(
@@ -332,6 +337,8 @@ def forward_pass(
     workspace: ad.Workspace | None = None,
     tape: bool = True,
     global_pass: NetPass | None = None,
+    personal: bool = True,
+    p_p: np.ndarray | None = None,
 ) -> ForwardTrace | ViewScores:
     """Run the enhancement forward from the client's private blocks, the
     shared table `table` and the net `net` (ignored when `enhancement` is
@@ -343,6 +350,10 @@ def forward_pass(
     A row map's pass over the global table depends on no private block:
     `global_pass`, when given, is that `net_pass` of `net` over `table`
     already run (evaluation maps the server's table once per round).
+    `personal=False` tells a scoring pass that the caller kept the
+    client's personal view from an earlier pass over the same private
+    blocks: it then reads neither V nor its positives' rows, and ACE takes
+    p_P from `p_p`, the one that pass returned.
 
     The trace's `params` dict holds the trainable arrays themselves ("u",
     "C" for `table`, "V" and per-layer "w{l}"/"b{l}"); the client step's
@@ -372,7 +383,8 @@ def forward_pass(
     own = table if single else client.personal_table  # the personal role
     glob = table if not single or consensus is None else consensus  # the global role
     if tape or enhancement == "ace":  # scoring reads the prototypes only through W
-        p_g, p_p = _prototype(glob, positives), _prototype(own, positives)
+        p_g = _prototype(glob, positives)
+        p_p = _prototype(own, positives) if p_p is None else p_p
     w_mat = c_pass = v_pass = None
     if enhancement == "ace":
         # ACE's d x d transfer matrix W = net([p_G, p_P])
@@ -386,16 +398,17 @@ def forward_pass(
     if not tape:
         # Every item's score under each view, with no fused table and, for
         # ACE, no C_E, since C_E u = C (W^T u).
-        personal = own @ u
         if enhancement == "ace":
             global_view = glob @ (w_mat.T @ u)
         elif enhancement == "none":
             global_view = None if single else glob @ u
         else:
             global_view = c_pass.out @ u
-        fused_personal = personal if v_pass is None else v_pass.out @ u
-        fused = fused_personal if global_view is None else global_view + fused_personal
-        return ViewScores(global_view, personal, fused)
+        own_view = fused_personal = None
+        if personal:
+            own_view = own @ u
+            fused_personal = own_view if v_pass is None else v_pass.out @ u
+        return ViewScores(global_view, own_view, fused_personal, p_p)
 
     params: dict = {"u": u, "C": table}
     if not single:

@@ -27,14 +27,20 @@ def old_ranked(scores, candidates):
     return [int(c) for c in cand[order]]
 
 
+def at_candidates(scores, candidates):
+    """Each row's scores of its candidates, in candidate order: the scores
+    `rank_candidates` takes, from a (B, M) block of every item's."""
+    return np.take_along_axis(scores, candidates, axis=1)
+
+
 def test_rank_single_candidate():
-    scores = np.ones((1, 3, 2)) @ np.ones(2)
+    scores = np.ones((1, 1, 2)) @ np.ones(2)
     assert rank_candidates(scores, np.array([[1]]), np.array([1])).tolist() == [1]
 
 
 def test_rank_tie_broken_by_ascending_id():
     # One row per test item, each the same scores and candidates.
-    scores = np.zeros((2, 6, 2)) @ np.ones(2)
+    scores = np.zeros((2, 2, 2)) @ np.ones(2)
     cands = np.array([[5, 2], [5, 2]])
     assert rank_candidates(scores, cands, np.array([2, 5])).tolist() == [1, 2]
 
@@ -45,7 +51,7 @@ def test_rank_matches_full_sort_oracle():
     scores = rng.normal(size=(200, 8)) @ u
     cands = rng.choice(200, size=100, replace=False)
     oracle = sorted(cands, key=lambda j: (-float(scores[j]), j))
-    ranks = rank_candidates(np.tile(scores, (100, 1)), np.tile(cands, (100, 1)), np.array(oracle))
+    ranks = rank_candidates(np.tile(scores[cands], (100, 1)), np.tile(cands, (100, 1)), np.array(oracle))
     assert ranks.tolist() == list(range(1, 101))
 
 
@@ -77,11 +83,13 @@ def test_rank_matches_the_sort_path_on_random_candidates():
             negatives = rng.choice(others, size=size, replace=True) if len(others) else others
             cands = np.concatenate(([test], negatives)).astype(np.int64)
         expected = old_ranked(scores, cands).index(test) + 1
-        assert rank_candidates(scores[None], cands[None], np.array([test])).tolist() == [expected], (scores, cands, test)
+        got = rank_candidates(scores[cands][None], cands[None], np.array([test]))
+        assert got.tolist() == [expected], (scores, cands, test)
     scores = np.array([[np.nan, 1.0, np.nan, 2.0]] * 2)
-    assert rank_candidates(scores, np.array([[2, 0, 3, 1, 3], [2, 2, 2, 2, 2]]), np.array([2, 2])).tolist() == [5, 1]
+    cands = np.array([[2, 0, 3, 1, 3], [2, 2, 2, 2, 2]])
+    assert rank_candidates(at_candidates(scores, cands), cands, np.array([2, 2])).tolist() == [5, 1]
     with pytest.raises(ProtocolError):
-        rank_candidates(scores[:1], np.array([[0, 1, 3]]), np.array([2]))
+        rank_candidates(scores[:1, [0, 1, 3]], np.array([[0, 1, 3]]), np.array([2]))
 
 
 def test_hr_ndcg_perfect_rank():
@@ -102,7 +110,7 @@ def test_hr_ndcg_miss():
 
 def test_hr_ndcg_absent_item_raises():
     with pytest.raises(ProtocolError):
-        rank_candidates(np.zeros((1, 10)), np.array([[1, 2, 3]]), np.array([9]))
+        rank_candidates(np.zeros((1, 3)), np.array([[1, 2, 3]]), np.array([9]))
 
 
 def test_ndcg_never_exceeds_hr():
@@ -205,14 +213,15 @@ def test_view_rbo_is_bit_identical_to_the_list_reference():
         personal = rng.integers(0, levels, m) / levels
         global_view = np.where(rng.random(m) < 0.5, personal, rng.integers(0, levels, m) / levels)
         expected = list_rbo(list_top_k(personal, k), list_top_k(global_view, k), p)
-        assert view_consistency_rbo(personal[None], global_view[None], k, p).tolist() == [expected], (trial, m, k, p)
+        got = view_consistency_rbo(top_k_ids(personal[None], k), global_view[None], p)
+        assert got.tolist() == [expected], (trial, m, k, p)
         assert rbo_truncated(list_top_k(personal, k), list_top_k(global_view, k), p) == expected
 
 
 def view_rbo(state, trace, k_prime, p):
     """RBO of the personal table's scores against C_E's."""
     u = state.user_embedding
-    return view_consistency_rbo((trace.params["V"] @ u)[None], (trace.C_E @ u)[None], k_prime, p)[0]
+    return view_consistency_rbo(top_k_ids((trace.params["V"] @ u)[None], k_prime), (trace.C_E @ u)[None], p)[0]
 
 
 def test_view_rbo_identical_views(shared_blocks):
@@ -298,7 +307,7 @@ def test_block_functions_match_the_one_row_references_on_random_blocks():
         padded = np.arange(width) >= rng.integers(0, width + 1, size=b)[:, None]
         cands = np.where(padded, tests[:, None], cands)  # rows may end in copies of their test item, as padding does
 
-        ranks = rank_candidates(scores, cands, tests)
+        ranks = rank_candidates(at_candidates(scores, cands), cands, tests)
         expected = [old_ranked(scores[r], cands[r]).index(tests[r]) + 1 for r in range(b)]
         assert ranks.tolist() == expected, trial
 
@@ -309,11 +318,11 @@ def test_block_functions_match_the_one_row_references_on_random_blocks():
         top = top_k_ids(scores, k)
         assert top.tolist() == [list_top_k(scores[r], k) for r in range(b)], trial
 
-        rbos = view_consistency_rbo(scores, other, k, p)
+        rbos = view_consistency_rbo(top, other, p)
         lists = [(list_top_k(scores[r], k), list_top_k(other[r], k)) for r in range(b)]
         assert rbos.tolist() == [list_rbo(a, o, p) for a, o in lists], trial
 
-    scores = np.zeros((3, 5))
+    scores = np.zeros((3, 3))
     cands = np.array([[0, 1, 2], [3, 4, 4], [1, 1, 2]])
     with pytest.raises(ProtocolError, match="test item 3 not among"):
         rank_candidates(scores, cands, np.array([2, 4, 3]))

@@ -18,6 +18,7 @@ from fed3cr.errors import AggregationError, ConfigurationError, ShapeError
 from fed3cr.evaluation import RBO_P, TOP_K, metrics_csv_lines, rbo_truncated
 from fed3cr.federation import (
     VARIANT_LABELS,
+    EvalRecord,
     HyperParams,
     Upload,
     UploadChannel,
@@ -816,7 +817,8 @@ def per_client_metrics(clients, server, ds, held, hp, variant, candidates):
         scores = forward_pass(
             client, server.consensus, server.theta, positives, enhancement=variant.enhancement_kind, tape=False
         )
-        rank = old_ranked(scores.fused, candidates[client.client_id]).index(held.test_items[client.client_id]) + 1
+        fused = scores.fused_personal if scores.global_view is None else scores.global_view + scores.fused_personal
+        rank = old_ranked(fused, candidates[client.client_id]).index(held.test_items[client.client_id]) + 1
         hits.append(int(rank <= TOP_K))
         ndcgs.append(float(1.0 / np.log2(rank + 1)) if rank <= TOP_K else 0.0)
         if variant.personal_table:
@@ -880,6 +882,60 @@ def test_evaluate_round_runs_one_forward_pass_per_client_and_maps_the_table_once
     evaluate_round(clients, server, ds, held, FAST, variant, candidates, 0, no_loss)
     row_map = variant.enhancement_kind in ("consensus-transfer", "unified-transfer")
     assert calls == {"forward_pass": ds.num_clients - 1, "table net_pass": int(row_map)}
+
+
+@pytest.mark.parametrize("name", ["Fed3CR", "C0", "consensus-transfer"])
+def test_a_client_marked_stale_is_rescored_and_a_reused_entry_would_be_wrong(name):
+    # A warm record, then one client trains. Marked stale, it is scored
+    # afresh: the same metrics, bit for bit, as a cold evaluation. Left
+    # valid, the record's old personal view is read, and the metrics move.
+    variant = EVAL_VARIANTS[name]
+    hp = dataclasses.replace(FAST, rounds=1, rbo_k=30)
+    result = run_training(TOY, TOY_HELD, hp, variant)
+    candidates = [build_eval_candidates(TOY, TOY_HELD, c, hp.eval_negatives, hp.seed) for c in range(TOY.num_clients)]
+    sampler = NegativeSampler(TOY, hp.seed, leaked_test_items=TOY_HELD.test_items)
+    no_loss = LossBreakdown(0.0, 0.0, 0.0, 0.0)
+
+    def scored(clients, record):
+        m = evaluate_round(clients, result.server, TOY, TOY_HELD, hp, variant, record, 0, no_loss)
+        return metrics_csv_lines([m], hp.rbo_k)[1]
+
+    def warm_then_train(mark_stale):
+        clients = [ClientState(c.client_id, c.user_embedding.copy(), c.personal_table.copy()) for c in result.clients]
+        record = EvalRecord.build(candidates, TOY_HELD, hp, TOY.num_items)
+        scored(clients, record)
+        assert record.valid.all()
+        local_update(clients[3], result.server.consensus, result.server.theta, sampler, hp, variant, 1)
+        if mark_stale:
+            record.valid[3] = False
+        return clients, scored(clients, record)
+
+    clients, rescored = warm_then_train(mark_stale=True)
+    assert rescored == scored(clients, candidates)
+    _, reused = warm_then_train(mark_stale=False)
+    assert reused != rescored
+
+
+def test_forward_pass_count_holds_when_evaluation_reuses_kept_views(monkeypatch):
+    # The benchmark counts `federation.forward_pass` calls at one per train
+    # step plus one per evaluated client and round. With a quarter of the
+    # clients training each round, most evaluated clients reuse their kept
+    # personal view, and each still makes its one call.
+    calls = {"all": 0, "kept": 0}
+    real_forward = federation.forward_pass
+
+    def counted_forward(*args, **kwargs):
+        calls["all"] += 1
+        calls["kept"] += kwargs.get("personal") is False
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "forward_pass", counted_forward)
+    hp = dataclasses.replace(FAST, rounds=4, client_fraction=0.25, eval_interval=1)
+    result = run_training(TOY, TOY_HELD, hp, VariantConfig())
+    selected = sum(len(select_clients(TOY.num_clients, hp.client_fraction, r, hp.seed)) for r in range(hp.rounds))
+    assert len(result.metrics) == hp.rounds and selected < TOY.num_clients * hp.rounds
+    assert calls["all"] == selected * hp.local_iters + TOY.num_clients * hp.rounds
+    assert calls["kept"] > 0
 
 
 def test_federation_binds_every_name_the_benchmark_wraps(monkeypatch):

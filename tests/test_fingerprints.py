@@ -1,6 +1,7 @@
 """The bits of `configs/toy.cfg`: the sha256 of `metrics.csv` under every
 variant label the CLI can run; of one full-ranking run, which ranks every
-unseen item of 1000, with RBO at k=50 and d=16; and of one run at
+unseen item of 1000, with RBO at k=50 and d=16, under Fed3CR and four
+other labels; and of one run at
 MovieLens-1M's item count and d=32, with BLAS pinned to one thread.
 
 A change meant to keep every metric byte for byte (a refactor, a speed-up)
@@ -80,15 +81,25 @@ rbo_k = 50
 interval = 1
 """
 FULL_RANK_FINGERPRINT = "fe9ff352e7f143cc5f5874f15e85a995c15c7113241d2d78cbea56672c3d9f6d"
+# The same run under other labels. A tenth of the clients train each round,
+# so most evaluated clients score from what evaluation kept of their own
+# blocks: these pin that path for each kind of personal term.
+FULL_RANK_VARIANT_FINGERPRINTS = {
+    "C0": "08c5f9d208a759e0fda6cb3274d33c7a201cfcfe88103fb3750bdb5da3d4b2f1",
+    "consensus-transfer": "bcfffd95c4945b6708894865562f8d2b2f5496d356cc56c57ebf0e2fb42bf7c5",
+    "unified-transfer": "7afa74138694142a51d72708220adeaa2cb0f6a3f2de7e3804af047419bcabeb",
+    "FedMF+ACE": "3edd9659d6032def55609850c87a59a8aa3a8083afba37e74b827c7adda327df",
+}
 
 
-def test_full_ranking_metrics_csv_is_byte_identical(tmp_path):
+@pytest.mark.parametrize("label", ["Fed3CR", *FULL_RANK_VARIANT_FINGERPRINTS])
+def test_full_ranking_metrics_csv_is_byte_identical(label, tmp_path):
     path = tmp_path / "full-rank.cfg"
     path.write_text(FULL_RANK_CFG)
     outdir = tmp_path / "run"
-    run_experiment(load_config(str(path)), str(outdir), save_checkpoints=False)
+    run_experiment(load_config(str(path), overrides={"variant.label": label}), str(outdir), save_checkpoints=False)
     digest = hashlib.sha256((outdir / "metrics.csv").read_bytes()).hexdigest()
-    assert digest == FULL_RANK_FINGERPRINT
+    assert digest == FULL_RANK_VARIANT_FINGERPRINTS.get(label, FULL_RANK_FINGERPRINT)
 
 
 # The benchmark's `ml1m-shape` workload at training.seed = 1: 256 clients x

@@ -234,7 +234,20 @@ def test_tape_free_pass_scores_the_views_of_the_trace(kind, single, shared_block
         assert scores.global_view is None
     else:
         assert np.allclose(scores.global_view, trace.views[0] @ u, rtol=1e-12, atol=1e-15)
-    assert np.allclose(scores.fused, fused_table(trace) @ u, rtol=1e-12, atol=1e-15)
+    fused = scores.fused_personal if scores.global_view is None else scores.global_view + scores.fused_personal
+    assert np.allclose(fused, fused_table(trace) @ u, rtol=1e-12, atol=1e-15)
+    # A caller that kept the personal view passes p_P back: the pass reads no
+    # row of V (NaN there would reach the global view through p_P) and
+    # scores the global view bit for bit as before.
+    if not single:
+        state.personal_table = np.full_like(state.personal_table, np.nan)
+    kept = forward_pass(
+        state, table, net, pos, enhancement=kind, consensus=consensus, tape=False, personal=False, p_p=scores.p_P
+    )
+    assert kept.personal is None and kept.fused_personal is None and kept.p_P is scores.p_P
+    assert (kept.global_view is None) == (scores.global_view is None)
+    if kept.global_view is not None:
+        assert kept.global_view.tobytes() == scores.global_view.tobytes()
 
 
 def test_init_client_deterministic():
