@@ -5,8 +5,9 @@ implicit-feedback recommenders. Clients keep a private user embedding and a
 personal item table, share a global item table through server averaging,
 and learn a transfer matrix that reshapes the shared table to fit their own
 distribution. Auxiliary losses keep the two item views rank-consistent and
-feature-orthogonal. A diagnostics module measures how far the averaged
-table drifts from any single client's optimum.
+feature-orthogonal. On the planted-block toy data, `consensus_alignment`
+scores how much of the generator's item structure (`planted_item_vectors`)
+a trained shared table still carries.
 """
 
 from .checkpoint import load_client_state, load_server_state, save_client_state, save_server_state
@@ -20,16 +21,9 @@ from .datasets import (
     leave_one_out_split,
     load_dataset,
 )
-from .degradation import (
-    DegradationReport,
-    QuadraticClient,
-    bound_sweep,
-    empirical_heterogeneity_probe,
-    toy_example_report,
-    verify_bound,
-)
 from .evaluation import (
     RoundMetrics,
+    consensus_alignment,
     export_correlation_matrix,
     hr_ndcg_at_k,
     metrics_csv_lines,
@@ -66,13 +60,12 @@ from .model import (
     init_client,
 )
 from .numerics import GradCheckReport, grad_check
-from .toy import generate_toy_dataset
+from .toy import generate_toy_dataset, planted_item_vectors
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ClientState",
-    "DegradationReport",
     "ExperimentConfig",
     "ForwardTrace",
     "GradCheckReport",
@@ -81,7 +74,6 @@ __all__ = [
     "InteractionDataset",
     "LossBreakdown",
     "NegativeSampler",
-    "QuadraticClient",
     "RawInteraction",
     "RoundMetrics",
     "ServerState",
@@ -92,10 +84,9 @@ __all__ = [
     "VariantConfig",
     "aggregate_consensus",
     "aggregate_theta",
-    "bound_sweep",
     "build_eval_candidates",
+    "consensus_alignment",
     "consistency_loss",
-    "empirical_heterogeneity_probe",
     "export_correlation_matrix",
     "forward_pass",
     "generate_toy_dataset",
@@ -110,6 +101,7 @@ __all__ = [
     "local_update",
     "metrics_csv_lines",
     "orthogonality_loss",
+    "planted_item_vectors",
     "rank_candidates",
     "rbo_truncated",
     "rec_loss",
@@ -120,7 +112,5 @@ __all__ = [
     "select_clients",
     "top_one_distribution",
     "total_loss_t",
-    "toy_example_report",
-    "verify_bound",
     "view_consistency_rbo",
 ]

@@ -1,9 +1,8 @@
 """Experiment runner and command-line interface.
 
 Subcommands: `run` (one training run), `ablate` (variant grid under a shared
-seed and split), `sweep` (one config key over a value list), `dataset
-stats` (ingestion statistics as JSON), and `degradation` (consensus-drift
-bound verification on synthetic fixtures). Exit codes: 0 ok, 2 configuration
+seed and split), `sweep` (one config key over a value list) and `dataset
+stats` (ingestion statistics as JSON). Exit codes: 0 ok, 2 configuration
 error, 3 data error, 4 runtime failure. A run picks its variant by
 `variant.label` alone: C0-C6 and Fed3CR (the ablation grid), FedMF and
 FedMF+ACE, or consensus-transfer and unified-transfer (the row maps, under
@@ -22,11 +21,8 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from .config import VERSION, ExperimentConfig, load_config, resolve_config
+from .config import ExperimentConfig, load_config, resolve_config
 from .datasets import load_dataset
-from .degradation import QuadraticClient, bound_sweep, verify_bound
 from .errors import ConfigurationError, DataError, ParseError
 from .evaluation import TOP_K, RoundMetrics, metrics_csv_lines
 from .federation import ABLATION_LABELS, run_training
@@ -228,12 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
     stats_p.add_argument("--path", default="")
     stats_p.add_argument("--format", required=True, choices=("movielens-dat", "tsv", "csv", "toy"))
     stats_p.add_argument("--min-interactions", type=int, default=10)
-
-    dg_p = sub.add_parser("degradation", help="verify the consensus-drift bound on fixtures")
-    dg_p.add_argument("--fixtures", type=int, default=1000)
-    dg_p.add_argument("--seed", type=int, default=0)
-    dg_p.add_argument("--out", default=None)
-    dg_p.add_argument("--delta-csv", default=None)
     return parser
 
 
@@ -268,28 +258,6 @@ def _cmd_dataset_stats(args) -> int:
     return 0
 
 
-def _cmd_degradation(args) -> int:
-    summary = bound_sweep(args.fixtures, args.seed)
-    worked = verify_bound(
-        [
-            QuadraticClient(np.array([1.0, 0.0])),
-            QuadraticClient(np.array([0.0, 1.0])),
-            QuadraticClient(np.array([-1.0, 0.0])),
-        ]
-    )
-    report = {"sweep": summary, "worked_example": worked.to_dict(), "version": VERSION}
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
-    if args.delta_csv:
-        with open(args.delta_csv, "w", encoding="utf-8") as fh:
-            for row in worked.delta_matrix:
-                fh.write(",".join(f"{x:.6g}" for x in row) + "\n")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args, extra = parser.parse_known_args(argv)
@@ -307,10 +275,6 @@ def main(argv: list[str] | None = None) -> int:
             if overrides:
                 raise ConfigurationError("dataset stats takes no config overrides")
             return _cmd_dataset_stats(args)
-        if args.command == "degradation":
-            if overrides:
-                raise ConfigurationError("degradation takes no config overrides")
-            return _cmd_degradation(args)
         raise ConfigurationError(f"unknown command {args.command!r}")
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -25,6 +25,7 @@ from .errors import (
 )
 
 NEGATIVES_PER_POSITIVE = 4  # training negatives sampled per positive
+BATCH_SIZE = 2048  # most rows in one training batch
 
 
 @dataclass
@@ -264,8 +265,9 @@ class NegativeSampler:
             cached = self._universe = (client, universe)
         return cached[1]
 
-    def sample_batch(self, client: int, batch_size: int = 2048) -> tuple[np.ndarray, np.ndarray]:
-        """Return (item_ids, labels) interleaving each positive with its negatives."""
+    def sample_batch(self, client: int) -> tuple[np.ndarray, np.ndarray]:
+        """Return (item_ids, labels) interleaving each positive with its
+        negatives, cut at `BATCH_SIZE` rows."""
         positives = self.dataset.client_items[client]
         n = len(positives)
         if n == 0:
@@ -300,7 +302,7 @@ class NegativeSampler:
         items[:, 1:] = negatives[order]
         labels = np.zeros(items.shape, dtype=np.int64)
         labels[:, 0] = 1
-        return items.ravel()[:batch_size], labels.ravel()[:batch_size]
+        return items.ravel()[:BATCH_SIZE], labels.ravel()[:BATCH_SIZE]
 
 
 def build_eval_candidates(

@@ -1,6 +1,7 @@
 """Ranking metrics: HR@K and NDCG@K over sampled candidates, truncated
-rank-biased overlap between the personal and enhanced-global views, and the
-cross-view correlation-matrix export."""
+rank-biased overlap between the personal and enhanced-global views, the
+cross-view correlation-matrix export, and the alignment of an item table
+with planted item vectors."""
 
 from __future__ import annotations
 
@@ -184,3 +185,19 @@ def export_correlation_matrix(c_e: np.ndarray, v: np.ndarray, path: str, clip: f
         for row in corr:
             fh.write(",".join(f"{x:.6g}" for x in row) + "\n")
     return corr
+
+
+def consensus_alignment(table: np.ndarray, planted: np.ndarray) -> float:
+    """Linear CKA (Kornblith et al., ICML 2019) between an (M, d) item table
+    and (M, b) planted item vectors, in float64: ||Y^T X||_F^2 / (||X^T X||_F
+    ||Y^T Y||_F) over the column-centred X and Y. It lies in [0, 1], is
+    symmetric, reads 1 when the centred table is the centred planted
+    vectors up to a rotation and an isotropic scale, and 0 when every
+    centred column of one is orthogonal to every centred column of the
+    other. Widths may differ, so a d-wide table is scored against a b-wide
+    truth."""
+    x, y = (np.asarray(a, dtype=np.float64) for a in (table, planted))
+    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ShapeError(f"need two tables of equal row count, got {x.shape} and {y.shape}")
+    x, y = x - x.mean(axis=0), y - y.mean(axis=0)
+    return float(np.linalg.norm(y.T @ x) ** 2 / (np.linalg.norm(x.T @ x) * np.linalg.norm(y.T @ y)))

@@ -18,7 +18,6 @@ TRAIN_BATCH = 4
 EVAL_CANDIDATES = 5
 SPLIT = 6
 TOY_DATA = 7
-FIXTURE = 8
 
 
 def rng(seed: int, tag: int, *ids: int) -> np.random.Generator:

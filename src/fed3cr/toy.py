@@ -22,11 +22,26 @@ SHARPNESS = 2.5  # how strongly a client's draws favour its own block
 TASTE_NOISE = 0.4  # spread of every latent vector around its block's center
 
 
-def _latent_vectors(rng: np.random.Generator, count: int, per_block: int, num_blocks: int) -> np.ndarray:
-    """Block one-hot centers plus Gaussian noise, one row per entity."""
-    blocks = np.repeat(np.arange(num_blocks), per_block)
-    vecs = np.eye(num_blocks)[blocks] + rng.normal(0.0, TASTE_NOISE, size=(count, num_blocks))
-    return vecs
+def _latent_vectors(rng: np.random.Generator, count: int, num_blocks: int) -> np.ndarray:
+    """Block one-hot centers plus Gaussian noise, one row per entity; the
+    entities fill the blocks in id order."""
+    blocks = np.repeat(np.arange(num_blocks), count // num_blocks)
+    return np.eye(num_blocks)[blocks] + rng.normal(0.0, TASTE_NOISE, size=(count, num_blocks))
+
+
+def _planted_items(num_items: int, num_blocks: int, seed: int) -> tuple[np.random.Generator, np.ndarray]:
+    """The generator's shared stream and the item vectors it draws first."""
+    if num_blocks < 1 or num_items % num_blocks:
+        raise ConfigurationError(f"blocks must evenly divide items, got {num_items}/{num_blocks}")
+    shared = seeding.rng(seed, seeding.TOY_DATA, 1_000_000)
+    return shared, _latent_vectors(shared, num_items, num_blocks)
+
+
+def planted_item_vectors(num_items: int, num_blocks: int, seed: int) -> np.ndarray:
+    """The (num_items, num_blocks) latent item vectors `generate_toy_dataset`
+    plants at the same item count, block count and seed: the truth a
+    trained item table can be scored against."""
+    return _planted_items(num_items, num_blocks, seed)[1]
 
 
 def generate_toy_dataset(
@@ -45,9 +60,8 @@ def generate_toy_dataset(
     if not 2 <= min_positives <= max_positives <= num_items:
         raise ConfigurationError("positive counts out of range")
 
-    shared = seeding.rng(seed, seeding.TOY_DATA, 1_000_000)
-    item_vecs = _latent_vectors(shared, num_items, num_items // num_blocks, num_blocks)
-    client_vecs = _latent_vectors(shared, num_clients, num_clients // num_blocks, num_blocks)
+    shared, item_vecs = _planted_items(num_items, num_blocks, seed)
+    client_vecs = _latent_vectors(shared, num_clients, num_blocks)
 
     client_items: list[np.ndarray] = []
     for client in range(num_clients):

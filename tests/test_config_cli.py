@@ -1,4 +1,7 @@
+import argparse
 import dataclasses
+import importlib.util
+import itertools
 import json
 import os
 import re
@@ -6,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from fed3cr.cli import main, run_ablation, run_experiment, run_sweep
+import fed3cr
+from fed3cr import seeding
+from fed3cr.cli import _build_parser, main, run_ablation, run_experiment, run_sweep
 from fed3cr.config import SCHEMA, _read_sectioned, load_config
 from fed3cr.errors import ConfigurationError
 from fed3cr.federation import VARIANT_LABELS, HyperParams, VariantConfig, config_key
@@ -429,11 +434,7 @@ def test_malformed_override_exits_2_naming_the_token(extra, message, cfg_path, c
     assert f"configuration error: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["dataset", "stats", "--format", "toy"], ["degradation", "--fixtures", "1"]],
-    ids=["dataset-stats", "degradation"],
-)
+@pytest.mark.parametrize("argv", [["dataset", "stats", "--format", "toy"]], ids=["dataset-stats"])
 def test_subcommands_without_a_config_refuse_overrides(argv, capsys):
     assert main(argv + ["--training.rounds", "1"]) == 2
     captured = capsys.readouterr()
@@ -508,28 +509,17 @@ def test_cli_runs_fedmf_labels_with_checkpoints(cfg_path, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_degradation(tmp_path, capsys):
-    delta = str(tmp_path / "delta.csv")
-    assert main(["degradation", "--fixtures", "50", "--delta-csv", delta]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["sweep"]["violations"] == 0
-    assert report["worked_example"]["all_satisfied"] is True
-    assert len(Path(delta).read_text().strip().splitlines()) == 3
+def test_retired_degradation_subcommand_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["degradation"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'degradation'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--max-clients", "--max-dim"])
-def test_degradation_has_no_size_flags(flag, capsys):
-    # the sweep always draws 2..20 clients of up to 8 x 8
-    assert main(["degradation", "--fixtures", "1", flag, "5"]) == 2
-    assert f"configuration error: override {flag[2:]!r}" in capsys.readouterr().err
-
-
-def test_cli_degradation_out_writes_the_json_it_prints(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    assert main(["degradation", "--fixtures", "5", "--out", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert out.read_text() == printed
-    assert json.loads(printed)["sweep"]["fixtures"] == 5
+def test_retired_degradation_module_and_fixture_stream_are_gone():
+    assert importlib.util.find_spec("fed3cr.degradation") is None
+    assert not hasattr(seeding, "FIXTURE")
+    assert not {"verify_bound", "bound_sweep", "toy_example_report"} & set(fed3cr.__all__)
 
 
 def test_bundled_toy_config_completes_quickly(tmp_path):
@@ -558,6 +548,30 @@ def test_readme_documents_every_config_key():
     readme = Path(__file__).parent.joinpath("..", "README.md").read_text(encoding="utf-8")
     table = re.findall(rf"^\| `((?:{'|'.join(SCHEMA)})\.\w+)` \|", readme, re.M)
     assert sorted(table) == sorted(f"{section}.{key}" for section, keys in SCHEMA.items() for key in keys)
+
+
+def parser_commands(parser, prefix=""):
+    """Every command path the parser takes, nested subcommands spelled out
+    (`dataset stats`)."""
+    paths = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                paths += parser_commands(sub, prefix + name + " ") or [prefix + name]
+    return paths
+
+
+def test_readme_documents_every_subcommand():
+    # README's command-line block shows each subcommand: a new one must be
+    # documented, and a retired one must leave it
+    readme = Path(__file__).parent.joinpath("..", "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n\n```bash\n(.*?)^```", readme, re.M | re.S).group(1)
+    shown = set()
+    for line in block.splitlines():
+        words = line.split()
+        assert words[0] == "fed3cr", line
+        shown.add(" ".join(itertools.takewhile(lambda word: not word.startswith("-"), words[1:])))
+    assert sorted(shown) == sorted(parser_commands(_build_parser()))
 
 
 # The SCHEMA keys that no committed config or benchmark workload sets, each

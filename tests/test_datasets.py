@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from fed3cr import seeding
+from fed3cr import datasets, seeding
 from fed3cr.datasets import (
     NegativeSampler,
     build_dataset,
@@ -180,12 +180,13 @@ def sampler_of(split, seed):
 
 
 @pytest.mark.filterwarnings("ignore::fed3cr.errors.ReplacementSamplingWarning")
-def test_batch_counts_and_balance():
+def test_batch_counts_and_balance(monkeypatch):
+    monkeypatch.setattr(datasets, "BATCH_SIZE", 10_000)
     split = make_split_fixture()
     client = 0
     n_pos = len(split[0].client_items[client])
     sampler = sampler_of(split, 1)
-    items, labels = sampler.sample_batch(client, batch_size=10_000)
+    items, labels = sampler.sample_batch(client)
     assert len(items) == n_pos * 5
     assert labels.sum() == n_pos
 
@@ -194,13 +195,13 @@ def test_batch_counts_and_balance():
 SAMPLE_ORDER = (0, 0, 1, 1, 0, 1, 0, 0, 1, 1)
 
 
-def sampler_stream_digest(split, clients, batch_size):
+def sampler_stream_digest(split, clients):
     """sha256 over the items and labels of the batches SAMPLE_ORDER draws for
     `clients`, from a sampler at seed 1 with 4 negatives per positive."""
     sampler = sampler_of(split, 1)
     digest = hashlib.sha256()
     for slot in SAMPLE_ORDER:
-        items, labels = sampler.sample_batch(clients[slot], batch_size)
+        items, labels = sampler.sample_batch(clients[slot])
         assert items.dtype == labels.dtype == np.int64
         digest.update(items.tobytes())
         digest.update(labels.tobytes())
@@ -219,14 +220,15 @@ def sampler_stream_digest(split, clients, batch_size):
     ],
     ids=["split-fixture", "split-fixture-truncated", "toy"],
 )
-def test_sampler_stream_is_pinned(fixture, clients, batch_size, expected):
+def test_sampler_stream_is_pinned(fixture, clients, batch_size, expected, monkeypatch):
     # the batches' bits, taken before the sampler kept one universe per last
     # client and built each batch as one block: the same draws, in order
+    monkeypatch.setattr(datasets, "BATCH_SIZE", batch_size)
     if fixture == "split":
         split = make_split_fixture()
     else:
         split = leave_one_out_split(generate_toy_dataset(seed=0), seed=0)
-    assert sampler_stream_digest(split, clients, batch_size) == expected
+    assert sampler_stream_digest(split, clients) == expected
 
 
 def test_candidate_universe_is_kept_for_the_last_client_only():
@@ -335,8 +337,9 @@ def test_splitting_a_train_dataset_again_holds_out_a_seeded_choice():
 
 
 @pytest.mark.filterwarnings("ignore::fed3cr.errors.ReplacementSamplingWarning")
-def test_batch_truncation():
-    items, labels = sampler_of(make_split_fixture(), 0).sample_batch(0, batch_size=7)
+def test_batch_truncation(monkeypatch):
+    monkeypatch.setattr(datasets, "BATCH_SIZE", 7)
+    items, labels = sampler_of(make_split_fixture(), 0).sample_batch(0)
     assert len(items) == 7
     assert len(labels) == 7
 

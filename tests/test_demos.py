@@ -13,7 +13,7 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 @pytest.mark.parametrize(
     "demo",
     [
-        "01_degradation_bound.py",
+        "01_consensus_alignment.py",
         "02_enhancement_forward_pass.py",
         "03_losses_and_gradients.py",
         "04_toy_federated_training.py",

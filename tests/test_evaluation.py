@@ -7,6 +7,7 @@ from fed3cr.errors import ProtocolError, ShapeError
 from fed3cr.evaluation import (
     TOP_K,
     RoundMetrics,
+    consensus_alignment,
     correlation_matrix,
     export_correlation_matrix,
     hr_ndcg_at_k,
@@ -17,6 +18,7 @@ from fed3cr.evaluation import (
     view_consistency_rbo,
 )
 from fed3cr.model import forward_pass, init_client
+from fed3cr.toy import planted_item_vectors
 
 
 def old_ranked(scores, candidates):
@@ -381,3 +383,56 @@ def test_metrics_csv_header_names_the_configured_rbo_depth(rbo_k, tmp_path):
     run_experiment(load_config(str(cfg)), str(tmp_path / "run"), save_checkpoints=False)
     header = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[0]
     assert header == f"round,hr{TOP_K},ndcg{TOP_K},rbo{rbo_k},loss_rec,loss_a,loss_o,clients_evaluated"
+
+
+def test_alignment_is_one_under_rotation_and_scale():
+    planted = planted_item_vectors(96, 4, 3)
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(16, 16)))
+    # rows of q[:4] are orthonormal: planted rotated into 16 dims, scaled and shifted
+    table = 0.01 * planted @ q[:4] + 5.0
+    assert consensus_alignment(table, planted) == pytest.approx(1.0, abs=1e-12)
+    square, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(4, 4)))
+    assert consensus_alignment(3.0 * planted @ square, planted) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_alignment_is_symmetric_and_lies_in_the_unit_interval():
+    rng = np.random.default_rng(2)
+    for width in (1, 4, 16):
+        table, planted = rng.normal(size=(40, width)), rng.normal(size=(40, 3))
+        score = consensus_alignment(table, planted)
+        assert 0.0 <= score <= 1.0
+        assert consensus_alignment(planted, table) == pytest.approx(score, rel=1e-12)
+
+
+def test_alignment_is_zero_for_a_table_orthogonal_to_the_planted_vectors():
+    planted = planted_item_vectors(96, 8, 0)
+    centred = planted - planted.mean(axis=0)
+    table = np.random.default_rng(3).normal(size=(96, 16))
+    table -= table.mean(axis=0)
+    table -= centred @ np.linalg.lstsq(centred, table, rcond=None)[0]
+    assert np.abs(centred.T @ table).max() < 1e-12
+    assert consensus_alignment(table, planted) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_alignment_is_unchanged_by_one_item_order_applied_to_both():
+    planted = planted_item_vectors(96, 4, 5)
+    table = np.random.default_rng(4).normal(size=(96, 8)) + planted @ np.ones((4, 8))
+    order = np.random.default_rng(5).permutation(96)
+    assert consensus_alignment(table[order], planted[order]) == pytest.approx(
+        consensus_alignment(table, planted), rel=1e-12
+    )
+
+
+def test_alignment_needs_tables_of_equal_row_count():
+    with pytest.raises(ShapeError):
+        consensus_alignment(np.ones((5, 2)), np.ones((6, 2)))
+
+
+@pytest.mark.parametrize(
+    "table, planted",
+    [(np.ones(6), np.ones((6, 2))), (np.ones((6, 2)), np.ones((6, 2, 1)))],
+    ids=["one-dim-table", "three-dim-planted"],
+)
+def test_alignment_needs_two_dimensional_tables(table, planted):
+    with pytest.raises(ShapeError):
+        consensus_alignment(table, planted)

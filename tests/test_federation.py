@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fed3cr import federation, model
+from fed3cr import datasets, federation, model
 from fed3cr.autodiff import Tensor, Workspace
 from fed3cr.config import load_config
 from fed3cr.datasets import HeldOut, NegativeSampler, build_eval_candidates, leave_one_out_split
@@ -269,6 +269,26 @@ def test_identical_clients_consensus_equals_single_upload():
         uploads.append(upload.consensus)
     merged = mean_table(uploads)
     assert np.allclose(merged, uploads[0], atol=1e-7)
+
+
+@pytest.mark.filterwarnings("ignore::fed3cr.errors.ReplacementSamplingWarning")
+def test_local_update_trains_on_batches_cut_at_the_module_batch_size(monkeypatch):
+    # local_update passes no size: the one cut is datasets.BATCH_SIZE
+    monkeypatch.setattr(datasets, "BATCH_SIZE", 7)
+    sampler = NegativeSampler(TOY, 0, leaked_test_items=TOY_HELD.test_items)
+    drawn = []
+
+    def recording_sample_batch(client):
+        items, labels = NegativeSampler.sample_batch(sampler, client)
+        drawn.append(len(items))
+        return items, labels
+
+    monkeypatch.setattr(sampler, "sample_batch", recording_sample_batch)
+    consensus = np.random.default_rng(2).normal(0, 0.01, (TOY.num_items, FAST.dim)).astype(np.float32)
+    state = init_client(0, FAST.dim, TOY.num_items, client_id=0)
+    local_update(state, consensus, make_net(1, FAST.dim), sampler, FAST, VariantConfig.from_label("Fed3CR"))
+    assert len(TOY.client_items[0]) * 5 > 7
+    assert drawn == [7] * FAST.local_iters
 
 
 def test_consecutive_local_updates_stay_distinct():
