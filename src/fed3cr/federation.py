@@ -69,6 +69,10 @@ ABLATION_LABELS = ("C0", "C1", "C2", "C3", "C4", "C5", "C6", "Fed3CR")
 # The step size decays by this factor per local step across the whole run.
 LR_DECAY = 0.999
 
+# Every run trains in float32. Set-up alone reads this: the step follows
+# its client's arrays, and evaluation the record built from those clients.
+DTYPE = np.float32
+
 
 def config_key(f: dataclasses.Field, section: str) -> str:
     """The dotted config key of a HyperParams field: `section.<field
@@ -140,7 +144,6 @@ class HyperParams:
     eq12_mode: str = "softmax"
     eval_negatives: int = field(default=99, metadata={"config": "eval.negatives"})
     seed: int = 0
-    dtype: str = "float32"
     eval_interval: int = field(default=1, metadata={"config": "eval.interval"})
     rbo_k: int = field(default=50, metadata={"config": "eval.rbo_k"})
 
@@ -161,7 +164,6 @@ class HyperParams:
         for name in ("beta_a", "beta_o"):
             require(getattr(self, name) >= 0.0, name, "must be >= 0")
         require(self.eq12_mode in EQ12_MODES, "eq12_mode", f"must be one of {EQ12_MODES}")
-        require(self.dtype in ("float32", "float64"), "dtype", "must be float32 or float64")
         require(
             self.eval_negatives >= 1 or self.eval_negatives == -1,
             "eval_negatives",
@@ -171,10 +173,6 @@ class HyperParams:
     def rbo_depth(self, num_items: int) -> int:
         """The depth the view RBO is taken at: `eval.rbo_k`, capped at the item count."""
         return min(self.rbo_k, num_items)
-
-    @property
-    def np_dtype(self):
-        return np.float32 if self.dtype == "float32" else np.float64
 
 
 @dataclass
@@ -313,9 +311,10 @@ def local_update(
         raise ConfigurationError("variant requires transfer-net weights to download")
     if workspace is None:
         workspace = Workspace()
-    # Train working copies of the shared blocks; they become the upload, never
-    # alias the server's arrays, and leave the frozen download as it came.
-    download = np.asarray(consensus, dtype=hp.np_dtype)
+    # Train working copies of the shared blocks, in the client's dtype; they
+    # become the upload, never alias the server's arrays, and leave the frozen
+    # download as it came.
+    download = np.asarray(consensus, dtype=state.user_embedding.dtype)
     table = workspace.copy(("local_update", "table"), download)
     net = None
     if variant.has_net:
@@ -382,14 +381,14 @@ class TrainingResult:
 
 def init_server(ds: InteractionDataset, hp: HyperParams, variant: VariantConfig) -> ServerState:
     rng = seeding.rng(hp.seed, seeding.SERVER_INIT, 0)
-    consensus = rng.normal(0.0, 0.01, size=(ds.num_items, hp.dim)).astype(hp.np_dtype)
+    consensus = rng.normal(0.0, 0.01, size=(ds.num_items, hp.dim)).astype(DTYPE)
     theta = None
     if variant.has_net:
         theta = init_client_net(
             seeding.rng(hp.seed, seeding.SERVER_INIT, 1),
             hp.dim,
             enhancement=variant.enhancement_kind,
-            dtype=hp.np_dtype,
+            dtype=DTYPE,
         )
     return ServerState(consensus=consensus, theta=theta, round=0)
 
@@ -400,10 +399,10 @@ class EvalRecord:
     between evaluated rounds; row c is client c's. `candidates` holds its
     candidates, padded to one width with its test item `tests[c]` (which
     never orders before itself). `personal` holds the personal term of its
-    fused scores at those candidates, `top` its top-k' ids under the
-    personal view and `p_p` ACE's p_P. Where `valid[c]` is set they still
-    hold: the personal term is V u, and the client has not been selected
-    to train since they were scored."""
+    fused scores at those candidates, in the clients' dtype, `top` its
+    top-k' ids under the personal view and `p_p` ACE's p_P. Where
+    `valid[c]` is set they still hold: the personal term is V u, and the
+    client has not been selected to train since they were scored."""
 
     candidates: np.ndarray
     tests: np.ndarray
@@ -413,8 +412,11 @@ class EvalRecord:
     valid: np.ndarray
 
     @classmethod
-    def build(cls, candidates: list[np.ndarray], held: HeldOut, hp: HyperParams, num_items: int) -> "EvalRecord":
+    def build(
+        cls, clients: list[ClientState], candidates: list[np.ndarray], held: HeldOut, hp: HyperParams, num_items: int
+    ) -> "EvalRecord":
         """A record of each client's `candidates` with every entry stale."""
+        dtype = clients[0].user_embedding.dtype if clients else DTYPE
         tests = np.array(held.test_items, dtype=np.int64)
         padded = np.repeat(tests[:, None], max(map(len, candidates), default=1), axis=1)
         for row, own in zip(padded, candidates):
@@ -422,9 +424,9 @@ class EvalRecord:
         return cls(
             candidates=padded,
             tests=tests,
-            personal=np.empty(padded.shape, hp.np_dtype),
+            personal=np.empty(padded.shape, dtype),
             top=np.empty((len(tests), hp.rbo_depth(num_items)), np.intp),
-            p_p=np.empty((len(tests), hp.dim), hp.np_dtype),
+            p_p=np.empty((len(tests), hp.dim), dtype),
             valid=np.zeros(len(tests), bool),
         )
 
@@ -433,10 +435,9 @@ def evaluate_round(
     clients: list[ClientState],
     server: ServerState,
     train: InteractionDataset,
-    held: HeldOut,
     hp: HyperParams,
     variant: VariantConfig,
-    candidates: list[np.ndarray] | EvalRecord,
+    record: EvalRecord,
     round: int,
     loss_means: LossBreakdown,
     workspace: Workspace | None = None,
@@ -449,8 +450,8 @@ def evaluate_round(
     through one forward pass with `tape=False`; a row map's pass over the
     server's table is the same for every client, so it runs once here.
 
-    `candidates` is the run's `EvalRecord`, or each client's candidates, of
-    which a fresh one is built. A client whose entry is valid skips its
+    `record` is the run's `EvalRecord`, which holds each client's
+    candidates and test item. A client whose entry is valid skips its
     personal view, which the record holds; any other scores it into the
     record. The clients go in blocks of d: each one's global view is copied
     into a row of a (d, M) `workspace` block, its fused scores are that
@@ -458,9 +459,7 @@ def evaluate_round(
     ranking, top-k and RBO functions run once per block."""
     if workspace is None:
         workspace = Workspace()
-    if not isinstance(candidates, EvalRecord):
-        candidates = EvalRecord.build(candidates, held, hp, train.num_items)
-    record, evaluated = candidates, [c for c in clients if len(train.client_items[c.client_id])]
+    evaluated = [c for c in clients if len(train.client_items[c.client_id])]
     global_pass = None
     if variant.enhancement_kind in ROW_MAP_KINDS:
         global_pass = net_pass(server.theta, server.consensus, workspace, "C")
@@ -545,16 +544,17 @@ def run_training(
         raise ConfigurationError(f"{len(held.test_items)} test items for {train.num_clients} clients")
 
     clients = [
-        init_client(hp.seed, hp.dim, train.num_items, client_id=c, dtype=hp.np_dtype, personal_table=False)
+        init_client(hp.seed, hp.dim, train.num_items, client_id=c, dtype=DTYPE, personal_table=False)
         for c in range(train.num_clients)
     ]
     if variant.personal_table:
-        tables = draw_personal_tables(hp.seed, hp.dim, train.num_items, range(train.num_clients), hp.np_dtype)
+        tables = draw_personal_tables(hp.seed, hp.dim, train.num_items, range(train.num_clients), DTYPE)
         for client, table in zip(clients, tables):
             client.personal_table = table
     server = init_server(train, hp, variant)
     sampler = NegativeSampler(train, hp.seed, leaked_test_items=held.test_items)
     record = EvalRecord.build(
+        clients,
         [build_eval_candidates(train, held, c, hp.eval_negatives, hp.seed) for c in range(train.num_clients)],
         held,
         hp,
@@ -598,7 +598,6 @@ def run_training(
                     clients,
                     server,
                     train,
-                    held,
                     hp,
                     variant,
                     record,

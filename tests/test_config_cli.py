@@ -167,7 +167,7 @@ def test_checkpoints_reload_to_the_last_evaluated_metrics(cfg_path, tmp_path):
     from fed3cr.checkpoint import load_client_state, load_server_state
     from fed3cr.datasets import build_eval_candidates
     from fed3cr.evaluation import metrics_csv_lines
-    from fed3cr.federation import evaluate_round
+    from fed3cr.federation import EvalRecord, evaluate_round
     from fed3cr.losses import LossBreakdown
 
     for label in ("Fed3CR", "FedMF+ACE"):
@@ -181,8 +181,9 @@ def test_checkpoints_reload_to_the_last_evaluated_metrics(cfg_path, tmp_path):
         ds, held = config.build_dataset()
         hp = config.hp
         candidates = [build_eval_candidates(ds, held, c, hp.eval_negatives, hp.seed) for c in range(ds.num_clients)]
+        record = EvalRecord.build(clients, candidates, held, hp, ds.num_items)
         no_loss = LossBreakdown(0.0, 0.0, 0.0, 0.0)
-        again = evaluate_round(clients, server, ds, held, hp, config.variant, candidates, hp.rounds - 1, no_loss)
+        again = evaluate_round(clients, server, ds, hp, config.variant, record, hp.rounds - 1, no_loss)
         last = Path(out, "metrics.csv").read_text().strip().splitlines()[-1]
         # round, HR@10, NDCG@10 and RBO, compared as their exact float reprs
         assert metrics_csv_lines([again], hp.rbo_k)[1].split(",")[:4] == last.split(",")[:4]
@@ -324,6 +325,7 @@ REMOVED_KNOBS = {
     "training.negatives_per_positive": 4,
     "training.lr_gamma": 0.999,
     "dataset.toy_sharpness": 2.5,
+    "training.dtype": "float32",
 }
 
 
@@ -332,10 +334,10 @@ def test_removed_knob_is_an_unknown_key(key, cfg_path, tmp_path, capsys):
     # W is the net's output and starts near zero, HR/NDCG at TOP_K and the
     # RBO's persistence are constants, the split always holds out the latest
     # item, variant.label alone picks a variant, the transfer net has one
-    # shape, and the batch size, negatives per positive, step-size decay and
-    # the toy's sharpness are constants: a config, a manifest (an older one
-    # that carries variant flags or net widths among them) or an override
-    # naming a removed key exits 2 and names it
+    # shape, the batch size, negatives per positive, step-size decay and the
+    # toy's sharpness are constants, and every run is float32: a config, a
+    # manifest (an older one that carries variant flags or net widths among
+    # them) or an override naming a removed key exits 2 and names it
     section, name = key.split(".")
     value = REMOVED_KNOBS[key]
     cfg = tmp_path / "old.cfg"
@@ -581,7 +583,6 @@ UNSET_KEYS = {
     "dataset.path",  # file-backed data: names the ratings file
     "dataset.min_interactions",  # file-backed data: drops sparse users on ingestion
     "training.eq12_mode",  # `literal-ratio` stays until a leak-free run with a stable ACE step tests it
-    "training.dtype",  # float64 runs for the tests
 }
 
 
@@ -616,7 +617,7 @@ def test_manifest_override_of_the_label_matches_the_cfg_override(tmp_path):
 
 
 # valid non-default values for the str knobs; the other types derive theirs
-STR_KNOB_VALUES = {"eq12_mode": "literal-ratio", "dtype": "float64"}
+STR_KNOB_VALUES = {"eq12_mode": "literal-ratio"}
 
 
 def _non_default(f):

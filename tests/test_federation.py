@@ -230,7 +230,7 @@ def test_local_update_single_item_matches_one_step_sgd_oracle():
         user_ids=["u"],
         item_ids=["a", "b"],
     )
-    hp = HyperParams(rounds=1, local_iters=1, dim=3, lr=0.5, seed=0, dtype="float64")
+    hp = HyperParams(rounds=1, local_iters=1, dim=3, lr=0.5, seed=0)
     state = init_client(0, 3, 2, dtype=np.float64)
     u0 = state.user_embedding.copy()
     v0 = state.personal_table.copy()
@@ -253,6 +253,20 @@ def test_local_update_single_item_matches_one_step_sgd_oracle():
     assert np.allclose(state.personal_table[0], v0[0] - 0.5 * g_row, atol=1e-6)
     # untouched rows stay exactly
     assert np.array_equal(upload.consensus[1], consensus[1])
+
+
+def test_local_update_trains_in_its_clients_dtype_whatever_the_download():
+    # A float64 client given a float32 download trains and uploads in
+    # float64: the same bits as the float64 cast of that download gives.
+    consensus = np.random.default_rng(4).normal(0, 0.01, (TOY.num_items, FAST.dim)).astype(np.float32)
+    trained = []
+    for download in (consensus, consensus.astype(np.float64)):
+        state = init_client(0, FAST.dim, TOY.num_items, client_id=0, dtype=np.float64)
+        sampler = NegativeSampler(TOY, 0, leaked_test_items=TOY_HELD.test_items)
+        upload, _ = local_update(state, download, None, sampler, FAST, VariantConfig.from_label("C0"))
+        assert upload.consensus.dtype == state.user_embedding.dtype == state.personal_table.dtype == np.float64
+        trained.append([upload.consensus.tobytes(), state.user_embedding.tobytes(), state.personal_table.tobytes()])
+    assert trained[0] == trained[1]
 
 
 def test_identical_clients_consensus_equals_single_upload():
@@ -425,6 +439,13 @@ def test_run_training_rejects_held_out_items_of_another_client_count():
     for test_items in (TOY_HELD.test_items[:-1], TOY_HELD.test_items + (0,)):
         with pytest.raises(ConfigurationError, match=f"{len(test_items)} test items for 24 clients"):
             run_training(TOY, HeldOut(test_items), FAST, VariantConfig.from_label("C0"))
+
+
+def test_run_training_without_clients_aborts_its_first_round():
+    # No client trains, so the first round has no upload to average.
+    ds = dataclasses.replace(TOY, num_clients=0, client_items=[], user_ids=[])
+    with pytest.raises(AggregationError, match="round 0: every selected client failed"):
+        run_training(ds, HeldOut(()), FAST, VariantConfig.from_label("Fed3CR"))
 
 
 def test_upload_channel_sees_only_shared_blocks():
@@ -779,8 +800,9 @@ def test_evaluate_round_matches_the_sort_path(name, monkeypatch, fused_table):
         raise AssertionError("evaluate_round built a Tensor")
 
     monkeypatch.setattr(Tensor, "__init__", no_tensor)
+    record = EvalRecord.build(clients, candidates, TOY_HELD, hp, TOY.num_items)
     no_loss = LossBreakdown(0.0, 0.0, 0.0, 0.0)
-    got = evaluate_round(clients, server, TOY, TOY_HELD, hp, variant, candidates, hp.rounds - 1, no_loss)
+    got = evaluate_round(clients, server, TOY, hp, variant, record, hp.rounds - 1, no_loss)
     monkeypatch.undo()
     assert (got.hr_at_k, got.ndcg_at_k, got.rbo) == expected
     assert (got.hr_at_k, got.ndcg_at_k, got.rbo) == (
@@ -807,10 +829,12 @@ def test_warm_evaluate_round_allocates_less_than_one_table():
             if not variant.personal_table:
                 client.personal_table = None
         workspace = Workspace()
-        evaluate_round(clients, server, ds, held, hp, variant, candidates, 0, no_loss, workspace=workspace)
+        record = EvalRecord.build(clients, candidates, held, hp, ds.num_items)
+        evaluate_round(clients, server, ds, hp, variant, record, 0, no_loss, workspace=workspace)
         tracemalloc.start()
-        try:
-            evaluate_round(clients, server, ds, held, hp, variant, candidates, 0, no_loss, workspace=workspace)
+        try:  # a fresh record, so the traced call scores every personal view again
+            record = EvalRecord.build(clients, candidates, held, hp, ds.num_items)
+            evaluate_round(clients, server, ds, hp, variant, record, 0, no_loss, workspace=workspace)
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -865,7 +889,8 @@ def test_evaluate_round_matches_the_per_client_reference_at_every_block_edge(nam
         ds, held = without_positives(n)
         clients = result.clients[:n]
         candidates = [build_eval_candidates(ds, held, c, negatives, hp.seed) for c in range(n)]
-        got = evaluate_round(clients, result.server, ds, held, hp, variant, candidates, 0, no_loss)
+        record = EvalRecord.build(clients, candidates, held, hp, ds.num_items)
+        got = evaluate_round(clients, result.server, ds, hp, variant, record, 0, no_loss)
         expected = per_client_metrics(clients, result.server, ds, held, hp, variant, candidates)
         assert (got.hr_at_k, got.ndcg_at_k, got.rbo, got.clients_evaluated) == expected, n
         assert got.clients_evaluated == n - (n > 1)
@@ -899,7 +924,8 @@ def test_evaluate_round_runs_one_forward_pass_per_client_and_maps_the_table_once
     monkeypatch.setattr(federation, "net_pass", counted_net)
     monkeypatch.setattr(model, "net_pass", counted_net)
     no_loss = LossBreakdown(0.0, 0.0, 0.0, 0.0)
-    evaluate_round(clients, server, ds, held, FAST, variant, candidates, 0, no_loss)
+    record = EvalRecord.build(clients, candidates, held, FAST, ds.num_items)
+    evaluate_round(clients, server, ds, FAST, variant, record, 0, no_loss)
     row_map = variant.enhancement_kind in ("consensus-transfer", "unified-transfer")
     assert calls == {"forward_pass": ds.num_clients - 1, "table net_pass": int(row_map)}
 
@@ -917,12 +943,12 @@ def test_a_client_marked_stale_is_rescored_and_a_reused_entry_would_be_wrong(nam
     no_loss = LossBreakdown(0.0, 0.0, 0.0, 0.0)
 
     def scored(clients, record):
-        m = evaluate_round(clients, result.server, TOY, TOY_HELD, hp, variant, record, 0, no_loss)
+        m = evaluate_round(clients, result.server, TOY, hp, variant, record, 0, no_loss)
         return metrics_csv_lines([m], hp.rbo_k)[1]
 
     def warm_then_train(mark_stale):
         clients = [ClientState(c.client_id, c.user_embedding.copy(), c.personal_table.copy()) for c in result.clients]
-        record = EvalRecord.build(candidates, TOY_HELD, hp, TOY.num_items)
+        record = EvalRecord.build(clients, candidates, TOY_HELD, hp, TOY.num_items)
         scored(clients, record)
         assert record.valid.all()
         local_update(clients[3], result.server.consensus, result.server.theta, sampler, hp, variant, 1)
@@ -931,7 +957,7 @@ def test_a_client_marked_stale_is_rescored_and_a_reused_entry_would_be_wrong(nam
         return clients, scored(clients, record)
 
     clients, rescored = warm_then_train(mark_stale=True)
-    assert rescored == scored(clients, candidates)
+    assert rescored == scored(clients, EvalRecord.build(clients, candidates, TOY_HELD, hp, TOY.num_items))
     _, reused = warm_then_train(mark_stale=False)
     assert reused != rescored
 
