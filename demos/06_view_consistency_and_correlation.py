@@ -19,7 +19,7 @@ import numpy as np
 
 from fed3cr import HyperParams, VariantConfig, export_correlation_matrix, run_training
 from fed3cr.datasets import leave_one_out_split
-from fed3cr.evaluation import rbo_truncated
+from fed3cr.evaluation import CORR_CLIP, rbo_truncated
 from fed3cr.model import forward_pass
 from fed3cr.toy import generate_toy_dataset
 
@@ -58,7 +58,7 @@ def surviving_entries(result, variant, client_id):
         enhancement=variant.enhancement_kind,
     )
     path = os.path.join(tempfile.mkdtemp(), f"corr_{client_id}.csv")
-    matrix = export_correlation_matrix(trace.C_E, client.personal_table, path, clip=0.003)
+    matrix = export_correlation_matrix(trace.C_E, client.personal_table, path)
     return int((matrix != 0).sum()), path
 
 
@@ -66,6 +66,6 @@ client_id = 22
 n_orth, path = surviving_entries(with_term, VariantConfig.from_label("Fed3CR"), client_id)
 n_l2, _ = surviving_entries(with_l2, l2_variant, client_id)
 total = hp.dim * hp.dim
-print(f"client {client_id}: entries above 0.003 with orthogonality pressure: {n_orth}/{total}")
-print(f"client {client_id}: entries above 0.003 with distance push instead : {n_l2}/{total}")
+print(f"client {client_id}: entries above {CORR_CLIP} with orthogonality pressure: {n_orth}/{total}")
+print(f"client {client_id}: entries above {CORR_CLIP} with distance push instead : {n_l2}/{total}")
 print(f"one matrix exported for external heatmap rendering: {path}")

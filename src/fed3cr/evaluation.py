@@ -29,6 +29,7 @@ class RoundMetrics:
 
 TOP_K = 10  # the cut-off of HR@K and NDCG@K
 RBO_P = 0.99  # the persistence of the view RBO
+CORR_CLIP = 0.003  # correlation entries at or below this magnitude read 0
 
 
 def metrics_csv_lines(metrics: list[RoundMetrics], rbo_k: int) -> list[str]:
@@ -169,18 +170,19 @@ def view_consistency_rbo(
     return _rbo(top_personal, top_global, p, global_scores.shape[1])
 
 
-def correlation_matrix(c_e: np.ndarray, v: np.ndarray, clip: float = 0.003) -> np.ndarray:
-    """Cross-view correlation with small entries zeroed for presentation."""
+def correlation_matrix(c_e: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cross-view correlation with entries at or below `CORR_CLIP` in
+    magnitude zeroed for presentation."""
     c_e, v = np.asarray(c_e), np.asarray(v)
     if c_e.shape != v.shape:
         raise ShapeError(f"table shapes differ: {c_e.shape} vs {v.shape}")
     corr = c_e.T @ v
-    return np.where(np.abs(corr) <= clip, 0.0, corr)
+    return np.where(np.abs(corr) <= CORR_CLIP, 0.0, corr)
 
 
-def export_correlation_matrix(c_e: np.ndarray, v: np.ndarray, path: str, clip: float = 0.003) -> np.ndarray:
+def export_correlation_matrix(c_e: np.ndarray, v: np.ndarray, path: str) -> np.ndarray:
     """Write the clipped correlation matrix as a d x d CSV (6 significant digits)."""
-    corr = correlation_matrix(c_e, v, clip)
+    corr = correlation_matrix(c_e, v)
     with open(path, "w", encoding="utf-8") as fh:
         for row in corr:
             fh.write(",".join(f"{x:.6g}" for x in row) + "\n")

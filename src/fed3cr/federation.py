@@ -194,31 +194,23 @@ class Upload:
 
 
 class UploadChannel:
-    """Instrumented client-to-server path; records every payload block.
+    """Instrumented client-to-server path; meters every upload's blocks by
+    name, shape and byte count."""
 
-    With `capture_bytes` the raw serialized payload is kept so tests can
-    assert exactly which bytes left the client.
-    """
-
-    def __init__(self, capture_bytes: bool = False):
-        self.capture_bytes = capture_bytes
+    def __init__(self):
         self.records: list[dict] = []
 
     def send(self, round: int, upload: Upload) -> Upload:
         blocks = [("consensus", upload.consensus.shape, upload.consensus.nbytes)]
-        payload = upload.consensus.tobytes() if self.capture_bytes else b""
         if upload.transfer_net is not None:
             for l, (w, b) in enumerate(zip(upload.transfer_net.weights, upload.transfer_net.biases)):
                 blocks.append((f"transfer_net.w{l}", w.shape, w.nbytes))
                 blocks.append((f"transfer_net.b{l}", b.shape, b.nbytes))
-                if self.capture_bytes:
-                    payload += w.tobytes() + b.tobytes()
         self.records.append(
             {
                 "round": round,
                 "client_id": upload.client_id,
                 "blocks": blocks,
-                "payload_bytes": payload if self.capture_bytes else None,
                 "total_nbytes": sum(b[2] for b in blocks),
             }
         )
@@ -416,7 +408,7 @@ class EvalRecord:
         cls, clients: list[ClientState], candidates: list[np.ndarray], held: HeldOut, hp: HyperParams, num_items: int
     ) -> "EvalRecord":
         """A record of each client's `candidates` with every entry stale."""
-        dtype = clients[0].user_embedding.dtype if clients else DTYPE
+        dtype = clients[0].user_embedding.dtype
         tests = np.array(held.test_items, dtype=np.int64)
         padded = np.repeat(tests[:, None], max(map(len, candidates), default=1), axis=1)
         for row, own in zip(padded, candidates):
@@ -540,6 +532,8 @@ def run_training(
     count, which changes low bits that training then carries into the metrics."""
     hp.validate()
     variant.validate()
+    if train.num_clients < 1:
+        raise ConfigurationError("the train split has no clients")
     if len(held.test_items) != train.num_clients:
         raise ConfigurationError(f"{len(held.test_items)} test items for {train.num_clients} clients")
 

@@ -53,6 +53,8 @@ def generate_toy_dataset(
     seed: int = 0,
 ) -> InteractionDataset:
     """Build the planted-block dataset (unsplit, no timestamps)."""
+    if num_clients < 1:
+        raise ConfigurationError(f"a toy dataset needs at least one client, got {num_clients}")
     if num_blocks < 1 or num_clients % num_blocks or num_items % num_blocks:
         raise ConfigurationError(
             f"blocks must evenly divide clients and items, got {num_clients}/{num_items}/{num_blocks}"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fed3cr.federation import UploadChannel
 from fed3cr.losses import total_loss_t
 from fed3cr.model import ClientState, TransferNet, forward_pass, init_client, init_client_net
 from fed3cr.numerics import grad_check
@@ -64,6 +65,25 @@ def check_block_gradients(client, table, net, build, names=None, **tolerances):
         assert report.passed, (name, report)
         worst = max(worst, report.max_rel_error)
     return grads, worst
+
+
+class CapturingChannel(UploadChannel):
+    """An upload channel that also keeps each upload's serialized bytes, in
+    payload order (the table, then each layer's weights and biases), as its
+    record's `payload_bytes`, so a test can check exactly what left a client."""
+
+    def send(self, round, upload):
+        super().send(round, upload)
+        arrays = [upload.consensus]
+        if upload.transfer_net is not None:
+            arrays += [a for w, b in zip(upload.transfer_net.weights, upload.transfer_net.biases) for a in (w, b)]
+        self.records[-1]["payload_bytes"] = b"".join(a.tobytes() for a in arrays)
+        return upload
+
+
+@pytest.fixture
+def capturing_channel():
+    return CapturingChannel()
 
 
 @pytest.fixture

@@ -301,6 +301,12 @@ def test_cli_run_and_exit_codes(cfg_path, tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", ["0", "-4"])
+def test_cli_run_without_clients_exits_2(count, cfg_path, capsys):
+    assert main(["run", "--config", cfg_path, "--dataset.toy_clients", count]) == 2
+    assert "at least one client" in capsys.readouterr().err
+
+
 def test_cli_override_flags(cfg_path, capsys):
     assert main(["run", "--config", cfg_path, "--training.rounds", "1"]) == 0
     capsys.readouterr()

@@ -322,11 +322,11 @@ def test_consecutive_local_updates_stay_distinct():
     assert not np.array_equal(first.consensus, second.consensus)
 
 
-def test_run_training_round_is_the_stacked_mean_of_its_payloads():
+def test_run_training_round_is_the_stacked_mean_of_its_payloads(capturing_channel):
     # Each upload is added into the round's sums as it arrives and then
     # dropped; the server's blocks still equal, bit for bit, the stacked mean
     # of the payloads the channel captured, and those payloads stay distinct.
-    channel = UploadChannel(capture_bytes=True)
+    channel = capturing_channel
     hp = dataclasses.replace(FAST, rounds=1)
     result = run_training(TOY, TOY_HELD, hp, VariantConfig.from_label("Fed3CR"), channel=channel)
     net = result.server.theta
@@ -441,15 +441,15 @@ def test_run_training_rejects_held_out_items_of_another_client_count():
             run_training(TOY, HeldOut(test_items), FAST, VariantConfig.from_label("C0"))
 
 
-def test_run_training_without_clients_aborts_its_first_round():
-    # No client trains, so the first round has no upload to average.
+def test_run_training_without_clients_is_a_configuration_error():
+    # A split with no clients has nothing to train or average.
     ds = dataclasses.replace(TOY, num_clients=0, client_items=[], user_ids=[])
-    with pytest.raises(AggregationError, match="round 0: every selected client failed"):
+    with pytest.raises(ConfigurationError, match="the train split has no clients"):
         run_training(ds, HeldOut(()), FAST, VariantConfig.from_label("Fed3CR"))
 
 
-def test_upload_channel_sees_only_shared_blocks():
-    channel = UploadChannel(capture_bytes=True)
+def test_upload_channel_sees_only_shared_blocks(capturing_channel):
+    channel = capturing_channel
     hp = dataclasses.replace(FAST, rounds=2)
     result = run_training(TOY, TOY_HELD, hp, VariantConfig.from_label("Fed3CR"), channel=channel)
     assert len(channel.records) == 2 * TOY.num_clients
@@ -599,7 +599,7 @@ def test_nonfinite_loss_aborts_client_with_warning():
     assert result is None
 
 
-def test_client_without_train_positives_is_skipped_with_a_warning(monkeypatch):
+def test_client_without_train_positives_is_skipped_with_a_warning(monkeypatch, capturing_channel):
     # Client 1 is selected but has nothing to train on: the warning names the
     # round and the client, no upload of its reaches the round's sums, and
     # the round's loss means average only the clients that trained.
@@ -612,7 +612,7 @@ def test_client_without_train_positives_is_skipped_with_a_warning(monkeypatch):
         return results[state.client_id]
 
     monkeypatch.setattr(federation, "local_update", recorded_update)
-    channel = UploadChannel(capture_bytes=True)
+    channel = capturing_channel
     with pytest.warns(UserWarning, match="round 0: client 1 has no positives; skipped"):
         result = run_training(ds, held, hp, VariantConfig.from_label("Fed3CR"), channel=channel)
     assert sorted(results) == list(range(ds.num_clients)) and results[1] is None

@@ -45,6 +45,13 @@ def test_invalid_block_division():
         generate_toy_dataset(num_clients=25, num_blocks=4)
 
 
+@pytest.mark.parametrize("num_clients", [0, -4])
+def test_toy_dataset_needs_a_client(num_clients):
+    # 0 and -4 both divide evenly into 4 blocks, so the block check alone lets them by.
+    with pytest.raises(ConfigurationError, match="at least one client"):
+        generate_toy_dataset(num_clients=num_clients)
+
+
 @pytest.mark.parametrize("num_items, num_blocks", [(96, 5), (96, 0)])
 def test_planted_vectors_need_blocks_that_divide_the_items(num_items, num_blocks):
     with pytest.raises(ConfigurationError):
